@@ -7,12 +7,11 @@ eigenvariables they dominate must be acyclic.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import And, Atom, Formula, Imp, Neg, Polarity, Sequent, Term, free_vars
-from .expansion import ETAtom, ETBin, ETNeg, ETStrong, ETWeak, ExpansionSequent, deep
+from .expansion import ETBin, ETNeg, ETStrong, ETWeak, ExpansionSequent, deep
 
 
 # ---------------------------------------------------------------------------
@@ -33,15 +32,17 @@ def deep_sequent(es: ExpansionSequent) -> Sequent:
 
 
 def _collect_atoms(f: Formula, ids: dict[Atom, int]) -> None:
-    if isinstance(f, Atom):
-        if f not in ids:
-            ids[f] = len(ids) + 1
-        return
-    if isinstance(f, Neg):
-        _collect_atoms(f.sub, ids)
-        return
-    _collect_atoms(f.left, ids)
-    _collect_atoms(f.right, ids)
+    """Number the atoms of `f` from len(ids) + 1 in left-to-right order."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            if f not in ids:
+                ids[f] = len(ids) + 1
+        elif isinstance(f, Neg):
+            stack.append(f.sub)
+        else:
+            stack += (f.right, f.left)
 
 
 class _Tseitin:
@@ -55,87 +56,131 @@ class _Tseitin:
         return v
 
     def encode(self, f: Formula, ids: dict[Atom, int]) -> int:
-        if isinstance(f, Atom):
-            return ids[f]
-        if isinstance(f, Neg):
-            return -self.encode(f.sub, ids)
-        left = self.encode(f.left, ids)
-        right = self.encode(f.right, ids)
-        if isinstance(f, Imp):
-            left = -left
-        a = self.fresh()
-        if isinstance(f, And):
-            self.clauses += [[-a, left], [-a, right], [a, -left, -right]]
-        else:  # Or and Imp share the disjunctive encoding
-            self.clauses += [[-a, left, right], [a, -left], [a, -right]]
-        return a
+        """Literal standing for `f`; definitions are numbered and emitted in
+        post-order, left subformula first."""
+        literals: list[int] = []  # encodings of finished subformulas
+        stack: list[tuple[Formula, bool]] = [(f, False)]
+        while stack:
+            f, children_done = stack.pop()
+            if isinstance(f, Atom):
+                literals.append(ids[f])
+            elif not children_done:
+                stack.append((f, True))
+                if isinstance(f, Neg):
+                    stack.append((f.sub, False))
+                else:
+                    stack += ((f.right, False), (f.left, False))
+            elif isinstance(f, Neg):
+                literals.append(-literals.pop())
+            else:
+                right = literals.pop()
+                left = literals.pop()
+                if isinstance(f, Imp):
+                    left = -left
+                a = self.fresh()
+                if isinstance(f, And):
+                    self.clauses += [[-a, left], [-a, right], [a, -left, -right]]
+                else:  # Or and Imp share the disjunctive encoding
+                    self.clauses += [[-a, left, right], [a, -left], [a, -right]]
+                literals.append(a)
+        return literals.pop()
 
 
 def _dpll(clauses: list[list[int]], nvars: int) -> Optional[dict[int, bool]]:
-    """Plain iterative DPLL; returns a model or None when unsatisfiable."""
-    assign: dict[int, bool] = {}
+    """Iterative DPLL with two watched literals per clause; returns a model or
+    None when unsatisfiable.
+
+    Decisions take the lowest free variable, True first, and backtracking is
+    chronological, so the model found is the first one in that order
+    whatever the propagation order: the counterexample is a function of the
+    clause set alone.
+    """
+    # value[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
+    # a negative literal indexes from the end, so value and watches need no
+    # offset arithmetic
+    size = 2 * nvars + 1
+    value = [0] * size
+    watches: list[list[list[int]]] = [[] for _ in range(size)]
     trail: list[int] = []
-    # decisions: (variable, trail length before the decision, tried_false)
-    decisions: list[tuple[int, int, bool]] = []
-
-    def value(lit: int) -> Optional[bool]:
-        v = assign.get(abs(lit))
-        if v is None:
+    units: list[int] = []
+    for clause in clauses:
+        lits = list(dict.fromkeys(clause))  # a repeated literal would take both watches
+        if not lits:
             return None
-        return v if lit > 0 else not v
+        if len(lits) == 1:
+            units.append(lits[0])
+        else:
+            watches[lits[0]].append(lits)
+            watches[lits[1]].append(lits)
 
-    def set_lit(lit: int) -> None:
-        assign[abs(lit)] = lit > 0
-        trail.append(abs(lit))
+    def assign(lit: int) -> None:
+        value[lit] = 1
+        value[-lit] = -1
+        trail.append(lit)
+
+    head = 0  # trail[:head] has been propagated
 
     def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                unassigned = None
-                satisfied = False
-                n_false = 0
-                for lit in clause:
-                    v = value(lit)
-                    if v is True:
-                        satisfied = True
-                        break
-                    if v is False:
-                        n_false += 1
+        """Unit propagation of the trail from `head`; False on a conflict."""
+        nonlocal head
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            watching = watches[false_lit]
+            kept = 0
+            for i, clause in enumerate(watching):
+                # keep the other watch in clause[0], the false one in clause[1]
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
+                other = clause[0]
+                if value[other] != 1:
+                    for k in range(2, len(clause)):
+                        if value[clause[k]] != -1:
+                            clause[1], clause[k] = clause[k], false_lit
+                            watches[clause[1]].append(clause)
+                            break
                     else:
-                        unassigned = lit
-                if satisfied:
-                    continue
-                if n_false == len(clause):
-                    return False  # conflict
-                if n_false == len(clause) - 1:
-                    set_lit(unassigned)
-                    changed = True
+                        if value[other] == -1:
+                            watching[kept:i] = []
+                            return False
+                        assign(other)
+                    if clause[1] != false_lit:
+                        continue  # now watched elsewhere
+                watching[kept] = clause
+                kept += 1
+            del watching[kept:]
         return True
 
+    for lit in units:
+        if value[lit] == -1:
+            return None
+        if value[lit] == 0:
+            assign(lit)
+    # decisions: (variable, trail length before the decision, tried_false)
+    decisions: list[tuple[int, int, bool]] = []
+    free = 1  # every variable below `free` is assigned
     while True:
         if propagate():
-            free = None
-            for v in range(1, nvars + 1):
-                if v not in assign:
-                    free = v
-                    break
-            if free is None:
-                return assign
+            while free <= nvars and value[free]:
+                free += 1
+            if free > nvars:
+                return {v: value[v] == 1 for v in range(1, nvars + 1)}
             decisions.append((free, len(trail), False))
-            set_lit(free)
+            assign(free)
+            continue
+        while decisions:
+            var, mark, tried_false = decisions.pop()
+            for lit in trail[mark:]:
+                value[lit] = value[-lit] = 0
+            del trail[mark:]
+            head = mark
+            if not tried_false:
+                decisions.append((var, mark, True))
+                assign(-var)
+                free = var
+                break
         else:
-            while decisions:
-                var, mark, tried_false = decisions.pop()
-                while len(trail) > mark:
-                    assign.pop(trail.pop())
-                if not tried_false:
-                    decisions.append((var, mark, True))
-                    set_lit(-var)
-                    break
-            else:
-                return None
+            return None
 
 
 def is_tautology(ds: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
@@ -198,74 +243,157 @@ class DependencyGraph:
         return frozenset((a, b) for a, bs in reach.items() for b in bs)
 
 
-def _walk_tree(tree, path, occurrences, strongs) -> None:
-    if isinstance(tree, ETAtom):
-        return
-    if isinstance(tree, ETNeg):
-        _walk_tree(tree.child, path + (0,), occurrences, strongs)
-    elif isinstance(tree, ETBin):
-        _walk_tree(tree.left, path + (0,), occurrences, strongs)
-        _walk_tree(tree.right, path + (1,), occurrences, strongs)
-    elif isinstance(tree, ETWeak):
-        for i, (term, child) in enumerate(tree.instances):
-            occurrences.append(TermOccurrence(path + (i,), term))
-            _walk_tree(child, path + (i,), occurrences, strongs)
-    elif isinstance(tree, ETStrong):
-        strongs.append((path, tree.eigenvariable))
-        _walk_tree(tree.child, path + (0,), occurrences, strongs)
+def _walk_sequent(
+    es: ExpansionSequent,
+) -> tuple[list[TermOccurrence], list[str], list[tuple[int, int]]]:
+    """Instance term occurrences in tree order, the eigenvariables of the
+    strong nodes in preorder, and for each occurrence the slice of that list
+    which lies at or below its instance edge."""
+    occurrences: list[TermOccurrence] = []
+    eigens: list[str] = []
+    spans: list[tuple[int, int]] = []
+    # (tree, path, instance term or None); a None tree closes the span of
+    # the occurrence numbered in the second slot
+    stack: list[tuple] = [
+        (tree, (side, i), None)
+        for side, trees in (("suc", es.succedent), ("ant", es.antecedent))
+        for i, tree in reversed(list(enumerate(trees)))
+    ]
+    while stack:
+        tree, path, term = stack.pop()
+        if tree is None:
+            spans[path] = (spans[path][0], len(eigens))
+            continue
+        if term is not None:
+            stack.append((None, len(occurrences), None))
+            spans.append((len(eigens), len(eigens)))
+            occurrences.append(TermOccurrence(path, term))
+        kind = type(tree)
+        if kind is ETBin:
+            stack += ((tree.right, path + (1,), None), (tree.left, path + (0,), None))
+        elif kind is ETNeg:
+            stack.append((tree.child, path + (0,), None))
+        elif kind is ETWeak:
+            for i in reversed(range(len(tree.instances))):
+                t, child = tree.instances[i]
+                stack.append((child, path + (i,), t))
+        elif kind is ETStrong:
+            eigens.append(tree.eigenvariable)
+            stack.append((tree.child, path + (0,), None))
+    return occurrences, eigens, spans
 
 
 def dependency_relation(es: ExpansionSequent) -> DependencyGraph:
     """Base dependency relation: an edge t -> s whenever some eigenvariable
     of a strong node at or below t's instance edge occurs free in s."""
-    occurrences: list[TermOccurrence] = []
-    strongs: list[tuple[tuple, str]] = []
-    for i, tree in enumerate(es.antecedent):
-        _walk_tree(tree, ("ant", i), occurrences, strongs)
-    for i, tree in enumerate(es.succedent):
-        _walk_tree(tree, ("suc", i), occurrences, strongs)
+    occurrences, eigens, spans = _walk_sequent(es)
+    strong = set(eigens)
+    mentioned_by: dict[str, list[int]] = {}
+    for b, occ in enumerate(occurrences):
+        for eig in free_vars(occ.term) & strong:
+            mentioned_by.setdefault(eig, []).append(b)
     edges = set()
-    for a, occ in enumerate(occurrences):
-        k = len(occ.path)
-        dominated = {eig for spath, eig in strongs if spath[:k] == occ.path}
-        if not dominated:
-            continue
-        for b, other in enumerate(occurrences):
-            if free_vars(other.term) & dominated:
-                edges.add((a, b))
+    for a, (lo, hi) in enumerate(spans):
+        for eig in set(eigens[lo:hi]):
+            edges.update((a, b) for b in mentioned_by.get(eig, ()))
     return DependencyGraph(tuple(occurrences), frozenset(edges))
+
+
+def _components(adj: list[list[int]]) -> list[int]:
+    """Strongly connected component number of each node (iterative Tarjan)."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = ncomp = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]  # (node, next successor to look at)
+        while work:
+            v, i = work[-1]
+            if i < len(adj[v]):
+                work[-1] = (v, i + 1)
+                w = adj[v][i]
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    return comp
 
 
 def is_acyclic(g: DependencyGraph) -> tuple[bool, Optional[tuple[str, ...]]]:
     """Cycle detection over the base edges; the witness is the shortest cycle
-    found by BFS from each node in node order."""
-    adj: dict[int, list[int]] = {i: [] for i in range(len(g.nodes))}
+    found by BFS from each node in node order (the first of equal length).
+
+    A cycle never leaves the strongly connected component of its nodes, so a
+    BFS only starts from a node with a successor in its own component and
+    stays inside that component, and no deeper than a cycle shorter than the
+    best so far reaches.  Where the component is a single simple cycle,
+    every start in it finds a cycle of the same length, so only its first
+    node is searched.  The witness is the one a full BFS over the whole
+    graph from every node finds.
+    """
+    adj: list[list[int]] = [[] for _ in g.nodes]
     for a, b in sorted(g.edges):
         adj[a].append(b)
+    comp = _components(adj)
+    inner = [sum(1 for w in succ if comp[w] == comp[v]) for v, succ in enumerate(adj)]
+    branching = {comp[v] for v, k in enumerate(inner) if k > 1}
+    searched: set[int] = set()
     best: Optional[list[int]] = None
-    for start in range(len(g.nodes)):
-        parent: dict[int, int] = {}
-        queue = deque([start])
-        seen = {start}
+    for start in range(len(adj)):
+        home = comp[start]
+        if not inner[start] or (home in searched and home not in branching):
+            continue
+        searched.add(home)
+        # BFS level by level, only as deep as a cycle shorter than `best` goes
+        parent = {start: start}
+        level = [start]
+        depth = 0  # distance from start to the nodes of `level`
         found = None
-        while queue and found is None:
-            node = queue.popleft()
-            for nxt in adj[node]:
-                if nxt == start:
+        while level and found is None and (best is None or depth + 1 < len(best)):
+            next_level = []
+            for node in level:
+                if start in adj[node]:
                     found = node
                     break
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = node
-                    queue.append(nxt)
+                for nxt in adj[node]:
+                    if nxt not in parent and comp[nxt] == home:
+                        parent[nxt] = node
+                        next_level.append(nxt)
+            level = next_level
+            depth += 1
         if found is None:
             continue
         cycle = [found]
         while cycle[-1] != start:
             cycle.append(parent[cycle[-1]])
         cycle.reverse()
-        if best is None or len(cycle) < len(best):
-            best = cycle
+        best = cycle
     if best is None:
         return True, None
     return False, tuple(g.nodes[i].node_id for i in best)

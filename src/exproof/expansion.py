@@ -220,11 +220,12 @@ def _expand_weak(var: str, body: Formula, sigmas: tuple[Subst, ...], p: Polarity
         if var in free_vars(body):
             raise MissingInstanceError(f"weak variable {var!r} has no instances")
         return ETWeak(var, body, ((VACUOUS_TERM, _expand(body, passthrough, p)),))
-    terms = sorted({s[var] for s in relevant}, key=term_text)
+    by_term: dict[Term, list[Subst]] = {}
+    for s in relevant:
+        by_term.setdefault(s[var], []).append(s)
     instances = []
-    for t in terms:
-        subset = tuple(s for s in relevant if s[var] == t) + passthrough
-        child = _expand(apply_subst(body, Subst({var: t})), subset, p)
+    for t in sorted(by_term, key=term_text):
+        child = _expand(apply_subst(body, Subst({var: t})), tuple(by_term[t]) + passthrough, p)
         instances.append((t, child))
     return ETWeak(var, body, tuple(instances))
 

@@ -177,13 +177,15 @@ def parse_leancop(text: str) -> LeanCoPTrace:
     clauses: list[TraceClause] = []
     steps: list[TraceStep] = []
     clause_numbers: set[int] = set()
+    input_names: set[str] = set()
     while parser.peek() is not None:
         head = parser.next()
         if head.text == "fof":
             parser.expect("(")
             name = parser.parse_name()
-            if any(f.name == name for f in inputs):
+            if name in input_names:
                 raise ParseError(f"duplicate input formula name {name!r}", head.line, head.col)
+            input_names.add(name)
             parser.expect(",")
             role_tok = parser.next()
             if role_tok.text not in ROLES:
@@ -507,10 +509,16 @@ def match_clauses(generated: Sequence[GenClause], trace_clauses: Sequence[TraceC
 # import
 
 
-def _compose_instance(matcher: Subst, binding: Subst, registry: SkolemRegistry) -> Subst:
+def _compose_instance(
+    variables: frozenset[str], matcher: Subst, binding: Subst, registry: SkolemRegistry
+) -> Subst:
+    """Instance of the pattern clause's `variables`: the matcher takes them
+    to trace clause terms, the step binding instantiates those.  A variable
+    the matcher sends to the trace variable of the same name has no binding
+    in `matcher` (Subst drops identities) and is composed all the same."""
     out = {}
-    for v, t in matcher.items():
-        out[v] = registry.collapse_term(apply_subst(t, binding))
+    for v in variables:
+        out[v] = registry.collapse_term(apply_subst(matcher.get(v, Var(v)), binding))
     return Subst(out)
 
 
@@ -568,8 +576,9 @@ def import_leancop(trace: LeanCoPTrace, config: ImportConfig = ImportConfig()) -
     )
     matches = match_clauses(generated, collapsed)
 
-    per_formula: dict[str, list[Subst]] = {f.name: [] for f in trace.inputs}
-    eq_groups: dict[tuple, tuple[AxiomSchema, list[Subst]]] = {}
+    # dicts as insertion-ordered sets of instances, in first-use order
+    per_formula: dict[str, dict[Subst, None]] = {f.name: {} for f in trace.inputs}
+    eq_groups: dict[tuple, tuple[AxiomSchema, dict[Subst, None]]] = {}
     for step in trace.steps:
         if step.clause is None:
             continue  # reductions close branches without new instances
@@ -585,16 +594,16 @@ def import_leancop(trace: LeanCoPTrace, config: ImportConfig = ImportConfig()) -
                 f"{step.clause} variables: {names}"
             )
         cm = matches[step.clause]
-        sigma = _compose_instance(cm.matcher, step.binding, registry)
         if cm.generated is not None:
-            bucket = per_formula[cm.generated.source]
-            if sigma and sigma not in bucket:
-                bucket.append(sigma)
+            sigma = _compose_instance(cm.generated.variables, cm.matcher, step.binding, registry)
+            subs = per_formula[cm.generated.source]
         else:
+            variables = frozenset(v for l in cm.schema.matrix for v in free_vars(l))
+            sigma = _compose_instance(variables, cm.matcher, step.binding, registry)
             key = (cm.schema.kind, cm.schema.param)
-            _schema, subs = eq_groups.setdefault(key, (cm.schema, []))
-            if sigma and sigma not in subs:
-                subs.append(sigma)
+            _schema, subs = eq_groups.setdefault(key, (cm.schema, {}))
+        if sigma:
+            subs[sigma] = None
 
     # variables never bound by any step still need instances for the trees
     for f in trace.inputs:
@@ -604,7 +613,7 @@ def import_leancop(trace: LeanCoPTrace, config: ImportConfig = ImportConfig()) -
             covered |= s.domain
         fallback = _fallback_subst(rect_formula, pol, covered)
         if fallback is not None:
-            per_formula[f.name].append(fallback)
+            per_formula[f.name][fallback] = None
 
     ant_trees: list[ExpansionTree] = []
     suc_trees: list[ExpansionTree] = []

@@ -498,7 +498,7 @@ def import_verit(trace: VeritTrace) -> tuple[ExpansionSequent, dict]:
         antecedent.append(expand_formula(clause_to_formula(clause), (), Polarity.NEG))
 
     # group axiom instances by schema, keeping first-use order
-    groups: dict[tuple, tuple[AxiomSchema, list[Subst]]] = {}
+    groups: dict[tuple, tuple[AxiomSchema, dict[Subst, None]]] = {}
     flips_total = 0
     instance_counts: dict[str, int] = {}
     for kind, clause in axioms:
@@ -506,9 +506,8 @@ def import_verit(trace: VeritTrace) -> tuple[ExpansionSequent, dict]:
         flips_total += len(inst.flips)
         instance_counts[kind] = instance_counts.get(kind, 0) + 1
         key = (inst.schema.kind, inst.schema.param)
-        schema, subs = groups.setdefault(key, (inst.schema, []))
-        if inst.subst not in subs:
-            subs.append(inst.subst)
+        schema, subs = groups.setdefault(key, (inst.schema, {}))
+        subs[inst.subst] = None  # a dict keeps first-use order
 
     refl_terms = _reflexivity_instances(inputs, axioms)
 

@@ -58,9 +58,11 @@ def random_formula(rng: random.Random, depth: int, scope=(), var_pool=("X", "Y",
     return cls(var, random_formula(rng, depth - 1, scope + [var], var_pool))
 
 
-def random_instances(rng: random.Random, formula, polarity: Polarity):
+def random_instances(rng: random.Random, formula, polarity: Polarity, weak_terms=()):
     """A valid instance set: every strong variable pinned to one fresh
-    eigenvariable, weak variables given 1-3 ground terms."""
+    eigenvariable, weak variables given 1-3 terms from GROUND_TERMS plus
+    `weak_terms` (pass eigenvariable terms to get dependency edges)."""
+    pool = GROUND_TERMS + list(weak_terms)
     strengths = quantifier_strengths(formula, polarity)
     eigens = {}
     for i, (v, s) in enumerate(sorted(strengths.items())):
@@ -70,7 +72,7 @@ def random_instances(rng: random.Random, formula, polarity: Polarity):
     for _ in range(rng.randint(1, 3)):
         bindings = {}
         for v, s in strengths.items():
-            bindings[v] = eigens[v] if s is Strength.STRONG else rng.choice(GROUND_TERMS)
+            bindings[v] = eigens[v] if s is Strength.STRONG else rng.choice(pool)
         sigma = Subst(bindings)
         if sigma not in sigmas:
             sigmas.append(sigma)

@@ -3,17 +3,35 @@ import random
 from exproof.check import (
     DependencyGraph,
     TermOccurrence,
+    _dpll,
     deep_sequent,
     dependency_relation,
     is_acyclic,
     is_tautology,
     verdict,
 )
-from exproof.core import Atom, Sequent, Var, const, eq
-from exproof.expansion import ETAtom, ETBin, ETNeg, ETStrong, ETWeak, ExpansionSequent
+from exproof.core import And, App, Atom, Polarity, Sequent, Var, const, eq, rectify
+from exproof.expansion import (
+    ETAtom,
+    ETBin,
+    ETNeg,
+    ETStrong,
+    ETWeak,
+    ExpansionSequent,
+    expand_formula,
+)
 from exproof.notation import parse_formula, sequent_text
-from oracles import eval_sequent, has_cycle_bruteforce, sequent_atoms, taut_oracle
-from randgen import random_deep_sequent, random_graph
+from oracles import (
+    eval_sequent,
+    has_cycle_bruteforce,
+    ref_dependency_relation,
+    ref_is_tautology,
+    ref_shortest_cycle,
+    rescan_dpll,
+    sequent_atoms,
+    taut_oracle,
+)
+from randgen import random_deep_sequent, random_formula, random_graph, random_instances
 
 P = lambda t: Atom("p", (t,))
 a, b, c = const("a"), const("b"), const("c")
@@ -101,6 +119,43 @@ def test_tautology_agrees_with_truth_table_seeded():
             assert eval_sequent(ds, mapped) is False, f"case {i}"
 
 
+def test_tautology_matches_rescan_dpll_seeded():
+    # the watched-literal solver must return exactly what the rescanning
+    # solver it replaced returns, counterexample included
+    rng = random.Random(31337)
+    for i in range(3000):
+        ds = random_deep_sequent(rng, max_atoms=12)
+        assert is_tautology(ds) == ref_is_tautology(ds), f"case {i}: {sequent_text(ds)}"
+
+
+def test_dpll_matches_rescan_dpll_on_raw_clauses():
+    # clause sets with repeated literals, tautological clauses and units,
+    # none of which the Tseitin encoder emits often
+    rng = random.Random(4049)
+    for i in range(2000):
+        nvars = rng.randint(1, 8)
+        clauses = [
+            [rng.choice((-1, 1)) * rng.randint(1, nvars) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(0, 20))
+        ]
+        ours = _dpll([list(c) for c in clauses], nvars)
+        reference = rescan_dpll([list(c) for c in clauses], nvars)
+        if reference is not None:
+            reference = {v: reference[v] for v in range(1, nvars + 1)}
+        assert ours == reference, f"case {i}: {clauses}"
+
+
+def test_long_conjunction_does_not_recurse():
+    # deep() folds the instances of a weak node into a left-nested chain
+    atoms = [Atom(f"p{i}", ()) for i in range(5000)]
+    chain = atoms[0]
+    for atom in atoms[1:]:
+        chain = And(chain, atom)
+    assert is_tautology(Sequent((chain,), (atoms[-1],))) == (True, None)
+    ok, counterexample = is_tautology(Sequent((chain,), ()))
+    assert not ok and all(counterexample.values()) and len(counterexample) == 5000
+
+
 # --- dependency relation ---
 
 
@@ -140,6 +195,38 @@ def test_closure_is_transitive():
     assert g.closure() == frozenset({(0, 1), (1, 2), (0, 2)})
 
 
+def test_dependency_relation_matches_pairwise_scan_seeded():
+    rng = random.Random(6007)
+    # weak variables may take eigenvariable terms, so that edges appear
+    weak_terms = [Var("E0"), Var("E1"), App("f", (Var("E2"),)), Var("E3")]
+    with_edges = 0
+    for i in range(1500):
+        sides = [rng.randrange(2) for _ in range(rng.randint(1, 4))]
+        raw = [random_formula(rng, rng.randint(1, 5)) for _ in sides]
+        sequent, _ = rectify(
+            Sequent(
+                tuple(f for f, s in zip(raw, sides) if s == 0),
+                tuple(f for f, s in zip(raw, sides) if s == 1),
+            )
+        )
+        es = ExpansionSequent(
+            tuple(
+                expand_formula(f, random_instances(rng, f, Polarity.NEG, weak_terms), Polarity.NEG)
+                for f in sequent.antecedent
+            ),
+            tuple(
+                expand_formula(f, random_instances(rng, f, Polarity.POS, weak_terms), Polarity.POS)
+                for f in sequent.succedent
+            ),
+        )
+        g = dependency_relation(es)
+        occurrences, edges = ref_dependency_relation(es)
+        assert [(n.path, n.term) for n in g.nodes] == occurrences, f"case {i}"
+        assert g.edges == edges, f"case {i}"
+        with_edges += bool(edges)
+    assert with_edges >= 50  # the comparison is not vacuous
+
+
 # --- acyclicity ---
 
 
@@ -165,6 +252,26 @@ def test_acyclic_matches_bruteforce_seeded():
         assert ours == (not has_cycle_bruteforce(n, edges)), f"case {i}: {n} {sorted(edges)}"
         if cycle is not None:
             assert len(cycle) >= 1
+
+
+def test_acyclic_matches_bfs_from_every_node_seeded():
+    rng = random.Random(9091)
+    for i in range(2000):
+        n, edges = random_graph(rng, max_nodes=12 if i % 2 else 40)
+        g = _graph_of(n, edges)
+        best = ref_shortest_cycle(n, edges)
+        expected = (True, None) if best is None else (False, tuple(g.nodes[k].node_id for k in best))
+        assert is_acyclic(g) == expected, f"case {i}: {n} {sorted(edges)}"
+
+
+def test_long_dependency_chain_and_cycle():
+    n = 5000
+    path = _graph_of(n, {(k, k + 1) for k in range(n - 1)})
+    assert is_acyclic(path) == (True, None)
+    ring = {(k, (k + 1) % n) for k in range(n)}
+    assert is_acyclic(_graph_of(n, ring)) == (False, tuple(f"ant[{k}]" for k in range(n)))
+    chord = _graph_of(n, ring | {(10, 7)})
+    assert is_acyclic(chord) == (False, ("ant[7]", "ant[8]", "ant[9]", "ant[10]"))
 
 
 # --- verdict ---

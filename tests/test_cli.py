@@ -133,6 +133,39 @@ def test_dot_weak_out_degree_two():
     assert len(weak_edges) == 2
 
 
+def _transitivity_chain(n: int) -> str:
+    """A verit refutation of `a0 = a1, ..., a{n-1} = an, ~(a0 = an)` through
+    n-1 `eq_transitive` leaves `a0=ak, ak=ak+1 -> a0=ak+1`."""
+    lines = [f"(set .i{k} (input :conclusion ((= a{k} a{k + 1}))))" for k in range(n)]
+    lines.append(f"(set .g (input :conclusion ((not (= a0 a{n})))))")
+    previous = "i0"
+    for k in range(1, n):
+        lines.append(
+            f"(set .t{k} (eq_transitive :conclusion "
+            f"((not (= a0 a{k})) (not (= a{k} a{k + 1})) (= a0 a{k + 1}))))"
+        )
+        lines.append(
+            f"(set .r{k} (resolution :clauses (.{previous} .i{k} .t{k}) "
+            f":conclusion ((= a0 a{k + 1}))))"
+        )
+        previous = f"r{k}"
+    lines.append(f"(set .end (resolution :clauses (.{previous} .g) :conclusion ()))")
+    return "\n".join(lines) + "\n"
+
+
+def test_long_transitivity_chain_is_a_proof(tmp_path, capsys):
+    # the deep sequent nests the 1599 transitivity instances 1599 deep
+    bdir = tmp_path / "long"
+    bdir.mkdir()
+    path = bdir / "chain.proof"
+    path.write_text(_transitivity_chain(1600), encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_PROOF
+    assert json.loads(capsys.readouterr().out)["is_proof"] is True
+    assert main(["batch", str(bdir)]) == EXIT_PROOF
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["files"]["chain.proof"]["status"] == "proof"
+
+
 # --- batch ---
 
 

@@ -84,8 +84,9 @@ def test_parse_errors():
         )
     with pytest.raises(ParseError):
         parse_leancop("fof(ax1, axiom, p)")  # missing final dot
-    with pytest.raises(ParseError, match="duplicate input"):
-        parse_leancop("fof(ax, axiom, p).\nfof(ax, axiom, q).")
+    with pytest.raises(ParseError, match="duplicate input") as excinfo:
+        parse_leancop("fof(ax, axiom, p).\nfof(bx, axiom, p).\nfof(ax, axiom, q).")
+    assert (excinfo.value.line, excinfo.value.col) == (3, 1)
 
 
 # --- skolem handling ---
@@ -227,6 +228,33 @@ def test_import_simple():
     assert verdict(es).is_proof
     assert report["matched_clauses"] == 2
     assert report["instances_per_formula"] == {"ax1": 1, "conj": 0}
+
+
+def test_import_clause_variable_named_like_bound_variable():
+    # the matcher binds X to the trace variable X, an identity that Subst
+    # drops; the step binding must still reach X
+    text = (FIXTURES / "leancop_simple.proof").read_text().replace("X1", "X")
+    es, report = import_leancop(parse_leancop(text))
+    assert verdict(es).is_proof
+    assert [t for t, _ in es.antecedent[0].instances] == [a]
+    assert report["instances_per_formula"] == {"ax1": 1, "conj": 0}
+
+
+def test_import_deduplicates_repeated_instances():
+    text = """
+fof(ax1, axiom, ![X]: p(X)).
+fof(conj, conjecture, (p(b) & p(a))).
+cnf(1, plain, [~p(X1)], clausify(ax1)).
+cnf(2, plain, [p(b), p(a)], clausify(conj)).
+cnf('s1', plain, [p(b), p(a)], start(2)).
+cnf('e1', plain, [~p(b)], extension(1, bind([X1], [b]))).
+cnf('e2', plain, [~p(a)], extension(1, bind([X1], [a]))).
+cnf('e3', plain, [~p(b)], extension(1, bind([X1], [b]))).
+"""
+    es, report = import_leancop(parse_leancop(text))
+    assert verdict(es).is_proof
+    assert report["instances_per_formula"]["ax1"] == 2
+    assert [t for t, _ in es.antecedent[0].instances] == [a, b]
 
 
 def test_import_existential_conjecture():
