@@ -37,7 +37,7 @@ from .expansion import (
     shallow_sequent,
 )
 from .leancop import ImportConfig, import_leancop, parse_leancop
-from .notation import formula_text, parse_formula, parse_term, sequent_text, term_text
+from .notation import formula_text, parse_formula, parse_term, sequent_text
 from .verit import import_verit, parse_verit
 
 __version__ = "0.1.0"

@@ -8,10 +8,13 @@ eigenvariables they dominate must be acyclic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import count
+from operator import neg
 from typing import Optional
 
-from .core import And, Atom, Formula, Imp, Neg, Polarity, Sequent, Term, free_vars
-from .expansion import ETBin, ETNeg, ETStrong, ETWeak, ExpansionSequent, deep
+from .core import And, Atom, Formula, Imp, Neg, Or, Polarity, Sequent, Term, discard, fold, free_vars, subformulas
+from .expansion import ETAtom, ETBin, ETStrong, ETWeak, ExpansionSequent, deep
 
 
 # ---------------------------------------------------------------------------
@@ -33,57 +36,9 @@ def deep_sequent(es: ExpansionSequent) -> Sequent:
 
 def _collect_atoms(f: Formula, ids: dict[Atom, int]) -> None:
     """Number the atoms of `f` from len(ids) + 1 in left-to-right order."""
-    stack = [f]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
-            if f not in ids:
-                ids[f] = len(ids) + 1
-        elif isinstance(f, Neg):
-            stack.append(f.sub)
-        else:
-            stack += (f.right, f.left)
-
-
-class _Tseitin:
-    def __init__(self, natoms: int):
-        self.next_var = natoms + 1
-        self.clauses: list[list[int]] = []
-
-    def fresh(self) -> int:
-        v = self.next_var
-        self.next_var += 1
-        return v
-
-    def encode(self, f: Formula, ids: dict[Atom, int]) -> int:
-        """Literal standing for `f`; definitions are numbered and emitted in
-        post-order, left subformula first."""
-        literals: list[int] = []  # encodings of finished subformulas
-        stack: list[tuple[Formula, bool]] = [(f, False)]
-        while stack:
-            f, children_done = stack.pop()
-            if isinstance(f, Atom):
-                literals.append(ids[f])
-            elif not children_done:
-                stack.append((f, True))
-                if isinstance(f, Neg):
-                    stack.append((f.sub, False))
-                else:
-                    stack += ((f.right, False), (f.left, False))
-            elif isinstance(f, Neg):
-                literals.append(-literals.pop())
-            else:
-                right = literals.pop()
-                left = literals.pop()
-                if isinstance(f, Imp):
-                    left = -left
-                a = self.fresh()
-                if isinstance(f, And):
-                    self.clauses += [[-a, left], [-a, right], [a, -left, -right]]
-                else:  # Or and Imp share the disjunctive encoding
-                    self.clauses += [[-a, left, right], [a, -left], [a, -right]]
-                literals.append(a)
-        return literals.pop()
+    for g, _ in subformulas(f, Polarity.POS):
+        if type(g) is Atom and g not in ids:
+            ids[g] = len(ids) + 1
 
 
 def _dpll(clauses: list[list[int]], nvars: int) -> Optional[dict[int, bool]]:
@@ -193,10 +148,37 @@ def is_tautology(ds: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
     # the sequent fails iff all antecedents and all negated succedents are
     # jointly satisfiable
     conjuncts = list(ds.antecedent) + [Neg(f) for f in ds.succedent]
-    ts = _Tseitin(len(ids))
+    # Tseitin encoding: each connective gets the next variable, numbered and
+    # defined in post-order, left subformula first
+    fresh = count(len(ids) + 1)
+    clauses: list[list[int]] = []
+
+    def conj(left: int, right: int) -> int:
+        a = next(fresh)
+        clauses.extend(([-a, left], [-a, right], [a, -left, -right]))
+        return a
+
+    def disj(left: int, right: int) -> int:
+        a = next(fresh)
+        clauses.extend(([-a, left, right], [a, -left], [a, -right]))
+        return a
+
+    def imp(left: int, right: int) -> int:
+        return disj(-left, right)
+
+    define = {And: conj, Or: disj, Imp: imp}
+
+    def step(f: Formula):
+        kind = type(f)
+        if kind is Atom:
+            return None, ids[f]
+        if kind is Neg:
+            return (f.sub,), neg
+        return (f.left, f.right), define[kind]
+
     for f in conjuncts:
-        ts.clauses.append([ts.encode(f, ids)])
-    model = _dpll(ts.clauses, ts.next_var - 1)
+        clauses.append([fold(f, step)])
+    model = _dpll(clauses, next(fresh) - 1)
     if model is None:
         return True, None
     assignment = {str(atom): model.get(i, False) for atom, i in ids.items()}
@@ -226,21 +208,13 @@ class DependencyGraph:
     nodes: tuple[TermOccurrence, ...]
     edges: frozenset[tuple[int, int]]  # indices into `nodes`
 
-    def closure(self) -> frozenset[tuple[int, int]]:
-        reach: dict[int, set[int]] = {i: set() for i in range(len(self.nodes))}
-        for a, b in self.edges:
-            reach[a].add(b)
-        changed = True
-        while changed:
-            changed = False
-            for a in reach:
-                extra = set()
-                for b in reach[a]:
-                    extra |= reach[b] - reach[a]
-                if extra:
-                    reach[a] |= extra
-                    changed = True
-        return frozenset((a, b) for a, bs in reach.items() for b in bs)
+
+def _path(link: tuple) -> tuple:
+    indices = []
+    while type(link[0]) is not str:
+        link, index = link
+        indices.append(index)
+    return link + tuple(reversed(indices))
 
 
 def _walk_sequent(
@@ -251,35 +225,39 @@ def _walk_sequent(
     which lies at or below its instance edge."""
     occurrences: list[TermOccurrence] = []
     eigens: list[str] = []
-    spans: list[tuple[int, int]] = []
-    # (tree, path, instance term or None); a None tree closes the span of
-    # the occurrence numbered in the second slot
-    stack: list[tuple] = [
-        (tree, (side, i), None)
-        for side, trees in (("suc", es.succedent), ("ant", es.antecedent))
-        for i, tree in reversed(list(enumerate(trees)))
-    ]
-    while stack:
-        tree, path, term = stack.pop()
-        if tree is None:
-            spans[path] = (spans[path][0], len(eigens))
-            continue
-        if term is not None:
-            stack.append((None, len(occurrences), None))
-            spans.append((len(eigens), len(eigens)))
-            occurrences.append(TermOccurrence(path, term))
+    spans: list = []  # (start, end) per occurrence; just the start until its subtree is done
+
+    def close(k: int, *_children) -> None:
+        spans[k] = (spans[k], len(eigens))
+
+    # items are (tree, path link, instance term or None); a path link is the
+    # root's (side, tree index) or a (parent link, child index) pair, so a
+    # step copies no path.  An instance's span opens before its subtree is
+    # walked and closes after.
+    def step(item):
+        tree, link, term = item
         kind = type(tree)
+        if term is None:
+            if kind is ETAtom:
+                return None, None
+            build = discard
+        else:
+            spans.append(len(eigens))
+            occurrences.append(TermOccurrence(_path(link), term))
+            build = partial(close, len(spans) - 1)
         if kind is ETBin:
-            stack += ((tree.right, path + (1,), None), (tree.left, path + (0,), None))
-        elif kind is ETNeg:
-            stack.append((tree.child, path + (0,), None))
-        elif kind is ETWeak:
-            for i in reversed(range(len(tree.instances))):
-                t, child = tree.instances[i]
-                stack.append((child, path + (i,), t))
-        elif kind is ETStrong:
+            return ((tree.left, (link, 0), None), (tree.right, (link, 1), None)), build
+        if kind is ETWeak:
+            return tuple((child, (link, i), t) for i, (t, child) in enumerate(tree.instances)), build
+        if kind is ETStrong:
             eigens.append(tree.eigenvariable)
-            stack.append((tree.child, path + (0,), None))
+        elif kind is ETAtom:
+            return (), build  # an instance edge onto an atom: an empty span
+        return ((tree.child, (link, 0), None),), build
+
+    for side, trees in (("ant", es.antecedent), ("suc", es.succedent)):
+        for i, tree in enumerate(trees):
+            fold((tree, (side, i), None), step)
     return occurrences, eigens, spans
 
 

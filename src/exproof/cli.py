@@ -13,24 +13,24 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from pathlib import Path
 from typing import Optional
 
 from .check import deep_sequent, verdict
-from .core import ExproofError, Polarity
+from .core import ExproofError, Polarity, discard, fold
 from .expansion import (
     ETAtom,
     ETBin,
     ETNeg,
-    ETStrong,
     ETWeak,
     ExpansionSequent,
     sequent_to_json,
     shallow_sequent,
 )
 from .leancop import ImportConfig, import_leancop, parse_leancop
-from .notation import ParseError, sequent_text, term_text
+from .notation import ParseError, sequent_text
 from .verit import TraceSyntaxError, import_verit, parse_verit
 
 EXIT_PROOF = 0
@@ -100,20 +100,24 @@ def _ansi(enabled: bool, code: str, text: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m" if enabled else text
 
 
+def _tree_children(tree) -> Optional[tuple]:
+    kind = type(tree)
+    if kind is ETBin:
+        return (tree.left, tree.right)
+    if kind is ETWeak:
+        return tuple(child for _, child in tree.instances)
+    if kind is ETAtom:
+        return None
+    return (tree.child,)
+
+
 def _collect_weak_instances(tree, out: list[tuple[str, list[str]]]) -> None:
-    if isinstance(tree, ETAtom):
-        return
-    if isinstance(tree, ETNeg):
-        _collect_weak_instances(tree.child, out)
-    elif isinstance(tree, ETBin):
-        _collect_weak_instances(tree.left, out)
-        _collect_weak_instances(tree.right, out)
-    elif isinstance(tree, ETWeak):
-        out.append((tree.var, [term_text(t) for t, _ in tree.instances]))
-        for _, child in tree.instances:
-            _collect_weak_instances(child, out)
-    elif isinstance(tree, ETStrong):
-        _collect_weak_instances(tree.child, out)
+    def step(tree):
+        if type(tree) is ETWeak:
+            out.append((tree.var, [str(t) for t, _ in tree.instances]))
+        return _tree_children(tree), discard
+
+    fold(tree, step)
 
 
 def render_show(es: ExpansionSequent, deep_mode: bool, color: bool) -> str:
@@ -149,41 +153,48 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _dot_tree(tree, polarity: Polarity, ids, lines: list[str]) -> int:
-    me = next(ids)
-    name = f"n{me}"
-    if isinstance(tree, ETAtom):
-        lines.append(f'    {name} [label="{_dot_escape(str(tree.atom))}"];')
-    elif isinstance(tree, ETNeg):
-        lines.append(f'    {name} [label="~"];')
-        child = _dot_tree(tree.child, polarity.flip(), ids, lines)
-        lines.append(f"    {name} -> n{child};")
-    elif isinstance(tree, ETBin):
-        symbol = {"and": "&", "or": "|", "imp": "=>"}[tree.conn]
-        lines.append(f'    {name} [label="{_dot_escape(symbol)}"];')
-        left_pol = polarity.flip() if tree.conn == "imp" else polarity
-        left = _dot_tree(tree.left, left_pol, ids, lines)
-        right = _dot_tree(tree.right, polarity, ids, lines)
-        lines.append(f"    {name} -> n{left};")
-        lines.append(f"    {name} -> n{right};")
-    elif isinstance(tree, ETWeak):
-        mark = "!" if polarity is Polarity.NEG else "?"
-        lines.append(f'    {name} [label="{mark}[{_dot_escape(tree.var)}]"];')
-        for term, child in tree.instances:
-            c = _dot_tree(child, polarity, ids, lines)
-            lines.append(f'    {name} -> n{c} [label="{_dot_escape(term_text(term))}"];')
-    else:  # strong
+def _dot_tree(tree, polarity: Polarity, ids, lines: list[str]) -> None:
+    def edges(me: int, *children: int) -> int:
+        lines.extend(f"    n{me} -> n{child};" for child in children)
+        return me
+
+    def instance_edge(me: int, label: str, child: int) -> None:
+        lines.append(f'    n{me} -> n{child} [label="{label}"];')
+
+    def weak_done(me: int, *_instances) -> int:
+        return me
+
+    # items are (tree, polarity), or (tree, polarity, parent id, edge label)
+    # for the child of a weak instance, whose edge follows its subtree
+    def step(item):
+        if len(item) == 4:
+            child, polarity, me, label = item
+            return ((child, polarity),), partial(instance_edge, me, label)
+        tree, polarity = item
+        me = next(ids)
+        name = f"n{me}"
+        if isinstance(tree, ETAtom):
+            lines.append(f'    {name} [label="{_dot_escape(str(tree.atom))}"];')
+            return None, me
+        if isinstance(tree, ETNeg):
+            lines.append(f'    {name} [label="~"];')
+            return ((tree.child, polarity.flip()),), partial(edges, me)
+        if isinstance(tree, ETBin):
+            symbol = {"and": "&", "or": "|", "imp": "=>"}[tree.conn]
+            lines.append(f'    {name} [label="{_dot_escape(symbol)}"];')
+            left_pol = polarity.flip() if tree.conn == "imp" else polarity
+            return ((tree.left, left_pol), (tree.right, polarity)), partial(edges, me)
+        if isinstance(tree, ETWeak):
+            mark = "!" if polarity is Polarity.NEG else "?"
+            lines.append(f'    {name} [label="{mark}[{_dot_escape(tree.var)}]"];')
+            kids = tuple((c, polarity, me, _dot_escape(str(t))) for t, c in tree.instances)
+            return kids, partial(weak_done, me)
         mark = "?" if polarity is Polarity.NEG else "!"
-        label = f"{mark}[{tree.var}]\\neigen: {tree.eigenvariable}"
-        lines.append(f'    {name} [label="{_dot_escape_keep(label)}"];')
-        child = _dot_tree(tree.child, polarity, ids, lines)
-        lines.append(f"    {name} -> n{child};")
-    return me
+        label = f"{mark}[{_dot_escape(tree.var)}]\\neigen: {_dot_escape(tree.eigenvariable)}"
+        lines.append(f'    {name} [label="{label}"];')
+        return ((tree.child, polarity),), partial(edges, me)
 
-
-def _dot_escape_keep(s: str) -> str:
-    # like _dot_escape but preserving intentional \n label breaks
-    return s.replace('"', '\\"')
+    fold((tree, polarity), step)
 
 
 def sequent_to_dot(es: ExpansionSequent) -> str:

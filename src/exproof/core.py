@@ -7,7 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import partial
 from itertools import count
+from operator import and_
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 EQ = "="  # reserved equality predicate, always arity 2
@@ -28,6 +30,10 @@ class InvalidPathError(ExproofError):
 
 class NotAQuantifierError(ExproofError):
     pass
+
+
+class InvariantError(ExproofError):
+    """An importer's internal consistency check failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +165,10 @@ class Polarity(IntEnum):
     POS = 1
 
     def flip(self) -> "Polarity":
-        return Polarity(1 - self.value)
+        return _FLIPPED[self]
+
+
+_FLIPPED = {Polarity.NEG: Polarity.POS, Polarity.POS: Polarity.NEG}
 
 
 class Strength(Enum):
@@ -232,67 +241,135 @@ def classify_quantifier(formula: Formula, path: Iterable[int], root_polarity: Po
 def quantifier_strengths(formula: Formula, polarity: Polarity) -> dict[str, Strength]:
     """Map every bound variable of a rectified formula to its strength."""
     out: dict[str, Strength] = {}
-
-    def walk(f: Formula, pol: Polarity) -> None:
-        if isinstance(f, Atom):
-            return
-        if isinstance(f, Neg):
-            walk(f.sub, pol.flip())
-        elif isinstance(f, Imp):
-            walk(f.left, pol.flip())
-            walk(f.right, pol)
-        elif isinstance(f, (And, Or)):
-            walk(f.left, pol)
-            walk(f.right, pol)
-        elif isinstance(f, Forall):
+    for f, pol in subformulas(formula, polarity):
+        kind = type(f)
+        if kind is Forall:
             out[f.var] = Strength.STRONG if pol is Polarity.POS else Strength.WEAK
-            walk(f.body, pol)
-        else:
+        elif kind is Exists:
             out[f.var] = Strength.WEAK if pol is Polarity.POS else Strength.STRONG
-            walk(f.body, pol)
-
-    walk(formula, polarity)
     return out
+
+
+# ---------------------------------------------------------------------------
+# traversal: every walk over formulas, expansion trees and their JSON form
+# goes through `fold` or `subformulas`, so depth is bounded by memory and not
+# by the interpreter's recursion limit
+
+
+def fold(root, step):
+    """Evaluate a tree bottom-up with an explicit stack.
+
+    `step(item)` returns `(None, value)` for a leaf, or `(child_items, build)`
+    for an inner node, where `build(*child_values)` gives the node's value.
+    `step` runs in preorder, children left to right, and `build` in
+    post-order.  An item carries the context a walk needs (polarity,
+    substitutions, a path), and walks run for their side effects pass
+    `discard` as the build.
+    """
+    kids, build = step(root)
+    if kids is None:
+        return build
+    # the node being worked on: its build, an iterator over the children not
+    # yet stepped, and the values of those done; `parents` holds the same
+    # for every node above it
+    pending, values = iter(kids), []
+    parents = []
+    while True:
+        for item in pending:
+            kids, child_build = step(item)
+            if kids is None:
+                values.append(child_build)
+            else:
+                parents.append((build, pending, values))
+                build, pending, values = child_build, iter(kids), []
+                break
+        else:
+            value = build(*values)
+            if not parents:
+                return value
+            build, pending, values = parents.pop()
+            values.append(value)
+
+
+def discard(*values) -> None:
+    """The build of a fold run only for what its `step` does."""
+
+
+def subformulas(formula: Formula, polarity: Polarity) -> Iterator[tuple[Formula, Polarity]]:
+    """Every subformula with its polarity, in preorder.  Negation flips the
+    polarity, and so does the left side of an implication."""
+    stack = [(formula, polarity)]
+    while stack:
+        item = stack.pop()
+        yield item
+        f, pol = item
+        kind = type(f)
+        if kind is Atom:
+            continue
+        if kind is Neg:
+            stack.append((f.sub, pol.flip()))
+        elif kind is Imp:
+            stack += ((f.right, pol), (f.left, pol.flip()))
+        elif kind is And or kind is Or:
+            stack += ((f.right, pol), (f.left, pol))
+        else:
+            stack.append((f.body, pol))
+
+
+def _same_step(pair):
+    a, b = pair
+    kind = type(a)
+    if a is b:
+        return None, True
+    if kind is not type(b) or kind is Atom:
+        return None, a == b
+    if kind is Neg:
+        return ((a.sub, b.sub),), bool
+    if kind in BINARY:
+        return ((a.left, b.left), (a.right, b.right)), and_
+    return ((a.body, b.body),), partial(and_, a.var == b.var)
+
+
+def same_formula(a: Formula, b: Formula) -> bool:
+    """Structural equality of two formulas; shared subformulas are not walked."""
+    return fold((a, b), _same_step)
 
 
 # ---------------------------------------------------------------------------
 # variables
 
 
+def _term_vars(terms: Iterable[Term]) -> frozenset[str]:
+    out = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            out.add(t.name)
+        else:
+            stack += t.args
+    return frozenset(out)
+
+
+def _free_vars_step(f: Formula):
+    while type(f) is Neg:
+        f = f.sub
+    kind = type(f)
+    if kind is Atom:
+        return None, _term_vars(f.args)
+    if kind in BINARY:
+        return (f.left, f.right), frozenset.union
+    return (f.body,), frozenset((f.var,)).__rsub__  # the body's minus the binder
+
+
 def free_vars(obj: Union[Term, Formula, Literal]) -> frozenset[str]:
-    if isinstance(obj, Var):
-        return frozenset((obj.name,))
-    if isinstance(obj, App):
-        out: frozenset[str] = frozenset()
-        for a in obj.args:
-            out |= free_vars(a)
-        return out
     if isinstance(obj, Literal):
-        return free_vars(obj.atom)
+        obj = obj.atom
     if isinstance(obj, Atom):
-        out = frozenset()
-        for a in obj.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(obj, Neg):
-        return free_vars(obj.sub)
-    if isinstance(obj, BINARY):
-        return free_vars(obj.left) | free_vars(obj.right)
-    return free_vars(obj.body) - {obj.var}
-
-
-def bound_var_names(formula: Formula) -> list[str]:
-    """All binder names in preorder, with repetitions."""
-    out: list[str] = []
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, QUANTIFIERS):
-            out.append(f.var)
-        for child in children(f):
-            walk(child)
-
-    walk(formula)
-    return out
+        return _term_vars(obj.args)
+    if isinstance(obj, (Var, App)):
+        return _term_vars((obj,))
+    return fold(obj, _free_vars_step)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +437,6 @@ class Subst:
         return f"{{{inner}}}"
 
 
-EMPTY_SUBST = Subst()
-
-
 def _fresh_name(base: str, used: set[str]) -> str:
     for n in count(1):
         cand = f"{base}_{n}"
@@ -379,30 +453,66 @@ def _subst_term(t: Term, m: Mapping[str, Term]) -> Term:
     return App(t.head, tuple(_subst_term(a, m) for a in t.args))
 
 
+def _image_vars(free: Iterable[str], m: Mapping[str, Term]) -> set[str]:
+    """Free variables, after substituting `m`, of a formula whose free
+    variables are `free`."""
+    out: set[str] = set()
+    for v in free:
+        t = m.get(v)
+        if t is None:
+            out.add(v)
+        else:
+            out |= _term_vars((t,))
+    return out
+
+
+def _subst_step(item):
+    """Substitution step; `maps` are applied one after another, as nested
+    calls of a one-map substitution would, fresh names included."""
+    f, maps = item
+    kind = type(f)
+    if kind is Atom:
+        args = f.args
+        for m in maps:
+            args = tuple(_subst_term(a, m) for a in args)
+        return None, Atom(f.pred, args)
+    if kind is Neg:
+        return ((f.sub, maps),), Neg
+    if kind in BINARY:
+        return ((f.left, maps), (f.right, maps)), kind
+    # quantifier: drop the binder from each map and rename it where a
+    # substituted term would capture it.  Keys not free in the body change
+    # nothing below, so they are filtered out only where they could decide
+    # a renaming, against the body's free variables with the earlier maps
+    # applied.
+    var, body = f.var, f.body
+    pending: list[Mapping[str, Term]] = []
+    for m in maps:
+        relevant = {v: t for v, t in m.items() if v != var} if var in m else m
+        if any(var in free_vars(t) for t in relevant.values()):
+            free = free_vars(body)
+            for earlier in pending:
+                free = _image_vars(free, earlier)
+            relevant = {v: t for v, t in relevant.items() if v in free}
+            if any(var in free_vars(t) for t in relevant.values()):
+                used = set(free)
+                for t in relevant.values():
+                    used |= free_vars(t)
+                used |= set(relevant)
+                fresh = _fresh_name(var, used)
+                pending.append({var: Var(fresh)})
+                var = fresh
+        if relevant:
+            pending.append(relevant)
+    if not pending:
+        return None, f
+    return ((body, tuple(pending)),), partial(kind, var)
+
+
 def _subst_formula(f: Formula, m: Mapping[str, Term]) -> Formula:
     if not m:
         return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_subst_term(a, m) for a in f.args))
-    if isinstance(f, Neg):
-        return Neg(_subst_formula(f.sub, m))
-    if isinstance(f, BINARY):
-        return type(f)(_subst_formula(f.left, m), _subst_formula(f.right, m))
-    # quantifier: drop the binder from the map, rename on capture
-    body_free = free_vars(f.body)
-    relevant = {v: t for v, t in m.items() if v != f.var and v in body_free}
-    if not relevant:
-        return f
-    var, body = f.var, f.body
-    if any(var in free_vars(t) for t in relevant.values()):
-        used = set(body_free)
-        for t in relevant.values():
-            used |= free_vars(t)
-        used |= set(relevant)
-        fresh = _fresh_name(var, used)
-        body = _subst_formula(body, {var: Var(fresh)})
-        var = fresh
-    return type(f)(var, _subst_formula(body, relevant))
+    return fold((f, (m,)), _subst_step)
 
 
 def apply_subst(obj: Union[Term, Formula, Literal], subst: Subst) -> Union[Term, Formula, Literal]:
@@ -439,25 +549,27 @@ def rectify(sequent: Sequent) -> tuple[Sequent, dict[str, tuple[int, str]]]:
             if cand not in used:
                 return cand
 
-    def walk(f: Formula, env: dict[str, str], idx: int) -> Formula:
-        if isinstance(f, Atom):
-            m = {old: Var(new) for old, new in env.items()}
-            return Atom(f.pred, tuple(_subst_term(a, m) for a in f.args))
-        if isinstance(f, Neg):
-            return Neg(walk(f.sub, env, idx))
-        if isinstance(f, BINARY):
-            return type(f)(walk(f.left, env, idx), walk(f.right, env, idx))
+    # items are (formula, renaming of the enclosing binders, formula index)
+    def step(item):
+        f, env, idx = item
+        kind = type(f)
+        if kind is Atom:
+            return None, Atom(f.pred, tuple(_subst_term(a, env) for a in f.args))
+        if kind is Neg:
+            return ((f.sub, env, idx),), Neg
+        if kind in BINARY:
+            return ((f.left, env, idx), (f.right, env, idx)), kind
         if f.var in used:
             new = fresh(f.var)
             report[new] = (idx, f.var)
         else:
             new = f.var
         used.add(new)
-        return type(f)(new, walk(f.body, {**env, f.var: new}, idx))
+        return ((f.body, {**env, f.var: Var(new)}, idx),), partial(kind, new)
 
-    ant = tuple(walk(f, {}, i) for i, f in enumerate(sequent.antecedent))
+    ant = tuple(fold((f, {}, i), step) for i, f in enumerate(sequent.antecedent))
     n = len(sequent.antecedent)
-    suc = tuple(walk(f, {}, n + i) for i, f in enumerate(sequent.succedent))
+    suc = tuple(fold((f, {}, n + i), step) for i, f in enumerate(sequent.succedent))
     return Sequent(ant, suc), report
 
 

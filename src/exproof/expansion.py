@@ -8,7 +8,8 @@ negative polarity, succedent trees at positive polarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from functools import partial, reduce
+from typing import Iterable, Optional, Union
 
 from .core import (
     And,
@@ -28,10 +29,12 @@ from .core import (
     Term,
     Var,
     apply_subst,
+    discard,
+    fold,
     free_vars,
     quantifier_strengths,
 )
-from .notation import formula_text, parse_formula, parse_term, term_text
+from .notation import formula_text, parse_formula, parse_term
 
 # instance term used for a weak quantifier whose variable does not occur in
 # its body and for which no instance was supplied
@@ -120,42 +123,55 @@ class InstanceSet:
 # readings
 
 
+def _shallow_step(item):
+    tree, polarity = item
+    kind = type(tree)
+    if kind is ETAtom:
+        return None, tree.atom
+    if kind is ETNeg:
+        return ((tree.child, polarity.flip()),), Neg
+    if kind is ETBin:
+        left = polarity.flip() if tree.conn == "imp" else polarity
+        return ((tree.left, left), (tree.right, polarity)), _CONN[tree.conn]
+    if kind is ETWeak:
+        cls = Forall if polarity is Polarity.NEG else Exists
+    else:
+        cls = Exists if polarity is Polarity.NEG else Forall
+    return None, cls(tree.var, tree.body)
+
+
 def shallow(tree: ExpansionTree, polarity: Polarity) -> Formula:
     """The original formula an expansion tree stands for."""
-    if isinstance(tree, ETAtom):
-        return tree.atom
-    if isinstance(tree, ETNeg):
-        return Neg(shallow(tree.child, polarity.flip()))
-    if isinstance(tree, ETBin):
-        if tree.conn == "imp":
-            return Imp(shallow(tree.left, polarity.flip()), shallow(tree.right, polarity))
-        return _CONN[tree.conn](shallow(tree.left, polarity), shallow(tree.right, polarity))
-    if isinstance(tree, ETWeak):
-        cls = Forall if polarity is Polarity.NEG else Exists
-        return cls(tree.var, tree.body)
-    cls = Exists if polarity is Polarity.NEG else Forall
-    return cls(tree.var, tree.body)
+    return fold((tree, polarity), _shallow_step)
+
+
+# weak nodes read as left-nested conjunctions at negative polarity and as
+# disjunctions at positive polarity
+_DEEP_WEAK = {
+    Polarity.NEG: lambda *parts: reduce(And, parts),
+    Polarity.POS: lambda *parts: reduce(Or, parts),
+}
+
+
+def _deep_step(item):
+    tree, polarity = item
+    while type(tree) is ETStrong:
+        tree = tree.child
+    kind = type(tree)
+    if kind is ETAtom:
+        return None, tree.atom
+    if kind is ETNeg:
+        return ((tree.child, polarity.flip()),), Neg
+    if kind is ETBin:
+        left = polarity.flip() if tree.conn == "imp" else polarity
+        return ((tree.left, left), (tree.right, polarity)), _CONN[tree.conn]
+    return tuple((child, polarity) for _, child in tree.instances), _DEEP_WEAK[polarity]
 
 
 def deep(tree: ExpansionTree, polarity: Polarity) -> Formula:
     """The quantifier-free reading: weak nodes become conjunctions (negative
     polarity) or disjunctions (positive), strong nodes are transparent."""
-    if isinstance(tree, ETAtom):
-        return tree.atom
-    if isinstance(tree, ETNeg):
-        return Neg(deep(tree.child, polarity.flip()))
-    if isinstance(tree, ETBin):
-        if tree.conn == "imp":
-            return Imp(deep(tree.left, polarity.flip()), deep(tree.right, polarity))
-        return _CONN[tree.conn](deep(tree.left, polarity), deep(tree.right, polarity))
-    if isinstance(tree, ETWeak):
-        conn = And if polarity is Polarity.NEG else Or
-        parts = [deep(child, polarity) for _, child in tree.instances]
-        out = parts[0]
-        for part in parts[1:]:
-            out = conn(out, part)
-        return out
-    return deep(tree.child, polarity)
+    return fold((tree, polarity), _deep_step)
 
 
 def shallow_sequent(es: ExpansionSequent) -> Sequent:
@@ -181,71 +197,62 @@ def expand_formula(formula: Formula, instances: Iterable[Subst], polarity: Polar
     """
     sigmas = tuple(instances)
     for var, strength in quantifier_strengths(formula, polarity).items():
-        if strength is not Strength.STRONG:
-            continue
-        values = sorted({s[var] for s in sigmas if var in s}, key=term_text)
-        if len(values) > 1:
-            shown = ", ".join(term_text(t) for t in values)
-            raise MultiplicityError(f"strong variable {var!r} bound to several terms: {shown}")
-        if values and not isinstance(values[0], Var):
-            raise EigenvariableFormError(
-                f"strong variable {var!r} bound to non-variable term {term_text(values[0])}"
-            )
-    return _expand(formula, sigmas, polarity)
+        if strength is Strength.STRONG:
+            _eigenvariable(var, sigmas)
+    return fold((formula, sigmas, polarity), _expand_step)
 
 
-def _expand(f: Formula, sigmas: tuple[Subst, ...], p: Polarity) -> ExpansionTree:
-    if isinstance(f, Atom):
-        return ETAtom(f)
-    if isinstance(f, Neg):
-        return ETNeg(_expand(f.sub, sigmas, p.flip()))
-    if isinstance(f, And):
-        return ETBin("and", _expand(f.left, sigmas, p), _expand(f.right, sigmas, p))
-    if isinstance(f, Or):
-        return ETBin("or", _expand(f.left, sigmas, p), _expand(f.right, sigmas, p))
-    if isinstance(f, Imp):
-        return ETBin("imp", _expand(f.left, sigmas, p.flip()), _expand(f.right, sigmas, p))
-    weak = (isinstance(f, Forall) and p is Polarity.NEG) or (
-        isinstance(f, Exists) and p is Polarity.POS
-    )
-    if weak:
-        return _expand_weak(f.var, f.body, sigmas, p)
-    return _expand_strong(f.var, f.body, sigmas, p)
+def _eigenvariable(var: str, sigmas: tuple[Subst, ...]) -> Optional[Var]:
+    """The one variable the substitutions bind a strong variable to, or None."""
+    values = sorted({s[var] for s in sigmas if var in s}, key=str)
+    if len(values) > 1:
+        shown = ", ".join(str(t) for t in values)
+        raise MultiplicityError(f"strong variable {var!r} bound to several terms: {shown}")
+    if values and not isinstance(values[0], Var):
+        raise EigenvariableFormError(f"strong variable {var!r} bound to non-variable term {values[0]}")
+    return values[0] if values else None
 
 
-def _expand_weak(var: str, body: Formula, sigmas: tuple[Subst, ...], p: Polarity) -> ETWeak:
-    relevant = [s for s in sigmas if var in s]
-    passthrough = tuple(s for s in sigmas if var not in s)
-    if not relevant:
-        if var in free_vars(body):
-            raise MissingInstanceError(f"weak variable {var!r} has no instances")
-        return ETWeak(var, body, ((VACUOUS_TERM, _expand(body, passthrough, p)),))
-    by_term: dict[Term, list[Subst]] = {}
-    for s in relevant:
-        by_term.setdefault(s[var], []).append(s)
-    instances = []
-    for t in sorted(by_term, key=term_text):
-        child = _expand(apply_subst(body, Subst({var: t})), tuple(by_term[t]) + passthrough, p)
-        instances.append((t, child))
-    return ETWeak(var, body, tuple(instances))
+_ET_BIN = {And: partial(ETBin, "and"), Or: partial(ETBin, "or"), Imp: partial(ETBin, "imp")}
 
 
-def _expand_strong(var: str, body: Formula, sigmas: tuple[Subst, ...], p: Polarity) -> ETStrong:
-    values = sorted({s[var] for s in sigmas if var in s}, key=term_text)
-    if not values:
+def _weak_node(var: str, body: Formula, terms: tuple[Term, ...], *children: ExpansionTree) -> ETWeak:
+    return ETWeak(var, body, tuple(zip(terms, children)))
+
+
+def _expand_step(item):
+    f, sigmas, p = item
+    kind = type(f)
+    if kind is Atom:
+        return None, ETAtom(f)
+    if kind is Neg:
+        return ((f.sub, sigmas, p.flip()),), ETNeg
+    if kind in _ET_BIN:
+        left = p.flip() if kind is Imp else p
+        return ((f.left, sigmas, left), (f.right, sigmas, p)), _ET_BIN[kind]
+    var, body = f.var, f.body
+    if (kind is Forall) == (p is Polarity.NEG):  # weak
+        relevant = [s for s in sigmas if var in s]
+        passthrough = tuple(s for s in sigmas if var not in s)
+        if not relevant:
+            if var in free_vars(body):
+                raise MissingInstanceError(f"weak variable {var!r} has no instances")
+            return ((body, passthrough, p),), partial(_weak_node, var, body, (VACUOUS_TERM,))
+        by_term: dict[Term, list[Subst]] = {}
+        for s in relevant:
+            by_term.setdefault(s[var], []).append(s)
+        terms = tuple(sorted(by_term, key=str))
+        kids = tuple(
+            (apply_subst(body, Subst({var: t})), tuple(by_term[t]) + passthrough, p) for t in terms
+        )
+        return kids, partial(_weak_node, var, body, terms)
+    term = _eigenvariable(var, sigmas)
+    if term is None:
         if var in free_vars(body):
             raise MissingInstanceError(f"strong variable {var!r} has no instance")
-        return ETStrong(var, body, f"v_vac_{var}", _expand(body, sigmas, p))
-    if len(values) > 1:
-        shown = ", ".join(term_text(t) for t in values)
-        raise MultiplicityError(f"strong variable {var!r} bound to several terms: {shown}")
-    term = values[0]
-    if not isinstance(term, Var):
-        raise EigenvariableFormError(
-            f"strong variable {var!r} bound to non-variable term {term_text(term)}"
-        )
-    child = _expand(apply_subst(body, Subst({var: term})), sigmas, p)
-    return ETStrong(var, body, term.name, child)
+        return ((body, sigmas, p),), partial(ETStrong, var, body, f"v_vac_{var}")
+    child = (apply_subst(body, Subst({var: term})), sigmas, p)
+    return (child,), partial(ETStrong, var, body, term.name)
 
 
 def expand_sequent(sequent: Sequent, instances: InstanceSet) -> ExpansionSequent:
@@ -277,29 +284,34 @@ def expand_sequent(sequent: Sequent, instances: InstanceSet) -> ExpansionSequent
 # JSON (schema documented in the README; field names are a stable contract)
 
 
+def _json_node(node: dict, keys: tuple[str, ...], *children: dict) -> dict:
+    node.update(zip(keys, children))
+    return node
+
+
+def _weak_json(node: dict, terms: list[str], *children: dict) -> dict:
+    node["instances"] = [{"term": t, "child": c} for t, c in zip(terms, children)]
+    return node
+
+
+def _to_json_step(tree):
+    kind = type(tree)
+    if kind is ETAtom:
+        return None, {"kind": "atom", "formula": formula_text(tree.atom)}
+    if kind is ETNeg:
+        return (tree.child,), partial(_json_node, {"kind": "neg"}, ("child",))
+    if kind is ETBin:
+        return (tree.left, tree.right), partial(_json_node, {"kind": tree.conn}, ("left", "right"))
+    node = {"kind": "weak" if kind is ETWeak else "strong", "var": tree.var, "body": formula_text(tree.body)}
+    if kind is ETWeak:
+        terms = [str(t) for t, _ in tree.instances]
+        return tuple(c for _, c in tree.instances), partial(_weak_json, node, terms)
+    node["eigenvariable"] = tree.eigenvariable
+    return (tree.child,), partial(_json_node, node, ("child",))
+
+
 def tree_to_json(tree: ExpansionTree) -> dict:
-    if isinstance(tree, ETAtom):
-        return {"kind": "atom", "formula": formula_text(tree.atom)}
-    if isinstance(tree, ETNeg):
-        return {"kind": "neg", "child": tree_to_json(tree.child)}
-    if isinstance(tree, ETBin):
-        return {"kind": tree.conn, "left": tree_to_json(tree.left), "right": tree_to_json(tree.right)}
-    if isinstance(tree, ETWeak):
-        return {
-            "kind": "weak",
-            "var": tree.var,
-            "body": formula_text(tree.body),
-            "instances": [
-                {"term": term_text(t), "child": tree_to_json(c)} for t, c in tree.instances
-            ],
-        }
-    return {
-        "kind": "strong",
-        "var": tree.var,
-        "body": formula_text(tree.body),
-        "eigenvariable": tree.eigenvariable,
-        "child": tree_to_json(tree.child),
-    }
+    return fold(tree, _to_json_step)
 
 
 def sequent_to_json(es: ExpansionSequent) -> dict:
@@ -309,19 +321,24 @@ def sequent_to_json(es: ExpansionSequent) -> dict:
     }
 
 
-def _collect_eigens(node: dict, out: set[str]) -> None:
+def _json_children(node: dict) -> Optional[tuple]:
     kind = node["kind"]
-    if kind == "strong":
-        out.add(node["eigenvariable"])
-        _collect_eigens(node["child"], out)
-    elif kind == "neg":
-        _collect_eigens(node["child"], out)
-    elif kind in ("and", "or", "imp"):
-        _collect_eigens(node["left"], out)
-        _collect_eigens(node["right"], out)
-    elif kind == "weak":
-        for inst in node["instances"]:
-            _collect_eigens(inst["child"], out)
+    if kind in ("neg", "strong"):
+        return (node["child"],)
+    if kind in ("and", "or", "imp"):
+        return (node["left"], node["right"])
+    if kind == "weak":
+        return tuple(inst["child"] for inst in node["instances"])
+    return None  # an atom, or a kind `_tree_from_json` rejects
+
+
+def _collect_eigens(node: dict, out: set[str]) -> None:
+    def step(node):
+        if node["kind"] == "strong":
+            out.add(node["eigenvariable"])
+        return _json_children(node), discard
+
+    fold(node, step)
 
 
 def tree_from_json(node: dict, extra_vars: Iterable[str] = ()) -> ExpansionTree:
@@ -330,32 +347,30 @@ def tree_from_json(node: dict, extra_vars: Iterable[str] = ()) -> ExpansionTree:
     return _tree_from_json(node, frozenset(eigens))
 
 
-def _tree_from_json(node: dict, scope: frozenset[str]) -> ExpansionTree:
+def _from_json_step(scope: frozenset[str], node: dict):
     kind = node["kind"]
     if kind == "atom":
         atom = parse_formula(node["formula"], extra_vars=scope)
         if not isinstance(atom, Atom):
             raise ExpansionError(f"atom node does not hold an atom: {node['formula']!r}")
-        return ETAtom(atom)
+        return None, ETAtom(atom)
     if kind == "neg":
-        return ETNeg(_tree_from_json(node["child"], scope))
+        return _json_children(node), ETNeg
     if kind in ("and", "or", "imp"):
-        return ETBin(kind, _tree_from_json(node["left"], scope), _tree_from_json(node["right"], scope))
+        return _json_children(node), partial(ETBin, kind)
+    if kind not in ("weak", "strong"):
+        raise ExpansionError(f"unknown node kind {kind!r}")
+    var = node["var"]
+    inner = scope | {var}
+    body = parse_formula(node["body"], extra_vars=inner)
     if kind == "weak":
-        var = node["var"]
-        inner = scope | {var}
-        body = parse_formula(node["body"], extra_vars=inner)
-        instances = tuple(
-            (parse_term(inst["term"], extra_vars=inner), _tree_from_json(inst["child"], scope))
-            for inst in node["instances"]
-        )
-        return ETWeak(var, body, instances)
-    if kind == "strong":
-        var = node["var"]
-        inner = scope | {var}
-        body = parse_formula(node["body"], extra_vars=inner)
-        return ETStrong(var, body, node["eigenvariable"], _tree_from_json(node["child"], scope))
-    raise ExpansionError(f"unknown node kind {kind!r}")
+        terms = tuple(parse_term(inst["term"], extra_vars=inner) for inst in node["instances"])
+        return _json_children(node), partial(_weak_node, var, body, terms)
+    return _json_children(node), partial(ETStrong, var, body, node["eigenvariable"])
+
+
+def _tree_from_json(node: dict, scope: frozenset[str]) -> ExpansionTree:
+    return fold(node, partial(_from_json_step, scope))
 
 
 def sequent_from_json(data: dict) -> ExpansionSequent:

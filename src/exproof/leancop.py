@@ -12,7 +12,9 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
+from operator import add
 from typing import Optional, Sequence
 
 from .core import (
@@ -20,10 +22,10 @@ from .core import (
     And,
     App,
     Atom,
-    Exists,
     ExproofError,
-    Forall,
     Formula,
+    Imp,
+    InvariantError,
     Literal,
     Neg,
     Or,
@@ -34,9 +36,11 @@ from .core import (
     Term,
     Var,
     apply_subst,
+    fold,
     free_vars,
     quantifier_strengths,
     rectify,
+    same_formula,
 )
 from .expansion import (
     VACUOUS_TERM,
@@ -47,7 +51,7 @@ from .expansion import (
     shallow_sequent,
 )
 from .notation import FormulaParser, ParseError, tokenize
-from .verit import AxiomSchema, Clause, SchemaKind, make_schema, match_literals
+from .verit import AxiomSchema, Clause, SchemaKind, _schema_tree, _show, make_schema, match_literals
 
 
 class LeanCoPImportError(ExproofError):
@@ -304,11 +308,6 @@ class SkolemRegistry:
         return Literal(atom, lit.positive)
 
 
-def skolem_to_eigen(term: Term, registry: SkolemRegistry) -> Term:
-    """Replace every Skolem application by its registered eigenvariable."""
-    return registry.collapse_term(term)
-
-
 # ---------------------------------------------------------------------------
 # definitional DNF without variable renaming
 
@@ -342,45 +341,41 @@ def definitional_dnf(
     out: list[GenClause] = []
     def_ids = count(1)
 
-    def clauses_of(f: Formula, sign: bool, defs: list[tuple[Literal, ...]]) -> list[tuple[Literal, ...]]:
-        if isinstance(f, Atom):
-            return [(Literal(f, sign),)]
-        if isinstance(f, Neg):
-            return clauses_of(f.sub, not sign, defs)
-        if isinstance(f, (Forall, Exists)):
-            return clauses_of(f.body, sign, defs)
-        if isinstance(f, And):
-            pairs = ((f.left, sign), (f.right, sign)) if sign else None
-            union = None if sign else ((f.left, sign), (f.right, sign))
-        elif isinstance(f, Or):
-            pairs = None if sign else ((f.left, sign), (f.right, sign))
-            union = ((f.left, sign), (f.right, sign)) if sign else None
-        else:  # Imp
-            pairs = ((f.left, True), (f.right, False)) if not sign else None
-            union = ((f.left, False), (f.right, True)) if sign else None
-        if union is not None:
-            (lf, ls), (rf, rs) = union
-            return clauses_of(lf, ls, defs) + clauses_of(rf, rs, defs)
-        (lf, ls), (rf, rs) = pairs
-        left = clauses_of(lf, ls, defs)
-        right = clauses_of(rf, rs, defs)
+    def product(lf: Formula, rf: Formula, left, right) -> list[tuple[Literal, ...]]:
         if threshold is not None and len(left) * len(right) > threshold:
             if len(left) >= len(right) and len(left) > 1:
-                left = _define(lf, left, defs)
+                left = _define(lf, left)
             if len(left) * len(right) > threshold and len(right) > 1:
-                right = _define(rf, right, defs)
+                right = _define(rf, right)
         return [a + b for a in left for b in right]
 
-    def _define(subf: Formula, sub_clauses, defs) -> list[tuple[Literal, ...]]:
+    def _define(subf: Formula, sub_clauses) -> list[tuple[Literal, ...]]:
         datom = Atom(f"d{next(def_ids)}", tuple(Var(v) for v in sorted(free_vars(subf))))
         for c in sub_clauses:
             defs.append(c + (Literal(datom, False),))
         return [(Literal(datom, True),)]
 
+    # items are (subformula, sign); the sign is the polarity, and a clause
+    # list is built from the children's lists after both are done, so the
+    # definitions are numbered in post-order
+    def step(item):
+        f, sign = item
+        while not isinstance(f, (Atom, And, Or, Imp)):
+            f, sign = (f.sub, not sign) if isinstance(f, Neg) else (f.body, sign)
+        if isinstance(f, Atom):
+            return None, [(Literal(f, sign),)]
+        # the left side of an implication flips the sign; a positive
+        # conjunction, a negative disjunction and a negative implication
+        # distribute, the others join their children's clause lists
+        parts = ((f.left, not sign if isinstance(f, Imp) else sign), (f.right, sign))
+        if isinstance(f, And) == sign:
+            return parts, partial(product, f.left, f.right)
+        return parts, add
+
     for name, role, formula in inputs:
-        defs: list[tuple[Literal, ...]] = []
+        defs: list[tuple[Literal, ...]] = []  # `_define` appends to the current input's list
         sign = role == "conjecture"  # axioms enter negated
-        main = clauses_of(formula, sign, defs)
+        main = fold((formula, sign), step)
         out.extend(GenClause(c, name) for c in main)
         out.extend(GenClause(c, name, is_definition=True) for c in defs)
     return out
@@ -408,10 +403,6 @@ def _signature_distance(a: Clause, b: Clause) -> int:
     ca = Counter((l.positive, l.atom.pred, len(l.atom.args)) for l in a)
     cb = Counter((l.positive, l.atom.pred, len(l.atom.args)) for l in b)
     return sum(((ca - cb) + (cb - ca)).values())
-
-
-def _show(clause: Clause) -> str:
-    return "[" + ", ".join(str(l) for l in clause) + "]"
 
 
 def _eq_schema_candidates(clause: Clause) -> list[AxiomSchema]:
@@ -620,16 +611,20 @@ def import_leancop(trace: LeanCoPTrace, config: ImportConfig = ImportConfig()) -
     for f in trace.inputs:
         side, _i, rect_formula, pol = positions[f.name]
         tree = expand_formula(rect_formula, per_formula[f.name], pol)
-        assert shallow(tree, pol) == rect_formula
+        if not same_formula(shallow(tree, pol), rect_formula):
+            raise InvariantError(f"the tree of {f.name!r} does not read back as the rectified input")
         (ant_trees if side == "ant" else suc_trees).append(tree)
     for (_kind, _param), (schema, subs) in eq_groups.items():
-        tree = expand_formula(schema.formula, subs, Polarity.NEG)
-        assert shallow(tree, Polarity.NEG) == schema.formula
-        ant_trees.append(tree)
+        ant_trees.append(_schema_tree(schema, subs))
 
     es = ExpansionSequent(tuple(ant_trees), tuple(suc_trees))
     base = shallow_sequent(ExpansionSequent(tuple(ant_trees[: len(axioms)]), es.succedent))
-    assert base == sequent, "shallow sequent drifted from the rectified input"
+    if not (
+        len(base.antecedent) == len(sequent.antecedent)
+        and len(base.succedent) == len(sequent.succedent)
+        and all(map(same_formula, base.formulas, sequent.formulas))
+    ):
+        raise InvariantError("shallow sequent drifted from the rectified input")
 
     report = {
         "matched_clauses": len(matches),

@@ -8,6 +8,7 @@ listed in `extra_vars`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional
 
 from .core import (
@@ -25,6 +26,8 @@ from .core import (
     Sequent,
     Term,
     Var,
+    discard,
+    fold,
 )
 
 
@@ -139,12 +142,14 @@ class FormulaParser:
     # --- grammar ---
 
     def parse_formula(self) -> Formula:
-        left = self._parse_disj()
-        tok = self.peek()
-        if tok is not None and tok.kind == "=>":
+        parts = [self._parse_disj()]
+        while (tok := self.peek()) is not None and tok.kind == "=>":
             self.next()
-            return Imp(left, self.parse_formula())  # right-associative
-        return left
+            parts.append(self._parse_disj())
+        out = parts.pop()
+        while parts:
+            out = Imp(parts.pop(), out)  # right-associative
+        return out
 
     def _parse_disj(self) -> Formula:
         out = self._parse_conj()
@@ -161,34 +166,41 @@ class FormulaParser:
         return out
 
     def _parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise self._fail("expected a formula")
-        if tok.kind == "~":
-            self.next()
-            return Neg(self._parse_unary())
-        if tok.kind in ("!", "?"):
-            self.next()
-            cls = Forall if tok.kind == "!" else Exists
-            self.expect("[")
-            names = [self._var_name()]
-            while self.peek() is not None and self.peek().kind == ",":
+        # prefix negations and quantifier blocks, outermost first, as the
+        # constructors that wrap the formula they prefix
+        prefixes: list = []
+        scope = len(self.bound)
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise self._fail("expected a formula")
+            if tok.kind == "~":
                 self.next()
-                names.append(self._var_name())
-            self.expect("]")
-            self.expect(":")
-            self.bound.extend(names)
-            body = self._parse_unary()
-            del self.bound[len(self.bound) - len(names) :]
-            for name in reversed(names):
-                body = cls(name, body)
-            return body
+                prefixes.append(Neg)
+            elif tok.kind in ("!", "?"):
+                self.next()
+                cls = Forall if tok.kind == "!" else Exists
+                self.expect("[")
+                names = [self._var_name()]
+                while self.peek() is not None and self.peek().kind == ",":
+                    self.next()
+                    names.append(self._var_name())
+                self.expect("]")
+                self.expect(":")
+                self.bound.extend(names)
+                prefixes += (partial(cls, name) for name in names)
+            else:
+                break
         if tok.kind == "(":
             self.next()
             out = self.parse_formula()
             self.expect(")")
-            return out
-        return self._parse_atom()
+        else:
+            out = self._parse_atom()
+        del self.bound[scope:]
+        for wrap in reversed(prefixes):
+            out = wrap(out)
+        return out
 
     def _var_name(self) -> str:
         tok = self.next()
@@ -260,24 +272,34 @@ def parse_term(text: str, extra_vars: Iterable[str] = ()) -> Term:
 # printing
 
 
-def term_text(term: Term) -> str:
-    return str(term)
+_CONNECTIVE = {And: " & ", Or: " | ", Imp: " => "}
 
 
 def formula_text(f: Formula) -> str:
     # binary connectives always parenthesise themselves, so negation and
-    # quantifier bodies never need extra wrapping
-    if isinstance(f, Atom):
-        return str(f)
-    if isinstance(f, Neg):
-        if isinstance(f.sub, Atom) and f.sub.pred == EQ:
-            return f"~({f.sub})"
-        return f"~{formula_text(f.sub)}"
-    if isinstance(f, (Forall, Exists)):
-        mark = "!" if isinstance(f, Forall) else "?"
-        return f"{mark}[{f.var}]: {formula_text(f.body)}"
-    op = {And: "&", Or: "|", Imp: "=>"}[type(f)]
-    return f"({formula_text(f.left)} {op} {formula_text(f.right)})"
+    # quantifier bodies never need extra wrapping; the walk emits the text's
+    # pieces in order, and the strings among its items are pieces as they are
+    pieces: list[str] = []
+
+    def step(g):
+        kind = type(g)
+        if kind is str or kind is Atom:
+            pieces.append(str(g))
+            return None, None
+        if kind is Neg:
+            if type(g.sub) is Atom and g.sub.pred == EQ:
+                pieces.append(f"~({g.sub})")
+                return None, None
+            pieces.append("~")
+            return (g.sub,), discard
+        if kind is Forall or kind is Exists:
+            pieces.append(f"{'!' if kind is Forall else '?'}[{g.var}]: ")
+            return (g.body,), discard
+        pieces.append("(")
+        return (g.left, _CONNECTIVE[kind], g.right, ")"), discard
+
+    fold(f, step)
+    return "".join(pieces)
 
 
 def sequent_text(sequent: Sequent) -> str:

@@ -20,6 +20,7 @@ from .core import (
     Forall,
     Formula,
     Imp,
+    InvariantError,
     Literal,
     Polarity,
     Subst,
@@ -28,9 +29,9 @@ from .core import (
     apply_subst,
     clause_to_formula,
     match_under,
+    same_formula,
 )
 from .expansion import ExpansionSequent, ExpansionTree, expand_formula, shallow
-from .notation import term_text
 
 Clause = tuple[Literal, ...]
 
@@ -451,7 +452,7 @@ def _verify_instance(schema, subst, perm, flips, clause) -> None:
         atom = _flip_atom(target.atom) if perm[i] in flips else target.atom
         got = apply_subst(pat.atom, subst)
         if got != atom or pat.positive != target.positive:
-            raise AssertionError(
+            raise InvariantError(
                 f"axiom instance verification failed: {pat} under {subst} is {got}, wanted {atom}"
             )
 
@@ -470,13 +471,20 @@ def _reflexivity_instances(inputs: list[Clause], axioms: list[tuple[str, Clause]
         for lit in clause:
             if lit.atom.pred == EQ and lit.atom.args[0] == lit.atom.args[1]:
                 t = lit.atom.args[0]
-                terms.setdefault(term_text(t), t)
+                terms.setdefault(str(t), t)
     if any(kind == "reflexivity" for kind, _ in axioms):
         for clause in leaf_clauses_all:
             for lit in clause:
                 for t in lit.atom.args:
-                    terms.setdefault(term_text(t), t)
+                    terms.setdefault(str(t), t)
     return [terms[k] for k in sorted(terms)]
+
+
+def _schema_tree(schema: AxiomSchema, instances) -> ExpansionTree:
+    tree = expand_formula(schema.formula, instances, Polarity.NEG)
+    if not same_formula(shallow(tree, Polarity.NEG), schema.formula):
+        raise InvariantError(f"the {schema.kind.value} tree does not read back as its schema")
+    return tree
 
 
 def import_verit(trace: VeritTrace) -> tuple[ExpansionSequent, dict]:
@@ -514,20 +522,16 @@ def import_verit(trace: VeritTrace) -> tuple[ExpansionSequent, dict]:
     for (kind, _param), (schema, subs) in groups.items():
         if kind is SchemaKind.REFLEXIVITY:
             continue  # folded into the separately computed reflexivity tree
-        tree = expand_formula(schema.formula, subs, Polarity.NEG)
-        assert shallow(tree, Polarity.NEG) == schema.formula
-        antecedent.append(tree)
+        antecedent.append(_schema_tree(schema, subs))
 
     if refl_terms:
         schema = make_schema(SchemaKind.REFLEXIVITY)
         subs = [Subst({"x0": t}) for t in refl_terms]
-        tree = expand_formula(schema.formula, subs, Polarity.NEG)
-        assert shallow(tree, Polarity.NEG) == schema.formula
-        antecedent.append(tree)
+        antecedent.append(_schema_tree(schema, subs))
 
     report = {
         "schema_instances": instance_counts,
         "flips": flips_total,
-        "reflexivity_terms": [term_text(t) for t in refl_terms],
+        "reflexivity_terms": [str(t) for t in refl_terms],
     }
     return ExpansionSequent(tuple(antecedent), ()), report

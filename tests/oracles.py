@@ -4,9 +4,9 @@ Everything here is deliberately brute force, or a plain earlier version of
 a checker stage, and shares no code with the checked implementations.
 """
 from collections import deque
-from itertools import product
+from itertools import count, product
 
-from exproof.core import And, Atom, Forall, Imp, Neg, Or, Polarity, Sequent, free_vars
+from exproof.core import And, App, Atom, Forall, Imp, Neg, Or, Polarity, Sequent, Var, free_vars
 from exproof.expansion import ETAtom, ETBin, ETNeg, ETStrong, ETWeak
 
 
@@ -334,3 +334,97 @@ def ref_shortest_cycle(n, edges):
         if best is None or len(cycle) < len(best):
             best = cycle
     return best
+
+
+# --- substitution and rectification by recursion, as exproof.core had them ---
+#
+# The library walks formulas with an explicit stack; these are the recursive
+# versions it replaced.  It must return exactly what they return, fresh
+# binder names included.
+
+
+def _ref_free_vars(obj):
+    if isinstance(obj, Var):
+        return {obj.name}
+    if isinstance(obj, (App, Atom)):
+        return set().union(*(_ref_free_vars(a) for a in obj.args))
+    if isinstance(obj, Neg):
+        return _ref_free_vars(obj.sub)
+    if isinstance(obj, (And, Or, Imp)):
+        return _ref_free_vars(obj.left) | _ref_free_vars(obj.right)
+    return _ref_free_vars(obj.body) - {obj.var}
+
+
+def _ref_subst_term(t, m):
+    if isinstance(t, Var):
+        return m.get(t.name, t)
+    return App(t.head, tuple(_ref_subst_term(a, m) for a in t.args))
+
+
+def _ref_fresh_name(base, used):
+    for n in count(1):
+        cand = f"{base}_{n}"
+        if cand not in used:
+            return cand
+
+
+def ref_subst_formula(f, m):
+    """Capture-avoiding substitution of the name -> term map `m`."""
+    if not m:
+        return f
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(_ref_subst_term(a, m) for a in f.args))
+    if isinstance(f, Neg):
+        return Neg(ref_subst_formula(f.sub, m))
+    if isinstance(f, (And, Or, Imp)):
+        return type(f)(ref_subst_formula(f.left, m), ref_subst_formula(f.right, m))
+    body_free = _ref_free_vars(f.body)
+    relevant = {v: t for v, t in m.items() if v != f.var and v in body_free}
+    if not relevant:
+        return f
+    var, body = f.var, f.body
+    if any(var in _ref_free_vars(t) for t in relevant.values()):
+        used = set(body_free)
+        for t in relevant.values():
+            used |= _ref_free_vars(t)
+        used |= set(relevant)
+        fresh = _ref_fresh_name(var, used)
+        body = ref_subst_formula(body, {var: Var(fresh)})
+        var = fresh
+    return type(f)(var, ref_subst_formula(body, relevant))
+
+
+def ref_rectify(sequent):
+    """Binder renaming in preorder, with the (formula index, old name) report."""
+    used = set()
+    for f in sequent.formulas:
+        used |= _ref_free_vars(f)
+    counter = count(1)
+    report = {}
+
+    def fresh(base):
+        while True:
+            cand = f"{base}_{next(counter)}"
+            if cand not in used:
+                return cand
+
+    def walk(f, env, idx):
+        if isinstance(f, Atom):
+            m = {old: Var(new) for old, new in env.items()}
+            return Atom(f.pred, tuple(_ref_subst_term(a, m) for a in f.args))
+        if isinstance(f, Neg):
+            return Neg(walk(f.sub, env, idx))
+        if isinstance(f, (And, Or, Imp)):
+            return type(f)(walk(f.left, env, idx), walk(f.right, env, idx))
+        if f.var in used:
+            new = fresh(f.var)
+            report[new] = (idx, f.var)
+        else:
+            new = f.var
+        used.add(new)
+        return type(f)(new, walk(f.body, {**env, f.var: new}, idx))
+
+    ant = tuple(walk(f, {}, i) for i, f in enumerate(sequent.antecedent))
+    n = len(sequent.antecedent)
+    suc = tuple(walk(f, {}, n + i) for i, f in enumerate(sequent.succedent))
+    return Sequent(ant, suc), report

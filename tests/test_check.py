@@ -189,12 +189,6 @@ def test_strong_node_at_instance_child_is_dominated():
     assert g.edges == frozenset({(0, 1)})
 
 
-def test_closure_is_transitive():
-    nodes = tuple(TermOccurrence(("ant", i), const(f"t{i}")) for i in range(3))
-    g = DependencyGraph(nodes, frozenset({(0, 1), (1, 2)}))
-    assert g.closure() == frozenset({(0, 1), (1, 2), (0, 2)})
-
-
 def test_dependency_relation_matches_pairwise_scan_seeded():
     rng = random.Random(6007)
     # weak variables may take eigenvariable terms, so that edges appear

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +16,7 @@ from exproof.cli import (
     main,
     sequent_to_dot,
 )
-from exproof.core import ExproofError
+from exproof.core import Atom, ExproofError, InvariantError
 from exproof.expansion import sequent_from_json
 
 
@@ -164,6 +167,76 @@ def test_long_transitivity_chain_is_a_proof(tmp_path, capsys):
     assert main(["batch", str(bdir)]) == EXIT_PROOF
     summary = json.loads(capsys.readouterr().out)
     assert summary["files"]["chain.proof"]["status"] == "proof"
+    # the deep sequent prints as one formula nested 1599 deep
+    assert main(["show", "--deep", str(path)]) == EXIT_PROOF
+    assert capsys.readouterr().out.count("(") >= 1599
+    assert main(["export", "--dot", str(path)]) == EXIT_PROOF
+    assert capsys.readouterr().out.count(" -> ") > 1599
+
+
+# formulas nested three times deeper than CPython's default recursion limit
+DEEP = 3000
+
+
+def test_wide_input_clause_is_a_proof(tmp_path, capsys):
+    # the input clause folds into a disjunction nested DEEP deep
+    lines = ["(set .c (input :conclusion (" + " ".join(f"p{k}" for k in range(DEEP)) + ")))"]
+    lines += [f"(set .u{k} (input :conclusion ((not p{k}))))" for k in range(DEEP)]
+    units = " ".join(f".u{k}" for k in range(DEEP))
+    lines.append(f"(set .end (resolution :clauses (.c {units}) :conclusion ()))")
+    path = tmp_path / "wide.proof"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_PROOF
+    assert json.loads(capsys.readouterr().out)["is_proof"] is True
+    assert main(["show", "--deep", str(path)]) == EXIT_PROOF
+    assert f"p{DEEP - 1}" in capsys.readouterr().out
+
+
+def test_deep_negation_is_a_proof(tmp_path, capsys):
+    text = (
+        f"fof(ax, axiom, {'~' * DEEP}p).\n"
+        "fof(goal, conjecture, p).\n"
+        "cnf(1, plain, [~p], clausify(ax)).\n"
+        "cnf(2, plain, [p], clausify(goal)).\n"
+        "cnf('s1', plain, [p], start(2)).\n"
+        "cnf('e1', plain, [~p], extension(1)).\n"
+    )
+    path = tmp_path / "negations.proof"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_PROOF
+    assert json.loads(capsys.readouterr().out)["is_proof"] is True
+    assert main(["show", str(path)]) == EXIT_PROOF
+    assert capsys.readouterr().out.startswith("~" * DEEP + "p ⊢ p")
+
+
+# --- import invariants ---
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("exproof.leancop", "leancop_skolem.proof"), ("exproof.verit", "verit_transitivity.proof")],
+)
+def test_import_invariant_raises_exproof_error(monkeypatch, module, name):
+    monkeypatch.setattr(f"{module}.shallow", lambda tree, polarity: Atom("drifted"))
+    with pytest.raises(InvariantError):
+        load_sequent(fixture(name), RunConfig("check", ()))
+
+
+def test_import_invariant_holds_under_optimisation():
+    # `python -O` strips assert statements; the invariants must still run
+    code = (
+        "import exproof.leancop as m\n"
+        "from exproof.cli import RunConfig, load_sequent\n"
+        "from exproof.core import Atom, InvariantError\n"
+        "m.shallow = lambda tree, polarity: Atom('drifted')\n"
+        "try:\n"
+        f"    load_sequent({fixture('leancop_simple.proof')!r}, RunConfig('check', ()))\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "raised\n"
 
 
 # --- batch ---

@@ -22,7 +22,6 @@ from exproof.core import (
     Subst,
     Var,
     apply_subst,
-    bound_var_names,
     classify_quantifier,
     clause_to_formula,
     const,
@@ -31,9 +30,11 @@ from exproof.core import (
     match,
     polarity_at,
     rectify,
+    same_formula,
+    subformulas,
 )
-from oracles import all_polarities, alpha_equal
-from randgen import random_formula
+from oracles import all_polarities, alpha_equal, ref_rectify, ref_subst_formula
+from randgen import random_formula, random_term
 
 A = Atom("a", ())
 B = Atom("b", ())
@@ -67,6 +68,11 @@ formulas = st.recursive(
     ),
     max_leaves=12,
 )
+
+def bound_names(f):
+    """All binder names in preorder, with repetitions."""
+    return [g.var for g, _ in subformulas(f, Polarity.POS) if isinstance(g, (Forall, Exists))]
+
 
 ground_terms = st.recursive(
     st.sampled_from([const("a"), const("b"), const("c")]),
@@ -146,7 +152,7 @@ def test_rectify_leaves_quantifier_free_alone():
 def test_rectify_inner_shadowing():
     f = Forall("X", And(P_x, Exists("X", Atom("q", (Var("X"),)))))
     out, report = rectify(Sequent((f,), ()))
-    names = bound_var_names(out.antecedent[0])
+    names = bound_names(out.antecedent[0])
     assert len(names) == len(set(names))
     assert report == {"X_1": (0, "X")}
     assert out.antecedent[0] == Forall(
@@ -163,11 +169,28 @@ def test_rectify_avoids_free_variables():
     assert report == {"X_1": (0, "X")}
 
 
+def test_rectify_matches_recursive_reference_seeded():
+    # binder names like X_1 collide with the fresh names rectify makes
+    rng = random.Random(5150)
+    pool = ("X", "Y", "X_1", "X_2")
+    renamed = 0
+    for _ in range(2000):
+        sides = [
+            tuple(random_formula(rng, rng.randint(1, 6), ("X", "Y"), pool) for _ in range(rng.randint(0, 3)))
+            for _ in range(2)
+        ]
+        s = Sequent(*sides)
+        got = rectify(s)
+        assert got == ref_rectify(s)
+        renamed += bool(got[1])
+    assert renamed > 500
+
+
 @given(st.lists(formulas, max_size=3), st.lists(formulas, max_size=3))
 def test_rectify_properties(ant, suc):
     s = Sequent(tuple(ant), tuple(suc))
     out, _report = rectify(s)
-    names = [n for f in out.formulas for n in bound_var_names(f)]
+    names = [n for f in out.formulas for n in bound_names(f)]
     assert len(names) == len(set(names)), "bound names must be pairwise distinct"
     free = set()
     for f in out.formulas:
@@ -175,6 +198,12 @@ def test_rectify_properties(ant, suc):
     assert not (set(names) & free), "bound names must avoid free variables"
     for before, after in zip(s.formulas, out.formulas):
         assert alpha_equal(before, after)
+
+
+@given(formulas, formulas)
+def test_same_formula_is_structural_equality(f, g):
+    assert same_formula(f, g) is (f == g)
+    assert same_formula(f, f) is True
 
 
 # --- substitution ---
@@ -198,6 +227,39 @@ def test_apply_subst_capture_avoiding():
     assert out.var != "Y"
     assert out.body == Atom("p", (App("f", (Var("Y"),)), Var(out.var)))
     assert alpha_equal(out, Forall("Y2", Atom("p", (App("f", (Var("Y"),)), Var("Y2")))))
+
+
+def test_apply_subst_matches_recursive_reference_seeded():
+    # the substituted terms mention the formula's binder names, which forces
+    # capture renaming; binders named like the fresh names (X_1) force
+    # renaming inside a renaming
+    rng = random.Random(3301)
+    pool = ("X", "Y", "X_1", "Y_1")
+    captured = 0
+    for _ in range(2500):
+        f = random_formula(rng, rng.randint(3, 8), ("X", "Y", "Z"), pool)
+        names = bound_names(f) + ["Z"]
+        sigma = Subst({v: random_term(rng, names) for v in ("X", "Y", "Z") if rng.random() < 0.7})
+        got = apply_subst(f, sigma)
+        assert got == ref_subst_formula(f, sigma.mapping())
+        captured += bound_names(got) != bound_names(f)
+    assert captured > 200
+
+
+def test_apply_subst_renames_inside_a_renaming():
+    # the term mentions X, so the outer X becomes X_1; that captures the X_1
+    # of the next binder, which becomes X_1_1; the term mentions X_1_1 too,
+    # so that binder becomes X_1_1_1, which captures the innermost binder,
+    # renamed to X_1_1_1_1.  Every atom variable follows its binder.
+    f = Forall(
+        "X",
+        Forall("X_1", Forall("X_1_1_1", Atom("p", (Var("Z"), Var("X"), Var("X_1"), Var("X_1_1_1"))))),
+    )
+    m = {"Z": App("f", (Var("X"), Var("X_1_1")))}
+    got = apply_subst(f, Subst(m))
+    assert got == ref_subst_formula(f, m)
+    inner = Atom("p", (m["Z"], Var("X_1"), Var("X_1_1_1"), Var("X_1_1_1_1")))
+    assert got == Forall("X_1", Forall("X_1_1_1", Forall("X_1_1_1_1", inner)))
 
 
 def test_apply_subst_does_not_touch_bound_occurrences():

@@ -13,7 +13,6 @@ from exproof.leancop import (
     import_leancop,
     match_clauses,
     parse_leancop,
-    skolem_to_eigen,
 )
 from exproof.notation import ParseError, parse_formula, sequent_text
 from exproof.verit import SchemaKind
@@ -95,10 +94,10 @@ def test_parse_errors():
 def test_skolem_collapse():
     reg = SkolemRegistry()
     t = App("skC1", (Var("X"),))
-    assert skolem_to_eigen(t, reg) == Var("v_skC1")
-    assert skolem_to_eigen(App("f", (a,)), reg) == App("f", (a,))
+    assert reg.collapse_term(t) == Var("v_skC1")
+    assert reg.collapse_term(App("f", (a,))) == App("f", (a,))
     g = App("g", (App("skC1", (Var("X"),)), App("skC1", (Var("X"),))))
-    assert skolem_to_eigen(g, reg) == App("g", (Var("v_skC1"), Var("v_skC1")))
+    assert reg.collapse_term(g) == App("g", (Var("v_skC1"), Var("v_skC1")))
 
 
 def test_skolem_single_binding_violation():
