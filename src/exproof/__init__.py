@@ -20,17 +20,12 @@ from .core import (
     Term,
     Var,
     apply_subst,
-    classify_quantifier,
-    match,
-    polarity_at,
     rectify,
 )
 from .expansion import (
     ExpansionSequent,
-    InstanceSet,
     deep,
     expand_formula,
-    expand_sequent,
     sequent_from_json,
     sequent_to_json,
     shallow,

@@ -14,9 +14,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
+from itertools import chain, count
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .check import deep_sequent, verdict
 from .core import ExproofError, Polarity, discard, fold
@@ -62,8 +62,17 @@ def detect_format(text: str) -> str:
     raise ExproofError("cannot detect trace format: expected '(set', 'fof(' or 'cnf('")
 
 
+class InputReadError(ExproofError):
+    """An input file could not be read or is not UTF-8 text."""
+
+
 def load_sequent(path: str, config: RunConfig) -> tuple[ExpansionSequent, dict, str]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InputReadError(f"not UTF-8 text at byte offset {e.start}: {e.reason}") from e
+    except OSError as e:
+        raise InputReadError(f"cannot read: {e.strerror or e}") from e
     fmt = config.format if config.format != "auto" else detect_format(text)
     if fmt == "verit":
         es, report = import_verit(parse_verit(text))
@@ -213,18 +222,54 @@ def sequent_to_dot(es: ExpansionSequent) -> str:
     return "\n".join(lines) + "\n"
 
 
+def json_pieces(value) -> Iterator[str]:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)` in pieces,
+    from an explicit stack so that nesting depth is bounded by memory and not
+    by the recursion limit.  Scalars and keys are encoded by `json.dumps`."""
+    newlines = ["\n"]  # newline and indentation, by depth
+    stack: list = [(value, 0)]  # (value, depth), or text to write as it is
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+            continue
+        value, depth = item
+        if isinstance(value, dict):
+            entries = [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
+            brackets = "{}"
+        elif isinstance(value, list):
+            entries = [("", v) for v in value]
+            brackets = "[]"
+        else:
+            yield json.dumps(value)
+            continue
+        if not entries:
+            yield brackets
+            continue
+        if len(newlines) < depth + 2:
+            newlines.append(newlines[-1] + "  ")
+        yield brackets[0]
+        stack += (brackets[1], newlines[depth])
+        for i in range(len(entries) - 1, -1, -1):
+            key, v = entries[i]
+            stack += ((v, depth + 1), key, newlines[depth + 1])
+            if i:
+                stack.append(",")
+
+
 def cmd_export(config: RunConfig) -> int:
     path = config.inputs[0]
     try:
         es, _report, _fmt = load_sequent(path, config)
         if config.export_dot:
-            payload = sequent_to_dot(es)
+            pieces = [sequent_to_dot(es)]
         else:
-            payload = json.dumps(sequent_to_json(es), indent=2, sort_keys=True) + "\n"
+            pieces = chain(json_pieces(sequent_to_json(es)), "\n")
         if config.out:
-            Path(config.out).write_text(payload, encoding="utf-8")
+            with open(config.out, "w", encoding="utf-8") as out:
+                out.writelines(pieces)
         else:
-            sys.stdout.write(payload)
+            sys.stdout.writelines(pieces)
     except (ExproofError, OSError) as e:
         print(f"{path}: {e}", file=sys.stderr)
         return EXIT_ERROR
@@ -243,11 +288,13 @@ def _batch_one(path: Path, config: RunConfig) -> dict:
         entry["format"] = fmt
         entry["status"] = "proof" if verdict(es).is_proof else "not-proof"
     except ExproofError as e:
-        kind = "parse" if isinstance(e, (ParseError, TraceSyntaxError)) else "import"
+        if isinstance(e, InputReadError):
+            kind = "io"
+        elif isinstance(e, (ParseError, TraceSyntaxError)):
+            kind = "parse"
+        else:
+            kind = "import"
         entry["status"] = f"error:{kind}"
-        entry["error"] = str(e)
-    except OSError as e:
-        entry["status"] = "error:io"
         entry["error"] = str(e)
     entry["seconds"] = round(time.perf_counter() - started, 6)
     return entry

@@ -19,19 +19,6 @@ class ExproofError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidPathError(ExproofError):
-    """A subformula path stepped outside the formula."""
-
-    def __init__(self, index: int, depth: int):
-        super().__init__(f"no child {index} at path depth {depth}")
-        self.index = index
-        self.depth = depth
-
-
-class NotAQuantifierError(ExproofError):
-    pass
-
-
 class InvariantError(ExproofError):
     """An importer's internal consistency check failed."""
 
@@ -121,7 +108,6 @@ class Exists:
 Formula = Union[Atom, Neg, And, Or, Imp, Forall, Exists]
 
 BINARY = (And, Or, Imp)
-QUANTIFIERS = (Forall, Exists)
 
 
 def eq(left: Term, right: Term) -> Atom:
@@ -145,14 +131,14 @@ class Literal:
         return str(self.atom) if self.positive else f"~{self.atom}"
 
 
-def clause_to_formula(literals: Iterable[Literal], connective=Or) -> Formula:
-    """Fold a clause into a left-associated disjunction (or conjunction)."""
+def clause_to_formula(literals: Iterable[Literal]) -> Formula:
+    """Fold a clause into a left-associated disjunction."""
     lits = list(literals)
     if not lits:
         raise ValueError("cannot fold an empty clause into a formula")
     out: Formula = lits[0].to_formula()
     for lit in lits[1:]:
-        out = connective(out, lit.to_formula())
+        out = Or(out, lit.to_formula())
     return out
 
 
@@ -184,58 +170,6 @@ class Sequent:
     @property
     def formulas(self) -> tuple[Formula, ...]:
         return self.antecedent + self.succedent
-
-
-def children(formula: Formula) -> tuple[Formula, ...]:
-    if isinstance(formula, Atom):
-        return ()
-    if isinstance(formula, Neg):
-        return (formula.sub,)
-    if isinstance(formula, BINARY):
-        return (formula.left, formula.right)
-    return (formula.body,)
-
-
-def subformula_at(formula: Formula, path: Iterable[int]) -> Formula:
-    node = formula
-    for depth, index in enumerate(path):
-        kids = children(node)
-        if index < 0 or index >= len(kids):
-            raise InvalidPathError(index, depth)
-        node = kids[index]
-    return node
-
-
-def polarity_at(formula: Formula, path: Iterable[int], root_polarity: Polarity) -> Polarity:
-    """Polarity of the subformula addressed by `path` (0 = left/only child).
-
-    Conjunction, disjunction and quantifiers preserve polarity; negation
-    flips it; implication flips it for the left child only.
-    """
-    node = formula
-    pol = root_polarity
-    for depth, index in enumerate(path):
-        kids = children(node)
-        if index < 0 or index >= len(kids):
-            raise InvalidPathError(index, depth)
-        if isinstance(node, Neg):
-            pol = pol.flip()
-        elif isinstance(node, Imp) and index == 0:
-            pol = pol.flip()
-        node = kids[index]
-    return pol
-
-
-def classify_quantifier(formula: Formula, path: Iterable[int], root_polarity: Polarity) -> Strength:
-    """Strong/weak classification of the quantifier addressed by `path`."""
-    path = tuple(path)
-    node = subformula_at(formula, path)
-    pol = polarity_at(formula, path, root_polarity)
-    if isinstance(node, Forall):
-        return Strength.STRONG if pol is Polarity.POS else Strength.WEAK
-    if isinstance(node, Exists):
-        return Strength.WEAK if pol is Polarity.POS else Strength.STRONG
-    raise NotAQuantifierError(f"node at {list(path)} is {type(node).__name__}, not a quantifier")
 
 
 def quantifier_strengths(formula: Formula, polarity: Polarity) -> dict[str, Strength]:
@@ -399,9 +333,6 @@ class Subst:
     def get(self, var: str, default=None):
         return self._map.get(var, default)
 
-    def __len__(self) -> int:
-        return len(self._map)
-
     def __bool__(self) -> bool:
         return bool(self._map)
 
@@ -411,20 +342,6 @@ class Subst:
 
     def items(self) -> Iterator[tuple[str, Term]]:
         return iter(sorted(self._map.items()))
-
-    def mapping(self) -> dict[str, Term]:
-        return dict(self._map)
-
-    def restrict(self, vars: Iterable[str]) -> "Subst":
-        keep = set(vars)
-        return Subst({v: t for v, t in self._map.items() if v in keep})
-
-    def compose(self, other: "Subst") -> "Subst":
-        """Substitution applying `self` first, then `other`."""
-        out = {v: apply_subst(t, other) for v, t in self._map.items()}
-        for v, t in other._map.items():
-            out.setdefault(v, t)
-        return Subst(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subst) and self._map == other._map
@@ -573,68 +490,28 @@ def rectify(sequent: Sequent) -> tuple[Sequent, dict[str, tuple[int, str]]]:
     return Sequent(ant, suc), report
 
 
-# ---------------------------------------------------------------------------
+
 # first-order matching (one-sided)
 
 
-def _match(pattern, target, bindings: dict[str, Term], bound: frozenset[str]) -> bool:
-    if isinstance(pattern, Var):
-        if pattern.name in bound:
-            return isinstance(target, Var) and target.name == pattern.name
-        if pattern.name in bindings:
-            return bindings[pattern.name] == target
-        if not isinstance(target, (Var, App)):
-            return False
-        bindings[pattern.name] = target
-        return True
-    if isinstance(pattern, App):
-        return (
-            isinstance(target, App)
-            and pattern.head == target.head
-            and len(pattern.args) == len(target.args)
-            and all(_match(p, t, bindings, bound) for p, t in zip(pattern.args, target.args))
-        )
-    if isinstance(pattern, Atom):
-        return (
-            isinstance(target, Atom)
-            and pattern.pred == target.pred
-            and len(pattern.args) == len(target.args)
-            and all(_match(p, t, bindings, bound) for p, t in zip(pattern.args, target.args))
-        )
-    if isinstance(pattern, Neg):
-        return isinstance(target, Neg) and _match(pattern.sub, target.sub, bindings, bound)
-    if isinstance(pattern, BINARY):
-        return (
-            type(target) is type(pattern)
-            and _match(pattern.left, target.left, bindings, bound)
-            and _match(pattern.right, target.right, bindings, bound)
-        )
-    if isinstance(pattern, QUANTIFIERS):
-        return (
-            type(target) is type(pattern)
-            and pattern.var == target.var
-            and _match(pattern.body, target.body, bindings, bound | {pattern.var})
-        )
-    return False
-
-
-def match(pattern: Union[Term, Formula], target: Union[Term, Formula]) -> Optional[Subst]:
-    """One-sided first-order matching: the substitution sigma with
-    apply_subst(pattern, sigma) == target, or None if there is none."""
-    bindings: dict[str, Term] = {}
-    if _match(pattern, target, bindings, frozenset()):
-        return Subst(bindings)
-    return None
-
-
 def match_under(
-    pattern: Union[Term, Formula],
-    target: Union[Term, Formula],
-    bindings: Mapping[str, Term],
+    pattern: Union[Term, Atom], target: Union[Term, Atom], bindings: Mapping[str, Term]
 ) -> Optional[dict[str, Term]]:
-    """Like `match`, but extending existing bindings; returns the extended
-    map (a fresh dict) or None on conflict."""
-    b = dict(bindings)
-    if _match(pattern, target, b, frozenset()):
-        return b
-    return None
+    """Extend `bindings` so that substituting them into the term or atom
+    `pattern` gives `target`; returns the extended map (a fresh dict), or
+    None if there is no such extension."""
+    out = dict(bindings)
+    stack = [(pattern, target)]
+    while stack:
+        p, t = stack.pop()
+        kind = type(p)
+        if kind is Var:
+            if out.setdefault(p.name, t) != t:
+                return None
+            continue
+        if kind is not type(t) or len(p.args) != len(t.args):
+            return None
+        if kind is App and p.head != t.head or kind is Atom and p.pred != t.pred:
+            return None
+        stack += zip(reversed(p.args), reversed(t.args))  # left to right
+    return out

@@ -104,21 +104,6 @@ class ExpansionSequent:
     succedent: tuple[ExpansionTree, ...] = ()
 
 
-@dataclass(frozen=True)
-class InstanceSet:
-    """Per-formula substitution sets, aligned with a sequent's positions."""
-
-    antecedent: tuple[tuple[Subst, ...], ...] = ()
-    succedent: tuple[tuple[Subst, ...], ...] = ()
-
-    @classmethod
-    def empty(cls, sequent: Sequent) -> "InstanceSet":
-        return cls(
-            tuple(() for _ in sequent.antecedent),
-            tuple(() for _ in sequent.succedent),
-        )
-
-
 # ---------------------------------------------------------------------------
 # readings
 
@@ -255,31 +240,6 @@ def _expand_step(item):
     return (child,), partial(ETStrong, var, body, term.name)
 
 
-def expand_sequent(sequent: Sequent, instances: InstanceSet) -> ExpansionSequent:
-    """Expand every antecedent formula at negative polarity and every
-    succedent formula at positive polarity."""
-    if len(instances.antecedent) != len(sequent.antecedent) or len(instances.succedent) != len(
-        sequent.succedent
-    ):
-        raise ExpansionError("instance set does not line up with the sequent")
-
-    def build(f: Formula, sig: tuple[Subst, ...], p: Polarity, side: str, i: int) -> ExpansionTree:
-        try:
-            return expand_formula(f, sig, p)
-        except ExpansionError as e:
-            raise type(e)(f"{side} formula {i}: {e}") from e
-
-    ant = tuple(
-        build(f, s, Polarity.NEG, "antecedent", i)
-        for i, (f, s) in enumerate(zip(sequent.antecedent, instances.antecedent))
-    )
-    suc = tuple(
-        build(f, s, Polarity.POS, "succedent", i)
-        for i, (f, s) in enumerate(zip(sequent.succedent, instances.succedent))
-    )
-    return ExpansionSequent(ant, suc)
-
-
 # ---------------------------------------------------------------------------
 # JSON (schema documented in the README; field names are a stable contract)
 
@@ -339,12 +299,6 @@ def _collect_eigens(node: dict, out: set[str]) -> None:
         return _json_children(node), discard
 
     fold(node, step)
-
-
-def tree_from_json(node: dict, extra_vars: Iterable[str] = ()) -> ExpansionTree:
-    eigens: set[str] = set(extra_vars)
-    _collect_eigens(node, eigens)
-    return _tree_from_json(node, frozenset(eigens))
 
 
 def _from_json_step(scope: frozenset[str], node: dict):

@@ -326,9 +326,7 @@ class GenClause:
         return out
 
 
-def definitional_dnf(
-    inputs: Sequence[tuple[str, str, Formula]], threshold: Optional[int] = 4
-) -> list[GenClause]:
+def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int = 4) -> list[GenClause]:
     """Generate the prover-style DNF clauses of (negated axioms, positive
     conjectures), keeping the original bound-variable names.
 
@@ -336,13 +334,13 @@ def definitional_dnf(
     strong variables act as placeholders that matching later sends to
     eigenvariables.  When distributing a conjunction would multiply clause
     counts beyond `threshold`, a definition predicate over the subformula's
-    free variables is introduced instead (pass None to disable).
+    free variables is introduced instead.
     """
     out: list[GenClause] = []
     def_ids = count(1)
 
     def product(lf: Formula, rf: Formula, left, right) -> list[tuple[Literal, ...]]:
-        if threshold is not None and len(left) * len(right) > threshold:
+        if len(left) * len(right) > threshold:
             if len(left) >= len(right) and len(left) > 1:
                 left = _define(lf, left)
             if len(left) * len(right) > threshold and len(right) > 1:

@@ -347,19 +347,20 @@ def _flip_atom(atom: Atom) -> Atom:
     return Atom(EQ, (atom.args[1], atom.args[0]))
 
 
+# clauses up to this many literals get an exhaustive permutation search;
+# longer ones are only matched position by position
+PERMUTATION_LIMIT = 8
+
+
 def match_literals(
-    pattern: Clause, clause: Clause, allow_flips: bool, max_permuted: int = 8
+    pattern: Clause, clause: Clause, allow_flips: bool
 ) -> Optional[tuple[Subst, tuple[int, ...], tuple[int, ...]]]:
     """Match a literal pattern against a clause up to literal reordering and,
-    optionally, reorientation of equality literals.
-
-    Backtracking is exhaustive up to `max_permuted` literals; longer clauses
-    only get the greedy positional attempt.
-    """
+    optionally, reorientation of equality literals."""
     n = len(pattern)
     if len(clause) != n:
         return None
-    positional_only = n > max_permuted
+    positional_only = n > PERMUTATION_LIMIT
 
     def candidates(i: int):
         return (i,) if positional_only else range(n)

@@ -31,9 +31,7 @@ from exproof.core import (
 )
 from exproof.expansion import (
     ExpansionSequent,
-    InstanceSet,
     expand_formula,
-    expand_sequent,
     sequent_from_json,
     sequent_to_json,
     shallow,
@@ -208,14 +206,15 @@ def test_criterion_5_leancop_pipeline():
 
 
 def _pairs_for_criterion_6():
-    """(sequent, instance set, designed validity) triples; all acyclic."""
+    """(sequent, instances, designed validity) triples; all acyclic.  The
+    instances are one tuple of substitutions per formula, for each side."""
     X, Y, Z = Var("X"), Var("Y"), Var("Z")
     a, b, c = const("a"), const("b"), const("c")
     p = lambda t: Atom("p", (t,))
     q = lambda t: Atom("q", (t,))
     r2 = lambda s, t: Atom("r", (s, t))
     S = Sequent
-    I = InstanceSet
+    I = lambda ant_subs, suc_subs: (ant_subs, suc_subs)
 
     def ant(*subs_per_formula):
         return tuple(tuple(s) for s in subs_per_formula)
@@ -298,13 +297,20 @@ def _pairs_for_criterion_6():
     return pairs
 
 
+def _expand_side(formulas, instances, polarity):
+    return tuple(expand_formula(f, subs, polarity) for f, subs in zip(formulas, instances, strict=True))
+
+
 def test_criterion_6_sanity_check_direction():
     pairs = _pairs_for_criterion_6()
     assert len(pairs) == 20
     agree = 0
-    for i, (seq, iset, designed_valid) in enumerate(pairs):
+    for i, (seq, (ant_subs, suc_subs), designed_valid) in enumerate(pairs):
         rect, _ = rectify(seq)
-        es = expand_sequent(rect, iset)
+        es = ExpansionSequent(
+            _expand_side(rect.antecedent, ant_subs, Polarity.NEG),
+            _expand_side(rect.succedent, suc_subs, Polarity.POS),
+        )
         v = verdict(es)
         oracle_taut, _ = taut_oracle(deep_sequent(es))
         expected = oracle_taut and v.acyclic

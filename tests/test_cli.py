@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -12,12 +13,13 @@ from exproof.cli import (
     EXIT_PROOF,
     RunConfig,
     detect_format,
+    json_pieces,
     load_sequent,
     main,
     sequent_to_dot,
 )
 from exproof.core import Atom, ExproofError, InvariantError
-from exproof.expansion import sequent_from_json
+from exproof.expansion import sequent_from_json, sequent_to_json
 
 
 def fixture(name: str) -> str:
@@ -55,6 +57,21 @@ def test_check_malformed_exit_two(capsys):
     assert main(["check", fixture("malformed.proof")]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "line" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read: No such file or directory"), (b"\xff", "not UTF-8 text at byte offset 0")],
+)
+@pytest.mark.parametrize("command", [["check"], ["show"], ["export"]])
+def test_unreadable_input_exit_two(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input.proof"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(command + [str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}: {message}")
 
 
 def test_check_leancop_fixtures(capsys):
@@ -103,6 +120,28 @@ def test_export_json_roundtrip(tmp_path, capsys):
     cfg = RunConfig("export", (fixture("leancop_skolem.proof"),))
     es, _, _ = load_sequent(fixture("leancop_skolem.proof"), cfg)
     assert sequent_from_json(data) == es
+
+
+def _random_json(rng, depth=0):
+    roll = rng.random()
+    if depth > 4 or roll < 0.3:
+        return rng.choice([0, -3, 1.5, True, False, None, "", "p(a)", 'é ⊢ "\\\n'])
+    if roll < 0.65:
+        keys = rng.choices(["kind", "left", "é", ""], k=rng.randint(0, 4))
+        return {key: _random_json(rng, depth + 1) for key in keys}
+    return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+
+
+def test_json_pieces_matches_json_dumps():
+    expected = lambda value: json.dumps(value, indent=2, sort_keys=True)
+    for name in ("leancop_skolem.proof", "verit_congruence.proof"):
+        es, _, _ = load_sequent(fixture(name), RunConfig("export", (fixture(name),)))
+        data = sequent_to_json(es)
+        assert "".join(json_pieces(data)) == expected(data)
+    rng = random.Random(7)
+    for _ in range(2000):
+        value = _random_json(rng)
+        assert "".join(json_pieces(value)) == expected(value)
 
 
 def test_export_dot_drinker_shape(capsys):
@@ -178,6 +217,15 @@ def test_long_transitivity_chain_is_a_proof(tmp_path, capsys):
 DEEP = 3000
 
 
+def _export_kinds(tmp_path, path) -> list[str]:
+    """`export` the trace to a file and return its `"kind"` lines, stripped;
+    the JSON of a tree DEEP deep is too deep for `json.loads`."""
+    out = tmp_path / "export.json"
+    assert main(["export", "--out", str(out), str(path)]) == EXIT_PROOF
+    with out.open(encoding="utf-8") as lines:
+        return [line.strip().rstrip(",") for line in lines if '"kind"' in line]
+
+
 def test_wide_input_clause_is_a_proof(tmp_path, capsys):
     # the input clause folds into a disjunction nested DEEP deep
     lines = ["(set .c (input :conclusion (" + " ".join(f"p{k}" for k in range(DEEP)) + ")))"]
@@ -190,6 +238,7 @@ def test_wide_input_clause_is_a_proof(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["is_proof"] is True
     assert main(["show", "--deep", str(path)]) == EXIT_PROOF
     assert f"p{DEEP - 1}" in capsys.readouterr().out
+    assert _export_kinds(tmp_path, path).count('"kind": "or"') == DEEP - 1
 
 
 def test_deep_negation_is_a_proof(tmp_path, capsys):
@@ -207,6 +256,7 @@ def test_deep_negation_is_a_proof(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["is_proof"] is True
     assert main(["show", str(path)]) == EXIT_PROOF
     assert capsys.readouterr().out.startswith("~" * DEEP + "p ⊢ p")
+    assert _export_kinds(tmp_path, path).count('"kind": "neg"') == DEEP
 
 
 # --- import invariants ---
@@ -279,6 +329,19 @@ def test_batch_empty_directory(tmp_path, capsys):
     assert main(["batch", str(empty)]) == EXIT_PROOF
     summary = json.loads(capsys.readouterr().out)
     assert summary["total"] == 0 and summary["imported"] == 0
+
+
+def test_batch_reports_unreadable_file(tmp_path, capsys):
+    bdir = tmp_path / "traces"
+    bdir.mkdir()
+    (bdir / "binary.proof").write_bytes(b"\xff")
+    (bdir / "good.proof").write_text((FIXTURES / "leancop_simple.proof").read_text(), encoding="utf-8")
+    assert main(["batch", str(bdir)]) == EXIT_PROOF
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["files"]["binary.proof"]["status"] == "error:io"
+    assert "byte offset 0" in summary["files"]["binary.proof"]["error"]
+    assert summary["files"]["good.proof"]["status"] == "proof"
+    assert summary["errors"] == 1 and summary["proof"] == 1
 
 
 def test_batch_parallel_matches_serial(tmp_path, capsys):

@@ -11,10 +11,8 @@ from exproof.core import (
     Exists,
     Forall,
     Imp,
-    InvalidPathError,
     Literal,
     Neg,
-    NotAQuantifierError,
     Or,
     Polarity,
     Sequent,
@@ -22,13 +20,12 @@ from exproof.core import (
     Subst,
     Var,
     apply_subst,
-    classify_quantifier,
     clause_to_formula,
     const,
     eq,
     free_vars,
-    match,
-    polarity_at,
+    match_under,
+    quantifier_strengths,
     rectify,
     same_formula,
     subformulas,
@@ -91,46 +88,39 @@ def test_flip_involution():
 
 
 def test_polarity_imp_left_is_negative():
-    assert polarity_at(Imp(A, B), [0], Polarity.POS) is Polarity.NEG
+    assert list(subformulas(Imp(A, B), Polarity.POS))[1] == (A, Polarity.NEG)
 
 
 def test_polarity_empty_path_is_root():
     for p in Polarity:
-        assert polarity_at(Imp(A, B), [], p) is p
+        assert next(subformulas(Imp(A, B), p)) == (Imp(A, B), p)
 
 
 def test_polarity_threefold_flip():
     # ~ flips, forall preserves, => flips the left child back
     f = Neg(Forall("X", Imp(A, B)))
-    assert polarity_at(f, [0, 0, 0], Polarity.POS) is Polarity.POS
-
-
-def test_polarity_invalid_path():
-    with pytest.raises(InvalidPathError) as exc:
-        polarity_at(Imp(A, B), [0, 3], Polarity.POS)
-    assert exc.value.index == 3
-    assert exc.value.depth == 1
+    assert list(subformulas(f, Polarity.POS))[3] == (A, Polarity.POS)
 
 
 @given(formulas, st.sampled_from(Polarity))
 def test_polarity_matches_bruteforce_walk(f, root):
+    # sorted paths are preorder, the order `subformulas` yields in
     table = all_polarities(f, root)
-    for path, expected in table.items():
-        assert polarity_at(f, path, root) is expected
+    assert [pol for _, pol in subformulas(f, root)] == [table[path] for path in sorted(table)]
 
 
 def test_classify_quantifier():
     fa = Forall("X", P_x)
-    assert classify_quantifier(fa, [], Polarity.POS) is Strength.STRONG
-    assert classify_quantifier(fa, [], Polarity.NEG) is Strength.WEAK
+    assert quantifier_strengths(fa, Polarity.POS) == {"X": Strength.STRONG}
+    assert quantifier_strengths(fa, Polarity.NEG) == {"X": Strength.WEAK}
     ex = Neg(Exists("X", P_x))
-    assert classify_quantifier(ex, [0], Polarity.POS) is Strength.STRONG
-    assert classify_quantifier(Exists("X", P_x), [], Polarity.POS) is Strength.WEAK
+    assert quantifier_strengths(ex, Polarity.POS) == {"X": Strength.STRONG}
+    assert quantifier_strengths(Exists("X", P_x), Polarity.POS) == {"X": Strength.WEAK}
 
 
 def test_classify_rejects_non_quantifier():
-    with pytest.raises(NotAQuantifierError):
-        classify_quantifier(Imp(A, B), [0], Polarity.POS)
+    # a formula without quantifiers classifies nothing
+    assert quantifier_strengths(Imp(A, B), Polarity.POS) == {}
 
 
 # --- rectify ---
@@ -241,7 +231,7 @@ def test_apply_subst_matches_recursive_reference_seeded():
         names = bound_names(f) + ["Z"]
         sigma = Subst({v: random_term(rng, names) for v in ("X", "Y", "Z") if rng.random() < 0.7})
         got = apply_subst(f, sigma)
-        assert got == ref_subst_formula(f, sigma.mapping())
+        assert got == ref_subst_formula(f, dict(sigma.items()))
         captured += bound_names(got) != bound_names(f)
     assert captured > 200
 
@@ -267,55 +257,53 @@ def test_apply_subst_does_not_touch_bound_occurrences():
     assert apply_subst(f, Subst({"X": const("a")})) == f
 
 
-@given(terms, st.sampled_from(["X", "Y"]), ground_terms, ground_terms)
-def test_compose_is_apply_then_apply(t, v, g1, g2):
-    s1 = Subst({v: g1})
-    s2 = Subst({"Y": g2})
-    assert apply_subst(t, s1.compose(s2)) == apply_subst(apply_subst(t, s1), s2)
-
-
-@given(ground_terms, ground_terms, ground_terms)
-def test_compose_associative(g1, g2, g3):
-    a, b, c = Subst({"X": g1}), Subst({"Y": g2}), Subst({"Z": g3})
-    assert a.compose(b).compose(c) == a.compose(b.compose(c))
-
-
 # --- matching ---
 
 
 def test_match_positional():
-    pat = Imp(And(eq(Var("X"), Var("Y")), eq(Var("Y"), Var("Z"))), eq(Var("X"), Var("Z")))
-    tgt = Imp(And(eq(const("a"), const("b")), eq(const("b"), const("c"))), eq(const("a"), const("c")))
-    assert match(pat, tgt) == Subst({"X": const("a"), "Y": const("b"), "Z": const("c")})
+    # the atoms of X = Y & Y = Z => X = Z, matched in turn, each extending the
+    # bindings of the ones before, as `verit.match_literals` does
+    X, Y, Z = Var("X"), Var("Y"), Var("Z")
+    a, b, c = const("a"), const("b"), const("c")
+    bindings = {}
+    for pat, tgt in ((eq(X, Y), eq(a, b)), (eq(Y, Z), eq(b, c)), (eq(X, Z), eq(a, c))):
+        bindings = match_under(pat, tgt, bindings)
+    assert bindings == {"X": a, "Y": b, "Z": c}
+    assert match_under(eq(X, Z), eq(a, b), bindings) is None
 
 
 def test_match_conflict():
-    assert match(Atom("p", (Var("X"), Var("X"))), Atom("p", (const("a"), const("b")))) is None
+    a, b = const("a"), const("b")
+    assert match_under(Atom("p", (Var("X"), Var("X"))), Atom("p", (a, b)), {}) is None
+    # an existing binding must agree, and is not changed in place
+    bindings = {"X": b}
+    assert match_under(Atom("p", (Var("X"),)), Atom("p", (a,)), bindings) is None
+    assert match_under(Atom("q", (Var("Y"),)), Atom("q", (a,)), bindings) == {"X": b, "Y": a}
+    assert bindings == {"X": b}
 
 
 def test_match_nested():
     pat = Atom("p", (App("f", (Var("X"),)),))
     tgt = Atom("p", (App("f", (App("g", (const("a"),)),)),))
-    assert match(pat, tgt) == Subst({"X": App("g", (const("a"),))})
+    assert match_under(pat, tgt, {}) == {"X": App("g", (const("a"),))}
 
 
 def test_match_structural_mismatch():
-    assert match(And(A, B), Or(A, B)) is None
-    assert match(Atom("p", ()), Atom("q", ())) is None
+    assert match_under(Atom("p", ()), Atom("q", ()), {}) is None
+    assert match_under(App("f", (Var("X"),)), App("g", (const("a"),)), {}) is None
+    assert match_under(App("f", (Var("X"),)), App("f", (const("a"), const("b"))), {}) is None
+    assert match_under(App("f", ()), Var("X"), {}) is None
 
 
-@given(formulas, st.data())
-def test_match_recovers_applied_substitution(f, data):
-    fv = sorted(free_vars(f))
+@given(atoms, st.data())
+def test_match_recovers_applied_substitution(atom, data):
     bindings = {}
-    for v in fv:
+    for v in sorted(free_vars(atom)):
         if data.draw(st.booleans(), label=f"bind {v}"):
             bindings[v] = data.draw(ground_terms, label=f"term for {v}")
-    sigma = Subst(bindings)
-    target = apply_subst(f, sigma)
-    result = match(f, target)
+    result = match_under(atom, apply_subst(atom, Subst(bindings)), {})
     assert result is not None
-    assert result.restrict(fv) == sigma.restrict(fv)
+    assert Subst(result) == Subst(bindings)
 
 
 def test_match_seeded_sweep():
@@ -323,10 +311,11 @@ def test_match_seeded_sweep():
     pool = [const("a"), const("b"), App("f", (const("c"),))]
     for _ in range(200):
         f = random_formula(rng, rng.randint(1, 5))
-        sigma = Subst({v: rng.choice(pool) for v in free_vars(f) if rng.random() < 0.7})
-        got = match(f, apply_subst(f, sigma))
-        assert got is not None
-        assert got.restrict(free_vars(f)) == sigma.restrict(free_vars(f))
+        for atom in (g for g, _ in subformulas(f, Polarity.POS) if isinstance(g, Atom)):
+            sigma = Subst({v: rng.choice(pool) for v in free_vars(atom) if rng.random() < 0.7})
+            got = match_under(atom, apply_subst(atom, sigma), {})
+            assert got is not None
+            assert Subst(got) == sigma
 
 
 # --- literals and clauses ---

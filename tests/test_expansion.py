@@ -15,8 +15,8 @@ from exproof.core import (
     Strength,
     Subst,
     Var,
-    classify_quantifier,
     const,
+    quantifier_strengths,
     rectify,
 )
 from exproof.expansion import (
@@ -26,19 +26,17 @@ from exproof.expansion import (
     ETStrong,
     ETWeak,
     EigenvariableFormError,
+    ExpansionError,
     ExpansionSequent,
-    InstanceSet,
     MissingInstanceError,
     MultiplicityError,
     VACUOUS_TERM,
     deep,
     expand_formula,
-    expand_sequent,
     sequent_from_json,
     sequent_to_json,
     shallow,
     shallow_sequent,
-    tree_from_json,
     tree_to_json,
 )
 from exproof.notation import parse_formula
@@ -159,29 +157,18 @@ def test_expand_passthrough_reaches_inner_quantifier():
 
 
 def test_expand_sequent_positions_and_errors():
+    # a sequent expands formula by formula, the antecedent at negative and
+    # the succedent at positive polarity
     seq = Sequent((Forall("X", P(Var("X"))),), (P(c),))
-    iset = InstanceSet(((Subst({"X": c}),),), ((),))
-    es = expand_sequent(seq, iset)
+    es = ExpansionSequent(
+        (expand_formula(seq.antecedent[0], [Subst({"X": c})], Polarity.NEG),),
+        (expand_formula(seq.succedent[0], [], Polarity.POS),),
+    )
     assert es.antecedent[0] == ETWeak("X", P(Var("X")), ((c, ETAtom(P(c))),))
     assert es.succedent[0] == ETAtom(P(c))
     assert shallow_sequent(es) == seq
-
-    bad = InstanceSet(((),), ((),))
-    with pytest.raises(MissingInstanceError) as exc:
-        expand_sequent(seq, bad)
-    assert "antecedent formula 0" in str(exc.value)
-
-
-def test_expand_sequent_shape_mismatch():
-    seq = Sequent((P(a),), ())
-    with pytest.raises(Exception):
-        expand_sequent(seq, InstanceSet((), ()))
-
-
-def test_instance_set_empty():
-    seq = Sequent((P(a), P(b)), (P(c),))
-    iset = InstanceSet.empty(seq)
-    assert len(iset.antecedent) == 2 and len(iset.succedent) == 1
+    with pytest.raises(MissingInstanceError):
+        expand_formula(seq.antecedent[0], [], Polarity.NEG)
 
 
 # --- properties ---
@@ -226,11 +213,11 @@ def _formula_atoms(f, out):
 
 def _assert_polarity_discipline(tree, pol):
     if isinstance(tree, ETWeak):
-        assert classify_quantifier(shallow(tree, pol), [], pol) is Strength.WEAK
+        assert quantifier_strengths(shallow(tree, pol), pol)[tree.var] is Strength.WEAK
         for _t, child in tree.instances:
             _assert_polarity_discipline(child, pol)
     elif isinstance(tree, ETStrong):
-        assert classify_quantifier(shallow(tree, pol), [], pol) is Strength.STRONG
+        assert quantifier_strengths(shallow(tree, pol), pol)[tree.var] is Strength.STRONG
         _assert_polarity_discipline(tree.child, pol)
     elif isinstance(tree, ETNeg):
         _assert_polarity_discipline(tree.child, pol.flip())
@@ -310,5 +297,5 @@ def test_json_roundtrip_seeded():
 
 
 def test_tree_from_json_rejects_unknown_kind():
-    with pytest.raises(Exception):
-        tree_from_json({"kind": "mystery"})
+    with pytest.raises(ExpansionError, match="unknown node kind"):
+        sequent_from_json({"antecedent": [{"kind": "mystery"}]})

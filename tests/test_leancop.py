@@ -136,7 +136,7 @@ def test_dnf_conjunction_in_conjecture_is_one_clause():
 
 def test_dnf_distribution_naive():
     out = definitional_dnf(
-        [("ax", "axiom", parse_formula("![X]: (p(X) | (q(X) & r(X)))"))], threshold=None
+        [("ax", "axiom", parse_formula("![X]: (p(X) | (q(X) & r(X)))"))], threshold=100
     )
     lits = [g.literals for g in out]
     X = Var("X")
@@ -149,7 +149,7 @@ def test_dnf_distribution_naive():
 def test_dnf_definitional_mode_introduces_predicate():
     # (a1 & a2 & a3) | (b1 & b2 & b3) negated gives 3x3 = 9 clauses naively
     f = parse_formula("(a1 & a2 & a3) | (b1 & b2 & b3)")
-    naive = definitional_dnf([("ax", "axiom", f)], threshold=None)
+    naive = definitional_dnf([("ax", "axiom", f)], threshold=100)
     assert len(naive) == 9
     defd = definitional_dnf([("ax", "axiom", f)], threshold=4)
     assert any(g.is_definition for g in defd)

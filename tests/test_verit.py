@@ -153,27 +153,27 @@ def test_schema_size_validation():
 def test_match_transitivity_positional():
     clause = (Literal(eq(a, b), False), Literal(eq(b, c), False), Literal(eq(a, c)))
     inst = match_axiom_instance("transitivity", clause)
-    assert inst.subst.mapping() == {"x0": a, "x1": b, "x2": c}
+    assert dict(inst.subst.items()) == {"x0": a, "x1": b, "x2": c}
     assert inst.flips == ()
 
 
 def test_match_congruence():
     clause = (Literal(eq(a, b), False), Literal(eq(App("f", (a,)), App("f", (b,)))),)
     inst = match_axiom_instance("fn_congruence", clause)
-    assert inst.subst.mapping() == {"x0": a, "y0": b}
+    assert dict(inst.subst.items()) == {"x0": a, "y0": b}
 
 
 def test_match_with_orientation_flip():
     clause = (Literal(eq(b, a), False), Literal(eq(b, c), False), Literal(eq(a, c)))
     inst = match_axiom_instance("transitivity", clause)
-    assert inst.subst.mapping() == {"x0": a, "x1": b, "x2": c}
+    assert dict(inst.subst.items()) == {"x0": a, "x1": b, "x2": c}
     assert inst.flips == (0,)
 
 
 def test_match_with_literal_permutation():
     clause = (Literal(eq(a, c)), Literal(eq(a, b), False), Literal(eq(b, c), False))
     inst = match_axiom_instance("transitivity", clause)
-    assert inst.subst.mapping() == {"x0": a, "x1": b, "x2": c}
+    assert dict(inst.subst.items()) == {"x0": a, "x1": b, "x2": c}
     assert inst.permutation == (1, 2, 0)
 
 
@@ -208,6 +208,19 @@ def test_import_transitivity_fixture():
     assert verdict(es).is_proof
     assert report["schema_instances"] == {"transitivity": 1}
     assert report["flips"] == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the leaf is matched from its wrong end (x0 = c, x2 = a, every equality "
+    "flipped), and the deep sequent treats s = t and t = s as different atoms, so a "
+    "valid refutation is judged not a proof",
+)
+def test_transitivity_leaf_in_another_order_is_a_proof():
+    text = (FIXTURES / "verit_transitivity.proof").read_text()
+    text = text.replace("((not (= a b)) (not (= b c)) (= a c))", "((not (= b c)) (not (= a b)) (= a c))")
+    es, _ = import_verit(parse_verit(text))
+    assert verdict(es).is_proof
 
 
 def test_import_minimality():
