@@ -11,10 +11,9 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, count
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -296,8 +295,30 @@ def _batch_one(path: Path, config: RunConfig) -> dict:
             kind = "import"
         entry["status"] = f"error:{kind}"
         entry["error"] = str(e)
+    except Exception as e:  # a crash on one file must not lose the others' results
+        entry["status"] = "error:internal"
+        entry["error"] = f"{type(e).__name__}: {e}"
     entry["seconds"] = round(time.perf_counter() - started, 6)
     return entry
+
+
+def _batch_worker(path: Path, config: RunConfig) -> dict:
+    """The pool's target, pickled by name.  It calls `_batch_one` through
+    the module, so a wrapper put in place of `_batch_one` (as the
+    benchmark's tracer does) cannot make the target unpicklable."""
+    return _batch_one(path, config)
+
+
+def _spread_worker() -> None:
+    """Pool initializer: start this worker on a CPU picked by its process
+    id, then allow every CPU again.  Linux tends to start forked workers on
+    the parent's CPU and can leave two CPU-bound workers sharing it while
+    another CPU idles; workers forked one after the other have consecutive
+    ids, so they start on different CPUs."""
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[os.getpid() % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
 
 
 def cmd_batch(config: RunConfig) -> int:
@@ -308,14 +329,21 @@ def cmd_batch(config: RunConfig) -> int:
             files.extend(sorted(q for q in p.iterdir() if q.is_file()))
         else:
             files.append(p)
-    results: dict[str, dict] = {}
-    if config.jobs > 1 and files:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for path, entry in zip(files, pool.map(lambda f: _batch_one(f, config), files)):
-                results[path.name] = entry
+    workers = min(config.jobs, len(files), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here so that the other commands do not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunksize = max(1, len(files) // (4 * workers))
+        # the platform's default start method: on Linux the pool forks all
+        # its workers before it starts a thread; spawned workers would each
+        # start an interpreter and import exproof, which made a batch of
+        # two large files slower than the serial loop
+        with ProcessPoolExecutor(max_workers=workers, initializer=_spread_worker) as pool:
+            entries = list(pool.map(_batch_worker, files, repeat(config), chunksize=chunksize))
     else:
-        for path in files:
-            results[path.name] = _batch_one(path, config)
+        entries = [_batch_one(path, config) for path in files]
+    results = {path.name: entry for path, entry in zip(files, entries)}
     summary = {
         "files": {name: results[name] for name in sorted(results)},
         "imported": sum(1 for e in results.values() if e["status"] in ("proof", "not-proof")),
@@ -334,6 +362,13 @@ def cmd_batch(config: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(export_p, many_inputs=False)
 
     batch_p = sub.add_parser("batch", help="summarise a directory of trace files")
-    batch_p.add_argument("--jobs", type=int, default=1, metavar="N")
+    batch_p.add_argument("--jobs", type=positive_int, default=1, metavar="N")
     batch_p.add_argument("--out", metavar="PATH")
     common(batch_p)
     return parser

@@ -1,8 +1,10 @@
 import json
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
+from typing import Optional
 
 import pytest
 
@@ -12,6 +14,7 @@ from exproof.cli import (
     EXIT_NOT_PROOF,
     EXIT_PROOF,
     RunConfig,
+    _spread_worker,
     detect_format,
     json_pieces,
     load_sequent,
@@ -175,19 +178,23 @@ def test_dot_weak_out_degree_two():
     assert len(weak_edges) == 2
 
 
-def _transitivity_chain(n: int) -> str:
+def _transitivity_chain(n: int, missing: Optional[int] = None) -> str:
     """A verit refutation of `a0 = a1, ..., a{n-1} = an, ~(a0 = an)` through
-    n-1 `eq_transitive` leaves `a0=ak, ak=ak+1 -> a0=ak+1`."""
-    lines = [f"(set .i{k} (input :conclusion ((= a{k} a{k + 1}))))" for k in range(n)]
+    n-1 `eq_transitive` leaves `a0=ak, ak=ak+1 -> a0=ak+1`.  With
+    0 < `missing` < n the input `a{missing} = a{missing+1}` is left out,
+    so the deep sequent is falsifiable."""
+    inputs = [k for k in range(n) if k != missing]
+    lines = [f"(set .i{k} (input :conclusion ((= a{k} a{k + 1}))))" for k in inputs]
     lines.append(f"(set .g (input :conclusion ((not (= a0 a{n})))))")
     previous = "i0"
     for k in range(1, n):
+        link = f" .i{k}" if k in inputs else ""
         lines.append(
             f"(set .t{k} (eq_transitive :conclusion "
             f"((not (= a0 a{k})) (not (= a{k} a{k + 1})) (= a0 a{k + 1}))))"
         )
         lines.append(
-            f"(set .r{k} (resolution :clauses (.{previous} .i{k} .t{k}) "
+            f"(set .r{k} (resolution :clauses (.{previous}{link} .t{k}) "
             f":conclusion ((= a0 a{k + 1}))))"
         )
         previous = f"r{k}"
@@ -344,16 +351,108 @@ def test_batch_reports_unreadable_file(tmp_path, capsys):
     assert summary["errors"] == 1 and summary["proof"] == 1
 
 
+def _leancop_chain(n: int, variant: str = "proof") -> str:
+    """A connection proof of `?[Z]: p{n}(Z)` from `![X]: p0(X)` and the
+    axioms `![X]: (p{i-1}(X) => ?[Y]: p{i}(Y))`, each axiom instantiated
+    with the Skolem term of the one before.  "broken" instantiates axiom 1
+    with a stray constant, so the deep sequent is falsifiable; "loop" feeds
+    the base and axiom 1 the last Skolem term, a dependency cycle."""
+    t = ["a"] + [f"sk{i}(V{i})" for i in range(1, n + 1)]
+    base = t[n] if variant == "loop" else "a"
+    first = "b" if variant == "broken" else base
+    lines = ["fof(base, axiom, ![X]: p0(X))."]
+    lines += [f"fof(ax{i}, axiom, ![X]: (p{i - 1}(X) => ?[Y]: p{i}(Y)))." for i in range(1, n + 1)]
+    lines.append(f"fof(goal, conjecture, ?[Z]: p{n}(Z)).")
+    lines.append("cnf(0, plain, [~p0(W0)], clausify(base)).")
+    lines += [f"cnf({i}, plain, [p{i - 1}(V{i}), ~p{i}({t[i]})], clausify(ax{i}))." for i in range(1, n + 1)]
+    lines.append(f"cnf({n + 1}, plain, [p{n}(W1)], clausify(goal)).")
+    lines.append(f"cnf('s0', plain, [p{n}({t[n]})], start({n + 1}, bind([W1], [{t[n]}]))).")
+    for i in range(n, 0, -1):
+        b = first if i == 1 else t[i - 1]
+        lines.append(f"cnf('e{i}', plain, [p{i - 1}({b}), ~p{i}({t[i]})], extension({i}, bind([V{i}], [{b}]))).")
+    lines.append(f"cnf('e0', plain, [~p0({base})], extension(0, bind([W0], [{base}]))).")
+    return "\n".join(lines) + "\n"
+
+
+def _without_seconds(summary: dict) -> dict:
+    for entry in summary["files"].values():
+        del entry["seconds"]
+    return summary
+
+
+# a pool's workers see the test's monkeypatching only if they are forked
+FORKED_POOL = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
+    reason="needs two CPUs and forked pool workers",
+)
+
+
 def test_batch_parallel_matches_serial(tmp_path, capsys):
     import shutil
 
     bdir = tmp_path / "traces"
     bdir.mkdir()
+    for path in FIXTURES.iterdir():
+        shutil.copy(path, bdir / path.name)
+    (bdir / "binary.proof").write_bytes(b"\xff")
+    traces = {f"v{n:02d}.proof": _transitivity_chain(n) for n in range(2, 16)}
+    traces.update({f"v{n:02d}-broken.proof": _transitivity_chain(n, n // 2) for n in range(3, 9)})
+    traces.update({f"l{n:02d}.proof": _leancop_chain(n) for n in range(1, 11)})
+    for variant in ("broken", "loop"):
+        traces.update({f"l{n:02d}-{variant}.proof": _leancop_chain(n, variant) for n in range(2, 7)})
+    for name, text in traces.items():
+        (bdir / name).write_text(text, encoding="utf-8")
+    assert main(["batch", str(bdir)]) == EXIT_PROOF
+    serial = _without_seconds(json.loads(capsys.readouterr().out))
+    # 50 files over two workers: chunks of six
+    assert main(["batch", "--jobs", "2", str(bdir)]) == EXIT_PROOF
+    parallel = _without_seconds(json.loads(capsys.readouterr().out))
+    assert parallel == serial
+    assert serial["total"] == 50
+    statuses = {name: e["status"] for name, e in serial["files"].items()}
+    assert {statuses[name] for name in traces} == {"proof", "not-proof"}
+    assert statuses["v05-broken.proof"] == statuses["l04-broken.proof"] == statuses["l04-loop.proof"] == "not-proof"
+    assert statuses["binary.proof"] == "error:io" and statuses["malformed.proof"] == "error:parse"
+
+
+@pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=FORKED_POOL)])
+def test_batch_reports_internal_error(tmp_path, capsys, monkeypatch, jobs):
+    import shutil
+
+    def crash(es):
+        raise RuntimeError(f"boom in {os.getpid()}")
+
+    monkeypatch.setattr("exproof.cli.verdict", crash)
+    bdir = tmp_path / "traces"
+    bdir.mkdir()
     for name in ("verit_transitivity.proof", "leancop_simple.proof", "malformed.proof"):
         shutil.copy(FIXTURES / name, bdir / name)
-    main(["batch", str(bdir)])
-    serial = json.loads(capsys.readouterr().out)
-    main(["batch", "--jobs", "4", str(bdir)])
-    parallel = json.loads(capsys.readouterr().out)
-    for key in ("imported", "proof", "not_proof", "errors", "total"):
-        assert serial[key] == parallel[key]
+    (bdir / "binary.proof").write_bytes(b"\xff")
+    assert main(["batch", "--jobs", jobs, str(bdir)]) == EXIT_PROOF
+    summary = json.loads(capsys.readouterr().out)
+    files = summary["files"]
+    assert files["binary.proof"]["status"] == "error:io"
+    assert files["malformed.proof"]["status"] == "error:parse"
+    for name, fmt in (("verit_transitivity.proof", "verit"), ("leancop_simple.proof", "leancop")):
+        assert files[name]["status"] == "error:internal"
+        assert files[name]["format"] == fmt
+        kind, _, pid = files[name]["error"].rpartition(" in ")
+        assert kind == "RuntimeError: boom"
+        assert (int(pid) == os.getpid()) == (jobs == "1")
+    assert summary["errors"] == summary["total"] == 4
+    assert summary["imported"] == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_spread_worker_leaves_every_cpu_allowed():
+    allowed = os.sched_getaffinity(0)
+    _spread_worker()
+    assert os.sched_getaffinity(0) == allowed
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_batch_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exited:
+        main(["batch", "--jobs", jobs, str(tmp_path)])
+    assert exited.value.code == 2
+    assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
