@@ -30,7 +30,7 @@ from .expansion import (
 )
 from .leancop import ImportConfig, import_leancop, parse_leancop
 from .notation import ParseError, sequent_text
-from .verit import TraceSyntaxError, import_verit, parse_verit
+from .verit import import_verit, parse_verit
 
 EXIT_PROOF = 0
 EXIT_NOT_PROOF = 1
@@ -85,19 +85,37 @@ def load_sequent(path: str, config: RunConfig) -> tuple[ExpansionSequent, dict, 
 # check
 
 
-def cmd_check(config: RunConfig) -> int:
+def _failed(where: str, error: Exception) -> int:
+    """Report what stopped the work on `where` and return exit 2.  An
+    exception other than an input or output error is a crash, which is
+    named by its type as well (the text a failed file gets in `batch`)."""
+    crash = not isinstance(error, (ExproofError, OSError))
+    print(f"{where}: {type(error).__name__ + ': ' if crash else ''}{error}", file=sys.stderr)
+    return EXIT_ERROR
+
+
+def _each_input(config: RunConfig, work) -> int:
+    """Load each input and hand its sequent to `work`, which returns an exit
+    code; the worst code is the result.  The first input that raises stops
+    the run with exit 2, whatever it raised."""
     status = EXIT_PROOF
     for path in config.inputs:
         try:
             es, _report, _fmt = load_sequent(path, config)
-        except ExproofError as e:
-            print(f"{path}: {e}", file=sys.stderr)
-            return EXIT_ERROR
-        v = verdict(es)
-        print(json.dumps(v.to_json(), sort_keys=True))
-        if not v.is_proof:
-            status = EXIT_NOT_PROOF
+            status = max(status, work(es))
+        except Exception as e:
+            return _failed(path, e)
     return status
+
+
+def _print_verdict(es: ExpansionSequent) -> int:
+    v = verdict(es)
+    print(json.dumps(v.to_json(), sort_keys=True))
+    return EXIT_PROOF if v.is_proof else EXIT_NOT_PROOF
+
+
+def cmd_check(config: RunConfig) -> int:
+    return _each_input(config, _print_verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +161,12 @@ def render_show(es: ExpansionSequent, deep_mode: bool, color: bool) -> str:
 
 def cmd_show(config: RunConfig) -> int:
     color = os.environ.get("EXPROOF_COLOR", "0") == "1"
-    for path in config.inputs:
-        try:
-            es, _report, _fmt = load_sequent(path, config)
-        except ExproofError as e:
-            print(f"{path}: {e}", file=sys.stderr)
-            return EXIT_ERROR
+
+    def show(es: ExpansionSequent) -> int:
         print(render_show(es, config.show_deep, color))
-    return EXIT_PROOF
+        return EXIT_PROOF
+
+    return _each_input(config, show)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +273,7 @@ def json_pieces(value) -> Iterator[str]:
 
 
 def cmd_export(config: RunConfig) -> int:
-    path = config.inputs[0]
-    try:
-        es, _report, _fmt = load_sequent(path, config)
+    def export(es: ExpansionSequent) -> int:
         if config.export_dot:
             pieces = [sequent_to_dot(es)]
         else:
@@ -269,10 +283,9 @@ def cmd_export(config: RunConfig) -> int:
                 out.writelines(pieces)
         else:
             sys.stdout.writelines(pieces)
-    except (ExproofError, OSError) as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_PROOF
+        return EXIT_PROOF
+
+    return _each_input(config, export)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +302,7 @@ def _batch_one(path: Path, config: RunConfig) -> dict:
     except ExproofError as e:
         if isinstance(e, InputReadError):
             kind = "io"
-        elif isinstance(e, (ParseError, TraceSyntaxError)):
+        elif isinstance(e, ParseError):
             kind = "parse"
         else:
             kind = "import"
@@ -339,8 +352,11 @@ def cmd_batch(config: RunConfig) -> int:
         # its workers before it starts a thread; spawned workers would each
         # start an interpreter and import exproof, which made a batch of
         # two large files slower than the serial loop
-        with ProcessPoolExecutor(max_workers=workers, initializer=_spread_worker) as pool:
-            entries = list(pool.map(_batch_worker, files, repeat(config), chunksize=chunksize))
+        try:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_spread_worker) as pool:
+                entries = list(pool.map(_batch_worker, files, repeat(config), chunksize=chunksize))
+        except Exception as e:  # a worker died: its files have no result
+            return _failed(" ".join(config.inputs), e)
     else:
         entries = [_batch_one(path, config) for path in files]
     results = {path.name: entry for path, entry in zip(files, entries)}

@@ -50,7 +50,7 @@ from .expansion import (
     shallow,
     shallow_sequent,
 )
-from .notation import FormulaParser, ParseError, tokenize
+from .notation import FormulaParser, ParseError, Token, tokenize, unexpected
 from .verit import AxiomSchema, Clause, SchemaKind, _schema_tree, _show, make_schema, match_literals
 
 
@@ -104,59 +104,47 @@ class ImportConfig:
 
 class _TraceParser(FormulaParser):
     def parse_name(self) -> str:
-        tok = self.next()
-        if tok.kind in ("name", "quoted", "num"):
-            return tok.text
-        raise ParseError(f"expected a name, found {tok.text!r}", tok.line, tok.col)
+        tok = self.tokens[self.pos]
+        if tok[0] not in ("name", "quoted", "num"):
+            raise unexpected(tok, "a name")
+        self.pos += 1
+        return tok[1]
 
     def parse_literal(self) -> Literal:
-        start = self.peek()
+        start = self.tokens[self.pos]
         f = self._parse_unary()  # covers ~, parentheses and disequations
         positive = True
         while isinstance(f, Neg):
             positive = not positive
             f = f.sub
         if not isinstance(f, Atom):
-            raise ParseError("expected a literal", start.line, start.col)
+            raise ParseError("expected a literal", start[2], start[3])
         return Literal(f, positive)
 
-    def parse_literal_list(self) -> Clause:
+    def parse_list(self, item) -> list:
+        """`[item, ...]`, possibly empty."""
         self.expect("[")
-        lits = []
-        if self.peek() is not None and self.peek().kind != "]":
-            lits.append(self.parse_literal())
-            while self.peek() is not None and self.peek().kind == ",":
-                self.next()
-                lits.append(self.parse_literal())
+        items = []
+        if self.tokens[self.pos][0] not in ("]", ""):  # at the end, expect("]") fails
+            items.append(item())
+            while self.tokens[self.pos][0] == ",":
+                self.pos += 1
+                items.append(item())
         self.expect("]")
-        return tuple(lits)
+        return items
 
     def parse_bind(self) -> Subst:
         tok = self.next()
-        if tok.text != "bind":
-            raise ParseError(f"expected 'bind', found {tok.text!r}", tok.line, tok.col)
+        if tok[1] != "bind":
+            raise ParseError(f"expected 'bind', found {tok[1]!r}", tok[2], tok[3])
         self.expect("(")
-        self.expect("[")
-        names = []
-        if self.peek() is not None and self.peek().kind != "]":
-            names.append(self._var_name())
-            while self.peek() is not None and self.peek().kind == ",":
-                self.next()
-                names.append(self._var_name())
-        self.expect("]")
+        names = self.parse_list(self._var_name)
         self.expect(",")
-        self.expect("[")
-        terms = []
-        if self.peek() is not None and self.peek().kind != "]":
-            terms.append(self.parse_term())
-            while self.peek() is not None and self.peek().kind == ",":
-                self.next()
-                terms.append(self.parse_term())
-        self.expect("]")
+        terms = self.parse_list(self.parse_term)
         self.expect(")")
         if len(names) != len(terms):
             raise ParseError(
-                f"bind lists differ in length ({len(names)} vs {len(terms)})", tok.line, tok.col
+                f"bind lists differ in length ({len(names)} vs {len(terms)})", tok[2], tok[3]
             )
         return Subst(dict(zip(names, terms)))
 
@@ -164,93 +152,94 @@ class _TraceParser(FormulaParser):
         """Consume a balanced parenthesised argument list."""
         depth = 0
         while True:
-            tok = self.next()
-            if tok.kind in ("(", "["):
+            kind = self.next()[0]
+            if kind in ("(", "["):
                 depth += 1
-            elif tok.kind in (")", "]"):
+            elif kind in (")", "]"):
                 depth -= 1
                 if depth == 0:
                     return
+
+
+def _clause_number(tok: Token) -> int:
+    """The value of a clause-number token.  A `num` token may hold digits,
+    like '²', that `int` does not read."""
+    if tok[0] != "num" or not tok[1].isdecimal():
+        raise ParseError(f"clause number must be numeric, found {tok[1]!r}", tok[2], tok[3])
+    return int(tok[1])
 
 
 def parse_leancop(text: str) -> LeanCoPTrace:
     """Parse the three-part trace: `fof(name, role, formula).` input lines,
     `cnf(N, plain, [...], origin).` clause lines and proof-step lines."""
     parser = _TraceParser(tokenize(text))
+    tokens = parser.tokens
     inputs: list[InputFormula] = []
     clauses: list[TraceClause] = []
     steps: list[TraceStep] = []
     clause_numbers: set[int] = set()
     input_names: set[str] = set()
-    while parser.peek() is not None:
-        head = parser.next()
-        if head.text == "fof":
+    while (head := tokens[parser.pos])[0]:
+        parser.pos += 1
+        if head[1] == "fof":
             parser.expect("(")
             name = parser.parse_name()
             if name in input_names:
-                raise ParseError(f"duplicate input formula name {name!r}", head.line, head.col)
+                raise ParseError(f"duplicate input formula name {name!r}", head[2], head[3])
             input_names.add(name)
             parser.expect(",")
-            role_tok = parser.next()
-            if role_tok.text not in ROLES:
-                raise ParseError(f"unknown role {role_tok.text!r}", role_tok.line, role_tok.col)
+            _kind, role, line, col = parser.next()
+            if role not in ROLES:
+                raise ParseError(f"unknown role {role!r}", line, col)
             parser.expect(",")
             formula = parser.parse_formula()
             parser.expect(")")
             parser.expect(".")
-            inputs.append(InputFormula(name, role_tok.text, formula))
-        elif head.text == "cnf":
+            inputs.append(InputFormula(name, role, formula))
+        elif head[1] == "cnf":
             parser.expect("(")
             id_tok = parser.next()
-            if id_tok.kind not in ("num", "name", "quoted"):
-                raise ParseError(f"bad clause identifier {id_tok.text!r}", id_tok.line, id_tok.col)
+            if id_tok[0] not in ("num", "name", "quoted"):
+                raise ParseError(f"bad clause identifier {id_tok[1]!r}", id_tok[2], id_tok[3])
             parser.expect(",")
             parser.parse_name()  # the "plain" marker
             parser.expect(",")
-            lits = parser.parse_literal_list()
+            lits = tuple(parser.parse_list(parser.parse_literal))
             parser.expect(",")
-            tail_tok = parser.next()
-            if tail_tok.text in ("clausify", "theory"):
-                if id_tok.kind != "num":
-                    raise ParseError(
-                        f"clause number must be numeric, found {id_tok.text!r}",
-                        id_tok.line,
-                        id_tok.col,
-                    )
-                number = int(id_tok.text)
+            _kind, tail, line, col = parser.next()
+            if tail in ("clausify", "theory"):
+                number = _clause_number(id_tok)
                 if number in clause_numbers:
-                    raise ParseError(f"duplicate clause number {number}", id_tok.line, id_tok.col)
+                    raise ParseError(f"duplicate clause number {number}", id_tok[2], id_tok[3])
                 clause_numbers.add(number)
                 parser.expect("(")
                 origin_name = parser.parse_name()
                 parser.expect(")")
-                clauses.append(TraceClause(number, lits, tail_tok.text, origin_name))
-            elif tail_tok.text in ("start", "extension"):
+                clauses.append(TraceClause(number, lits, tail, origin_name))
+            elif tail in ("start", "extension"):
                 parser.expect("(")
                 num_tok = parser.expect("num")
-                clause_num = int(num_tok.text)
+                clause_num = _clause_number(num_tok)
                 if clause_num not in clause_numbers:
                     raise ParseError(
-                        f"step references unknown clause {clause_num}", num_tok.line, num_tok.col
+                        f"step references unknown clause {clause_num}", num_tok[2], num_tok[3]
                     )
                 binding = Subst()
-                if parser.peek() is not None and parser.peek().kind == ",":
-                    parser.next()
+                if tokens[parser.pos][0] == ",":
+                    parser.pos += 1
                     binding = parser.parse_bind()
                 parser.expect(")")
-                steps.append(TraceStep(id_tok.text, tail_tok.text, clause_num, binding, lits))
-            elif tail_tok.text == "reduction":
-                if parser.peek() is not None and parser.peek().kind == "(":
+                steps.append(TraceStep(id_tok[1], tail, clause_num, binding, lits))
+            elif tail == "reduction":
+                if tokens[parser.pos][0] == "(":
                     parser.skip_balanced()
-                steps.append(TraceStep(id_tok.text, "reduction", None, Subst(), lits))
+                steps.append(TraceStep(id_tok[1], "reduction", None, Subst(), lits))
             else:
-                raise ParseError(
-                    f"unknown clause origin or step {tail_tok.text!r}", tail_tok.line, tail_tok.col
-                )
+                raise ParseError(f"unknown clause origin or step {tail!r}", line, col)
             parser.expect(")")
             parser.expect(".")
         else:
-            raise ParseError(f"expected 'fof' or 'cnf', found {head.text!r}", head.line, head.col)
+            raise ParseError(f"expected 'fof' or 'cnf', found {head[1]!r}", head[2], head[3])
     return LeanCoPTrace(tuple(inputs), tuple(clauses), tuple(steps))
 
 

@@ -7,9 +7,9 @@ listed in `extra_vars`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from functools import partial
-from typing import Iterable, Optional
+from typing import Iterable, Iterator
 
 from .core import (
     EQ,
@@ -38,113 +38,147 @@ class ParseError(ExproofError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name", "num", "quoted", or the punctuation itself
-    text: str
-    line: int
-    col: int
+# A token is a plain tuple (kind, text, line, col).  The kind is "name",
+# "num", "quoted" or, for punctuation, the text itself; a quoted name's text
+# is what stands between its quotes.
+Token = tuple[str, str, int, int]
+
+# One alternative per token kind, tried in order at each position; a group's
+# name is the kind of the token it matches.  `name` and `num` take words that
+# start with an ASCII letter or digit (`num` none that a non-ASCII character
+# may continue); `other` takes the words they leave, for `_split_word`, and
+# single characters that start no token.
+_TPTP = re.compile(
+    r"""(?P<punct>=>|!=|[()\[\]:,.~&|!?=])
+    |(?P<name>[A-Za-z_]\w*)
+    |(?P<nl>\n)
+    |(?P<num>[0-9]+(?![0-9]|[^\x00-\x7f]))
+    |'(?P<quoted>[^']*)'
+    |%[^\n]*
+    |(?P<unterminated>')
+    |(?P<other>\w+|\S)""",
+    re.VERBOSE,
+)
 
 
-_PUNCT2 = ("=>", "!=")
-_PUNCT1 = "()[]:,.~&|!?="
+def scan(pattern: re.Pattern, text: str) -> Iterator[Token]:
+    """The tokens of `text`, one by one, under a master pattern whose named
+    groups are token kinds (`punct` for punctuation, whose kind is its
+    text).  The `nl` group counts lines; text that no named group matches is
+    skipped, as is text that matches no alternative at all, so a pattern
+    that must reject a character needs an alternative for it."""
+    line, line_start = 1, 0
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        if kind == "punct":
+            word = m.group()
+            yield (word, word, line, m.start() - line_start + 1)
+        elif kind == "name" or kind == "num" or kind == "atom":
+            yield (kind, m.group(), line, m.start() - line_start + 1)
+        elif kind == "nl":
+            line += 1
+            line_start = m.end()
+        elif kind == "quoted":
+            word = m.group(kind)
+            yield (kind, word, line, m.start() - line_start + 1)
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = m.start(kind) + word.rfind("\n") + 1
+        elif kind is not None:
+            col = m.start() - line_start + 1
+            if kind == "unterminated":
+                raise ParseError("unterminated quoted name", line, col)
+            yield from _split_word(m.group(), line, col)
+
+
+def _split_word(word: str, line: int, col: int) -> list[Token]:
+    """The tokens of a word, by the rules for any character: a name starts
+    with a letter or `_` and runs to the word's end, a number is a run of
+    digits, where letters and digits are what `str.isalpha` and
+    `str.isdigit` say (the regex classes differ); nothing else starts a
+    token."""
+    out: list[Token] = []
+    i = 0
+    while i < len(word):
+        c = word[i]
+        if c.isalpha() or c == "_":
+            out.append(("name", word[i:], line, col + i))
+            break
+        if not c.isdigit():
+            raise ParseError(f"unexpected character {c!r}", line, col + i)
+        j = i + 1
+        while j < len(word) and word[j].isdigit():
+            j += 1
+        out.append(("num", word[i:j], line, col + i))
+        i = j
+    return out
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c.isspace():
-            i, col = i + 1, col + 1
-            continue
-        if c == "%":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token(two, two, line, col))
-            i, col = i + 2, col + 2
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token(c, c, line, col))
-            i, col = i + 1, col + 1
-            continue
-        if c == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
-                raise ParseError("unterminated quoted name", line, col)
-            tokens.append(Token("quoted", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    return tokens
+    return list(scan(_TPTP, text))
+
+
+def end_token(tokens: list[Token]) -> Token:
+    """The parsers' sentinel: kind "", placed where the last token's source
+    text ends (quotes and newlines of a quoted name included)."""
+    if not tokens:
+        return ("", "", 1, 1)
+    kind, text, line, col = tokens[-1]
+    if kind == "quoted":
+        text = f"'{text}'"
+    nl = text.rfind("\n")
+    if nl < 0:
+        return ("", "", line, col + len(text))
+    return ("", "", line + text.count("\n"), len(text) - nl)
+
+
+def unexpected(tok: Token, wanted: str) -> ParseError:
+    """The error for finding `tok` where `wanted` should be."""
+    kind, text, line, col = tok
+    if not kind:
+        return ParseError("unexpected end of input", line, col)
+    return ParseError(f"expected {wanted}, found {text!r}", line, col)
 
 
 class FormulaParser:
     """Recursive-descent parser over a token list; reusable mid-stream so the
-    trace parsers can embed formulas and terms in larger statements."""
+    trace parsers can embed formulas and terms in larger statements.  The
+    list ends in `end_token`, so reading the current token never fails."""
 
-    def __init__(self, tokens: list[Token], pos: int = 0, extra_vars: Iterable[str] = ()):
-        self.tokens = tokens
-        self.pos = pos
+    def __init__(self, tokens: list[Token], extra_vars: Iterable[str] = ()):
+        self.tokens = [*tokens, end_token(tokens)]
+        self.pos = 0
         self.extra_vars = frozenset(extra_vars)
         self.bound: list[str] = []
 
     # --- token plumbing ---
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col + len(last.text))
+        tok = self.tokens[self.pos]
+        if not tok[0]:
+            raise ParseError("unexpected end of input", tok[2], tok[3])
         self.pos += 1
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise unexpected(tok, repr(kind))
+        self.pos += 1
         return tok
 
-    def _fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-            return ParseError(message, last.line, last.col + len(last.text))
-        return ParseError(f"{message}, found {tok.text!r}", tok.line, tok.col)
+    def expect_end(self) -> None:
+        """Fail unless every token has been read."""
+        kind, text, line, col = self.tokens[self.pos]
+        if kind:
+            raise ParseError(f"trailing input {text!r}", line, col)
 
     # --- grammar ---
 
     def parse_formula(self) -> Formula:
         parts = [self._parse_disj()]
-        while (tok := self.peek()) is not None and tok.kind == "=>":
-            self.next()
+        while self.tokens[self.pos][0] == "=>":
+            self.pos += 1
             parts.append(self._parse_disj())
         out = parts.pop()
         while parts:
@@ -153,118 +187,111 @@ class FormulaParser:
 
     def _parse_disj(self) -> Formula:
         out = self._parse_conj()
-        while (tok := self.peek()) is not None and tok.kind == "|":
-            self.next()
+        while self.tokens[self.pos][0] == "|":
+            self.pos += 1
             out = Or(out, self._parse_conj())
         return out
 
     def _parse_conj(self) -> Formula:
         out = self._parse_unary()
-        while (tok := self.peek()) is not None and tok.kind == "&":
-            self.next()
+        while self.tokens[self.pos][0] == "&":
+            self.pos += 1
             out = And(out, self._parse_unary())
         return out
 
     def _parse_unary(self) -> Formula:
         # prefix negations and quantifier blocks, outermost first, as the
         # constructors that wrap the formula they prefix
+        tokens = self.tokens
         prefixes: list = []
         scope = len(self.bound)
         while True:
-            tok = self.peek()
-            if tok is None:
-                raise self._fail("expected a formula")
-            if tok.kind == "~":
-                self.next()
+            kind, _text, line, col = tokens[self.pos]
+            if kind == "~":
+                self.pos += 1
                 prefixes.append(Neg)
-            elif tok.kind in ("!", "?"):
-                self.next()
-                cls = Forall if tok.kind == "!" else Exists
+            elif kind == "!" or kind == "?":
+                self.pos += 1
+                cls = Forall if kind == "!" else Exists
                 self.expect("[")
                 names = [self._var_name()]
-                while self.peek() is not None and self.peek().kind == ",":
-                    self.next()
+                while tokens[self.pos][0] == ",":
+                    self.pos += 1
                     names.append(self._var_name())
                 self.expect("]")
                 self.expect(":")
                 self.bound.extend(names)
                 prefixes += (partial(cls, name) for name in names)
-            else:
+            elif kind == "(":
+                self.pos += 1
+                out = self.parse_formula()
+                self.expect(")")
                 break
-        if tok.kind == "(":
-            self.next()
-            out = self.parse_formula()
-            self.expect(")")
-        else:
-            out = self._parse_atom()
+            elif kind:
+                out = self._parse_atom()
+                break
+            else:
+                raise ParseError("expected a formula", line, col)
         del self.bound[scope:]
         for wrap in reversed(prefixes):
             out = wrap(out)
         return out
 
     def _var_name(self) -> str:
-        tok = self.next()
-        if tok.kind != "name":
-            raise ParseError(f"expected a variable name, found {tok.text!r}", tok.line, tok.col)
-        return tok.text
+        tok = self.tokens[self.pos]
+        if tok[0] != "name":
+            raise unexpected(tok, "a variable name")
+        self.pos += 1
+        return tok[1]
 
     def _parse_atom(self) -> Formula:
-        start = self.peek()
+        start = self.tokens[self.pos]
         term = self.parse_term()
-        tok = self.peek()
-        if tok is not None and tok.kind in ("=", "!="):
-            self.next()
-            right = self.parse_term()
-            atom = Atom(EQ, (term, right))
-            return atom if tok.kind == "=" else Neg(atom)
+        kind = self.tokens[self.pos][0]
+        if kind == "=" or kind == "!=":
+            self.pos += 1
+            atom = Atom(EQ, (term, self.parse_term()))
+            return atom if kind == "=" else Neg(atom)
         if isinstance(term, Var):
-            raise ParseError(f"variable {term.name!r} used as a formula", start.line, start.col)
+            raise ParseError(f"variable {term.name!r} used as a formula", start[2], start[3])
         return Atom(term.head, term.args)
 
-    def _is_var(self, name: str) -> bool:
-        return name[0].isupper() or name[0] == "_" or name in self.bound or name in self.extra_vars
-
     def parse_term(self) -> Term:
-        tok = self.next()
-        if tok.kind == "num":
-            return App(tok.text, ())
-        if tok.kind == "quoted":
-            name = tok.text
-        elif tok.kind == "name":
-            name = tok.text
-        else:
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "(":
-            if tok.kind == "name" and self._is_var(name):
-                raise ParseError(f"variable {name!r} cannot take arguments", tok.line, tok.col)
-            self.next()
-            args = [self.parse_term()]
-            while self.peek() is not None and self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_term())
-            self.expect(")")
-            return App(name, tuple(args))
-        if tok.kind == "name" and self._is_var(name):
-            return Var(name)
-        return App(name, ())
+        tokens = self.tokens
+        kind, name, line, col = tokens[self.pos]
+        if kind == "num":
+            self.pos += 1
+            return App(name, ())
+        if kind != "name" and kind != "quoted":
+            raise unexpected(tokens[self.pos], "a term")
+        self.pos += 1
+        is_var = kind == "name" and (
+            name[0].isupper() or name[0] == "_" or name in self.bound or name in self.extra_vars
+        )
+        if tokens[self.pos][0] != "(":
+            return Var(name) if is_var else App(name, ())
+        if is_var:
+            raise ParseError(f"variable {name!r} cannot take arguments", line, col)
+        self.pos += 1
+        args = [self.parse_term()]
+        while tokens[self.pos][0] == ",":
+            self.pos += 1
+            args.append(self.parse_term())
+        self.expect(")")
+        return App(name, tuple(args))
 
 
 def parse_formula(text: str, extra_vars: Iterable[str] = ()) -> Formula:
-    parser = FormulaParser(tokenize(text), extra_vars=extra_vars)
+    parser = FormulaParser(tokenize(text), extra_vars)
     out = parser.parse_formula()
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    parser.expect_end()
     return out
 
 
 def parse_term(text: str, extra_vars: Iterable[str] = ()) -> Term:
-    parser = FormulaParser(tokenize(text), extra_vars=extra_vars)
+    parser = FormulaParser(tokenize(text), extra_vars)
     out = parser.parse_term()
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    parser.expect_end()
     return out
 
 

@@ -7,6 +7,7 @@ Everything lands on the left side of the expansion sequent.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -32,15 +33,13 @@ from .core import (
     same_formula,
 )
 from .expansion import ExpansionSequent, ExpansionTree, expand_formula, shallow
+from .notation import ParseError, Token, scan
 
 Clause = tuple[Literal, ...]
 
 
-class TraceSyntaxError(ExproofError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} at line {line}, column {col}")
-        self.line = line
-        self.col = col
+class TraceSyntaxError(ParseError):
+    """A syntax error in an s-expression trace."""
 
 
 class VeritImportError(ExproofError):
@@ -77,69 +76,31 @@ LEAF_RULES = {"input"} | set(AXIOM_RULES)
 # parsing (s-expression trace grammar)
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-        elif c.isspace():
-            i, col = i + 1, col + 1
-        elif c in "()":
-            tokens.append((c, line, col))
-            i, col = i + 1, col + 1
+_SEXP = re.compile(r"(?P<punct>[()])|(?P<atom>[^\s()]+)|(?P<nl>\n)")
+
+
+def _sexps(text: str):
+    """Each top-level s-expression of `text` with its first token.  An
+    s-expression is an atom's text or a list of s-expressions."""
+    open_lists: list[tuple[Token, list]] = []  # innermost last, with its "("
+    for tok in scan(_SEXP, text):
+        kind = tok[0]
+        if kind == "(":
+            open_lists.append((tok, []))
+            continue
+        if kind == "atom":
+            sexp = tok[1]
+        elif open_lists:
+            tok, sexp = open_lists.pop()
         else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], line, col))
-            col += j - i
-            i = j
-    return tokens
-
-
-class _SexpParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else ("", 1, 1)
-            raise TraceSyntaxError("unexpected end of input", last[1], last[2])
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str):
-        tok = self.next()
-        if tok[0] != text:
-            raise TraceSyntaxError(f"expected {text!r}, found {tok[0]!r}", tok[1], tok[2])
-        return tok
-
-    def parse_sexp(self):
-        tok = self.next()
-        if tok[0] == "(":
-            items = []
-            while True:
-                nxt = self.peek()
-                if nxt is None:
-                    raise TraceSyntaxError("unbalanced parenthesis", tok[1], tok[2])
-                if nxt[0] == ")":
-                    self.next()
-                    return items
-                items.append(self.parse_sexp())
-        if tok[0] == ")":
-            raise TraceSyntaxError("unexpected ')'", tok[1], tok[2])
-        return tok[0]
+            raise TraceSyntaxError("unexpected ')'", tok[2], tok[3])
+        if open_lists:
+            open_lists[-1][1].append(sexp)
+        else:
+            yield tok, sexp
+    if open_lists:
+        tok = open_lists[-1][0]
+        raise TraceSyntaxError("unbalanced parenthesis", tok[2], tok[3])
 
 
 def _sterm_to_term(sexp) -> Term:
@@ -160,6 +121,8 @@ def _sterm_to_literal(sexp) -> Literal:
 
 
 def _sterm_to_atom(sexp) -> Atom:
+    if sexp == EQ:
+        raise VeritImportError("'=' takes exactly two arguments")
     if isinstance(sexp, str):
         return Atom(sexp, ())
     if not sexp or not isinstance(sexp[0], str) or sexp[0] == "not":
@@ -174,23 +137,20 @@ def _sterm_to_atom(sexp) -> Atom:
 def parse_verit(text: str) -> VeritTrace:
     """Parse a trace of `(set .id (rule [:clauses (...)] :conclusion (...)))`
     steps; premise references must point at earlier steps."""
-    parser = _SexpParser(text)
     steps: list[VeritStep] = []
     seen: set[str] = set()
-    while not parser.at_end():
-        tok = parser.peek()
-        sexp = parser.parse_sexp()
+    for (_kind, _text, line, col), sexp in _sexps(text):
         if not isinstance(sexp, list) or len(sexp) != 3 or sexp[0] != "set":
-            raise TraceSyntaxError("expected a (set .id (...)) step", tok[1], tok[2])
+            raise TraceSyntaxError("expected a (set .id (...)) step", line, col)
         raw_id = sexp[1]
         if not isinstance(raw_id, str) or not raw_id.startswith("."):
-            raise TraceSyntaxError(f"step id must start with '.', found {raw_id!r}", tok[1], tok[2])
+            raise TraceSyntaxError(f"step id must start with '.', found {raw_id!r}", line, col)
         step_id = raw_id[1:]
         if step_id in seen:
-            raise TraceSyntaxError(f"duplicate step id {step_id!r}", tok[1], tok[2])
+            raise TraceSyntaxError(f"duplicate step id {step_id!r}", line, col)
         body = sexp[2]
         if not isinstance(body, list) or not body or not isinstance(body[0], str):
-            raise TraceSyntaxError("step body must be (rule ...)", tok[1], tok[2])
+            raise TraceSyntaxError("step body must be (rule ...)", line, col)
         rule = body[0]
         premises: tuple[str, ...] = ()
         conclusion: Optional[Clause] = None
@@ -200,27 +160,27 @@ def parse_verit(text: str) -> VeritTrace:
             if key == ":clauses":
                 refs = body[i + 1] if i + 1 < len(body) else None
                 if not isinstance(refs, list):
-                    raise TraceSyntaxError(":clauses needs a parenthesised list", tok[1], tok[2])
+                    raise TraceSyntaxError(":clauses needs a parenthesised list", line, col)
                 ids = []
                 for r in refs:
                     if not isinstance(r, str) or not r.startswith("."):
-                        raise TraceSyntaxError(f"bad premise reference {r!r}", tok[1], tok[2])
+                        raise TraceSyntaxError(f"bad premise reference {r!r}", line, col)
                     rid = r[1:]
                     if rid not in seen:
-                        raise TraceSyntaxError(f"dangling premise reference .{rid}", tok[1], tok[2])
+                        raise TraceSyntaxError(f"dangling premise reference .{rid}", line, col)
                     ids.append(rid)
                 premises = tuple(ids)
                 i += 2
             elif key == ":conclusion":
                 lits = body[i + 1] if i + 1 < len(body) else None
                 if not isinstance(lits, list):
-                    raise TraceSyntaxError(":conclusion needs a parenthesised list", tok[1], tok[2])
+                    raise TraceSyntaxError(":conclusion needs a parenthesised list", line, col)
                 conclusion = tuple(_sterm_to_literal(l) for l in lits)
                 i += 2
             else:
-                raise TraceSyntaxError(f"unknown step attribute {key!r}", tok[1], tok[2])
+                raise TraceSyntaxError(f"unknown step attribute {key!r}", line, col)
         if conclusion is None:
-            raise TraceSyntaxError(f"step {step_id!r} has no :conclusion", tok[1], tok[2])
+            raise TraceSyntaxError(f"step {step_id!r} has no :conclusion", line, col)
         seen.add(step_id)
         steps.append(VeritStep(step_id, rule, premises, conclusion))
     return VeritTrace(tuple(steps))

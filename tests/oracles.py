@@ -428,3 +428,93 @@ def ref_rectify(sequent):
     n = len(sequent.antecedent)
     suc = tuple(walk(f, {}, n + i) for i, f in enumerate(sequent.succedent))
     return Sequent(ant, suc), report
+
+
+# --- the character-loop tokenizers the regex scanner replaced ---
+#
+# `exproof.notation.scan` must produce what these produced, errors and their
+# locations included, except after a quoted name that spans lines: these do
+# not count its newlines.  The token values are those of the old `Token`
+# dataclass (kind, text, line, col), as a tuple; the s-expression tokens were
+# (text, line, col).
+
+_PUNCT2 = ("=>", "!=")
+_PUNCT1 = "()[]:,.~&|!?="
+
+
+def ref_tokenize(text):
+    from exproof.notation import ParseError
+
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c.isspace():
+            i, col = i + 1, col + 1
+            continue
+        if c == "%":  # comment to end of line
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        two = text[i : i + 2]
+        if two in _PUNCT2:
+            tokens.append((two, two, line, col))
+            i, col = i + 2, col + 2
+            continue
+        if c in _PUNCT1:
+            tokens.append((c, c, line, col))
+            i, col = i + 1, col + 1
+            continue
+        if c == "'":
+            j = text.find("'", i + 1)
+            if j < 0:
+                raise ParseError("unterminated quoted name", line, col)
+            tokens.append(("quoted", text[i + 1 : j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("num", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    return tokens
+
+
+def ref_sexp_tokenize(text):
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+        elif c.isspace():
+            i, col = i + 1, col + 1
+        elif c in "()":
+            tokens.append((c, line, col))
+            i, col = i + 1, col + 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            tokens.append((text[i:j], line, col))
+            col += j - i
+            i = j
+    return tokens

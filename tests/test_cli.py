@@ -62,6 +62,47 @@ def test_check_malformed_exit_two(capsys):
     assert "line" in err
 
 
+COMMANDS = [["check"], ["show"], ["show", "--deep"], ["export"], ["export", "--dot"]]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_crash_exits_two_with_its_type(capsys, monkeypatch, command):
+    def crash(path, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("exproof.cli.load_sequent", crash)
+    path = fixture("verit_propositional.proof")
+    assert main(command + [path]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"{path}: RuntimeError: boom\n"
+
+
+def _nested_term_trace(depth: int) -> str:
+    t = "a"
+    for _ in range(depth):
+        t = f"(f {t})"
+    return (
+        f"(set .c1 (input :conclusion ((p {t}))))\n"
+        f"(set .c2 (input :conclusion ((not (p {t})))))\n"
+        "(set .c3 (resolution :clauses (.c1 .c2) :conclusion ()))\n"
+    )
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_nested_term_proof_never_exits_one(tmp_path, capsys, command):
+    """A valid refutation over a term nested 300 deep.  Terms still compare,
+    hash and print by recursion, so this can run out of stack; then the
+    command must say so and exit 2, not fail with a traceback as if the
+    trace were no proof."""
+    path = tmp_path / "nested.proof"
+    path.write_text(_nested_term_trace(300), encoding="utf-8")
+    code = main(command + [str(path)])
+    err = capsys.readouterr().err
+    if code == EXIT_ERROR:
+        assert err.startswith(f"{path}: RecursionError: ") and err.count("\n") == 1
+    else:
+        assert code == EXIT_PROOF and err == ""
+
+
 @pytest.mark.parametrize(
     "content, message",
     [(None, "cannot read: No such file or directory"), (b"\xff", "not UTF-8 text at byte offset 0")],
@@ -441,6 +482,18 @@ def test_batch_reports_internal_error(tmp_path, capsys, monkeypatch, jobs):
         assert (int(pid) == os.getpid()) == (jobs == "1")
     assert summary["errors"] == summary["total"] == 4
     assert summary["imported"] == 0
+
+
+@FORKED_POOL
+def test_batch_worker_that_dies_exits_two(capsys, monkeypatch):
+    def die(es):
+        os._exit(3)
+
+    monkeypatch.setattr("exproof.cli.verdict", die)
+    assert main(["batch", "--jobs", "2", str(FIXTURES)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{FIXTURES}: BrokenProcessPool: ")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")

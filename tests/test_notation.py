@@ -1,6 +1,9 @@
+import re
+import string
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from exproof.core import (
     And,
@@ -21,8 +24,12 @@ from exproof.notation import (
     formula_text,
     parse_formula,
     parse_term,
+    scan,
     sequent_text,
+    tokenize,
 )
+from exproof.verit import _SEXP
+from oracles import ref_sexp_tokenize, ref_tokenize
 from test_core import formulas  # reuse the strategy
 
 
@@ -95,3 +102,66 @@ def test_sequent_text_empty_succedent_ends_with_turnstile():
 @given(formulas)
 def test_print_parse_roundtrip(f):
     assert parse_formula(formula_text(f)) == f
+
+
+def test_end_of_input_is_after_the_last_quoted_name():
+    # the column after the closing quote, not after the name's text
+    with pytest.raises(ParseError) as exc:
+        parse_formula("p('ab'")
+    assert str(exc.value) == "unexpected end of input at line 1, column 7"
+    with pytest.raises(ParseError) as exc:
+        parse_formula("p('a\nbc'")
+    assert (exc.value.line, exc.value.col) == (2, 4)
+    with pytest.raises(ParseError) as exc:
+        parse_formula("")
+    assert str(exc.value) == "expected a formula at line 1, column 1"
+
+
+def test_newline_in_quoted_name_counts_as_a_line():
+    with pytest.raises(ParseError) as exc:
+        parse_formula("p('a\nb') &\n  )")
+    assert str(exc.value) == "expected a term, found ')' at line 3, column 3"
+    assert tokenize("'a\nb' c") == [("quoted", "a\nb", 1, 1), ("name", "c", 2, 4)]
+
+
+def test_unicode_digits_and_letters():
+    # `str.isdigit`, not the regex `\d`, decides what a number is
+    assert tokenize("p(²)") == [("name", "p", 1, 1), ("(", "(", 1, 2), ("num", "²", 1, 3), (")", ")", 1, 4)]
+    assert parse_term("f(²)") == App("f", (const("²"),))
+    assert tokenize("12²٣x ªb") == [("num", "12²٣", 1, 1), ("name", "x", 1, 5), ("name", "ªb", 1, 7)]
+    with pytest.raises(ParseError) as exc:
+        tokenize("a ½")
+    assert str(exc.value) == "unexpected character '½' at line 1, column 3"
+
+
+# every punctuation character, quotes, comments and all kinds of space,
+# letters and digits that `str.isalpha`/`str.isdigit` and the regex classes
+# see differently, and a number that is no digit
+ALPHABET = string.punctuation + "\n\t\r \xa0²٣ª½é_" + string.ascii_letters + string.digits
+PIECES = ["fof", "cnf", "(", ")", "[", "]", ",", ".", ":", "=>", "!=", "~", "'a b'", "''", "%c\n",
+          "X", "f", "12", "²", "٣", "ª", " ", "\n", "\t", "set", ".c1", ":conclusion", "not", "="]
+texts = st.text(ALPHABET, max_size=40) | st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
+
+# quoted names and comments as the reference tokenizer reads them
+_QUOTED_OR_COMMENT = re.compile(r"%[^\n]*|'[^']*'")
+
+
+def _outcome(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+@given(texts)
+def test_tokenize_matches_reference(text):
+    # the reference counts no line inside a quoted name
+    assume(not any(m[0][0] == "'" and "\n" in m[0] for m in _QUOTED_OR_COMMENT.finditer(text)))
+    assert _outcome(tokenize, text) == _outcome(ref_tokenize, text)
+
+
+@given(texts)
+def test_sexp_scan_matches_reference(text):
+    tokens = list(scan(_SEXP, text))
+    assert [(t, line, col) for _kind, t, line, col in tokens] == ref_sexp_tokenize(text)
+    assert all(kind == (t if t in "()" else "atom") for kind, t, _l, _c in tokens)
