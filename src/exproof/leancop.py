@@ -18,7 +18,6 @@ from operator import add
 from typing import Optional, Sequence
 
 from .core import (
-    EQ,
     And,
     App,
     Atom,
@@ -38,6 +37,7 @@ from .core import (
     apply_subst,
     fold,
     free_vars,
+    match_under,
     quantifier_strengths,
     rectify,
     same_formula,
@@ -51,7 +51,7 @@ from .expansion import (
     shallow_sequent,
 )
 from .notation import FormulaParser, ParseError, Token, tokenize, unexpected
-from .verit import AxiomSchema, Clause, SchemaKind, _schema_tree, _show, make_schema, match_literals
+from .verit import AxiomSchema, Clause, SchemaKind, _schema_tree, _show, axiom_instance
 
 
 class LeanCoPImportError(ExproofError):
@@ -377,9 +377,7 @@ class ClauseMatch:
     clause_number: int
     generated: Optional[GenClause]  # None for equality-theory clauses
     schema: Optional[AxiomSchema]
-    permutation: tuple[int, ...]
     matcher: Subst
-    flips: tuple[int, ...] = ()
 
 
 def _signature(lits: Clause) -> tuple:
@@ -392,45 +390,35 @@ def _signature_distance(a: Clause, b: Clause) -> int:
     return sum(((ca - cb) + (cb - ca)).values())
 
 
-def _eq_schema_candidates(clause: Clause) -> list[AxiomSchema]:
-    """Schemas whose negated matrix could match a DNF equality-theory clause."""
-    positives = [l for l in clause if l.positive]
-    negatives = [l for l in clause if not l.positive]
-    pos_eq = [l for l in positives if l.atom.pred == EQ]
-    neg_eq = [l for l in negatives if l.atom.pred == EQ]
-    candidates: list[AxiomSchema] = []
-    # reflexivity, negated: [~(x = x)]
-    if len(clause) == 1 and len(neg_eq) == 1:
-        candidates.append(make_schema(SchemaKind.REFLEXIVITY))
-    # symmetry / transitivity / function congruence, negated:
-    # k positive equalities plus one negative equality
-    if len(neg_eq) == 1 and len(pos_eq) >= 1 and len(clause) == len(pos_eq) + 1:
-        k = len(pos_eq)
-        if k == 1:
-            candidates.append(make_schema(SchemaKind.SYMMETRY))
+def match_literals(pattern: Clause, clause: Clause) -> Optional[Subst]:
+    """The first matcher, depth first, that takes the literals of `pattern`
+    one to one onto those of `clause`, in any order.  Pattern literal i
+    tries the clause's unused literals in order, extending the bindings of
+    literals 0..i-1."""
+    n = len(pattern)
+    if len(clause) != n:
+        return None
+    used = [False] * n
+    # one entry per pattern literal matched so far, and one for the next:
+    # the clause positions left to try for it, the bindings so far, and the
+    # position the previous literal took
+    stack = [(iter(range(n)), {}, -1)]
+    while len(stack) <= n:
+        tries, bindings, _ = stack[-1]
+        pat = pattern[len(stack) - 1]
+        for j in tries:
+            if not used[j] and clause[j].positive == pat.positive:
+                extended = match_under(pat.atom, clause[j].atom, bindings)
+                if extended is not None:
+                    used[j] = True
+                    stack.append((iter(range(n)), extended, j))
+                    break
         else:
-            candidates.append(make_schema(SchemaKind.TRANSITIVITY, k))
-        lhs = neg_eq[0].atom.args[0]
-        if isinstance(lhs, App) and len(lhs.args) == k:
-            candidates.append(make_schema(SchemaKind.FN_CONGRUENCE, lhs.head, k))
-    # predicate congruence, negated: k positive equalities, p positive, p negative
-    non_eq_pos = [l for l in positives if l.atom.pred != EQ]
-    non_eq_neg = [l for l in negatives if l.atom.pred != EQ]
-    if (
-        len(non_eq_pos) == 1
-        and len(non_eq_neg) == 1
-        and non_eq_pos[0].atom.pred == non_eq_neg[0].atom.pred
-        and len(pos_eq) == len(non_eq_pos[0].atom.args) >= 1
-        and len(clause) == len(pos_eq) + 2
-    ):
-        candidates.append(
-            make_schema(SchemaKind.PRED_CONGRUENCE, non_eq_pos[0].atom.pred, len(pos_eq))
-        )
-    return candidates
-
-
-def _negated_matrix(schema: AxiomSchema) -> Clause:
-    return tuple(l.negated() for l in schema.matrix)
+            j = stack.pop()[2]
+            if not stack:
+                return None
+            used[j] = False
+    return Subst(stack[-1][1])
 
 
 def match_clauses(generated: Sequence[GenClause], trace_clauses: Sequence[TraceClause]) -> dict[int, ClauseMatch]:
@@ -453,10 +441,9 @@ def match_clauses(generated: Sequence[GenClause], trace_clauses: Sequence[TraceC
             for g in pool:
                 if _signature(g.literals) != sig:
                     continue
-                result = match_literals(g.literals, tc.literals, allow_flips=False)
-                if result is not None:
-                    matcher, perm, flips = result
-                    found = ClauseMatch(tc.number, g, None, perm, matcher, flips)
+                matcher = match_literals(g.literals, tc.literals)
+                if matcher is not None:
+                    found = ClauseMatch(tc.number, g, None, matcher)
                     break
             if found is None:
                 ranked = sorted(pool, key=lambda g: _signature_distance(g.literals, tc.literals))
@@ -466,20 +453,15 @@ def match_clauses(generated: Sequence[GenClause], trace_clauses: Sequence[TraceC
                     f"generated clause of {tc.origin_name!r}; nearest candidates: {hints}"
                 )
             matches[tc.number] = found
-        else:  # theory(equality)
-            found = None
-            for schema in _eq_schema_candidates(tc.literals):
-                result = match_literals(_negated_matrix(schema), tc.literals, allow_flips=True)
-                if result is not None:
-                    matcher, perm, flips = result
-                    found = ClauseMatch(tc.number, None, schema, perm, matcher, flips)
-                    break
-            if found is None:
+        else:  # theory(equality): the negation of an equality axiom instance
+            leaf = tuple(l.negated() for l in tc.literals)
+            inst = next(filter(None, (axiom_instance(kind, leaf) for kind in SchemaKind)), None)
+            if inst is None:
                 raise LeanCoPImportError(
                     f"equality-theory clause {tc.number} {_show(tc.literals)} matches no "
                     f"known axiom schema"
                 )
-            matches[tc.number] = found
+            matches[tc.number] = ClauseMatch(tc.number, None, inst.schema, inst.subst)
     return matches
 
 
@@ -576,8 +558,7 @@ def import_leancop(trace: LeanCoPTrace, config: ImportConfig = ImportConfig()) -
             sigma = _compose_instance(cm.generated.variables, cm.matcher, step.binding, registry)
             subs = per_formula[cm.generated.source]
         else:
-            variables = frozenset(v for l in cm.schema.matrix for v in free_vars(l))
-            sigma = _compose_instance(variables, cm.matcher, step.binding, registry)
+            sigma = _compose_instance(frozenset(cm.schema.variables), cm.matcher, step.binding, registry)
             key = (cm.schema.kind, cm.schema.param)
             _schema, subs = eq_groups.setdefault(key, (cm.schema, {}))
         if sigma:

@@ -254,6 +254,8 @@ class FormulaParser:
             return atom if kind == "=" else Neg(atom)
         if isinstance(term, Var):
             raise ParseError(f"variable {term.name!r} used as a formula", start[2], start[3])
+        if term.head == EQ and len(term.args) != 2:  # a quoted '='
+            raise ParseError("'=' takes exactly two arguments", start[2], start[3])
         return Atom(term.head, term.args)
 
     def parse_term(self) -> Term:

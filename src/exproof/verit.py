@@ -1,13 +1,14 @@
 """Import of SMT resolution-refutation traces.
 
 Only the leaves of the refutation matter: input clauses are propositional and
-expand with no substitutions, while equality-axiom leaves are matched against
-internally built quantified axiom schemas to recover the instantiations.
+expand with no substitutions, while each equality-axiom leaf is read, by
+construction, as an instance of an internally built quantified axiom schema.
 Everything lands on the left side of the expansion sequent.
 """
 from __future__ import annotations
 
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -29,7 +30,6 @@ from .core import (
     Var,
     apply_subst,
     clause_to_formula,
-    match_under,
     same_formula,
 )
 from .expansion import ExpansionSequent, ExpansionTree, expand_formula, shallow
@@ -244,150 +244,177 @@ def _close(variables: Sequence[str], matrix: Formula) -> Formula:
 
 def make_schema(kind: SchemaKind, *param) -> AxiomSchema:
     """Build a quantified equality axiom: a transitivity chain, a function or
-    predicate congruence, symmetry, or reflexivity."""
+    predicate congruence, symmetry, or reflexivity.  Its formula closes
+    `premises => conclusion`, and its matrix is that implication as a
+    clause, premises first."""
     if kind is SchemaKind.TRANSITIVITY:
         (n,) = param
         if n < 2:
             raise VeritImportError(f"transitivity chain length must be >= 2, got {n}")
-        xs = [f"x{i}" for i in range(n + 1)]
-        eqs = [Atom(EQ, (Var(xs[i]), Var(xs[i + 1]))) for i in range(n)]
-        head = Atom(EQ, (Var(xs[0]), Var(xs[n])))
-        formula = _close(xs, Imp(_conj(eqs), head))
-        matrix = tuple(Literal(e, False) for e in eqs) + (Literal(head, True),)
-        return AxiomSchema(kind, (n,), formula, matrix, tuple(xs))
-    if kind in (SchemaKind.FN_CONGRUENCE, SchemaKind.PRED_CONGRUENCE):
+        variables = [Var(f"x{i}") for i in range(n + 1)]
+        premises = [Atom(EQ, pair) for pair in zip(variables, variables[1:])]
+        conclusion = Atom(EQ, (variables[0], variables[n]))
+    elif kind in (SchemaKind.FN_CONGRUENCE, SchemaKind.PRED_CONGRUENCE):
         symbol, arity = param
         if arity < 1:
             raise VeritImportError(f"congruence arity must be >= 1, got {arity}")
-        xs = [f"x{i}" for i in range(arity)]
-        ys = [f"y{i}" for i in range(arity)]
-        eqs = [Atom(EQ, (Var(x), Var(y))) for x, y in zip(xs, ys)]
+        xs = tuple(Var(f"x{i}") for i in range(arity))
+        ys = tuple(Var(f"y{i}") for i in range(arity))
+        variables = [*xs, *ys]
+        premises = [Atom(EQ, pair) for pair in zip(xs, ys)]
         if kind is SchemaKind.FN_CONGRUENCE:
-            head = Atom(
-                EQ,
-                (App(symbol, tuple(Var(x) for x in xs)), App(symbol, tuple(Var(y) for y in ys))),
-            )
-            formula = _close(xs + ys, Imp(_conj(eqs), head))
-            matrix = tuple(Literal(e, False) for e in eqs) + (Literal(head, True),)
+            conclusion = Atom(EQ, (App(symbol, xs), App(symbol, ys)))
         else:
-            px = Atom(symbol, tuple(Var(x) for x in xs))
-            py = Atom(symbol, tuple(Var(y) for y in ys))
-            formula = _close(xs + ys, Imp(_conj(eqs + [px]), py))
-            matrix = tuple(Literal(e, False) for e in eqs) + (
-                Literal(px, False),
-                Literal(py, True),
-            )
-        return AxiomSchema(kind, tuple(param), formula, matrix, tuple(xs + ys))
-    if kind is SchemaKind.SYMMETRY:
+            premises.append(Atom(symbol, xs))
+            conclusion = Atom(symbol, ys)
+    elif kind is SchemaKind.SYMMETRY:
         x, y = Var("x0"), Var("y0")
-        formula = _close(["x0", "y0"], Imp(Atom(EQ, (x, y)), Atom(EQ, (y, x))))
-        matrix = (Literal(Atom(EQ, (x, y)), False), Literal(Atom(EQ, (y, x)), True))
-        return AxiomSchema(kind, (), formula, matrix, ("x0", "y0"))
-    if kind is SchemaKind.REFLEXIVITY:
+        variables, premises, conclusion = [x, y], [Atom(EQ, (x, y))], Atom(EQ, (y, x))
+    elif kind is SchemaKind.REFLEXIVITY:
         x = Var("x0")
-        formula = Forall("x0", Atom(EQ, (x, x)))
-        matrix = (Literal(Atom(EQ, (x, x)), True),)
-        return AxiomSchema(kind, (), formula, matrix, ("x0",))
-    raise VeritImportError(f"unknown schema kind {kind!r}")
+        variables, premises, conclusion = [x], [], Atom(EQ, (x, x))
+    else:
+        raise VeritImportError(f"unknown schema kind {kind!r}")
+    names = tuple(v.name for v in variables)
+    body = Imp(_conj(premises), conclusion) if premises else conclusion
+    matrix = tuple(Literal(a, False) for a in premises) + (Literal(conclusion, True),)
+    return AxiomSchema(kind, tuple(param), _close(names, body), matrix, names)
 
 
 # ---------------------------------------------------------------------------
-# matching leaf clauses against schema matrices
+# reading axiom instances off leaf clauses
 
 
 @dataclass(frozen=True)
 class AxiomInstance:
     schema: AxiomSchema
     subst: Subst
-    permutation: tuple[int, ...]  # pattern position -> clause index
-    flips: tuple[int, ...]  # clause indices whose equality was reoriented
+    literals: Clause  # the schema matrix under `subst`
+    flips: int  # leaf literals written opposite to their instance literal
 
 
-def _flip_atom(atom: Atom) -> Atom:
-    return Atom(EQ, (atom.args[1], atom.args[0]))
+def _flip(lit: Literal) -> Literal:
+    """An equality literal with its sides swapped; any other literal as it is."""
+    if lit.atom.pred != EQ:
+        return lit
+    left, right = lit.atom.args
+    return Literal(Atom(EQ, (right, left)), lit.positive)
 
 
-# clauses up to this many literals get an exhaustive permutation search;
-# longer ones are only matched position by position
-PERMUTATION_LIMIT = 8
-
-
-def match_literals(
-    pattern: Clause, clause: Clause, allow_flips: bool
-) -> Optional[tuple[Subst, tuple[int, ...], tuple[int, ...]]]:
-    """Match a literal pattern against a clause up to literal reordering and,
-    optionally, reorientation of equality literals."""
-    n = len(pattern)
-    if len(clause) != n:
+def _walk(edges: Sequence[tuple[Term, ...]], s: Term, t: Term) -> Optional[list[tuple[Term, int]]]:
+    """A transitivity chain: a walk x0..xn between s and t that takes each
+    equality of `edges` once, as (x_i, index of the equality taken to reach
+    it) pairs, or None if there is none.  It starts at the end whose first
+    equality comes first; where a term repeats, Hierholzer's algorithm finds
+    the walk."""
+    number: dict[Term, int] = {}  # the walk runs on term numbers
+    ends = [(number.setdefault(u, len(number)), number.setdefault(v, len(number))) for u, v in edges]
+    incident: list[list[int]] = [[] for _ in number]  # in clause order
+    for k, (u, v) in enumerate(ends):
+        incident[u].append(k)
+        incident[v].append(k)  # twice for u = v, as it adds 2 to the degree
+    a, b = number.get(s), number.get(t)
+    odd = [v for v, ks in enumerate(incident) if len(ks) % 2]
+    if a is None or b is None or odd != (sorted((a, b)) if a != b else []):
         return None
-    positional_only = n > PERMUTATION_LIMIT
+    unused = [True] * len(ends)
+    pending = [iter(ks) for ks in incident]
+    stack = [(a if incident[a][0] < incident[b][0] else b, -1)]
+    walk = []
+    while stack:
+        v = stack[-1][0]
+        for k in pending[v]:
+            if unused[k]:
+                unused[k] = False
+                u, w = ends[k]
+                stack.append((w if u == v else u, k))
+                break
+        else:
+            walk.append(stack.pop())
+    if len(walk) != len(ends) + 1:
+        return None  # the equalities are not connected
+    terms = list(number)
+    return [(terms[v], k) for v, k in reversed(walk)]
 
-    def candidates(i: int):
-        return (i,) if positional_only else range(n)
 
-    used = [False] * n
-    perm: list[int] = [0] * n
-    flips: set[int] = set()
-
-    def solve(i: int, bindings: dict) -> Optional[dict]:
-        if i == n:
-            return bindings
-        pat = pattern[i]
-        for j in candidates(i):
-            if used[j]:
-                continue
-            lit = clause[j]
-            if lit.positive != pat.positive:
-                continue
-            options = [(lit.atom, False)]
-            if allow_flips and pat.atom.pred == EQ and lit.atom.pred == EQ:
-                options.append((_flip_atom(lit.atom), True))
-            for atom, flipped in options:
-                extended = match_under(pat.atom, atom, bindings)
-                if extended is None:
-                    continue
-                used[j] = True
-                perm[i] = j
-                if flipped:
-                    flips.add(j)
-                result = solve(i + 1, extended)
-                if result is not None:
-                    return result
-                used[j] = False
-                flips.discard(j)
+def _read_instance(kind: SchemaKind, clause: Clause) -> Optional[tuple[tuple, list[Term], list[int]]]:
+    """Read a clause as an instance of the `kind` axiom up to literal order
+    and equality orientation, with no search: the schema parameter, the
+    terms for the schema's variables in their order, and the position in
+    the clause of each matrix literal; None if the clause is no instance."""
+    heads = [j for j, l in enumerate(clause) if l.positive]
+    premises = [j for j, l in enumerate(clause) if not l.positive]
+    eqs = [j for j in premises if clause[j].atom.pred == EQ]
+    sides = [clause[j].atom.args for j in eqs]
+    if len(heads) != 1:
         return None
-
-    bindings = solve(0, {})
-    if bindings is None:
+    last = heads  # positions of the matrix literals after the equalities
+    head = clause[heads[0]].atom
+    if kind is SchemaKind.PRED_CONGRUENCE:
+        others = [j for j in premises if clause[j].atom.pred != EQ]
+        if len(others) != 1 or clause[others[0]].atom.pred != head.pred or head.pred == EQ:
+            return None
+        last = others + heads
+        symbol, xs, ys = head.pred, clause[others[0]].atom.args, head.args
+    else:
+        if head.pred != EQ or len(eqs) != len(premises):
+            return None
+        s, t = head.args
+        if kind is SchemaKind.REFLEXIVITY:
+            return ((), [s], heads) if not eqs and s == t else None
+        if kind is SchemaKind.SYMMETRY:
+            ok = len(eqs) == 1 and (s, t) in (sides[0], sides[0][::-1])
+            return ((), [*sides[0]], eqs + heads) if ok else None
+        if kind is SchemaKind.TRANSITIVITY:
+            walk = _walk(sides, s, t) if len(eqs) >= 2 else None
+            if walk is None:
+                return None
+            return (len(eqs),), [v for v, _ in walk], [eqs[k] for _, k in walk[1:]] + heads
+        if type(s) is not App or type(t) is not App or s.head != t.head:
+            return None
+        symbol, xs, ys = s.head, s.args, t.args
+    # congruence: argument i changes by the first equality left on the pair
+    # {x_i, y_i}
+    if not eqs or len(eqs) != len(xs) or len(xs) != len(ys):
         return None
-    return Subst(bindings), tuple(perm), tuple(sorted(flips))
+    slots: dict[frozenset, list[int]] = defaultdict(list)
+    for j, pair in zip(reversed(eqs), reversed(sides)):  # popped in clause order
+        slots[frozenset(pair)].append(j)
+    order = []
+    for pair in zip(xs, ys):
+        slot = slots.get(frozenset(pair))
+        if not slot:
+            return None
+        order.append(slot.pop())
+    if kind is SchemaKind.FN_CONGRUENCE:
+        # a function equality reads either way: orient the instance like the
+        # first equality of the first argument that changes
+        i = next((i for i, (x, y) in enumerate(zip(xs, ys)) if x != y), None)
+        if i is not None and clause[order[i]].atom.args[0] == ys[i]:
+            xs, ys = ys, xs
+    return (symbol, len(xs)), [*xs, *ys], order + last
 
 
-def _derive_kind(kind: str, clause: Clause) -> tuple[SchemaKind, tuple]:
-    positives = [l for l in clause if l.positive]
-    negatives = [l for l in clause if not l.positive]
-    if kind == "transitivity":
-        if len(positives) != 1 or len(negatives) < 2:
-            raise VeritImportError(f"eq_transitive clause has the wrong shape: {_show(clause)}")
-        return SchemaKind.TRANSITIVITY, (len(negatives),)
-    if kind == "fn_congruence":
-        if len(positives) != 1 or positives[0].atom.pred != EQ:
-            raise VeritImportError(f"eq_congruent clause has the wrong shape: {_show(clause)}")
-        lhs = positives[0].atom.args[0]
-        if not isinstance(lhs, App) or not lhs.args:
-            raise VeritImportError(f"eq_congruent conclusion is not a function equality: {_show(clause)}")
-        return SchemaKind.FN_CONGRUENCE, (lhs.head, len(lhs.args))
-    if kind == "pred_congruence":
-        non_eq_pos = [l for l in positives if l.atom.pred != EQ]
-        if len(non_eq_pos) != 1 or not non_eq_pos[0].atom.args:
-            raise VeritImportError(f"eq_congruent_pred clause has the wrong shape: {_show(clause)}")
-        atom = non_eq_pos[0].atom
-        return SchemaKind.PRED_CONGRUENCE, (atom.pred, len(atom.args))
-    if kind == "reflexivity":
-        if len(clause) != 1 or not clause[0].positive or clause[0].atom.pred != EQ:
-            raise VeritImportError(f"eq_reflexive clause has the wrong shape: {_show(clause)}")
-        return SchemaKind.REFLEXIVITY, ()
-    raise VeritImportError(f"unknown axiom kind {kind!r}")
+def axiom_instance(kind: SchemaKind, clause: Clause) -> Optional[AxiomInstance]:
+    """The instance of the `kind` equality axiom that `clause` states, with
+    its premises negative and its conclusion positive, or None if the
+    clause states none."""
+    read = _read_instance(kind, clause)
+    if read is None:
+        return None
+    param, terms, order = read
+    schema = make_schema(kind, *param)
+    subst = Subst(dict(zip(schema.variables, terms)))
+    literals = tuple(apply_subst(l, subst) for l in schema.matrix)
+    # the instance must be the leaf up to literal order and orientation
+    flips = [lit != clause[j] for lit, j in zip(literals, order)]
+    if (
+        len(literals) != len(clause)
+        or sorted(order) != list(range(len(clause)))
+        or any(lit != _flip(clause[j]) for lit, j, flip in zip(literals, order, flips) if flip)
+    ):
+        raise InvariantError(f"the {kind.value} instance {_show(literals)} is not the leaf {_show(clause)}")
+    return AxiomInstance(schema, subst, literals, sum(flips))
 
 
 def _show(clause: Clause) -> str:
@@ -395,27 +422,12 @@ def _show(clause: Clause) -> str:
 
 
 def match_axiom_instance(kind: str, clause: Clause) -> AxiomInstance:
-    """Recover the substitution instantiating an equality axiom schema from a
-    leaf clause, searching literal permutations and orientation flips."""
-    schema_kind, param = _derive_kind(kind, clause)
-    schema = make_schema(schema_kind, *param)
-    result = match_literals(schema.matrix, clause, allow_flips=True)
-    if result is None:
+    """The instance of an equality axiom schema that a leaf clause of the
+    given kind states."""
+    inst = axiom_instance(SchemaKind(kind), clause)
+    if inst is None:
         raise VeritImportError(f"cannot match {kind} axiom against clause {_show(clause)}")
-    subst, perm, flips = result
-    _verify_instance(schema, subst, perm, flips, clause)
-    return AxiomInstance(schema, subst, perm, flips)
-
-
-def _verify_instance(schema, subst, perm, flips, clause) -> None:
-    for i, pat in enumerate(schema.matrix):
-        target = clause[perm[i]]
-        atom = _flip_atom(target.atom) if perm[i] in flips else target.atom
-        got = apply_subst(pat.atom, subst)
-        if got != atom or pat.positive != target.positive:
-            raise InvariantError(
-                f"axiom instance verification failed: {pat} under {subst} is {got}, wanted {atom}"
-            )
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +464,10 @@ def import_verit(trace: VeritTrace) -> tuple[ExpansionSequent, dict]:
     """Build the left-side-only expansion sequent of a refutation trace.
 
     The antecedent holds one propositional tree per input clause, one tree
-    per equality axiom schema carrying all its collected instances, and a
-    reflexivity tree computed separately (reflexivity is implicit in the
-    trace); the succedent is empty.
+    per equality axiom schema carrying all its collected instances, a
+    symmetry tree for the equalities that occur in both orientations, and a
+    reflexivity tree computed separately (symmetry and reflexivity are
+    implicit in the trace); the succedent is empty.
     """
     if not trace.steps:
         raise VeritImportError("empty trace")
@@ -466,33 +479,34 @@ def import_verit(trace: VeritTrace) -> tuple[ExpansionSequent, dict]:
             raise VeritImportError("input step with an empty clause")
         antecedent.append(expand_formula(clause_to_formula(clause), (), Polarity.NEG))
 
-    # group axiom instances by schema, keeping first-use order
+    # one tree per schema, its instances in first-use order; reflexivity
+    # goes into the separately computed reflexivity tree
     groups: dict[tuple, tuple[AxiomSchema, dict[Subst, None]]] = {}
-    flips_total = 0
-    instance_counts: dict[str, int] = {}
+    flips = 0
+    sides = dict.fromkeys(l.atom.args for c in inputs for l in c if l.atom.pred == EQ)
     for kind, clause in axioms:
         inst = match_axiom_instance(kind, clause)
-        flips_total += len(inst.flips)
-        instance_counts[kind] = instance_counts.get(kind, 0) + 1
-        key = (inst.schema.kind, inst.schema.param)
-        schema, subs = groups.setdefault(key, (inst.schema, {}))
-        subs[inst.subst] = None  # a dict keeps first-use order
+        flips += inst.flips
+        sides.update(dict.fromkeys(l.atom.args for l in inst.literals if l.atom.pred == EQ))
+        if inst.schema.kind is not SchemaKind.REFLEXIVITY:
+            _schema, subs = groups.setdefault((inst.schema.kind, inst.schema.param), (inst.schema, {}))
+            subs[inst.subst] = None  # a dict keeps first-use order
+    antecedent += [_schema_tree(schema, subs) for schema, subs in groups.values()]
+
+    # the trace resolves modulo symmetry: tie s = t to t = s wherever the
+    # deep sequent holds both
+    symmetric = [Subst({"x0": s, "y0": t}) for s, t in sides if s != t and (t, s) in sides]
+    if symmetric:
+        antecedent.append(_schema_tree(make_schema(SchemaKind.SYMMETRY), symmetric))
 
     refl_terms = _reflexivity_instances(inputs, axioms)
-
-    for (kind, _param), (schema, subs) in groups.items():
-        if kind is SchemaKind.REFLEXIVITY:
-            continue  # folded into the separately computed reflexivity tree
-        antecedent.append(_schema_tree(schema, subs))
-
     if refl_terms:
-        schema = make_schema(SchemaKind.REFLEXIVITY)
         subs = [Subst({"x0": t}) for t in refl_terms]
-        antecedent.append(_schema_tree(schema, subs))
+        antecedent.append(_schema_tree(make_schema(SchemaKind.REFLEXIVITY), subs))
 
     report = {
-        "schema_instances": instance_counts,
-        "flips": flips_total,
+        "schema_instances": dict(Counter(kind for kind, _ in axioms)),
+        "flips": flips,
         "reflexivity_terms": [str(t) for t in refl_terms],
     }
     return ExpansionSequent(tuple(antecedent), ()), report

@@ -518,3 +518,75 @@ def ref_sexp_tokenize(text):
             col += j - i
             i = j
     return tokens
+
+
+# --- literal matching up to order and equality orientation ---
+#
+# The backtracking search the importers used before they read equality
+# instances off the clause directly.  It keeps its capped length and its
+# recursion; tests only call it on short clauses.
+
+
+def _ref_match(p, t, bindings):
+    """One-sided matching of a term or atom; extends a copy of `bindings`."""
+    if isinstance(p, Var):
+        if p.name in bindings:
+            return bindings if bindings[p.name] == t else None
+        return {**bindings, p.name: t}
+    if type(p) is not type(t) or len(p.args) != len(t.args):
+        return None
+    if (p.head if isinstance(p, App) else p.pred) != (t.head if isinstance(t, App) else t.pred):
+        return None
+    for pa, ta in zip(p.args, t.args):
+        bindings = _ref_match(pa, ta, bindings)
+        if bindings is None:
+            return None
+    return bindings
+
+
+REF_PERMUTATION_LIMIT = 8
+
+
+def ref_match_literals(pattern, clause, allow_flips):
+    """(bindings, permutation, flipped clause positions) of the first match,
+    depth first, of the pattern literals onto the clause literals in any
+    order, or None.  Pattern literal i tries clause literals in order, each
+    as written and then, with `allow_flips`, with an equality's sides
+    swapped.  Beyond the limit only position i is tried for literal i."""
+    n = len(pattern)
+    if len(clause) != n:
+        return None
+    used = [False] * n
+    perm = [0] * n
+    flips = set()
+
+    def solve(i, bindings):
+        if i == n:
+            return bindings
+        pat = pattern[i]
+        for j in (i,) if n > REF_PERMUTATION_LIMIT else range(n):
+            lit = clause[j]
+            if used[j] or lit.positive != pat.positive:
+                continue
+            options = [(lit.atom, False)]
+            if allow_flips and pat.atom.pred == "=" and lit.atom.pred == "=":
+                options.append((Atom("=", lit.atom.args[::-1]), True))
+            for atom, flipped in options:
+                extended = _ref_match(pat.atom, atom, bindings)
+                if extended is None:
+                    continue
+                used[j] = True
+                perm[i] = j
+                if flipped:
+                    flips.add(j)
+                result = solve(i + 1, extended)
+                if result is not None:
+                    return result
+                used[j] = False
+                flips.discard(j)
+        return None
+
+    bindings = solve(0, {})
+    if bindings is None:
+        return None
+    return bindings, tuple(perm), tuple(sorted(flips))

@@ -6,6 +6,7 @@ import json
 import random
 import shutil
 import time
+from collections import Counter
 
 from conftest import FIXTURES
 from exproof.check import (
@@ -187,11 +188,9 @@ def test_criterion_5_leancop_pipeline():
         for number, m in matches.items():
             if m.generated is None:
                 continue
-            target = by_number[number]
-            for i, lit in enumerate(m.generated.literals):
-                got = apply_subst(lit.atom, m.matcher)
-                want = target.literals[m.permutation[i]]
-                assert got == want.atom and lit.positive == want.positive
+            # the matcher reproduces the trace clause as a multiset
+            got = Counter(apply_subst(lit, m.matcher) for lit in m.generated.literals)
+            assert got == Counter(by_number[number].literals)
 
     # the skolem fixture: one eigenvariable per strong quantifier, acyclic edge
     es, report = import_leancop(parse_leancop((FIXTURES / "leancop_skolem.proof").read_text()))

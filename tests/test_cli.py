@@ -261,6 +261,38 @@ def test_long_transitivity_chain_is_a_proof(tmp_path, capsys):
     assert capsys.readouterr().out.count(" -> ") > 1599
 
 
+def _single_leaf_chain(n: int, rng: Optional[random.Random] = None, positive_first: bool = False) -> str:
+    """A refutation of a0 = a1, ..., a{n-1} = a{n} and ~(a0 = a{n}) by one
+    eq_transitive leaf with all n links.  With `rng` the leaf's literals are
+    shuffled and each equality is written either way round."""
+    lines = [f"(set .i{k} (input :conclusion ((= a{k} a{k + 1}))))" for k in range(n)]
+    lines.append(f"(set .g (input :conclusion ((not (= a0 a{n})))))")
+    sides = [(f"a{k}", f"a{k + 1}", "not") for k in range(n)] + [("a0", f"a{n}", "")]
+    if positive_first:
+        sides.insert(0, sides.pop())
+    if rng is not None:
+        rng.shuffle(sides)
+        sides = [(t, s, sign) if rng.random() < 0.5 else (s, t, sign) for s, t, sign in sides]
+    leaf = " ".join(f"({sign} (= {s} {t}))" if sign else f"(= {s} {t})" for s, t, sign in sides)
+    lines.append(f"(set .t (eq_transitive :conclusion ({leaf})))")
+    lines.append("(set .end (resolution :clauses (.t .g) :conclusion ()))")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "n, seed, positive_first",
+    [(8, None, True), (30, 1, False), (30, 2, False), (300, 3, False)],
+)
+def test_single_transitivity_leaf_is_a_proof(tmp_path, capsys, n, seed, positive_first):
+    # past eight literals the leaf used to be matched position by position
+    # only, so the first three exited 2 with "cannot match"
+    path = tmp_path / "leaf.proof"
+    rng = None if seed is None else random.Random(seed)
+    path.write_text(_single_leaf_chain(n, rng, positive_first), encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_PROOF
+    assert json.loads(capsys.readouterr().out)["is_proof"] is True
+
+
 # formulas nested three times deeper than CPython's default recursion limit
 DEEP = 3000
 
@@ -320,21 +352,31 @@ def test_import_invariant_raises_exproof_error(monkeypatch, module, name):
         load_sequent(fixture(name), RunConfig("check", ()))
 
 
-def test_import_invariant_holds_under_optimisation():
+def _raises_invariant_error_under_optimisation(patch: str, name: str) -> bool:
     # `python -O` strips assert statements; the invariants must still run
     code = (
-        "import exproof.leancop as m\n"
+        f"{patch}\n"
         "from exproof.cli import RunConfig, load_sequent\n"
         "from exproof.core import Atom, InvariantError\n"
-        "m.shallow = lambda tree, polarity: Atom('drifted')\n"
         "try:\n"
-        f"    load_sequent({fixture('leancop_simple.proof')!r}, RunConfig('check', ()))\n"
+        f"    load_sequent({fixture(name)!r}, RunConfig('check', ()))\n"
         "except InvariantError:\n"
         "    print('raised')\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout == "raised\n"
+    return out.stdout == "raised\n"
+
+
+def test_import_invariant_holds_under_optimisation():
+    patch = "import exproof.leancop as m; m.shallow = lambda tree, polarity: Atom('drifted')"
+    assert _raises_invariant_error_under_optimisation(patch, "leancop_simple.proof")
+
+
+def test_instance_invariant_holds_under_optimisation():
+    # an instance read wrongly off its leaf: every x_i is the chain's start
+    patch = "import exproof.verit as m; m._walk = lambda edges, s, t: [(s, k) for k in range(-1, len(edges))]"
+    assert _raises_invariant_error_under_optimisation(patch, "verit_transitivity.proof")
 
 
 # --- batch ---

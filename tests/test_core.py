@@ -262,7 +262,7 @@ def test_apply_subst_does_not_touch_bound_occurrences():
 
 def test_match_positional():
     # the atoms of X = Y & Y = Z => X = Z, matched in turn, each extending the
-    # bindings of the ones before, as `verit.match_literals` does
+    # bindings of the ones before, as `leancop.match_literals` does
     X, Y, Z = Var("X"), Var("Y"), Var("Z")
     a, b, c = const("a"), const("b"), const("c")
     bindings = {}

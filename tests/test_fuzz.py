@@ -1,7 +1,11 @@
 """Fuzzing of the trace parsers and of the whole check: on any text, parsing,
 import and the verdict return or raise `ExproofError`, and nothing else."""
+import importlib.util
+import random
 import re
 import string
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -15,6 +19,30 @@ from exproof.leancop import parse_leancop
 from exproof.verit import parse_verit
 
 FIXTURE_TEXTS = {p.name: p.read_text(encoding="utf-8") for p in sorted(FIXTURES.iterdir())}
+
+
+def _load_gen():
+    """The benchmark's trace generators, `bench/gen.py`."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return gen
+
+
+# small generated traces: transitivity leaves with reordered and flipped
+# literals, and connection proofs with Skolem terms and bindings
+_gen = _load_gen()
+GENERATED_TEXTS = [
+    trace.text
+    for seed in range(3)
+    for trace in (
+        _gen.verit_chain(random.Random(seed), 5, "chain.proof"),
+        _gen.leancop_chain(random.Random(seed), 5, "eigenchain.proof"),
+    )
+]
 
 # a source token of either format, a quoted name, or a run of space
 _PIECE = re.compile(r"'[^']*'|\w+|\s+|[^\w\s]")
@@ -35,13 +63,17 @@ def _mutate(text: str, op: str, i: int, j: int) -> str:
     return "".join(pieces)
 
 
-mutants = st.builds(
-    _mutate,
-    st.sampled_from(sorted(FIXTURE_TEXTS.values())),
-    st.sampled_from(["delete", "duplicate", "swap"]),
-    st.integers(0, 500),
-    st.integers(0, 500),
-)
+def mutants_of(sources):
+    return st.builds(
+        _mutate,
+        st.sampled_from(sources),
+        st.sampled_from(["delete", "duplicate", "swap"]),
+        st.integers(0, 500),
+        st.integers(0, 500),
+    )
+
+
+mutants = mutants_of(sorted(FIXTURE_TEXTS.values()))
 PIECES = ["fof(", "cnf(", "(set .c", " (input :conclusion (", "(not ", "(= ", "eq_transitive", ":clauses (",
           "axiom", "conjecture", "clausify(", "start(", "extension(", "bind([X], [a])", "![X]:", "?[Y]:",
           "(", ")", "[", "]", ",", ".", "~", "&", "|", "=>", "=", "!=", "p(X)", "f(a)", "'q'", "1", "²", " ", "\n"]
@@ -74,6 +106,14 @@ def trace_path(tmp_path_factory):
 @settings(max_examples=150)
 @given(text=texts)
 def test_check_returns_or_rejects(trace_path, text):
+    trace_path.write_text(text, encoding="utf-8")
+    config = RunConfig("check", (str(trace_path),))
+    _returns_or_rejects(lambda: verdict(load_sequent(str(trace_path), config)[0]))
+
+
+@settings(max_examples=150)
+@given(text=mutants_of(GENERATED_TEXTS))
+def test_mutated_generated_traces_return_or_reject(trace_path, text):
     trace_path.write_text(text, encoding="utf-8")
     config = RunConfig("check", (str(trace_path),))
     _returns_or_rejects(lambda: verdict(load_sequent(str(trace_path), config)[0]))

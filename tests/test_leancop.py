@@ -1,4 +1,9 @@
+import random
+from collections import Counter
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import FIXTURES
 from exproof.check import dependency_relation, verdict
@@ -9,6 +14,7 @@ from exproof.leancop import (
     ImportConfig,
     LeanCoPImportError,
     SkolemRegistry,
+    TraceClause,
     definitional_dnf,
     import_leancop,
     match_clauses,
@@ -16,6 +22,7 @@ from exproof.leancop import (
 )
 from exproof.notation import ParseError, parse_formula, sequent_text
 from exproof.verit import SchemaKind
+from oracles import ref_match_literals
 
 a, b, c = const("a"), const("b"), const("c")
 
@@ -86,6 +93,9 @@ def test_parse_errors():
     with pytest.raises(ParseError, match="duplicate input") as excinfo:
         parse_leancop("fof(ax, axiom, p).\nfof(bx, axiom, p).\nfof(ax, axiom, q).")
     assert (excinfo.value.line, excinfo.value.col) == (3, 1)
+    with pytest.raises(ParseError, match="'=' takes exactly two arguments") as excinfo:
+        parse_leancop("fof(a, axiom, '='(b,c,d)).")
+    assert (excinfo.value.line, excinfo.value.col) == (1, 15)
 
 
 # --- skolem handling ---
@@ -184,13 +194,44 @@ def test_match_reordering_tolerance():
         )
     ]
     trace = parse_leancop("cnf(1, plain, [r(Y2), q(Y2)], clausify(conj)).")
-    m = matches = match_clauses(gen, trace.clauses)[1]
-    assert m.permutation == (1, 0)
+    m = match_clauses(gen, trace.clauses)[1]
     assert m.matcher == Subst({"Y": Var("Y2")})
-    # reapplying the matcher reproduces the trace clause
-    for i, lit in enumerate(gen[0].literals):
-        target = trace.clauses[0].literals[m.permutation[i]]
-        assert apply_subst(lit.atom, m.matcher) == target.atom
+    # reapplying the matcher reproduces the trace clause as a multiset
+    assert Counter(apply_subst(l, m.matcher) for l in gen[0].literals) == Counter(trace.clauses[0].literals)
+
+
+PATTERN_TERMS = [Var("X"), Var("Y"), Var("Z"), a, b, App("f", (Var("X"),))]
+TRACE_TERMS = [Var("X1"), Var("Y1"), a, b, App("f", (Var("X1"),))]
+
+
+@st.composite
+def clause_pairs(draw):
+    """A pattern clause of up to 8 literals and a trace clause: the pattern
+    under a substitution, shuffled, and half the time with one literal
+    replaced."""
+    def literal():
+        pred, arity = draw(st.sampled_from([("p", 1), ("q", 2), ("r", 1)]))
+        args = tuple(draw(st.sampled_from(PATTERN_TERMS)) for _ in range(arity))
+        return Literal(Atom(pred, args), draw(st.booleans()))
+
+    pattern = tuple(literal() for _ in range(draw(st.integers(0, 8))))
+    sigma = Subst({v: draw(st.sampled_from(TRACE_TERMS)) for v in "XYZ"})
+    clause = draw(st.permutations([apply_subst(l, sigma) for l in pattern]))
+    if clause and draw(st.booleans()):
+        clause[draw(st.integers(0, len(clause) - 1))] = literal()
+    return pattern, tuple(clause)
+
+
+@settings(max_examples=300)
+@given(clause_pairs())
+def test_clause_matching_agrees_with_the_reference_search(pair):
+    pattern, clause = pair
+    expected = ref_match_literals(pattern, clause, allow_flips=False)
+    try:
+        got = match_clauses([GenClause(pattern, "ax")], [TraceClause(1, clause, "clausify", "ax")])[1].matcher
+    except LeanCoPImportError:
+        got = None
+    assert got == (None if expected is None else Subst(expected[0]))
 
 
 def test_match_signature_mismatch_reports_candidates():
@@ -210,6 +251,14 @@ def test_match_equality_theory_clause():
     trace2 = parse_leancop("cnf(2, plain, [X1 = X2, ~(X2 = X1)], theory(equality)).")
     m2 = match_clauses([], trace2.clauses)[2]
     assert m2.schema.kind is SchemaKind.SYMMETRY
+    assert m2.matcher == Subst({"x0": Var("X1"), "y0": Var("X2")})
+    # ten literals, shuffled and flipped: past the old search's reach
+    lits = [f"X{i + 1} = X{i}" if i % 2 else f"X{i} = X{i + 1}" for i in range(1, 10)] + ["~(X10 = X1)"]
+    random.Random(9).shuffle(lits)
+    trace3 = parse_leancop(f"cnf(3, plain, [{', '.join(lits)}], theory(equality)).")
+    m3 = match_clauses([], trace3.clauses)[3]
+    assert (m3.schema.kind, m3.schema.param) == (SchemaKind.TRANSITIVITY, (9,))
+    assert {m3.matcher["x0"], m3.matcher["x9"]} == {Var("X1"), Var("X10")}
 
 
 def test_match_unknown_equality_shape():

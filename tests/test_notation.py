@@ -52,6 +52,14 @@ def test_parse_equality_and_disequality():
     assert parse_formula("a != b") == Neg(eq(const("a"), const("b")))
 
 
+def test_quoted_equality_is_the_equality_atom():
+    assert parse_formula("'='(b, c)") == parse_formula("b = c")
+    for text, col in (("'='(b, c, d)", 1), ("'='", 1), ("p & '='(a)", 5)):
+        with pytest.raises(ParseError, match="'=' takes exactly two arguments") as exc:
+            parse_formula(text)
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+
 def test_parse_multi_variable_binder():
     f = parse_formula("![X, Y]: q(X, Y)")
     assert f == Forall("X", Forall("Y", Atom("q", (Var("X"), Var("Y")))))

@@ -1,21 +1,28 @@
+import random
+from collections import Counter
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import FIXTURES
 from exproof.check import verdict
-from exproof.core import App, Atom, Literal, Var, const, eq
+from exproof.core import App, Atom, InvariantError, Literal, Subst, apply_subst, const, eq
 from exproof.expansion import ExpansionSequent, shallow_sequent
 from exproof.notation import parse_formula
 from exproof.verit import (
+    AXIOM_RULES,
     SchemaKind,
     TraceSyntaxError,
     VeritImportError,
+    axiom_instance,
     import_verit,
     leaf_clauses,
     make_schema,
     match_axiom_instance,
-    match_literals,
     parse_verit,
 )
+from oracles import ref_match_literals
 
 a, b, c = const("a"), const("b"), const("c")
 
@@ -154,7 +161,7 @@ def test_match_transitivity_positional():
     clause = (Literal(eq(a, b), False), Literal(eq(b, c), False), Literal(eq(a, c)))
     inst = match_axiom_instance("transitivity", clause)
     assert dict(inst.subst.items()) == {"x0": a, "x1": b, "x2": c}
-    assert inst.flips == ()
+    assert inst.flips == 0
 
 
 def test_match_congruence():
@@ -167,14 +174,15 @@ def test_match_with_orientation_flip():
     clause = (Literal(eq(b, a), False), Literal(eq(b, c), False), Literal(eq(a, c)))
     inst = match_axiom_instance("transitivity", clause)
     assert dict(inst.subst.items()) == {"x0": a, "x1": b, "x2": c}
-    assert inst.flips == (0,)
+    assert inst.flips == 1
 
 
 def test_match_with_literal_permutation():
     clause = (Literal(eq(a, c)), Literal(eq(a, b), False), Literal(eq(b, c), False))
     inst = match_axiom_instance("transitivity", clause)
     assert dict(inst.subst.items()) == {"x0": a, "x1": b, "x2": c}
-    assert inst.permutation == (1, 2, 0)
+    # the matcher reproduces the leaf clause as a multiset
+    assert Counter(apply_subst(l, inst.subst) for l in inst.schema.matrix) == Counter(clause)
 
 
 def test_match_failure_is_import_error():
@@ -183,19 +191,201 @@ def test_match_failure_is_import_error():
         match_axiom_instance("transitivity", clause)
 
 
-def test_match_literals_greedy_beyond_bound():
-    pattern = tuple(Literal(eq(Var(f"x{i}"), Var(f"x{i+1}")), False) for i in range(9)) + (
-        Literal(eq(Var("x0"), Var("x9"))),
+def _unoriented(lit: Literal) -> tuple:
+    args = frozenset(lit.atom.args) if lit.atom.pred == "=" else lit.atom.args
+    return lit.positive, lit.atom.pred, args
+
+
+def _chain(n: int, prefix: str = "t"):
+    """The terms t0..tn and the transitivity leaf from t0 to tn, in order."""
+    names = [const(f"{prefix}{i}") for i in range(n + 1)]
+    clause = tuple(Literal(eq(names[i], names[i + 1]), False) for i in range(n)) + (
+        Literal(eq(names[0], names[n])),
     )
-    names = [const(f"t{i}") for i in range(10)]
-    clause = tuple(Literal(eq(names[i], names[i + 1]), False) for i in range(9)) + (
-        Literal(eq(names[0], names[9])),
-    )
-    result = match_literals(pattern, clause, allow_flips=True)
-    assert result is not None
-    # same clause shuffled is out of reach for the positional fallback
+    return names, clause
+
+
+def test_shuffled_ten_literal_leaf_matches():
+    names, clause = _chain(9)
     shuffled = clause[::-1]
-    assert match_literals(pattern, shuffled, allow_flips=True) is None
+    rng = random.Random(10)
+    for leaf in (clause, shuffled, tuple(rng.sample(clause, len(clause)))):
+        inst = match_axiom_instance("transitivity", leaf)
+        assert Counter(map(_unoriented, inst.literals)) == Counter(map(_unoriented, leaf))
+        # the walk starts at the end whose first equality comes first
+        ends = (names[0], names[9])
+        start = min(ends, key=lambda e: next(j for j, l in enumerate(leaf) if not l.positive and e in l.atom.args))
+        assert inst.subst["x0"] == start
+        assert inst.flips == (0 if start == names[0] else 10)
+
+
+@pytest.mark.parametrize("kind, clause", [
+    ("transitivity", (Literal(eq(a, b), False), Literal(eq(b, a), False), Literal(eq(a, a)))),
+    ("transitivity", (Literal(eq(a, b), False), Literal(eq(c, c), False), Literal(eq(b, c), False), Literal(eq(a, c)))),
+    ("fn_congruence", (Literal(eq(b, a), False), Literal(eq(a, b), False),
+                       Literal(eq(App("f", (a, b)), App("f", (b, a)))))),
+    ("pred_congruence", (Literal(eq(a, b), False), Literal(eq(a, b), False), Literal(Atom("p", (a, b))),
+                         Literal(Atom("p", (b, a)), False))),
+])
+def test_match_through_repeated_terms(kind, clause):
+    inst = match_axiom_instance(kind, clause)
+    assert Counter(map(_unoriented, inst.literals)) == Counter(map(_unoriented, clause))
+
+
+@pytest.mark.parametrize("kind, clause", [
+    ("transitivity", (Literal(eq(a, b), False), Literal(eq(c, c), False), Literal(eq(a, b)))),
+    ("transitivity", (Literal(eq(a, b), False), Literal(eq(b, c), False), Literal(eq(a, c), False),
+                      Literal(eq(a, c)))),
+    ("transitivity", (Literal(eq(a, b), False), Literal(eq(b, c), False))),
+    ("transitivity", (Literal(eq(a, b), False), Literal(eq(b, a), False), Literal(eq(a, c)))),
+    ("transitivity", (Literal(eq(a, b), False), Literal(eq(b, a), False), Literal(eq(c, a)))),
+    ("fn_congruence", (Literal(eq(a, b), False), Literal(eq(App("f", (a, a)), App("f", (b, b)))))),
+    ("fn_congruence", (Literal(eq(a, b), False), Literal(eq(App("f", (a,)), App("g", (b,)))))),
+    ("pred_congruence", (Literal(eq(a, c), False), Literal(Atom("p", (a,)), False), Literal(Atom("p", (b,))))),
+    ("reflexivity", (Literal(eq(a, b)),)),
+])
+def test_non_instances_are_import_errors(kind, clause):
+    with pytest.raises(VeritImportError, match="cannot match"):
+        match_axiom_instance(kind, clause)
+
+
+def test_instance_that_is_not_the_leaf_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr("exproof.verit._walk", lambda edges, s, t: [(t, -1), (s, 0), (s, 1)])
+    clause = (Literal(eq(a, b), False), Literal(eq(b, c), False), Literal(eq(a, c)))
+    with pytest.raises(InvariantError, match="is not the leaf"):
+        match_axiom_instance("transitivity", clause)
+
+
+def test_ten_thousand_link_leaf_is_read_in_one_pass():
+    names, clause = _chain(10_000)
+    leaf = tuple(random.Random(4).sample(clause, len(clause)))
+    inst = match_axiom_instance("transitivity", leaf)
+    assert {inst.subst["x0"], inst.subst["x10000"]} == {names[0], names[-1]}
+    assert Counter(map(_unoriented, inst.literals)) == Counter(map(_unoriented, leaf))
+
+
+# --- instances read off disguised leaves ---
+
+POOL = [const(f"c{i}") for i in range(4)] + [App("g", (const("c0"),)), App("g", (App("g", (const("c1"),)),))]
+RULES = {kind: rule for rule, kind in AXIOM_RULES.items()}
+
+
+@st.composite
+def instances(draw, max_literals: int = 30, simple_chains: bool = False):
+    """A leaf kind and an instance of its axiom, premises first, over terms
+    that repeat; with `simple_chains` a transitivity chain repeats none."""
+    kind = draw(st.sampled_from(sorted(RULES)))
+    term = st.sampled_from(POOL)
+    if kind == "reflexivity":
+        t = draw(term)
+        return kind, (Literal(eq(t, t)),)
+    if kind == "transitivity":
+        chain = st.permutations(POOL + [const(f"d{i}") for i in range(3)]) if simple_chains else st.lists(term, min_size=30)
+        xs = draw(chain)[: draw(st.integers(3, max_literals))]
+        return kind, tuple(Literal(eq(x, y), False) for x, y in zip(xs, xs[1:])) + (Literal(eq(xs[0], xs[-1])),)
+    k = draw(st.integers(1, max_literals - (1 if kind == "fn_congruence" else 2)))
+    xs, ys = (tuple(draw(st.lists(term, min_size=k, max_size=k))) for _ in range(2))
+    premises = tuple(Literal(eq(x, y), False) for x, y in zip(xs, ys))
+    if kind == "fn_congruence":
+        return kind, premises + (Literal(eq(App("f", xs), App("f", ys))),)
+    return kind, premises + (Literal(Atom("p", xs), False), Literal(Atom("p", ys)))
+
+
+def _disguise(draw, literals):
+    """The literals shuffled, each equality written either way round."""
+    out = []
+    for lit in draw(st.permutations(literals)):
+        if lit.atom.pred == "=" and draw(st.booleans()):
+            lit = Literal(eq(*lit.atom.args[::-1]), lit.positive)
+        out.append(lit)
+    return tuple(out)
+
+
+def _sexp(t) -> str:
+    return f"({t.head} {' '.join(map(_sexp, t.args))})" if t.args else t.head
+
+
+def _literal_sexp(lit: Literal) -> str:
+    atom = _sexp(App(lit.atom.pred, lit.atom.args))
+    return atom if lit.positive else f"(not {atom})"
+
+
+@settings(max_examples=150)
+@given(instances(), st.data())
+def test_disguised_instances_import_as_proofs(instance, data):
+    # the inputs refute the instance, and are themselves written either way
+    kind, literals = instance
+    inputs = _disguise(data.draw, tuple(l.negated() for l in literals))
+    lines = [f"(set .i{k} (input :conclusion ({_literal_sexp(l)})))" for k, l in enumerate(inputs)]
+    leaf = " ".join(map(_literal_sexp, _disguise(data.draw, literals)))
+    lines.append(f"(set .t ({RULES[kind]} :conclusion ({leaf})))")
+    es, report = import_verit(parse_verit("\n".join(lines)))
+    assert report["schema_instances"] == {kind: 1}
+    assert verdict(es).is_proof
+
+
+@settings(max_examples=200)
+@given(instances(max_literals=6, simple_chains=True), st.data())
+def test_instances_agree_with_the_search_they_replace(instance, data):
+    # the permutation-and-flip search finds the same instance and flips the
+    # same literals, except that it may walk another way through a chain
+    # whose terms repeat; on congruences it tries up to k! 2^k assignments,
+    # so k stays small
+    kind, literals = instance
+    leaf = _disguise(data.draw, literals)
+    inst = match_axiom_instance(kind, leaf)
+    found = ref_match_literals(inst.schema.matrix, leaf, allow_flips=True)
+    assert found is not None
+    assert inst.subst == Subst(found[0])
+    assert inst.flips == len(found[2])
+
+
+def _candidate_schema(kind: SchemaKind, clause):
+    """The one schema of `kind` that the clause could instantiate, if any."""
+    heads = [l.atom for l in clause if l.positive]
+    if len(heads) != 1 or not heads[0].args:
+        return None
+    if kind is SchemaKind.TRANSITIVITY:
+        return make_schema(kind, len(clause) - 1) if len(clause) >= 3 else None
+    if kind is SchemaKind.FN_CONGRUENCE:
+        lhs = heads[0].args[0]
+        return make_schema(kind, lhs.head, len(lhs.args)) if heads[0].pred == "=" and lhs.args else None
+    if kind is SchemaKind.PRED_CONGRUENCE:
+        return make_schema(kind, heads[0].pred, len(heads[0].args)) if heads[0].pred != "=" else None
+    return make_schema(kind)
+
+
+@st.composite
+def equality_clauses(draw):
+    """Up to 6 literals: half the time a disguised instance with one term
+    perhaps replaced, else mostly equalities over a few terms."""
+    if draw(st.booleans()):
+        clause = list(_disguise(draw, draw(instances(max_literals=6))[1]))
+        i = draw(st.integers(0, len(clause) - 1))
+        atom, positive = clause[i].atom, clause[i].positive
+        if atom.args and draw(st.booleans()):
+            args = list(atom.args)
+            args[draw(st.integers(0, len(args) - 1))] = draw(st.sampled_from(POOL))
+            clause[i] = Literal(Atom(atom.pred, tuple(args)), positive)
+        return tuple(clause)
+    terms = st.sampled_from([a, b, c, App("f", (a,)), App("f", (b,)), App("f", (a, b)), App("f", (b, a))])
+    def literal():
+        if draw(st.integers(0, 4)):
+            atom = eq(draw(terms), draw(terms))
+        else:
+            atom = Atom("p", tuple(draw(terms) for _ in range(draw(st.integers(1, 2)))))
+        return Literal(atom, draw(st.booleans()))
+    return tuple(literal() for _ in range(draw(st.integers(1, 6))))
+
+
+@settings(max_examples=300)
+@given(equality_clauses())
+def test_a_clause_is_read_as_an_instance_exactly_when_the_search_finds_one(clause):
+    for kind in SchemaKind:
+        inst = axiom_instance(kind, clause)
+        schema = _candidate_schema(kind, clause)
+        found = schema is not None and ref_match_literals(schema.matrix, clause, allow_flips=True) is not None
+        assert (inst is not None) == found, kind
 
 
 # --- import ---
@@ -210,17 +400,16 @@ def test_import_transitivity_fixture():
     assert report["flips"] == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the leaf is matched from its wrong end (x0 = c, x2 = a, every equality "
-    "flipped), and the deep sequent treats s = t and t = s as different atoms, so a "
-    "valid refutation is judged not a proof",
-)
 def test_transitivity_leaf_in_another_order_is_a_proof():
+    # read from its other end, the instance is c = b, b = a => c = a: the
+    # three pairs occur in both orientations and a symmetry tree ties them
     text = (FIXTURES / "verit_transitivity.proof").read_text()
     text = text.replace("((not (= a b)) (not (= b c)) (= a c))", "((not (= b c)) (not (= a b)) (= a c))")
-    es, _ = import_verit(parse_verit(text))
+    es, report = import_verit(parse_verit(text))
     assert verdict(es).is_proof
+    assert report["flips"] == 3
+    assert shallow_sequent(es).antecedent[-1] == make_schema(SchemaKind.SYMMETRY).formula
+    assert len(es.antecedent[-1].instances) == 3  # x0 ranges over a, b and c
 
 
 def test_import_minimality():
@@ -273,7 +462,10 @@ def test_axiom_groups_share_one_tree():
     (set .c2 (eq_transitive :conclusion ((not (= b c)) (not (= c a)) (= b a))))
     """
     es, report = import_verit(parse_verit(text))
-    assert len(es.antecedent) == 1
     tree = es.antecedent[0]
     assert len(tree.instances) == 2  # two x0-instances under one schema tree
     assert report["schema_instances"] == {"transitivity": 2}
+    # a = b, a = c and their reversals all occur: the only other tree is the
+    # symmetry tree
+    assert len(es.antecedent) == 2
+    assert shallow_sequent(es).antecedent[1] == make_schema(SchemaKind.SYMMETRY).formula
