@@ -31,7 +31,7 @@ from .expansion import (
     shallow,
     shallow_sequent,
 )
-from .leancop import ImportConfig, import_leancop, parse_leancop
+from .leancop import import_leancop, parse_leancop
 from .notation import formula_text, parse_formula, parse_term, sequent_text
 from .verit import import_verit, parse_verit
 

@@ -11,6 +11,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, repeat
@@ -25,10 +26,11 @@ from .expansion import (
     ETNeg,
     ETWeak,
     ExpansionSequent,
+    children,
     sequent_to_json,
     shallow_sequent,
 )
-from .leancop import ImportConfig, import_leancop, parse_leancop
+from .leancop import import_leancop, parse_leancop
 from .notation import ParseError, sequent_text
 from .verit import import_verit, parse_verit
 
@@ -41,24 +43,20 @@ EXIT_ERROR = 2
 class RunConfig:
     command: str
     inputs: tuple[str, ...]
-    format: str = "auto"
     out: Optional[str] = None
     show_deep: bool = False
     export_dot: bool = False
-    skolem_prefix: str = "sk"
     definitional_threshold: int = 4
     jobs: int = 1
 
 
 def detect_format(text: str) -> str:
-    """First non-blank token `(set` means a resolution trace, `fof(`/`cnf(`
-    a connection trace."""
-    head = text.lstrip()
-    if re.match(r"\(\s*set\b", head):
-        return "verit"
-    if re.match(r"(fof|cnf)\s*\(", head):
-        return "leancop"
-    raise ExproofError("cannot detect trace format: expected '(set', 'fof(' or 'cnf('")
+    """After blanks and `%` comment lines, the first token `(set` means a
+    resolution trace, `fof(`/`cnf(` a connection trace."""
+    head = re.match(r"(?:\s|%[^\n]*(?:\n|\Z))*(?:(?P<verit>\(\s*set\b)|(?P<leancop>(?:fof|cnf)\s*\())", text)
+    if head is None:
+        raise ExproofError("cannot detect trace format: expected '(set', 'fof(' or 'cnf('")
+    return head.lastgroup
 
 
 class InputReadError(ExproofError):
@@ -72,12 +70,11 @@ def load_sequent(path: str, config: RunConfig) -> tuple[ExpansionSequent, dict, 
         raise InputReadError(f"not UTF-8 text at byte offset {e.start}: {e.reason}") from e
     except OSError as e:
         raise InputReadError(f"cannot read: {e.strerror or e}") from e
-    fmt = config.format if config.format != "auto" else detect_format(text)
+    fmt = detect_format(text)
     if fmt == "verit":
         es, report = import_verit(parse_verit(text))
     else:
-        cfg = ImportConfig(config.skolem_prefix, config.definitional_threshold)
-        es, report = import_leancop(parse_leancop(text), cfg)
+        es, report = import_leancop(parse_leancop(text), config.definitional_threshold)
     return es, report, fmt
 
 
@@ -126,22 +123,11 @@ def _ansi(enabled: bool, code: str, text: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m" if enabled else text
 
 
-def _tree_children(tree) -> Optional[tuple]:
-    kind = type(tree)
-    if kind is ETBin:
-        return (tree.left, tree.right)
-    if kind is ETWeak:
-        return tuple(child for _, child in tree.instances)
-    if kind is ETAtom:
-        return None
-    return (tree.child,)
-
-
 def _collect_weak_instances(tree, out: list[tuple[str, list[str]]]) -> None:
     def step(tree):
         if type(tree) is ETWeak:
             out.append((tree.var, [str(t) for t, _ in tree.instances]))
-        return _tree_children(tree), discard
+        return children(tree), discard
 
     fold(tree, step)
 
@@ -342,6 +328,12 @@ def cmd_batch(config: RunConfig) -> int:
             files.extend(sorted(q for q in p.iterdir() if q.is_file()))
         else:
             files.append(p)
+    # the summary is keyed by file name, so two files of one name would
+    # leave one result
+    for name, k in Counter(path.name for path in files).items():
+        if k > 1:
+            paths = ", ".join(str(path) for path in files if path.name == name)
+            return _failed(name, ExproofError(f"several inputs have this file name: {paths}"))
     workers = min(config.jobs, len(files), os.cpu_count() or 1)
     if workers > 1:
         # imported here so that the other commands do not pay for it
@@ -370,7 +362,10 @@ def cmd_batch(config: RunConfig) -> int:
     }
     payload = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     if config.out:
-        Path(config.out).write_text(payload, encoding="utf-8")
+        try:
+            Path(config.out).write_text(payload, encoding="utf-8")
+        except OSError as e:
+            return _failed(" ".join(config.inputs), e)
     else:
         sys.stdout.write(payload)
     return EXIT_PROOF
@@ -395,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, many_inputs: bool = True) -> None:
-        p.add_argument("--format", choices=("verit", "leancop", "auto"), default="auto")
-        p.add_argument("--skolem-prefix", default="sk", metavar="STR")
         p.add_argument("--def-threshold", type=int, default=4, metavar="N")
         p.add_argument("inputs", nargs="+" if many_inputs else 1, metavar="INPUT")
 
@@ -427,11 +420,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         inputs=tuple(args.inputs),
-        format=args.format,
         out=getattr(args, "out", None),
         show_deep=getattr(args, "deep", False),
         export_dot=getattr(args, "dot", False),
-        skolem_prefix=args.skolem_prefix,
         definitional_threshold=args.def_threshold,
         jobs=getattr(args, "jobs", 1),
     )

@@ -95,6 +95,19 @@ class ETStrong:
 
 ExpansionTree = Union[ETAtom, ETNeg, ETBin, ETWeak, ETStrong]
 
+
+def children(tree: ExpansionTree) -> Optional[tuple]:
+    """The subtrees of a node, left to right, or None for an atom."""
+    kind = type(tree)
+    if kind is ETBin:
+        return (tree.left, tree.right)
+    if kind is ETWeak:
+        return tuple(child for _, child in tree.instances)
+    if kind is ETAtom:
+        return None
+    return (tree.child,)
+
+
 _CONN = {"and": And, "or": Or, "imp": Imp}
 
 

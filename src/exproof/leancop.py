@@ -9,13 +9,12 @@ recover the instance terms of the original problem.
 """
 from __future__ import annotations
 
-import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     And,
@@ -41,6 +40,7 @@ from .core import (
     quantifier_strengths,
     rectify,
     same_formula,
+    subformulas,
 )
 from .expansion import (
     VACUOUS_TERM,
@@ -51,7 +51,7 @@ from .expansion import (
     shallow_sequent,
 )
 from .notation import FormulaParser, ParseError, Token, tokenize, unexpected
-from .verit import AxiomSchema, Clause, SchemaKind, _schema_tree, _show, axiom_instance
+from .verit import AxiomSchema, Clause, SchemaKind, _schema_tree, _show, axiom_instance, symmetry_trees
 
 
 class LeanCoPImportError(ExproofError):
@@ -90,12 +90,6 @@ class LeanCoPTrace:
     inputs: tuple[InputFormula, ...]
     clauses: tuple[TraceClause, ...]
     steps: tuple[TraceStep, ...]
-
-
-@dataclass(frozen=True)
-class ImportConfig:
-    skolem_prefix: str = "sk"
-    definitional_threshold: int = 4
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +249,9 @@ class SkolemRegistry:
     cannot represent.
     """
 
-    def __init__(self, prefix: str = "sk"):
-        self.pattern = re.compile(re.escape(prefix) + r"[A-Za-z0-9_]+\Z")
+    def __init__(self, heads: Iterable[str]):
+        self.heads = frozenset(heads)
         self.args_seen: dict[str, tuple[Term, ...]] = {}
-
-    def is_skolem_head(self, name: str) -> bool:
-        return bool(self.pattern.match(name))
 
     def eigen_name(self, head: str) -> str:
         return f"v_{head}"
@@ -272,7 +263,7 @@ class SkolemRegistry:
     def scan_term(self, term: Term) -> None:
         if isinstance(term, Var):
             return
-        if self.is_skolem_head(term.head):
+        if term.head in self.heads:
             seen = self.args_seen.get(term.head)
             if seen is None:
                 self.args_seen[term.head] = term.args
@@ -287,7 +278,7 @@ class SkolemRegistry:
     def collapse_term(self, term: Term) -> Term:
         if isinstance(term, Var):
             return term
-        if self.is_skolem_head(term.head):
+        if term.head in self.heads:
             self.scan_term(term)
             return Var(self.eigen_name(term.head))
         return App(term.head, tuple(self.collapse_term(a) for a in term.args))
@@ -295,6 +286,16 @@ class SkolemRegistry:
     def collapse_literal(self, lit: Literal) -> Literal:
         atom = Atom(lit.atom.pred, tuple(self.collapse_term(a) for a in lit.atom.args))
         return Literal(atom, lit.positive)
+
+
+def _function_symbols(atoms: Iterable[Atom]) -> set[str]:
+    symbols, stack = set(), [t for a in atoms for t in a.args]
+    while stack:
+        t = stack.pop()
+        if type(t) is App:
+            symbols.add(t.head)
+            stack += t.args
+    return symbols
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +496,10 @@ def _fallback_subst(formula: Formula, polarity: Polarity, covered: set[str]) -> 
     return Subst(bindings)
 
 
-def import_leancop(trace: LeanCoPTrace, config: ImportConfig = ImportConfig()) -> tuple[ExpansionSequent, dict]:
+def import_leancop(trace: LeanCoPTrace, threshold: int = 4) -> tuple[ExpansionSequent, dict]:
     """Build the expansion sequent of the original (unskolemized) problem:
     axioms on the left, conjectures on the right, plus one antecedent tree per
-    equality axiom schema the proof used."""
+    equality axiom schema the proof used.  `threshold` is `definitional_dnf`'s."""
     if not trace.inputs:
         raise LeanCoPImportError("trace has no input formulas")
 
@@ -514,7 +515,11 @@ def import_leancop(trace: LeanCoPTrace, config: ImportConfig = ImportConfig()) -
     for i, f in enumerate(conjectures):
         positions[f.name] = ("suc", i, sequent.succedent[i], Polarity.POS)
 
-    registry = SkolemRegistry(config.skolem_prefix)
+    # the Skolem heads are the function symbols the prover's clauses add to
+    # the input; a constant that only bindings carry stays a constant
+    input_atoms = (g for f in trace.inputs for g, _ in subformulas(f.formula, Polarity.POS) if type(g) is Atom)
+    clause_atoms = (l.atom for tc in trace.clauses for l in tc.literals)
+    registry = SkolemRegistry(_function_symbols(clause_atoms) - _function_symbols(input_atoms))
     for tc in trace.clauses:
         for lit in tc.literals:
             for a in lit.atom.args:
@@ -531,8 +536,7 @@ def import_leancop(trace: LeanCoPTrace, config: ImportConfig = ImportConfig()) -
     raw_by_number = {tc.number: tc for tc in trace.clauses}
 
     generated = definitional_dnf(
-        [(f.name, f.role, positions[f.name][2]) for f in trace.inputs],
-        config.definitional_threshold,
+        [(f.name, f.role, positions[f.name][2]) for f in trace.inputs], threshold
     )
     matches = match_clauses(generated, collapsed)
 
@@ -584,6 +588,7 @@ def import_leancop(trace: LeanCoPTrace, config: ImportConfig = ImportConfig()) -
         (ant_trees if side == "ant" else suc_trees).append(tree)
     for (_kind, _param), (schema, subs) in eq_groups.items():
         ant_trees.append(_schema_tree(schema, subs))
+    ant_trees += symmetry_trees(ant_trees + suc_trees)
 
     es = ExpansionSequent(tuple(ant_trees), tuple(suc_trees))
     base = shallow_sequent(ExpansionSequent(tuple(ant_trees[: len(axioms)]), es.succedent))

@@ -11,7 +11,8 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import cache
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     EQ,
@@ -30,9 +31,11 @@ from .core import (
     Var,
     apply_subst,
     clause_to_formula,
+    discard,
+    fold,
     same_formula,
 )
-from .expansion import ExpansionSequent, ExpansionTree, expand_formula, shallow
+from .expansion import ETAtom, ExpansionSequent, ExpansionTree, children, expand_formula, shallow
 from .notation import ParseError, Token, scan
 
 Clause = tuple[Literal, ...]
@@ -242,11 +245,12 @@ def _close(variables: Sequence[str], matrix: Formula) -> Formula:
     return out
 
 
+@cache
 def make_schema(kind: SchemaKind, *param) -> AxiomSchema:
     """Build a quantified equality axiom: a transitivity chain, a function or
     predicate congruence, symmetry, or reflexivity.  Its formula closes
     `premises => conclusion`, and its matrix is that implication as a
-    clause, premises first."""
+    clause, premises first.  Each (kind, param) is built once."""
     if kind is SchemaKind.TRANSITIVITY:
         (n,) = param
         if n < 2:
@@ -460,6 +464,24 @@ def _schema_tree(schema: AxiomSchema, instances) -> ExpansionTree:
     return tree
 
 
+def symmetry_trees(trees: Iterable[ExpansionTree]) -> list[ExpansionTree]:
+    """The symmetry axiom's tree, tying s = t to t = s for every equality
+    the trees' atoms hold in both orientations, as a list of that one tree,
+    or an empty list.  Provers connect equalities modulo symmetry, so the
+    deep sequent needs these instances."""
+    sides: dict[tuple[Term, ...], None] = {}  # a dict keeps first-use order
+
+    def step(tree):
+        if type(tree) is ETAtom and tree.atom.pred == EQ:
+            sides[tree.atom.args] = None
+        return children(tree), discard
+
+    for tree in trees:
+        fold(tree, step)
+    symmetric = [Subst({"x0": s, "y0": t}) for s, t in sides if s != t and (t, s) in sides]
+    return [_schema_tree(make_schema(SchemaKind.SYMMETRY), symmetric)] if symmetric else []
+
+
 def import_verit(trace: VeritTrace) -> tuple[ExpansionSequent, dict]:
     """Build the left-side-only expansion sequent of a refutation trace.
 
@@ -483,21 +505,14 @@ def import_verit(trace: VeritTrace) -> tuple[ExpansionSequent, dict]:
     # goes into the separately computed reflexivity tree
     groups: dict[tuple, tuple[AxiomSchema, dict[Subst, None]]] = {}
     flips = 0
-    sides = dict.fromkeys(l.atom.args for c in inputs for l in c if l.atom.pred == EQ)
     for kind, clause in axioms:
         inst = match_axiom_instance(kind, clause)
         flips += inst.flips
-        sides.update(dict.fromkeys(l.atom.args for l in inst.literals if l.atom.pred == EQ))
         if inst.schema.kind is not SchemaKind.REFLEXIVITY:
             _schema, subs = groups.setdefault((inst.schema.kind, inst.schema.param), (inst.schema, {}))
             subs[inst.subst] = None  # a dict keeps first-use order
     antecedent += [_schema_tree(schema, subs) for schema, subs in groups.values()]
-
-    # the trace resolves modulo symmetry: tie s = t to t = s wherever the
-    # deep sequent holds both
-    symmetric = [Subst({"x0": s, "y0": t}) for s, t in sides if s != t and (t, s) in sides]
-    if symmetric:
-        antecedent.append(_schema_tree(make_schema(SchemaKind.SYMMETRY), symmetric))
+    antecedent += symmetry_trees(antecedent)
 
     refl_terms = _reflexivity_instances(inputs, axioms)
     if refl_terms:

@@ -154,7 +154,7 @@ def test_criterion_5_leancop_pipeline():
         # every clause match verifies by reapplication
         from exproof.leancop import SkolemRegistry, TraceClause
 
-        registry = SkolemRegistry()
+        registry = SkolemRegistry(report["skolem_map"])
         for tc in trace.clauses:
             for lit in tc.literals:
                 for arg in lit.atom.args:

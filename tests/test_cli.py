@@ -36,8 +36,40 @@ def test_detect_format():
     assert detect_format("  (set .c1 (input :conclusion (p)))") == "verit"
     assert detect_format("fof(ax, axiom, p).") == "leancop"
     assert detect_format("cnf(1, plain, [p], clausify(ax)).") == "leancop"
+    assert detect_format("% a comment\n\n  %\n(set .c1 (input :conclusion (p)))") == "verit"
+    assert detect_format("%(set\nfof(ax, axiom, p).") == "leancop"
     with pytest.raises(ExproofError):
         detect_format("hello world")
+    with pytest.raises(ExproofError):
+        detect_format("% fof(ax, axiom, p).")
+    with pytest.raises(ExproofError):
+        detect_format("%" * 40 + " x")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # `sk1` names a constant of the input, not a Skolem head
+        "fof(ax, axiom, p(sk1)).\nfof(conj, conjecture, p(sk1)).\n"
+        "cnf(1, plain, [~p(sk1)], clausify(ax)).\ncnf(2, plain, [p(sk1)], clausify(conj)).\n"
+        "cnf('s1', plain, [p(sk1)], start(2)).\ncnf('e1', plain, [~p(sk1)], extension(1)).\n",
+        "% comment\n" + (FIXTURES / "leancop_simple.proof").read_text(),
+    ],
+    ids=["constant-sk1", "leading-comment"],
+)
+def test_check_reads_skolem_heads_and_format_off_the_trace(tmp_path, capsys, text):
+    path = tmp_path / "trace.proof"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_PROOF
+    assert json.loads(capsys.readouterr().out)["is_proof"] is True
+
+
+@pytest.mark.parametrize("option", [["--format", "leancop"], ["--skolem-prefix", "sk"]])
+def test_removed_options_are_usage_errors(capsys, option):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", *option, fixture("leancop_simple.proof")])
+    assert excinfo.value.code == EXIT_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # --- check ---
@@ -411,6 +443,29 @@ def test_batch_summary(tmp_path, capsys):
     assert formats["leancop_simple.proof"] == "leancop"
     assert formats["verit_transitivity.proof"] == "verit"
     assert all("seconds" in e for e in summary["files"].values())
+
+
+def test_batch_rejects_inputs_of_one_file_name(tmp_path, capsys):
+    # the summary is keyed by file name: two files of one name would leave
+    # one result, so none is checked
+    for sub, name in (("a", "leancop_simple.proof"), ("b", "verit_not_proof.proof")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.proof").write_text((FIXTURES / name).read_text(), encoding="utf-8")
+    first, second = tmp_path / "a" / "x.proof", tmp_path / "b" / "x.proof"
+    for inputs in ([tmp_path / "a", tmp_path / "b"], [first, second]):
+        assert main(["batch", *map(str, inputs)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"x.proof: several inputs have this file name: {first}, {second}\n"
+
+
+def test_batch_unwritable_out(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "summary.json"
+    source = fixture("leancop_simple.proof")
+    assert main(["batch", "--out", str(target), source]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{source}: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
 def test_batch_empty_directory(tmp_path, capsys):

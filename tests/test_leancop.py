@@ -11,7 +11,6 @@ from exproof.core import App, Atom, Literal, Subst, Var, apply_subst, const, eq
 from exproof.expansion import ETStrong, ETWeak, shallow_sequent
 from exproof.leancop import (
     GenClause,
-    ImportConfig,
     LeanCoPImportError,
     SkolemRegistry,
     TraceClause,
@@ -21,7 +20,7 @@ from exproof.leancop import (
     parse_leancop,
 )
 from exproof.notation import ParseError, parse_formula, sequent_text
-from exproof.verit import SchemaKind
+from exproof.verit import SchemaKind, make_schema
 from oracles import ref_match_literals
 
 a, b, c = const("a"), const("b"), const("c")
@@ -102,7 +101,7 @@ def test_parse_errors():
 
 
 def test_skolem_collapse():
-    reg = SkolemRegistry()
+    reg = SkolemRegistry({"skC1"})
     t = App("skC1", (Var("X"),))
     assert reg.collapse_term(t) == Var("v_skC1")
     assert reg.collapse_term(App("f", (a,))) == App("f", (a,))
@@ -111,16 +110,41 @@ def test_skolem_collapse():
 
 
 def test_skolem_single_binding_violation():
-    reg = SkolemRegistry()
+    reg = SkolemRegistry({"sk1"})
     reg.scan_term(App("sk1", (Var("X1"),)))
     with pytest.raises(LeanCoPImportError, match="different argument lists"):
         reg.scan_term(App("sk1", (a,)))
 
 
-def test_skolem_prefix_configurable():
-    reg = SkolemRegistry(prefix="esk")
-    assert reg.is_skolem_head("esk3")
-    assert not reg.is_skolem_head("sk3")
+def test_skolem_heads_are_the_symbols_only_clauses_have():
+    # `sk1` is named in the input, so it is a constant whatever its name;
+    # `f1` is only in the clauses, so it is a Skolem head whatever its name
+    text = """
+fof(ax, axiom, ![X]: ?[Y]: r(X, Y, sk1)).
+fof(conj, conjecture, ?[Z]: r(a, Z, sk1)).
+cnf(1, plain, [~r(X1, f1(X1), sk1)], clausify(ax)).
+cnf(2, plain, [r(a, Z1, sk1)], clausify(conj)).
+cnf('s1', plain, [r(a, f1(X1), sk1)], start(2, bind([Z1], [f1(X1)]))).
+cnf('e1', plain, [~r(a, f1(a), sk1)], extension(1, bind([X1], [a]))).
+"""
+    es, report = import_leancop(parse_leancop(text))
+    assert verdict(es).is_proof
+    assert report["skolem_map"] == {"f1": "v_f1"}
+
+
+def test_constant_only_bindings_carry_is_a_constant():
+    text = """
+fof(ax, axiom, ![X]: p(X)).
+fof(conj, conjecture, ?[Y]: p(Y)).
+cnf(1, plain, [~p(X1)], clausify(ax)).
+cnf(2, plain, [p(Y1)], clausify(conj)).
+cnf('s1', plain, [p(c)], start(2, bind([Y1], [c]))).
+cnf('e1', plain, [~p(c)], extension(1, bind([X1], [c]))).
+"""
+    es, report = import_leancop(parse_leancop(text))
+    assert verdict(es).is_proof
+    assert report["skolem_map"] == {}
+    assert [t for t, _ in es.antecedent[0].instances] == [c]
 
 
 # --- definitional DNF ---
@@ -345,6 +369,28 @@ cnf('e3', plain, [~(b = c)], extension(2)).
     assert verdict(es).is_proof
 
 
+def test_theory_clause_in_another_orientation_is_a_proof():
+    # the clause reads as the instance a = b, b = c => a = c, while ax1 says
+    # b = a: a symmetry tree ties the two orientations
+    text = """
+fof(ax1, axiom, b = a).
+fof(ax2, axiom, b = c).
+fof(goal, conjecture, a = c).
+cnf(1, plain, [~(b = a)], clausify(ax1)).
+cnf(2, plain, [~(b = c)], clausify(ax2)).
+cnf(3, plain, [a = c], clausify(goal)).
+cnf(4, plain, [X2 = X1, X2 = X3, ~(X1 = X3)], theory(equality)).
+cnf('s1', plain, [a = c], start(3)).
+cnf('e1', plain, [b = a, b = c, ~(a = c)], extension(4, bind([X1, X2, X3], [a, b, c]))).
+cnf('e2', plain, [~(b = a)], extension(1)).
+cnf('e3', plain, [~(b = c)], extension(2)).
+"""
+    es, _report = import_leancop(parse_leancop(text))
+    assert verdict(es).is_proof
+    assert len(es.antecedent) == 4  # ax1, ax2, transitivity and symmetry trees
+    assert shallow_sequent(es).antecedent[-1] == make_schema(SchemaKind.SYMMETRY).formula
+
+
 def test_import_binding_domain_check():
     text = """
 fof(ax1, axiom, ![X]: p(X)).
@@ -405,7 +451,7 @@ def test_import_shallow_equals_rectified_inputs():
     assert s.succedent[0] == parse_formula("?[Z]: r(a,Z)")
 
 
-def test_import_config_skolem_prefix():
+def test_skolem_heads_need_no_prefix():
     text = """
 fof(ax1, axiom, ![X]: ?[Y]: r(X,Y)).
 fof(conj, conjecture, ?[Z]: r(a,Z)).
@@ -414,6 +460,6 @@ cnf(2, plain, [r(a, Z1)], clausify(conj)).
 cnf('s1', plain, [r(a, esk1(X1))], start(2, bind([Z1], [esk1(X1)]))).
 cnf('e1', plain, [~r(a, esk1(a))], extension(1, bind([X1], [a]))).
 """
-    es, report = import_leancop(parse_leancop(text), ImportConfig(skolem_prefix="esk"))
+    es, report = import_leancop(parse_leancop(text))
     assert verdict(es).is_proof
     assert report["skolem_map"] == {"esk1": "v_esk1"}

@@ -147,6 +147,18 @@ def test_reflexivity_and_symmetry_schemas():
     )
 
 
+def test_each_schema_is_built_once():
+    for kind, param in [
+        (SchemaKind.TRANSITIVITY, (3,)),
+        (SchemaKind.FN_CONGRUENCE, ("f", 2)),
+        (SchemaKind.PRED_CONGRUENCE, ("p", 1)),
+        (SchemaKind.SYMMETRY, ()),
+        (SchemaKind.REFLEXIVITY, ()),
+    ]:
+        assert make_schema(kind, *param) is make_schema(kind, *param)
+    assert make_schema(SchemaKind.TRANSITIVITY, 2) is not make_schema(SchemaKind.TRANSITIVITY, 3)
+
+
 def test_schema_size_validation():
     with pytest.raises(VeritImportError):
         make_schema(SchemaKind.TRANSITIVITY, 1)
