@@ -23,7 +23,8 @@ from .core import (
     rectify,
 )
 from .expansion import (
-    ExpansionSequent,
+    ETStrong,
+    ETWeak,
     deep,
     expand_formula,
     sequent_from_json,

@@ -14,14 +14,14 @@ from operator import neg
 from typing import Optional
 
 from .core import And, Atom, Formula, Imp, Neg, Or, Polarity, Sequent, Term, discard, fold, free_vars, subformulas
-from .expansion import ETAtom, ETBin, ETStrong, ETWeak, ExpansionSequent, deep
+from .expansion import ETStrong, ETWeak, children, deep
 
 
 # ---------------------------------------------------------------------------
 # deep sequent
 
 
-def deep_sequent(es: ExpansionSequent) -> Sequent:
+def deep_sequent(es: Sequent) -> Sequent:
     """Quantifier-free sequent of the deep readings (antecedent at negative
     polarity, succedent at positive)."""
     return Sequent(
@@ -218,7 +218,7 @@ def _path(link: tuple) -> tuple:
 
 
 def _walk_sequent(
-    es: ExpansionSequent,
+    es: Sequent,
 ) -> tuple[list[TermOccurrence], list[str], list[tuple[int, int]]]:
     """Instance term occurrences in tree order, the eigenvariables of the
     strong nodes in preorder, and for each occurrence the slice of that list
@@ -233,27 +233,24 @@ def _walk_sequent(
     # items are (tree, path link, instance term or None); a path link is the
     # root's (side, tree index) or a (parent link, child index) pair, so a
     # step copies no path.  An instance's span opens before its subtree is
-    # walked and closes after.
+    # walked and closes after; an instance edge onto an atom has an empty
+    # span.
     def step(item):
         tree, link, term = item
         kind = type(tree)
         if term is None:
-            if kind is ETAtom:
+            if kind is Atom:
                 return None, None
             build = discard
         else:
             spans.append(len(eigens))
             occurrences.append(TermOccurrence(_path(link), term))
             build = partial(close, len(spans) - 1)
-        if kind is ETBin:
-            return ((tree.left, (link, 0), None), (tree.right, (link, 1), None)), build
         if kind is ETWeak:
-            return tuple((child, (link, i), t) for i, (t, child) in enumerate(tree.instances)), build
+            return [(child, (link, i), t) for i, (t, child) in enumerate(tree.instances)], build
         if kind is ETStrong:
             eigens.append(tree.eigenvariable)
-        elif kind is ETAtom:
-            return (), build  # an instance edge onto an atom: an empty span
-        return ((tree.child, (link, 0), None),), build
+        return [(child, (link, i), None) for i, child in enumerate(children(tree) or ())], build
 
     for side, trees in (("ant", es.antecedent), ("suc", es.succedent)):
         for i, tree in enumerate(trees):
@@ -261,7 +258,7 @@ def _walk_sequent(
     return occurrences, eigens, spans
 
 
-def dependency_relation(es: ExpansionSequent) -> DependencyGraph:
+def dependency_relation(es: Sequent) -> DependencyGraph:
     """Base dependency relation: an edge t -> s whenever some eigenvariable
     of a strong node at or below t's instance edge occurs free in s."""
     occurrences, eigens, spans = _walk_sequent(es)
@@ -398,7 +395,7 @@ class Verdict:
         return out
 
 
-def verdict(es: ExpansionSequent) -> Verdict:
+def verdict(es: Sequent) -> Verdict:
     """The sanity check: an expansion sequent is a proof iff its deep sequent
     is a tautology and its dependency relation is acyclic.  This validates
     the claimed instantiations, not individual inference steps."""

@@ -19,17 +19,8 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .check import deep_sequent, verdict
-from .core import ExproofError, Polarity, discard, fold
-from .expansion import (
-    ETAtom,
-    ETBin,
-    ETNeg,
-    ETWeak,
-    ExpansionSequent,
-    children,
-    sequent_to_json,
-    shallow_sequent,
-)
+from .core import And, Atom, ExproofError, Imp, Neg, Or, Polarity, Sequent, discard, fold, polar_parts
+from .expansion import ETStrong, ETWeak, children, sequent_to_json, shallow_sequent
 from .leancop import import_leancop, parse_leancop
 from .notation import ParseError, sequent_text
 from .verit import import_verit, parse_verit
@@ -46,7 +37,6 @@ class RunConfig:
     out: Optional[str] = None
     show_deep: bool = False
     export_dot: bool = False
-    definitional_threshold: int = 4
     jobs: int = 1
 
 
@@ -63,9 +53,12 @@ class InputReadError(ExproofError):
     """An input file could not be read or is not UTF-8 text."""
 
 
-def load_sequent(path: str, config: RunConfig) -> tuple[ExpansionSequent, dict, str]:
+def load_sequent(path: str, config: RunConfig) -> tuple[Sequent, dict, str]:
+    """The expansion sequent of a trace file, its import report and its
+    format.  A leading byte-order mark is dropped after decoding, so that
+    the offset of an undecodable byte is an offset in the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise InputReadError(f"not UTF-8 text at byte offset {e.start}: {e.reason}") from e
     except OSError as e:
@@ -74,7 +67,7 @@ def load_sequent(path: str, config: RunConfig) -> tuple[ExpansionSequent, dict, 
     if fmt == "verit":
         es, report = import_verit(parse_verit(text))
     else:
-        es, report = import_leancop(parse_leancop(text), config.definitional_threshold)
+        es, report = import_leancop(parse_leancop(text))
     return es, report, fmt
 
 
@@ -105,7 +98,7 @@ def _each_input(config: RunConfig, work) -> int:
     return status
 
 
-def _print_verdict(es: ExpansionSequent) -> int:
+def _print_verdict(es: Sequent) -> int:
     v = verdict(es)
     print(json.dumps(v.to_json(), sort_keys=True))
     return EXIT_PROOF if v.is_proof else EXIT_NOT_PROOF
@@ -132,7 +125,7 @@ def _collect_weak_instances(tree, out: list[tuple[str, list[str]]]) -> None:
     fold(tree, step)
 
 
-def render_show(es: ExpansionSequent, deep_mode: bool, color: bool) -> str:
+def render_show(es: Sequent, deep_mode: bool, color: bool) -> str:
     if deep_mode:
         return sequent_text(deep_sequent(es))
     lines = [sequent_text(shallow_sequent(es))]
@@ -148,7 +141,7 @@ def render_show(es: ExpansionSequent, deep_mode: bool, color: bool) -> str:
 def cmd_show(config: RunConfig) -> int:
     color = os.environ.get("EXPROOF_COLOR", "0") == "1"
 
-    def show(es: ExpansionSequent) -> int:
+    def show(es: Sequent) -> int:
         print(render_show(es, config.show_deep, color))
         return EXIT_PROOF
 
@@ -161,6 +154,9 @@ def cmd_show(config: RunConfig) -> int:
 
 def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
+_DOT_SYMBOL = {Neg: "~", And: "&", Or: "|", Imp: "=>"}
 
 
 def _dot_tree(tree, polarity: Polarity, ids, lines: list[str]) -> None:
@@ -183,31 +179,27 @@ def _dot_tree(tree, polarity: Polarity, ids, lines: list[str]) -> None:
         tree, polarity = item
         me = next(ids)
         name = f"n{me}"
-        if isinstance(tree, ETAtom):
-            lines.append(f'    {name} [label="{_dot_escape(str(tree.atom))}"];')
+        kind = type(tree)
+        if kind is Atom:
+            lines.append(f'    {name} [label="{_dot_escape(str(tree))}"];')
             return None, me
-        if isinstance(tree, ETNeg):
-            lines.append(f'    {name} [label="~"];')
-            return ((tree.child, polarity.flip()),), partial(edges, me)
-        if isinstance(tree, ETBin):
-            symbol = {"and": "&", "or": "|", "imp": "=>"}[tree.conn]
-            lines.append(f'    {name} [label="{_dot_escape(symbol)}"];')
-            left_pol = polarity.flip() if tree.conn == "imp" else polarity
-            return ((tree.left, left_pol), (tree.right, polarity)), partial(edges, me)
-        if isinstance(tree, ETWeak):
+        if kind is ETWeak:
             mark = "!" if polarity is Polarity.NEG else "?"
             lines.append(f'    {name} [label="{mark}[{_dot_escape(tree.var)}]"];')
             kids = tuple((c, polarity, me, _dot_escape(str(t))) for t, c in tree.instances)
             return kids, partial(weak_done, me)
-        mark = "?" if polarity is Polarity.NEG else "!"
-        label = f"{mark}[{_dot_escape(tree.var)}]\\neigen: {_dot_escape(tree.eigenvariable)}"
-        lines.append(f'    {name} [label="{label}"];')
-        return ((tree.child, polarity),), partial(edges, me)
+        if kind is ETStrong:
+            mark = "?" if polarity is Polarity.NEG else "!"
+            label = f"{mark}[{_dot_escape(tree.var)}]\\neigen: {_dot_escape(tree.eigenvariable)}"
+            lines.append(f'    {name} [label="{label}"];')
+            return ((tree.child, polarity),), partial(edges, me)
+        lines.append(f'    {name} [label="{_DOT_SYMBOL[kind]}"];')
+        return polar_parts(tree, polarity), partial(edges, me)
 
     fold((tree, polarity), step)
 
 
-def sequent_to_dot(es: ExpansionSequent) -> str:
+def sequent_to_dot(es: Sequent) -> str:
     ids = iter(count())
     lines = ["digraph expansion_sequent {", "  rankdir=TB;"]
     for side, trees, pol in (
@@ -259,7 +251,7 @@ def json_pieces(value) -> Iterator[str]:
 
 
 def cmd_export(config: RunConfig) -> int:
-    def export(es: ExpansionSequent) -> int:
+    def export(es: Sequent) -> int:
         if config.export_dot:
             pieces = [sequent_to_dot(es)]
         else:
@@ -390,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, many_inputs: bool = True) -> None:
-        p.add_argument("--def-threshold", type=int, default=4, metavar="N")
         p.add_argument("inputs", nargs="+" if many_inputs else 1, metavar="INPUT")
 
     check_p = sub.add_parser("check", help="verdict JSON; exit 0 proof / 1 not / 2 error")
@@ -423,7 +414,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         out=getattr(args, "out", None),
         show_deep=getattr(args, "deep", False),
         export_dot=getattr(args, "dot", False),
-        definitional_threshold=args.def_threshold,
         jobs=getattr(args, "jobs", 1),
     )
 

@@ -164,6 +164,9 @@ class Strength(Enum):
 
 @dataclass(frozen=True)
 class Sequent:
+    """Formulas on the two sides of a sequent; in an expansion sequent they
+    are expansion trees."""
+
     antecedent: tuple[Formula, ...] = ()
     succedent: tuple[Formula, ...] = ()
 
@@ -229,25 +232,30 @@ def discard(*values) -> None:
     """The build of a fold run only for what its `step` does."""
 
 
+def polar_parts(f: Formula, polarity: Polarity) -> tuple[tuple[Formula, Polarity], ...]:
+    """The immediate subformulas of a formula other than an atom, with their
+    polarities, left to right.  Negation flips the polarity, and so does the
+    left side of an implication; every other part keeps it.  An expansion
+    tree reads its connectives by this rule too, so its quantifier nodes are
+    never passed here."""
+    kind = type(f)
+    if kind is And or kind is Or:
+        return ((f.left, polarity), (f.right, polarity))
+    if kind is Imp:
+        return ((f.left, polarity.flip()), (f.right, polarity))
+    if kind is Neg:
+        return ((f.sub, polarity.flip()),)
+    return ((f.body, polarity),)
+
+
 def subformulas(formula: Formula, polarity: Polarity) -> Iterator[tuple[Formula, Polarity]]:
-    """Every subformula with its polarity, in preorder.  Negation flips the
-    polarity, and so does the left side of an implication."""
+    """Every subformula with its polarity, in preorder."""
     stack = [(formula, polarity)]
     while stack:
         item = stack.pop()
         yield item
-        f, pol = item
-        kind = type(f)
-        if kind is Atom:
-            continue
-        if kind is Neg:
-            stack.append((f.sub, pol.flip()))
-        elif kind is Imp:
-            stack += ((f.right, pol), (f.left, pol.flip()))
-        elif kind is And or kind is Or:
-            stack += ((f.right, pol), (f.left, pol))
-        else:
-            stack.append((f.body, pol))
+        if type(item[0]) is not Atom:
+            stack += reversed(polar_parts(*item))
 
 
 def _same_step(pair):
@@ -273,16 +281,19 @@ def same_formula(a: Formula, b: Formula) -> bool:
 # variables
 
 
-def _term_vars(terms: Iterable[Term]) -> frozenset[str]:
-    out = set()
+def subterms(terms: Iterable[Term]) -> Iterator[Term]:
+    """Every subterm of `terms`, in preorder, left to right."""
     stack = list(terms)
+    stack.reverse()
     while stack:
         t = stack.pop()
-        if type(t) is Var:
-            out.add(t.name)
-        else:
-            stack += t.args
-    return frozenset(out)
+        yield t
+        if type(t) is App and t.args:
+            stack += reversed(t.args)
+
+
+def _term_vars(terms: Iterable[Term]) -> frozenset[str]:
+    return frozenset([t.name for t in subterms(terms) if type(t) is Var])
 
 
 def _free_vars_step(f: Formula):

@@ -1,9 +1,12 @@
 """Expansion trees and sequents: construction from instance sets, and the
 shallow/deep readings.
 
-Weak quantifier nodes carry one child per distinct instance term; strong
-quantifier nodes carry a single eigenvariable.  Antecedent trees are read at
-negative polarity, succedent trees at positive polarity.
+An expansion tree is a formula whose quantifier occurrences are expanded:
+its connectives are the `Atom`, `Neg`, `And`, `Or` and `Imp` nodes of
+`core`, and each quantifier becomes an `ETWeak` node with one child per
+distinct instance term or an `ETStrong` node with a single eigenvariable.
+An expansion sequent is a `core.Sequent` of trees; antecedent trees are read
+at negative polarity, succedent trees at positive polarity.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from .core import (
     discard,
     fold,
     free_vars,
+    polar_parts,
     quantifier_strengths,
 )
 from .notation import formula_text, parse_formula, parse_term
@@ -58,24 +62,7 @@ class EigenvariableFormError(ExpansionError):
 
 
 # ---------------------------------------------------------------------------
-# tree nodes
-
-
-@dataclass(frozen=True)
-class ETAtom:
-    atom: Atom
-
-
-@dataclass(frozen=True)
-class ETNeg:
-    child: "ExpansionTree"
-
-
-@dataclass(frozen=True)
-class ETBin:
-    conn: str  # "and" | "or" | "imp"
-    left: "ExpansionTree"
-    right: "ExpansionTree"
+# quantifier nodes
 
 
 @dataclass(frozen=True)
@@ -93,28 +80,21 @@ class ETStrong:
     child: "ExpansionTree"
 
 
-ExpansionTree = Union[ETAtom, ETNeg, ETBin, ETWeak, ETStrong]
+ExpansionTree = Union[Atom, Neg, And, Or, Imp, ETWeak, ETStrong]
 
 
 def children(tree: ExpansionTree) -> Optional[tuple]:
     """The subtrees of a node, left to right, or None for an atom."""
     kind = type(tree)
-    if kind is ETBin:
-        return (tree.left, tree.right)
     if kind is ETWeak:
         return tuple(child for _, child in tree.instances)
-    if kind is ETAtom:
+    if kind is ETStrong:
+        return (tree.child,)
+    if kind is Atom:
         return None
-    return (tree.child,)
-
-
-_CONN = {"and": And, "or": Or, "imp": Imp}
-
-
-@dataclass(frozen=True)
-class ExpansionSequent:
-    antecedent: tuple[ExpansionTree, ...] = ()
-    succedent: tuple[ExpansionTree, ...] = ()
+    if kind is Neg:
+        return (tree.sub,)
+    return (tree.left, tree.right)
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +104,14 @@ class ExpansionSequent:
 def _shallow_step(item):
     tree, polarity = item
     kind = type(tree)
-    if kind is ETAtom:
-        return None, tree.atom
-    if kind is ETNeg:
-        return ((tree.child, polarity.flip()),), Neg
-    if kind is ETBin:
-        left = polarity.flip() if tree.conn == "imp" else polarity
-        return ((tree.left, left), (tree.right, polarity)), _CONN[tree.conn]
+    if kind is Atom:
+        return None, tree
     if kind is ETWeak:
         cls = Forall if polarity is Polarity.NEG else Exists
-    else:
+    elif kind is ETStrong:
         cls = Exists if polarity is Polarity.NEG else Forall
+    else:
+        return polar_parts(tree, polarity), kind
     return None, cls(tree.var, tree.body)
 
 
@@ -156,14 +133,11 @@ def _deep_step(item):
     while type(tree) is ETStrong:
         tree = tree.child
     kind = type(tree)
-    if kind is ETAtom:
-        return None, tree.atom
-    if kind is ETNeg:
-        return ((tree.child, polarity.flip()),), Neg
-    if kind is ETBin:
-        left = polarity.flip() if tree.conn == "imp" else polarity
-        return ((tree.left, left), (tree.right, polarity)), _CONN[tree.conn]
-    return tuple((child, polarity) for _, child in tree.instances), _DEEP_WEAK[polarity]
+    if kind is Atom:
+        return None, tree
+    if kind is ETWeak:
+        return tuple((child, polarity) for _, child in tree.instances), _DEEP_WEAK[polarity]
+    return polar_parts(tree, polarity), kind
 
 
 def deep(tree: ExpansionTree, polarity: Polarity) -> Formula:
@@ -172,7 +146,7 @@ def deep(tree: ExpansionTree, polarity: Polarity) -> Formula:
     return fold((tree, polarity), _deep_step)
 
 
-def shallow_sequent(es: ExpansionSequent) -> Sequent:
+def shallow_sequent(es: Sequent) -> Sequent:
     return Sequent(
         tuple(shallow(t, Polarity.NEG) for t in es.antecedent),
         tuple(shallow(t, Polarity.POS) for t in es.succedent),
@@ -211,9 +185,6 @@ def _eigenvariable(var: str, sigmas: tuple[Subst, ...]) -> Optional[Var]:
     return values[0] if values else None
 
 
-_ET_BIN = {And: partial(ETBin, "and"), Or: partial(ETBin, "or"), Imp: partial(ETBin, "imp")}
-
-
 def _weak_node(var: str, body: Formula, terms: tuple[Term, ...], *children: ExpansionTree) -> ETWeak:
     return ETWeak(var, body, tuple(zip(terms, children)))
 
@@ -222,12 +193,9 @@ def _expand_step(item):
     f, sigmas, p = item
     kind = type(f)
     if kind is Atom:
-        return None, ETAtom(f)
-    if kind is Neg:
-        return ((f.sub, sigmas, p.flip()),), ETNeg
-    if kind in _ET_BIN:
-        left = p.flip() if kind is Imp else p
-        return ((f.left, sigmas, left), (f.right, sigmas, p)), _ET_BIN[kind]
+        return None, f
+    if kind is not Forall and kind is not Exists:
+        return tuple((part, sigmas, q) for part, q in polar_parts(f, p)), kind
     var, body = f.var, f.body
     if (kind is Forall) == (p is Polarity.NEG):  # weak
         relevant = [s for s in sigmas if var in s]
@@ -256,9 +224,20 @@ def _expand_step(item):
 # ---------------------------------------------------------------------------
 # JSON (schema documented in the README; field names are a stable contract)
 
+# the kind of each node class, and the fields that hold a node's children
+_KIND = {Atom: "atom", Neg: "neg", And: "and", Or: "or", Imp: "imp", ETWeak: "weak", ETStrong: "strong"}
+_CLASS = {kind: cls for cls, kind in _KIND.items()}
+_CHILD_FIELDS = {
+    Neg: ("child",),
+    And: ("left", "right"),
+    Or: ("left", "right"),
+    Imp: ("left", "right"),
+    ETStrong: ("child",),
+}
 
-def _json_node(node: dict, keys: tuple[str, ...], *children: dict) -> dict:
-    node.update(zip(keys, children))
+
+def _json_node(node: dict, fields: tuple[str, ...], *children: dict) -> dict:
+    node.update(zip(fields, children))
     return node
 
 
@@ -269,40 +248,43 @@ def _weak_json(node: dict, terms: list[str], *children: dict) -> dict:
 
 def _to_json_step(tree):
     kind = type(tree)
-    if kind is ETAtom:
-        return None, {"kind": "atom", "formula": formula_text(tree.atom)}
-    if kind is ETNeg:
-        return (tree.child,), partial(_json_node, {"kind": "neg"}, ("child",))
-    if kind is ETBin:
-        return (tree.left, tree.right), partial(_json_node, {"kind": tree.conn}, ("left", "right"))
-    node = {"kind": "weak" if kind is ETWeak else "strong", "var": tree.var, "body": formula_text(tree.body)}
+    node = {"kind": _KIND[kind]}
+    if kind is Atom:
+        node["formula"] = formula_text(tree)
+        return None, node
     if kind is ETWeak:
-        terms = [str(t) for t, _ in tree.instances]
-        return tuple(c for _, c in tree.instances), partial(_weak_json, node, terms)
-    node["eigenvariable"] = tree.eigenvariable
-    return (tree.child,), partial(_json_node, node, ("child",))
+        node.update(var=tree.var, body=formula_text(tree.body))
+        return children(tree), partial(_weak_json, node, [str(t) for t, _ in tree.instances])
+    if kind is ETStrong:
+        node.update(var=tree.var, body=formula_text(tree.body), eigenvariable=tree.eigenvariable)
+    return children(tree), partial(_json_node, node, _CHILD_FIELDS[kind])
 
 
 def tree_to_json(tree: ExpansionTree) -> dict:
     return fold(tree, _to_json_step)
 
 
-def sequent_to_json(es: ExpansionSequent) -> dict:
+def sequent_to_json(es: Sequent) -> dict:
     return {
         "antecedent": [tree_to_json(t) for t in es.antecedent],
         "succedent": [tree_to_json(t) for t in es.succedent],
     }
 
 
-def _json_children(node: dict) -> Optional[tuple]:
+def _node_class(node: dict) -> Optional[type]:
+    """The class of a JSON node's kind, or None for an unknown kind."""
     kind = node["kind"]
-    if kind in ("neg", "strong"):
-        return (node["child"],)
-    if kind in ("and", "or", "imp"):
-        return (node["left"], node["right"])
-    if kind == "weak":
+    return _CLASS.get(kind) if isinstance(kind, str) else None
+
+
+def _json_children(node: dict) -> Optional[tuple]:
+    cls = _node_class(node)
+    if cls is ETWeak:
         return tuple(inst["child"] for inst in node["instances"])
-    return None  # an atom, or a kind `_tree_from_json` rejects
+    fields = _CHILD_FIELDS.get(cls)
+    if fields is None:
+        return None  # an atom, or a kind `_tree_from_json` rejects
+    return tuple(node[f] for f in fields)
 
 
 def _collect_eigens(node: dict, out: set[str]) -> None:
@@ -315,22 +297,20 @@ def _collect_eigens(node: dict, out: set[str]) -> None:
 
 
 def _from_json_step(scope: frozenset[str], node: dict):
-    kind = node["kind"]
-    if kind == "atom":
+    cls = _node_class(node)
+    if cls is Atom:
         atom = parse_formula(node["formula"], extra_vars=scope)
         if not isinstance(atom, Atom):
             raise ExpansionError(f"atom node does not hold an atom: {node['formula']!r}")
-        return None, ETAtom(atom)
-    if kind == "neg":
-        return _json_children(node), ETNeg
-    if kind in ("and", "or", "imp"):
-        return _json_children(node), partial(ETBin, kind)
-    if kind not in ("weak", "strong"):
-        raise ExpansionError(f"unknown node kind {kind!r}")
+        return None, atom
+    if cls is None:
+        raise ExpansionError(f"unknown node kind {node['kind']!r}")
+    if cls is not ETWeak and cls is not ETStrong:
+        return _json_children(node), cls
     var = node["var"]
     inner = scope | {var}
     body = parse_formula(node["body"], extra_vars=inner)
-    if kind == "weak":
+    if cls is ETWeak:
         terms = tuple(parse_term(inst["term"], extra_vars=inner) for inst in node["instances"])
         return _json_children(node), partial(_weak_node, var, body, terms)
     return _json_children(node), partial(ETStrong, var, body, node["eigenvariable"])
@@ -340,12 +320,12 @@ def _tree_from_json(node: dict, scope: frozenset[str]) -> ExpansionTree:
     return fold(node, partial(_from_json_step, scope))
 
 
-def sequent_from_json(data: dict) -> ExpansionSequent:
+def sequent_from_json(data: dict) -> Sequent:
     eigens: set[str] = set()
     for node in list(data.get("antecedent", ())) + list(data.get("succedent", ())):
         _collect_eigens(node, eigens)
     scope = frozenset(eigens)
-    return ExpansionSequent(
+    return Sequent(
         tuple(_tree_from_json(n, scope) for n in data.get("antecedent", ())),
         tuple(_tree_from_json(n, scope) for n in data.get("succedent", ())),
     )

@@ -17,16 +17,15 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    BINARY,
     And,
     App,
     Atom,
     ExproofError,
     Formula,
-    Imp,
     InvariantError,
     Literal,
     Neg,
-    Or,
     Polarity,
     Sequent,
     Strength,
@@ -37,19 +36,14 @@ from .core import (
     fold,
     free_vars,
     match_under,
+    polar_parts,
     quantifier_strengths,
     rectify,
     same_formula,
     subformulas,
+    subterms,
 )
-from .expansion import (
-    VACUOUS_TERM,
-    ExpansionSequent,
-    ExpansionTree,
-    expand_formula,
-    shallow,
-    shallow_sequent,
-)
+from .expansion import VACUOUS_TERM, ExpansionTree, expand_formula, shallow, shallow_sequent
 from .notation import FormulaParser, ParseError, Token, tokenize, unexpected
 from .verit import AxiomSchema, Clause, SchemaKind, _schema_tree, _show, axiom_instance, symmetry_trees
 
@@ -261,19 +255,14 @@ class SkolemRegistry:
         return {head: self.eigen_name(head) for head in sorted(self.args_seen)}
 
     def scan_term(self, term: Term) -> None:
-        if isinstance(term, Var):
-            return
-        if term.head in self.heads:
-            seen = self.args_seen.get(term.head)
-            if seen is None:
-                self.args_seen[term.head] = term.args
-            elif seen != term.args:
-                raise LeanCoPImportError(
-                    f"skolem head {term.head!r} used with two different argument lists "
-                    f"({App(term.head, seen)} vs {term}): strong quantifier bound more than once"
-                )
-        for a in term.args:
-            self.scan_term(a)
+        for t in subterms((term,)):
+            if type(t) is App and t.head in self.heads:
+                seen = self.args_seen.setdefault(t.head, t.args)
+                if seen != t.args:
+                    raise LeanCoPImportError(
+                        f"skolem head {t.head!r} used with two different argument lists "
+                        f"({App(t.head, seen)} vs {t}): strong quantifier bound more than once"
+                    )
 
     def collapse_term(self, term: Term) -> Term:
         if isinstance(term, Var):
@@ -289,13 +278,7 @@ class SkolemRegistry:
 
 
 def _function_symbols(atoms: Iterable[Atom]) -> set[str]:
-    symbols, stack = set(), [t for a in atoms for t in a.args]
-    while stack:
-        t = stack.pop()
-        if type(t) is App:
-            symbols.add(t.head)
-            stack += t.args
-    return symbols
+    return {t.head for t in subterms(t for a in atoms for t in a.args) if type(t) is App}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +289,6 @@ def _function_symbols(atoms: Iterable[Atom]) -> set[str]:
 class GenClause:
     literals: Clause
     source: str  # name of the input formula
-    is_definition: bool = False
 
     @property
     def variables(self) -> frozenset[str]:
@@ -343,29 +325,29 @@ def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int 
             defs.append(c + (Literal(datom, False),))
         return [(Literal(datom, True),)]
 
-    # items are (subformula, sign); the sign is the polarity, and a clause
-    # list is built from the children's lists after both are done, so the
-    # definitions are numbered in post-order
+    # items are (subformula, polarity), and a clause list is built from the
+    # children's lists after both are done, so the definitions are numbered
+    # in post-order
     def step(item):
-        f, sign = item
-        while not isinstance(f, (Atom, And, Or, Imp)):
-            f, sign = (f.sub, not sign) if isinstance(f, Neg) else (f.body, sign)
-        if isinstance(f, Atom):
-            return None, [(Literal(f, sign),)]
-        # the left side of an implication flips the sign; a positive
-        # conjunction, a negative disjunction and a negative implication
-        # distribute, the others join their children's clause lists
-        parts = ((f.left, not sign if isinstance(f, Imp) else sign), (f.right, sign))
-        if isinstance(f, And) == sign:
-            return parts, partial(product, f.left, f.right)
-        return parts, add
+        f, pol = item
+        kind = type(f)
+        while kind is not Atom and kind not in BINARY:  # a negation or a quantifier
+            ((f, pol),) = polar_parts(f, pol)
+            kind = type(f)
+        if kind is Atom:
+            return None, [(Literal(f, pol is Polarity.POS),)]
+        # a positive conjunction, a negative disjunction and a negative
+        # implication distribute, the others join their children's clause
+        # lists
+        if (kind is And) == (pol is Polarity.POS):
+            return polar_parts(f, pol), partial(product, f.left, f.right)
+        return polar_parts(f, pol), add
 
     for name, role, formula in inputs:
         defs: list[tuple[Literal, ...]] = []  # `_define` appends to the current input's list
-        sign = role == "conjecture"  # axioms enter negated
-        main = fold((formula, sign), step)
-        out.extend(GenClause(c, name) for c in main)
-        out.extend(GenClause(c, name, is_definition=True) for c in defs)
+        pol = Polarity.POS if role == "conjecture" else Polarity.NEG  # axioms enter negated
+        main = fold((formula, pol), step)
+        out.extend(GenClause(c, name) for c in main + defs)
     return out
 
 
@@ -375,7 +357,6 @@ def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int 
 
 @dataclass(frozen=True)
 class ClauseMatch:
-    clause_number: int
     generated: Optional[GenClause]  # None for equality-theory clauses
     schema: Optional[AxiomSchema]
     matcher: Subst
@@ -444,7 +425,7 @@ def match_clauses(generated: Sequence[GenClause], trace_clauses: Sequence[TraceC
                     continue
                 matcher = match_literals(g.literals, tc.literals)
                 if matcher is not None:
-                    found = ClauseMatch(tc.number, g, None, matcher)
+                    found = ClauseMatch(g, None, matcher)
                     break
             if found is None:
                 ranked = sorted(pool, key=lambda g: _signature_distance(g.literals, tc.literals))
@@ -462,7 +443,7 @@ def match_clauses(generated: Sequence[GenClause], trace_clauses: Sequence[TraceC
                     f"equality-theory clause {tc.number} {_show(tc.literals)} matches no "
                     f"known axiom schema"
                 )
-            matches[tc.number] = ClauseMatch(tc.number, None, inst.schema, inst.subst)
+            matches[tc.number] = ClauseMatch(None, inst.schema, inst.subst)
     return matches
 
 
@@ -496,10 +477,10 @@ def _fallback_subst(formula: Formula, polarity: Polarity, covered: set[str]) -> 
     return Subst(bindings)
 
 
-def import_leancop(trace: LeanCoPTrace, threshold: int = 4) -> tuple[ExpansionSequent, dict]:
+def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     """Build the expansion sequent of the original (unskolemized) problem:
     axioms on the left, conjectures on the right, plus one antecedent tree per
-    equality axiom schema the proof used.  `threshold` is `definitional_dnf`'s."""
+    equality axiom schema the proof used."""
     if not trace.inputs:
         raise LeanCoPImportError("trace has no input formulas")
 
@@ -534,9 +515,10 @@ def import_leancop(trace: LeanCoPTrace, threshold: int = 4) -> tuple[ExpansionSe
         for tc in trace.clauses
     ]
     raw_by_number = {tc.number: tc for tc in trace.clauses}
+    clause_vars: dict[int, frozenset[str]] = {}  # a clause's variables, from its first step on
 
     generated = definitional_dnf(
-        [(f.name, f.role, positions[f.name][2]) for f in trace.inputs], threshold
+        [(f.name, f.role, positions[f.name][2]) for f in trace.inputs]
     )
     matches = match_clauses(generated, collapsed)
 
@@ -546,11 +528,10 @@ def import_leancop(trace: LeanCoPTrace, threshold: int = 4) -> tuple[ExpansionSe
     for step in trace.steps:
         if step.clause is None:
             continue  # reductions close branches without new instances
-        raw = raw_by_number[step.clause]
-        clause_vars: set[str] = set()
-        for lit in raw.literals:
-            clause_vars |= free_vars(lit)
-        extra = step.binding.domain - clause_vars
+        if step.clause not in clause_vars:
+            literals = raw_by_number[step.clause].literals
+            clause_vars[step.clause] = frozenset().union(*map(free_vars, literals))
+        extra = step.binding.domain - clause_vars[step.clause]
         if extra:
             names = ", ".join(sorted(extra))
             raise LeanCoPImportError(
@@ -590,8 +571,8 @@ def import_leancop(trace: LeanCoPTrace, threshold: int = 4) -> tuple[ExpansionSe
         ant_trees.append(_schema_tree(schema, subs))
     ant_trees += symmetry_trees(ant_trees + suc_trees)
 
-    es = ExpansionSequent(tuple(ant_trees), tuple(suc_trees))
-    base = shallow_sequent(ExpansionSequent(tuple(ant_trees[: len(axioms)]), es.succedent))
+    es = Sequent(tuple(ant_trees), tuple(suc_trees))
+    base = shallow_sequent(Sequent(tuple(ant_trees[: len(axioms)]), es.succedent))
     if not (
         len(base.antecedent) == len(sequent.antecedent)
         and len(base.succedent) == len(sequent.succedent)

@@ -26,6 +26,7 @@ from .core import (
     InvariantError,
     Literal,
     Polarity,
+    Sequent,
     Subst,
     Term,
     Var,
@@ -35,7 +36,7 @@ from .core import (
     fold,
     same_formula,
 )
-from .expansion import ETAtom, ExpansionSequent, ExpansionTree, children, expand_formula, shallow
+from .expansion import ExpansionTree, children, expand_formula, shallow
 from .notation import ParseError, Token, scan
 
 Clause = tuple[Literal, ...]
@@ -472,8 +473,8 @@ def symmetry_trees(trees: Iterable[ExpansionTree]) -> list[ExpansionTree]:
     sides: dict[tuple[Term, ...], None] = {}  # a dict keeps first-use order
 
     def step(tree):
-        if type(tree) is ETAtom and tree.atom.pred == EQ:
-            sides[tree.atom.args] = None
+        if type(tree) is Atom and tree.pred == EQ:
+            sides[tree.args] = None
         return children(tree), discard
 
     for tree in trees:
@@ -482,7 +483,7 @@ def symmetry_trees(trees: Iterable[ExpansionTree]) -> list[ExpansionTree]:
     return [_schema_tree(make_schema(SchemaKind.SYMMETRY), symmetric)] if symmetric else []
 
 
-def import_verit(trace: VeritTrace) -> tuple[ExpansionSequent, dict]:
+def import_verit(trace: VeritTrace) -> tuple[Sequent, dict]:
     """Build the left-side-only expansion sequent of a refutation trace.
 
     The antecedent holds one propositional tree per input clause, one tree
@@ -524,4 +525,4 @@ def import_verit(trace: VeritTrace) -> tuple[ExpansionSequent, dict]:
         "flips": flips,
         "reflexivity_terms": [str(t) for t in refl_terms],
     }
-    return ExpansionSequent(tuple(antecedent), ()), report
+    return Sequent(tuple(antecedent), ()), report

@@ -7,7 +7,7 @@ from collections import deque
 from itertools import count, product
 
 from exproof.core import And, App, Atom, Forall, Imp, Neg, Or, Polarity, Sequent, Var, free_vars
-from exproof.expansion import ETAtom, ETBin, ETNeg, ETStrong, ETWeak
+from exproof.expansion import ETStrong, ETWeak
 
 
 # --- propositional evaluation and truth-table tautology check ---
@@ -266,11 +266,11 @@ def ref_is_tautology(ds: Sequent):
 
 
 def _ref_walk_tree(tree, path, occurrences, strongs):
-    if isinstance(tree, ETAtom):
+    if isinstance(tree, Atom):
         return
-    if isinstance(tree, ETNeg):
-        _ref_walk_tree(tree.child, path + (0,), occurrences, strongs)
-    elif isinstance(tree, ETBin):
+    if isinstance(tree, Neg):
+        _ref_walk_tree(tree.sub, path + (0,), occurrences, strongs)
+    elif isinstance(tree, (And, Or, Imp)):
         _ref_walk_tree(tree.left, path + (0,), occurrences, strongs)
         _ref_walk_tree(tree.right, path + (1,), occurrences, strongs)
     elif isinstance(tree, ETWeak):

@@ -31,7 +31,6 @@ from exproof.core import (
     rectify,
 )
 from exproof.expansion import (
-    ExpansionSequent,
     expand_formula,
     sequent_from_json,
     sequent_to_json,
@@ -132,7 +131,7 @@ def test_criterion_4_verit_pipeline():
         results[name] = verdict(es)
         timings[name] = time.perf_counter() - started
         if name == "verit_transitivity.proof":
-            pruned = ExpansionSequent(es.antecedent[:3], ())
+            pruned = Sequent(es.antecedent[:3], ())
             minimality = not verdict(pruned).tautology
     all_proofs = all(v.is_proof for v in results.values())
     fast = all(t < 1.0 for t in timings.values())
@@ -306,7 +305,7 @@ def test_criterion_6_sanity_check_direction():
     agree = 0
     for i, (seq, (ant_subs, suc_subs), designed_valid) in enumerate(pairs):
         rect, _ = rectify(seq)
-        es = ExpansionSequent(
+        es = Sequent(
             _expand_side(rect.antecedent, ant_subs, Polarity.NEG),
             _expand_side(rect.succedent, suc_subs, Polarity.POS),
         )

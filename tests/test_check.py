@@ -10,16 +10,8 @@ from exproof.check import (
     is_tautology,
     verdict,
 )
-from exproof.core import And, App, Atom, Polarity, Sequent, Var, const, eq, rectify
-from exproof.expansion import (
-    ETAtom,
-    ETBin,
-    ETNeg,
-    ETStrong,
-    ETWeak,
-    ExpansionSequent,
-    expand_formula,
-)
+from exproof.core import And, App, Atom, Imp, Neg, Or, Polarity, Sequent, Var, const, eq, rectify
+from exproof.expansion import ETStrong, ETWeak, expand_formula
 from exproof.notation import parse_formula, sequent_text
 from oracles import (
     eval_sequent,
@@ -38,40 +30,38 @@ a, b, c = const("a"), const("b"), const("c")
 A, B = Var("A"), Var("B")
 
 
-def drinker_sequent() -> ExpansionSequent:
+def drinker_sequent() -> Sequent:
     """succedent tree for ?[X]: (p(X) => ![Y]: p(Y)) with instances c, A."""
     body = parse_formula("p(X) => ![Y]: p(Y)", extra_vars={"X"})
-    child1 = ETBin("imp", ETAtom(P(c)), ETStrong("Y", P(Var("Y")), "A", ETAtom(P(A))))
-    child2 = ETBin("imp", ETAtom(P(A)), ETStrong("Y", P(Var("Y")), "B", ETAtom(P(B))))
-    return ExpansionSequent((), (ETWeak("X", body, ((c, child1), (A, child2))),))
+    child1 = Imp(P(c), ETStrong("Y", P(Var("Y")), "A", P(A)))
+    child2 = Imp(P(A), ETStrong("Y", P(Var("Y")), "B", P(B)))
+    return Sequent((), (ETWeak("X", body, ((c, child1), (A, child2))),))
 
 
-def crossed_sequent() -> ExpansionSequent:
+def crossed_sequent() -> Sequent:
     """Two antecedent trees whose instances use each other's eigenvariables."""
 
     def tree(outer, inner, eigen, instance, pred):
         atom = Atom(pred, (instance, Var(eigen)))
-        strong = ETStrong(inner, Atom(pred, (instance, Var(inner))), eigen, ETAtom(atom))
+        strong = ETStrong(inner, Atom(pred, (instance, Var(inner))), eigen, atom)
         shallow_body = parse_formula(f"?[{inner}]: {pred}({outer}, {inner})", extra_vars={outer})
         return ETWeak(outer, shallow_body, ((instance, strong),))
 
     t1 = tree("X", "U", "A", B, "r")  # X := B, eigenvariable A
     t2 = tree("Y", "V", "B", A, "s")  # Y := A, eigenvariable B
-    return ExpansionSequent((t1, t2), ())
+    return Sequent((t1, t2), ())
 
 
 # --- deep sequent ---
 
 
 def test_deep_sequent_single_instance():
-    es = ExpansionSequent(
-        (ETWeak("X", P(Var("X")), ((c, ETAtom(P(c))),)),), (ETAtom(P(c)),)
-    )
+    es = Sequent((ETWeak("X", P(Var("X")), ((c, P(c)),)),), (P(c),))
     assert deep_sequent(es) == Sequent((P(c),), (P(c),))
 
 
 def test_deep_sequent_empty():
-    assert deep_sequent(ExpansionSequent()) == Sequent()
+    assert deep_sequent(Sequent()) == Sequent()
 
 
 def test_deep_sequent_drinker():
@@ -160,7 +150,7 @@ def test_long_conjunction_does_not_recurse():
 
 
 def test_no_strong_nodes_means_no_edges():
-    es = ExpansionSequent((ETWeak("X", P(Var("X")), ((a, ETAtom(P(a))),)),), ())
+    es = Sequent((ETWeak("X", P(Var("X")), ((a, P(a)),)),), ())
     g = dependency_relation(es)
     assert len(g.nodes) == 1 and not g.edges
 
@@ -182,10 +172,10 @@ def test_crossed_dependency_two_cycle():
 
 def test_strong_node_at_instance_child_is_dominated():
     # forall X exists Y r(X,Y): the strong node sits directly on the instance edge
-    strong = ETStrong("Y", Atom("r", (a, Var("Y"))), "E", ETAtom(Atom("r", (a, Var("E")))))
+    strong = ETStrong("Y", Atom("r", (a, Var("Y"))), "E", Atom("r", (a, Var("E"))))
     t1 = ETWeak("X", parse_formula("?[Y]: r(X, Y)", extra_vars={"X"}), ((a, strong),))
-    t2 = ETWeak("Z", Atom("r", (a, Var("Z"))), ((Var("E"), ETAtom(Atom("r", (a, Var("E"))))),))
-    g = dependency_relation(ExpansionSequent((t1,), (t2,)))
+    t2 = ETWeak("Z", Atom("r", (a, Var("Z"))), ((Var("E"), Atom("r", (a, Var("E")))),))
+    g = dependency_relation(Sequent((t1,), (t2,)))
     assert g.edges == frozenset({(0, 1)})
 
 
@@ -203,7 +193,7 @@ def test_dependency_relation_matches_pairwise_scan_seeded():
                 tuple(f for f, s in zip(raw, sides) if s == 1),
             )
         )
-        es = ExpansionSequent(
+        es = Sequent(
             tuple(
                 expand_formula(f, random_instances(rng, f, Polarity.NEG, weak_terms), Polarity.NEG)
                 for f in sequent.antecedent
@@ -279,7 +269,7 @@ def test_drinker_is_proof():
 
 
 def test_opaque_equality_verdict_fails_tautology():
-    es = ExpansionSequent((ETAtom(eq(a, b)), ETAtom(eq(b, c))), (ETAtom(eq(a, c)),))
+    es = Sequent((eq(a, b), eq(b, c)), (eq(a, c),))
     v = verdict(es)
     assert not v.is_proof and not v.tautology and v.acyclic
     assert v.counterexample is not None
@@ -288,8 +278,8 @@ def test_opaque_equality_verdict_fails_tautology():
 def test_crossed_verdict_fails_acyclicity():
     # make the deep sequent trivially tautological but keep the cycle
     base = crossed_sequent()
-    taut = ETBin("or", ETAtom(P(a)), ETNeg(ETAtom(P(a))))
-    es = ExpansionSequent(base.antecedent, (taut,))
+    taut = Or(P(a), Neg(P(a)))
+    es = Sequent(base.antecedent, (taut,))
     v = verdict(es)
     assert v.tautology and not v.acyclic and not v.is_proof
     assert v.cycle is not None and len(v.cycle) == 2

@@ -64,7 +64,7 @@ def test_check_reads_skolem_heads_and_format_off_the_trace(tmp_path, capsys, tex
     assert json.loads(capsys.readouterr().out)["is_proof"] is True
 
 
-@pytest.mark.parametrize("option", [["--format", "leancop"], ["--skolem-prefix", "sk"]])
+@pytest.mark.parametrize("option", [["--format", "leancop"], ["--skolem-prefix", "sk"], ["--def-threshold", "4"]])
 def test_removed_options_are_usage_errors(capsys, option):
     with pytest.raises(SystemExit) as excinfo:
         main(["check", *option, fixture("leancop_simple.proof")])
@@ -137,7 +137,11 @@ def test_nested_term_proof_never_exits_one(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "content, message",
-    [(None, "cannot read: No such file or directory"), (b"\xff", "not UTF-8 text at byte offset 0")],
+    [
+        (None, "cannot read: No such file or directory"),
+        (b"\xff", "not UTF-8 text at byte offset 0"),
+        (b"\xef\xbb\xbf\xff", "not UTF-8 text at byte offset 3"),  # the offset counts the byte-order mark
+    ],
 )
 @pytest.mark.parametrize("command", [["check"], ["show"], ["export"]])
 def test_unreadable_input_exit_two(tmp_path, capsys, command, content, message):
@@ -148,6 +152,16 @@ def test_unreadable_input_exit_two(tmp_path, capsys, command, content, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("name", ["verit_transitivity.proof", "leancop_simple.proof"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+    assert main(["check", str(path)]) == EXIT_PROOF
+    capsys.readouterr()
+    assert main(["batch", str(tmp_path)]) == EXIT_PROOF
+    assert json.loads(capsys.readouterr().out)["files"][name]["status"] == "proof"
 
 
 def test_check_leancop_fixtures(capsys):

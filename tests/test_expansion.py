@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given
 
 from exproof.core import (
+    And,
     Atom,
     Exists,
     Forall,
     Imp,
+    Neg,
+    Or,
     Polarity,
     Sequent,
     Strength,
@@ -20,14 +23,10 @@ from exproof.core import (
     rectify,
 )
 from exproof.expansion import (
-    ETAtom,
-    ETBin,
-    ETNeg,
     ETStrong,
     ETWeak,
     EigenvariableFormError,
     ExpansionError,
-    ExpansionSequent,
     MissingInstanceError,
     MultiplicityError,
     VACUOUS_TERM,
@@ -51,31 +50,31 @@ a, b, c = const("a"), const("b"), const("c")
 
 
 def test_shallow_atom_ignores_polarity():
-    node = ETAtom(P(a))
+    node = P(a)
     assert shallow(node, Polarity.NEG) == P(a)
     assert shallow(node, Polarity.POS) == P(a)
 
 
 def test_shallow_weak_node():
-    node = ETWeak("X", P(Var("X")), ((a, ETAtom(P(a))), (b, ETAtom(P(b)))))
+    node = ETWeak("X", P(Var("X")), ((a, P(a)), (b, P(b))))
     assert shallow(node, Polarity.NEG) == Forall("X", P(Var("X")))
     assert shallow(node, Polarity.POS) == Exists("X", P(Var("X")))
 
 
 def test_shallow_strong_node():
-    node = ETStrong("Y", Q(Var("Y")), "A", ETAtom(Q(Var("A"))))
+    node = ETStrong("Y", Q(Var("Y")), "A", Q(Var("A")))
     assert shallow(node, Polarity.POS) == Forall("Y", Q(Var("Y")))
     assert shallow(node, Polarity.NEG) == Exists("Y", Q(Var("Y")))
 
 
 def test_deep_weak_node_polarity():
-    node = ETWeak("X", P(Var("X")), ((a, ETAtom(P(a))), (b, ETAtom(P(b)))))
+    node = ETWeak("X", P(Var("X")), ((a, P(a)), (b, P(b))))
     assert deep(node, Polarity.NEG) == parse_formula("p(a) & p(b)")
     assert deep(node, Polarity.POS) == parse_formula("p(a) | p(b)")
 
 
 def test_deep_strong_node_is_transparent():
-    node = ETStrong("Y", Q(Var("Y")), "A", ETAtom(Q(Var("A"))))
+    node = ETStrong("Y", Q(Var("Y")), "A", Q(Var("A")))
     for p in Polarity:
         assert deep(node, p) == Q(Var("A"))
 
@@ -86,13 +85,13 @@ def test_deep_strong_node_is_transparent():
 def test_expand_weak_universal():
     f = Forall("X", P(Var("X")))
     tree = expand_formula(f, [Subst({"X": a}), Subst({"X": b})], Polarity.NEG)
-    assert tree == ETWeak("X", P(Var("X")), ((a, ETAtom(P(a))), (b, ETAtom(P(b)))))
+    assert tree == ETWeak("X", P(Var("X")), ((a, P(a)), (b, P(b))))
 
 
 def test_expand_propositional_with_empty_instances():
     f = Imp(P(a), P(a))
     tree = expand_formula(f, [], Polarity.POS)
-    assert tree == ETBin("imp", ETAtom(P(a)), ETAtom(P(a)))
+    assert tree == Imp(P(a), P(a))
 
 
 def test_expand_partitions_by_outer_term():
@@ -141,7 +140,7 @@ def test_expand_eigenvariable_form_error():
 def test_expand_vacuous_weak_quantifier_gets_dummy_instance():
     f = Forall("X", P(a))  # X not free in the body
     tree = expand_formula(f, [], Polarity.NEG)
-    assert tree == ETWeak("X", P(a), ((VACUOUS_TERM, ETAtom(P(a))),))
+    assert tree == ETWeak("X", P(a), ((VACUOUS_TERM, P(a)),))
     assert shallow(tree, Polarity.NEG) == f
 
 
@@ -160,12 +159,12 @@ def test_expand_sequent_positions_and_errors():
     # a sequent expands formula by formula, the antecedent at negative and
     # the succedent at positive polarity
     seq = Sequent((Forall("X", P(Var("X"))),), (P(c),))
-    es = ExpansionSequent(
+    es = Sequent(
         (expand_formula(seq.antecedent[0], [Subst({"X": c})], Polarity.NEG),),
         (expand_formula(seq.succedent[0], [], Polarity.POS),),
     )
-    assert es.antecedent[0] == ETWeak("X", P(Var("X")), ((c, ETAtom(P(c))),))
-    assert es.succedent[0] == ETAtom(P(c))
+    assert es.antecedent[0] == ETWeak("X", P(Var("X")), ((c, P(c)),))
+    assert es.succedent[0] == P(c)
     assert shallow_sequent(es) == seq
     with pytest.raises(MissingInstanceError):
         expand_formula(seq.antecedent[0], [], Polarity.NEG)
@@ -185,11 +184,11 @@ def _no_quantifiers(f):
 
 
 def _tree_atoms(tree, out):
-    if isinstance(tree, ETAtom):
-        out.add(tree.atom)
-    elif isinstance(tree, ETNeg):
-        _tree_atoms(tree.child, out)
-    elif isinstance(tree, ETBin):
+    if isinstance(tree, Atom):
+        out.add(tree)
+    elif isinstance(tree, Neg):
+        _tree_atoms(tree.sub, out)
+    elif isinstance(tree, (And, Or, Imp)):
         _tree_atoms(tree.left, out)
         _tree_atoms(tree.right, out)
     elif isinstance(tree, ETWeak):
@@ -219,10 +218,10 @@ def _assert_polarity_discipline(tree, pol):
     elif isinstance(tree, ETStrong):
         assert quantifier_strengths(shallow(tree, pol), pol)[tree.var] is Strength.STRONG
         _assert_polarity_discipline(tree.child, pol)
-    elif isinstance(tree, ETNeg):
-        _assert_polarity_discipline(tree.child, pol.flip())
-    elif isinstance(tree, ETBin):
-        left_pol = pol.flip() if tree.conn == "imp" else pol
+    elif isinstance(tree, Neg):
+        _assert_polarity_discipline(tree.sub, pol.flip())
+    elif isinstance(tree, (And, Or, Imp)):
+        left_pol = pol.flip() if isinstance(tree, Imp) else pol
         _assert_polarity_discipline(tree.left, left_pol)
         _assert_polarity_discipline(tree.right, pol)
 
@@ -265,21 +264,21 @@ def test_weak_children_count_matches_distinct_terms():
 
 
 def test_tree_json_fields():
-    node = ETWeak("X", P(Var("X")), ((a, ETAtom(P(a))),))
+    node = ETWeak("X", P(Var("X")), ((a, P(a)),))
     data = tree_to_json(node)
     assert data["kind"] == "weak"
     assert data["var"] == "X"
     assert data["instances"] == [{"term": "a", "child": {"kind": "atom", "formula": "p(a)"}}]
-    strong = ETStrong("Y", Q(Var("Y")), "v_sk1", ETAtom(Q(Var("v_sk1"))))
+    strong = ETStrong("Y", Q(Var("Y")), "v_sk1", Q(Var("v_sk1")))
     sdata = tree_to_json(strong)
     assert sdata["kind"] == "strong"
     assert sdata["eigenvariable"] == "v_sk1"
 
 
 def test_json_roundtrip_with_eigenvariables():
-    inner = ETStrong("Y", Q(Var("Y")), "v_sk1", ETAtom(Q(Var("v_sk1"))))
-    tree = ETWeak("X", parse_formula("p(X)", extra_vars={"X"}), ((Var("v_sk1"), ETAtom(P(Var("v_sk1")))),))
-    es = ExpansionSequent((inner,), (tree,))
+    inner = ETStrong("Y", Q(Var("Y")), "v_sk1", Q(Var("v_sk1")))
+    tree = ETWeak("X", parse_formula("p(X)", extra_vars={"X"}), ((Var("v_sk1"), P(Var("v_sk1"))),))
+    es = Sequent((inner,), (tree,))
     data = json.loads(json.dumps(sequent_to_json(es)))
     assert sequent_from_json(data) == es
 
@@ -291,7 +290,7 @@ def test_json_roundtrip_seeded():
         f = rectify(Sequent((raw,), ()))[0].antecedent[0]
         pol = rng.choice((Polarity.NEG, Polarity.POS))
         tree = expand_formula(f, random_instances(rng, f, pol), pol)
-        es = ExpansionSequent((tree,), ()) if pol is Polarity.NEG else ExpansionSequent((), (tree,))
+        es = Sequent((tree,), ()) if pol is Polarity.NEG else Sequent((), (tree,))
         data = json.loads(json.dumps(sequent_to_json(es)))
         assert sequent_from_json(data) == es
 
@@ -299,3 +298,5 @@ def test_json_roundtrip_seeded():
 def test_tree_from_json_rejects_unknown_kind():
     with pytest.raises(ExpansionError, match="unknown node kind"):
         sequent_from_json({"antecedent": [{"kind": "mystery"}]})
+    with pytest.raises(ExpansionError, match="unknown node kind"):
+        sequent_from_json({"antecedent": [{"kind": ["neg"]}]})

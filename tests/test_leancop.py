@@ -116,6 +116,15 @@ def test_skolem_single_binding_violation():
         reg.scan_term(App("sk1", (a,)))
 
 
+def test_skolem_scan_does_not_recurse_on_term_depth():
+    reg = SkolemRegistry({"sk1"})
+    t = App("sk1", (a,))
+    for _ in range(5000):
+        t = App("f", (t,))
+    reg.scan_term(t)
+    assert reg.args_seen == {"sk1": (a,)}
+
+
 def test_skolem_heads_are_the_symbols_only_clauses_have():
     # `sk1` is named in the input, so it is a constant whatever its name;
     # `f1` is only in the clauses, so it is a Skolem head whatever its name
@@ -186,12 +195,13 @@ def test_dnf_definitional_mode_introduces_predicate():
     naive = definitional_dnf([("ax", "axiom", f)], threshold=100)
     assert len(naive) == 9
     defd = definitional_dnf([("ax", "axiom", f)], threshold=4)
-    assert any(g.is_definition for g in defd)
     assert len(defd) < 9
     def_preds = {
         l.atom.pred for g in defd for l in g.literals if l.atom.pred.startswith("d")
     }
     assert def_preds  # fresh definition predicates were used
+    # a definition clause carries its predicate negated
+    assert any(not l.positive and l.atom.pred in def_preds for g in defd for l in g.literals)
 
 
 def test_dnf_definition_predicates_carry_free_variables():

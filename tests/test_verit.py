@@ -7,8 +7,8 @@ from hypothesis import given, settings
 
 from conftest import FIXTURES
 from exproof.check import verdict
-from exproof.core import App, Atom, InvariantError, Literal, Subst, apply_subst, const, eq
-from exproof.expansion import ExpansionSequent, shallow_sequent
+from exproof.core import App, Atom, InvariantError, Literal, Sequent, Subst, apply_subst, const, eq
+from exproof.expansion import shallow_sequent
 from exproof.notation import parse_formula
 from exproof.verit import (
     AXIOM_RULES,
@@ -428,7 +428,7 @@ def test_import_minimality():
     # dropping the axiom-instance tree must break the tautology
     for name in ("verit_transitivity.proof", "verit_congruence.proof", "verit_reflexivity.proof"):
         es, _ = import_verit(load(name))
-        pruned = ExpansionSequent(es.antecedent[:-1], ())
+        pruned = Sequent(es.antecedent[:-1], ())
         v = verdict(pruned)
         assert not v.tautology and not v.is_proof, name
 
