@@ -1,16 +1,25 @@
 """First-order kernel: terms, formulas, sequents, polarity, substitution, matching.
 
-All values are immutable; every operation is a pure function, so anything in
-this module can be shared freely between threads.
+Terms, formulas and expansion-tree nodes are `Node`s, hash-consed: building
+a node looks it up by its kind and fields in one intern table, so two
+structurally equal nodes are the same object.  Equality is identity, the
+hash is the identity hash, and no comparison descends into a term.  The
+table holds its nodes weakly, so a node lives only as long as something
+else refers to it.
+
+All values are immutable and every operation is a pure function.  Looking
+a node up and inserting it cannot make two equal nodes, even from several
+threads, so anything in this module can be shared between threads.
 """
 from __future__ import annotations
 
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import partial
 from itertools import count
-from operator import and_
 from typing import Iterable, Iterator, Mapping, Optional, Union
+from weakref import KeyedRef, ref
 
 EQ = "="  # reserved equality predicate, always arity 2
 
@@ -24,26 +33,124 @@ class InvariantError(ExproofError):
 
 
 # ---------------------------------------------------------------------------
+# nodes
+
+# (kind, *fields) -> a weak reference to the one node with those fields.  A
+# dead node's callback removes its entry, unless an equal node has taken it.
+_nodes: dict[tuple, KeyedRef] = {}
+_new_ref = ref.__new__
+
+
+def _forget(entry: KeyedRef) -> None:
+    _remove_dead_weakref(_nodes, entry.key)
+
+
+class Node:
+    """A hash-consed immutable value.  Each kind is a subclass that declares
+    its fields as `__slots__`, where a slot named with a leading `_` is a
+    cache; `Kind(*fields)` returns the node with those fields if one is
+    alive, and makes it otherwise."""
+
+    __slots__ = ("__weakref__",)
+    _defaults: tuple = ()  # values of the last fields, which may be left out together
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(s for s in cls.__slots__ if s[0] != "_")
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        entry = _nodes.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        set_fields = cls._setters
+        if len(fields) != len(set_fields):
+            if len(fields) + len(cls._defaults) != len(set_fields):
+                raise TypeError(f"{cls.__name__} takes {len(set_fields)} fields, got {len(fields)}")
+            return cls(*fields, *cls._defaults)
+        node = object.__new__(cls)
+        # the first two fields are set without a loop, which made the
+        # benchmark's leanCoP checks about 3% slower on a 2-CPU host
+        set_fields[0](node, fields[0])
+        if len(fields) > 1:
+            set_fields[1](node, fields[1])
+            for i in range(2, len(fields)):
+                set_fields[i](node, fields[i])
+        # `ref.__new__` skips the Python-level constructor of KeyedRef,
+        # which would double the cost of a new node
+        entry = _new_ref(KeyedRef, node, _forget)
+        entry.key = key
+        # setdefault is atomic, so a node another thread made first wins;
+        # an entry whose node is dead and not yet forgotten is replaced
+        while (found := _nodes.setdefault(key, entry)()) is None:
+            _remove_dead_weakref(_nodes, key)
+        return found
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):  # `copy.copy` goes through it too
+        return type(self), self.values()
+
+    def __deepcopy__(self, memo) -> "Node":
+        return self
+
+    def __repr__(self) -> str:
+        return fold(self, _repr_step)
+
+
+def _repr_step(x):
+    if isinstance(x, Node):
+        return x.values(), lambda *parts: f"{type(x).__name__}({', '.join(parts)})"
+    if type(x) is tuple:
+        return x, lambda *parts: f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+    return None, repr(x)
+
+
+def _text(node: Union["App", "Atom"]) -> str:
+    """The text of a term or atom, emitted in order by a fold and kept on
+    `node` alone: the subterms of a deep term keep no text of their own."""
+    if not hasattr(node, "_text"):
+        pieces: list[str] = []
+
+        def step(x):
+            if type(x) is str or type(x) is Var:
+                pieces.append(str(x))
+                return None, None
+            head = x.head if type(x) is App else x.pred
+            if type(x) is Atom and head == EQ and len(x.args) == 2:
+                return (x.args[0], " = ", x.args[1]), discard
+            if not x.args:
+                pieces.append(head)
+                return None, None
+            pieces.append(f"{head}(")
+            return [p for a in x.args for p in (", ", a)][1:] + [")"], discard
+
+        fold(node, step)
+        object.__setattr__(node, "_text", "".join(pieces))
+    return node._text
+
+
+# ---------------------------------------------------------------------------
 # terms
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Node):
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class App:
-    head: str
-    args: tuple["Term", ...] = ()
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.head
-        return f"{self.head}({', '.join(str(a) for a in self.args)})"
+class App(Node):
+    __slots__ = ("head", "args", "_text")
+    _defaults = ((),)
+    __str__ = _text
 
 
 Term = Union[Var, App]
@@ -53,56 +160,47 @@ def const(name: str) -> App:
     return App(name, ())
 
 
+def app(head: str, *args: Term) -> App:
+    return App(head, args)
+
+
+def rebuilt(t: App, *args: Term) -> App:
+    """`t` with the arguments `args`; `t` itself if they are its own."""
+    return t if args == t.args else App(t.head, args)
+
+
 # ---------------------------------------------------------------------------
 # formulas
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...] = ()
-
-    def __str__(self) -> str:
-        if self.pred == EQ and len(self.args) == 2:
-            return f"{self.args[0]} = {self.args[1]}"
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({', '.join(str(a) for a in self.args)})"
+class Atom(Node):
+    __slots__ = ("pred", "args", "_text")
+    _defaults = ((),)
+    __str__ = _text
 
 
-@dataclass(frozen=True)
-class Neg:
-    sub: "Formula"
+class Neg(Node):
+    __slots__ = ("sub",)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+class Imp(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+class Forall(Node):
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Exists(Node):
+    __slots__ = ("var", "body")
 
 
 Formula = Union[Atom, Neg, And, Or, Imp, Forall, Exists]
@@ -188,9 +286,9 @@ def quantifier_strengths(formula: Formula, polarity: Polarity) -> dict[str, Stre
 
 
 # ---------------------------------------------------------------------------
-# traversal: every walk over formulas, expansion trees and their JSON form
-# goes through `fold` or `subformulas`, so depth is bounded by memory and not
-# by the interpreter's recursion limit
+# traversal: every walk over terms, formulas, expansion trees and their
+# JSON form goes through `fold`, `subformulas` or `subterms`, so depth is
+# bounded by memory and not by the interpreter's recursion limit
 
 
 def fold(root, step):
@@ -256,25 +354,6 @@ def subformulas(formula: Formula, polarity: Polarity) -> Iterator[tuple[Formula,
         yield item
         if type(item[0]) is not Atom:
             stack += reversed(polar_parts(*item))
-
-
-def _same_step(pair):
-    a, b = pair
-    kind = type(a)
-    if a is b:
-        return None, True
-    if kind is not type(b) or kind is Atom:
-        return None, a == b
-    if kind is Neg:
-        return ((a.sub, b.sub),), bool
-    if kind in BINARY:
-        return ((a.left, b.left), (a.right, b.right)), and_
-    return ((a.body, b.body),), partial(and_, a.var == b.var)
-
-
-def same_formula(a: Formula, b: Formula) -> bool:
-    """Structural equality of two formulas; shared subformulas are not walked."""
-    return fold((a, b), _same_step)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +452,18 @@ def _fresh_name(base: str, used: set[str]) -> str:
     raise AssertionError("unreachable")
 
 
-def _subst_term(t: Term, m: Mapping[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return m.get(t.name, t)
+def _subst_term_step(m: Mapping[str, Term], t: Term):
+    if type(t) is Var:
+        return None, m.get(t.name, t)
     if not t.args:
-        return t
-    return App(t.head, tuple(_subst_term(a, m) for a in t.args))
+        return None, t
+    return t.args, partial(rebuilt, t)
+
+
+def _subst_term(t: Term, m: Mapping[str, Term]) -> Term:
+    if type(t) is Var:
+        return m.get(t.name, t)
+    return fold(t, partial(_subst_term_step, m)) if t.args else t
 
 
 def _image_vars(free: Iterable[str], m: Mapping[str, Term]) -> set[str]:
@@ -403,7 +488,7 @@ def _subst_step(item):
         args = f.args
         for m in maps:
             args = tuple(_subst_term(a, m) for a in args)
-        return None, Atom(f.pred, args)
+        return None, f if args == f.args else Atom(f.pred, args)
     if kind is Neg:
         return ((f.sub, maps),), Neg
     if kind in BINARY:
@@ -482,7 +567,8 @@ def rectify(sequent: Sequent) -> tuple[Sequent, dict[str, tuple[int, str]]]:
         f, env, idx = item
         kind = type(f)
         if kind is Atom:
-            return None, Atom(f.pred, tuple(_subst_term(a, env) for a in f.args))
+            args = tuple(_subst_term(a, env) for a in f.args)
+            return None, f if args == f.args else Atom(f.pred, args)
         if kind is Neg:
             return ((f.sub, env, idx),), Neg
         if kind in BINARY:

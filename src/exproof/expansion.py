@@ -10,7 +10,6 @@ at negative polarity, succedent trees at positive polarity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Iterable, Optional, Union
 
@@ -24,6 +23,7 @@ from .core import (
     Formula,
     Imp,
     Neg,
+    Node,
     Or,
     Polarity,
     Sequent,
@@ -65,19 +65,13 @@ class EigenvariableFormError(ExpansionError):
 # quantifier nodes
 
 
-@dataclass(frozen=True)
-class ETWeak:
-    var: str
-    body: Formula  # shallow body with `var` free
-    instances: tuple[tuple[Term, "ExpansionTree"], ...]
+class ETWeak(Node):
+    # the shallow body has `var` free; each instance is (term, child)
+    __slots__ = ("var", "body", "instances")
 
 
-@dataclass(frozen=True)
-class ETStrong:
-    var: str
-    body: Formula
-    eigenvariable: str
-    child: "ExpansionTree"
+class ETStrong(Node):
+    __slots__ = ("var", "body", "eigenvariable", "child")
 
 
 ExpansionTree = Union[Atom, Neg, And, Or, Imp, ETWeak, ETStrong]

@@ -38,8 +38,8 @@ from .core import (
     match_under,
     polar_parts,
     quantifier_strengths,
+    rebuilt,
     rectify,
-    same_formula,
     subformulas,
     subterms,
 )
@@ -76,7 +76,6 @@ class TraceStep:
     kind: str  # "start" | "extension" | "reduction"
     clause: Optional[int]
     binding: Subst
-    literals: Clause
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class _TraceParser(FormulaParser):
 
     def parse_literal(self) -> Literal:
         start = self.tokens[self.pos]
-        f = self._parse_unary()  # covers ~, parentheses and disequations
+        f = self.parse_formula(unary=True)  # covers ~, parentheses and disequations
         positive = True
         while isinstance(f, Neg):
             positive = not positive
@@ -217,11 +216,11 @@ def parse_leancop(text: str) -> LeanCoPTrace:
                     parser.pos += 1
                     binding = parser.parse_bind()
                 parser.expect(")")
-                steps.append(TraceStep(id_tok[1], tail, clause_num, binding, lits))
+                steps.append(TraceStep(id_tok[1], tail, clause_num, binding))
             elif tail == "reduction":
                 if tokens[parser.pos][0] == "(":
                     parser.skip_balanced()
-                steps.append(TraceStep(id_tok[1], "reduction", None, Subst(), lits))
+                steps.append(TraceStep(id_tok[1], "reduction", None, Subst()))
             else:
                 raise ParseError(f"unknown clause origin or step {tail!r}", line, col)
             parser.expect(")")
@@ -264,17 +263,23 @@ class SkolemRegistry:
                         f"({App(t.head, seen)} vs {t}): strong quantifier bound more than once"
                     )
 
+    def _collapse_step(self, t: Term):
+        if type(t) is Var:
+            return None, t
+        if t.head in self.heads:
+            return None, Var(self.eigen_name(t.head))
+        return t.args, partial(rebuilt, t)
+
     def collapse_term(self, term: Term) -> Term:
-        if isinstance(term, Var):
-            return term
-        if term.head in self.heads:
-            self.scan_term(term)
-            return Var(self.eigen_name(term.head))
-        return App(term.head, tuple(self.collapse_term(a) for a in term.args))
+        """`term` with each outermost Skolem term replaced by its head's
+        eigenvariable.  The Skolem terms met here are subterms of the clause
+        and binding terms `import_leancop` scans first, so they are not
+        scanned again."""
+        return fold(term, self._collapse_step)
 
     def collapse_literal(self, lit: Literal) -> Literal:
-        atom = Atom(lit.atom.pred, tuple(self.collapse_term(a) for a in lit.atom.args))
-        return Literal(atom, lit.positive)
+        args = tuple(self.collapse_term(a) for a in lit.atom.args)
+        return lit if args == lit.atom.args else Literal(Atom(lit.atom.pred, args), lit.positive)
 
 
 def _function_symbols(atoms: Iterable[Atom]) -> set[str]:
@@ -564,7 +569,7 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     for f in trace.inputs:
         side, _i, rect_formula, pol = positions[f.name]
         tree = expand_formula(rect_formula, per_formula[f.name], pol)
-        if not same_formula(shallow(tree, pol), rect_formula):
+        if shallow(tree, pol) is not rect_formula:
             raise InvariantError(f"the tree of {f.name!r} does not read back as the rectified input")
         (ant_trees if side == "ant" else suc_trees).append(tree)
     for (_kind, _param), (schema, subs) in eq_groups.items():
@@ -572,12 +577,7 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     ant_trees += symmetry_trees(ant_trees + suc_trees)
 
     es = Sequent(tuple(ant_trees), tuple(suc_trees))
-    base = shallow_sequent(Sequent(tuple(ant_trees[: len(axioms)]), es.succedent))
-    if not (
-        len(base.antecedent) == len(sequent.antecedent)
-        and len(base.succedent) == len(sequent.succedent)
-        and all(map(same_formula, base.formulas, sequent.formulas))
-    ):
+    if shallow_sequent(Sequent(tuple(ant_trees[: len(axioms)]), es.succedent)) != sequent:
         raise InvariantError("shallow sequent drifted from the rectified input")
 
     report = {

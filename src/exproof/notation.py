@@ -175,67 +175,76 @@ class FormulaParser:
 
     # --- grammar ---
 
-    def parse_formula(self) -> Formula:
-        parts = [self._parse_disj()]
-        while self.tokens[self.pos][0] == "=>":
-            self.pos += 1
-            parts.append(self._parse_disj())
-        out = parts.pop()
-        while parts:
-            out = Imp(parts.pop(), out)  # right-associative
-        return out
-
-    def _parse_disj(self) -> Formula:
-        out = self._parse_conj()
-        while self.tokens[self.pos][0] == "|":
-            self.pos += 1
-            out = Or(out, self._parse_conj())
-        return out
-
-    def _parse_conj(self) -> Formula:
-        out = self._parse_unary()
-        while self.tokens[self.pos][0] == "&":
-            self.pos += 1
-            out = And(out, self._parse_unary())
-        return out
-
-    def _parse_unary(self) -> Formula:
-        # prefix negations and quantifier blocks, outermost first, as the
-        # constructors that wrap the formula they prefix
+    def parse_formula(self, unary: bool = False) -> Formula:
+        """A formula, or with `unary` one negation, quantification,
+        parenthesised formula or atom.  `=>` binds loosest and associates
+        to the right, then come `|` and `&`, to the left.  An open
+        parenthesis pushes the state of the formula around it, so nesting
+        takes no recursion."""
         tokens = self.tokens
-        prefixes: list = []
-        scope = len(self.bound)
+        # per open parenthesis: the finished `=>` operands, disjunction and
+        # conjunction of the formula around it, and the prefixes and
+        # bound-variable scope of the unary formula it opens
+        enclosing: list = []
+        parts, disj, conj = [], None, None
         while True:
-            kind, _text, line, col = tokens[self.pos]
-            if kind == "~":
-                self.pos += 1
-                prefixes.append(Neg)
-            elif kind == "!" or kind == "?":
-                self.pos += 1
-                cls = Forall if kind == "!" else Exists
-                self.expect("[")
-                names = [self._var_name()]
-                while tokens[self.pos][0] == ",":
+            # prefix negations and quantifier blocks, outermost first, as
+            # the constructors that wrap the formula they prefix
+            prefixes, scope = [], len(self.bound)
+            while True:
+                kind, _text, line, col = tokens[self.pos]
+                if kind == "~":
                     self.pos += 1
-                    names.append(self._var_name())
-                self.expect("]")
-                self.expect(":")
-                self.bound.extend(names)
-                prefixes += (partial(cls, name) for name in names)
-            elif kind == "(":
-                self.pos += 1
-                out = self.parse_formula()
+                    prefixes.append(Neg)
+                elif kind == "!" or kind == "?":
+                    self.pos += 1
+                    cls = Forall if kind == "!" else Exists
+                    self.expect("[")
+                    names = [self._var_name()]
+                    while tokens[self.pos][0] == ",":
+                        self.pos += 1
+                        names.append(self._var_name())
+                    self.expect("]")
+                    self.expect(":")
+                    self.bound.extend(names)
+                    prefixes += (partial(cls, name) for name in names)
+                elif kind == "(":
+                    self.pos += 1
+                    enclosing.append((parts, disj, conj, prefixes, scope))
+                    parts, disj, conj, prefixes, scope = [], None, None, [], len(self.bound)
+                elif kind:
+                    out = self._parse_atom()
+                    break
+                else:
+                    raise ParseError("expected a formula", line, col)
+            # `out` ends a unary formula, which may end the formula of a
+            # parenthesis, which ends a unary formula around it
+            while True:
+                del self.bound[scope:]
+                for wrap in reversed(prefixes):
+                    out = wrap(out)
+                if unary and not enclosing:
+                    return out
+                conj = out if conj is None else And(conj, out)
+                kind = tokens[self.pos][0]
+                if kind == "&":
+                    break
+                disj = conj if disj is None else Or(disj, conj)
+                conj = None
+                if kind == "|":
+                    break
+                parts.append(disj)
+                disj = None
+                if kind == "=>":
+                    break
+                out = parts.pop()
+                while parts:
+                    out = Imp(parts.pop(), out)
+                if not enclosing:
+                    return out
                 self.expect(")")
-                break
-            elif kind:
-                out = self._parse_atom()
-                break
-            else:
-                raise ParseError("expected a formula", line, col)
-        del self.bound[scope:]
-        for wrap in reversed(prefixes):
-            out = wrap(out)
-        return out
+                parts, disj, conj, prefixes, scope = enclosing.pop()
+            self.pos += 1  # the connective
 
     def _var_name(self) -> str:
         tok = self.tokens[self.pos]
@@ -246,41 +255,59 @@ class FormulaParser:
 
     def _parse_atom(self) -> Formula:
         start = self.tokens[self.pos]
-        term = self.parse_term()
+        is_var, name, args = self._read_term()
         kind = self.tokens[self.pos][0]
         if kind == "=" or kind == "!=":
             self.pos += 1
-            atom = Atom(EQ, (term, self.parse_term()))
+            left = Var(name) if is_var else App(name, args)
+            atom = Atom(EQ, (left, self.parse_term()))
             return atom if kind == "=" else Neg(atom)
-        if isinstance(term, Var):
-            raise ParseError(f"variable {term.name!r} used as a formula", start[2], start[3])
-        if term.head == EQ and len(term.args) != 2:  # a quoted '='
+        if is_var:
+            raise ParseError(f"variable {name!r} used as a formula", start[2], start[3])
+        if name == EQ and len(args) != 2:  # a quoted '='
             raise ParseError("'=' takes exactly two arguments", start[2], start[3])
-        return Atom(term.head, term.args)
+        return Atom(name, args)
 
     def parse_term(self) -> Term:
+        is_var, name, args = self._read_term()
+        return Var(name) if is_var else App(name, args)
+
+    def _read_term(self) -> tuple[bool, str, tuple[Term, ...]]:
+        """The next term as (whether it is a variable, its symbol, its
+        arguments): the arguments are built and the term is not, so that
+        an atom is read without building a term first.  Nested
+        applications are kept on a stack, not in recursive calls."""
         tokens = self.tokens
-        kind, name, line, col = tokens[self.pos]
-        if kind == "num":
+        opened: list[tuple[str, list[Term]]] = []  # applications being read, innermost last
+        while True:
+            kind, name, line, col = tokens[self.pos]
+            if kind != "name" and kind != "quoted" and kind != "num":
+                raise unexpected(tokens[self.pos], "a term")
             self.pos += 1
-            return App(name, ())
-        if kind != "name" and kind != "quoted":
-            raise unexpected(tokens[self.pos], "a term")
-        self.pos += 1
-        is_var = kind == "name" and (
-            name[0].isupper() or name[0] == "_" or name in self.bound or name in self.extra_vars
-        )
-        if tokens[self.pos][0] != "(":
-            return Var(name) if is_var else App(name, ())
-        if is_var:
-            raise ParseError(f"variable {name!r} cannot take arguments", line, col)
-        self.pos += 1
-        args = [self.parse_term()]
-        while tokens[self.pos][0] == ",":
-            self.pos += 1
-            args.append(self.parse_term())
-        self.expect(")")
-        return App(name, tuple(args))
+            is_var = kind == "name" and (
+                name[0].isupper() or name[0] == "_" or name in self.bound or name in self.extra_vars
+            )
+            if kind != "num" and tokens[self.pos][0] == "(":
+                if is_var:
+                    raise ParseError(f"variable {name!r} cannot take arguments", line, col)
+                self.pos += 1
+                opened.append((name, []))
+                continue
+            if not opened:
+                return is_var, name, ()
+            term = Var(name) if is_var else App(name, ())
+            # close every application whose last argument this is
+            while True:
+                head, args = opened[-1]
+                args.append(term)
+                if tokens[self.pos][0] == ",":
+                    self.pos += 1
+                    break
+                self.expect(")")
+                opened.pop()
+                if not opened:
+                    return False, head, tuple(args)
+                term = App(head, tuple(args))
 
 
 def parse_formula(text: str, extra_vars: Iterable[str] = ()) -> Formula:

@@ -11,7 +11,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -30,11 +30,11 @@ from .core import (
     Subst,
     Term,
     Var,
+    app,
     apply_subst,
     clause_to_formula,
     discard,
     fold,
-    same_formula,
 )
 from .expansion import ExpansionTree, children, expand_formula, shallow
 from .notation import ParseError, Token, scan
@@ -107,12 +107,32 @@ def _sexps(text: str):
         raise TraceSyntaxError("unbalanced parenthesis", tok[2], tok[3])
 
 
-def _sterm_to_term(sexp) -> Term:
+def _shown(sexp) -> str:
+    """An s-expression for a message: a symbol quoted, a list written back
+    as trace text, on an explicit stack as lists nest as deep as terms."""
     if isinstance(sexp, str):
-        return App(sexp, ())
+        return repr(sexp)
+    pieces, stack = [], [sexp]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):  # a symbol, a space or a parenthesis
+            pieces.append(item)
+        else:
+            pieces.append("(")
+            stack += [")", *reversed([p for x in item for p in (" ", x)][1:])]
+    return "".join(pieces)
+
+
+def _sterm_step(sexp):
+    if isinstance(sexp, str):
+        return None, App(sexp, ())
     if not sexp or not isinstance(sexp[0], str):
-        raise VeritImportError(f"malformed term {sexp!r}")
-    return App(sexp[0], tuple(_sterm_to_term(a) for a in sexp[1:]))
+        raise VeritImportError(f"malformed term {_shown(sexp)}")
+    return sexp[1:], partial(app, sexp[0])
+
+
+def _sterm_to_term(sexp) -> Term:
+    return fold(sexp, _sterm_step)
 
 
 def _sterm_to_literal(sexp) -> Literal:
@@ -130,7 +150,7 @@ def _sterm_to_atom(sexp) -> Atom:
     if isinstance(sexp, str):
         return Atom(sexp, ())
     if not sexp or not isinstance(sexp[0], str) or sexp[0] == "not":
-        raise VeritImportError(f"malformed atom {sexp!r}")
+        raise VeritImportError(f"malformed atom {_shown(sexp)}")
     if sexp[0] == EQ:
         if len(sexp) != 3:
             raise VeritImportError("'=' takes exactly two arguments")
@@ -148,7 +168,7 @@ def parse_verit(text: str) -> VeritTrace:
             raise TraceSyntaxError("expected a (set .id (...)) step", line, col)
         raw_id = sexp[1]
         if not isinstance(raw_id, str) or not raw_id.startswith("."):
-            raise TraceSyntaxError(f"step id must start with '.', found {raw_id!r}", line, col)
+            raise TraceSyntaxError(f"step id must start with '.', found {_shown(raw_id)}", line, col)
         step_id = raw_id[1:]
         if step_id in seen:
             raise TraceSyntaxError(f"duplicate step id {step_id!r}", line, col)
@@ -168,7 +188,7 @@ def parse_verit(text: str) -> VeritTrace:
                 ids = []
                 for r in refs:
                     if not isinstance(r, str) or not r.startswith("."):
-                        raise TraceSyntaxError(f"bad premise reference {r!r}", line, col)
+                        raise TraceSyntaxError(f"bad premise reference {_shown(r)}", line, col)
                     rid = r[1:]
                     if rid not in seen:
                         raise TraceSyntaxError(f"dangling premise reference .{rid}", line, col)
@@ -182,7 +202,7 @@ def parse_verit(text: str) -> VeritTrace:
                 conclusion = tuple(_sterm_to_literal(l) for l in lits)
                 i += 2
             else:
-                raise TraceSyntaxError(f"unknown step attribute {key!r}", line, col)
+                raise TraceSyntaxError(f"unknown step attribute {_shown(key)}", line, col)
         if conclusion is None:
             raise TraceSyntaxError(f"step {step_id!r} has no :conclusion", line, col)
         seen.add(step_id)
@@ -294,7 +314,6 @@ def make_schema(kind: SchemaKind, *param) -> AxiomSchema:
 class AxiomInstance:
     schema: AxiomSchema
     subst: Subst
-    literals: Clause  # the schema matrix under `subst`
     flips: int  # leaf literals written opposite to their instance literal
 
 
@@ -419,7 +438,7 @@ def axiom_instance(kind: SchemaKind, clause: Clause) -> Optional[AxiomInstance]:
         or any(lit != _flip(clause[j]) for lit, j, flip in zip(literals, order, flips) if flip)
     ):
         raise InvariantError(f"the {kind.value} instance {_show(literals)} is not the leaf {_show(clause)}")
-    return AxiomInstance(schema, subst, literals, sum(flips))
+    return AxiomInstance(schema, subst, sum(flips))
 
 
 def _show(clause: Clause) -> str:
@@ -443,24 +462,16 @@ def _reflexivity_instances(inputs: list[Clause], axioms: list[tuple[str, Clause]
     """Terms to instantiate reflexivity with: every t with a t=t literal in a
     leaf clause, plus all top-level argument terms of leaf atoms whenever an
     eq_reflexive leaf exists.  Extra instances only add true conjuncts."""
-    leaf_clauses_all = inputs + [c for _, c in axioms]
-    terms: dict[str, Term] = {}
-    for clause in leaf_clauses_all:
-        for lit in clause:
-            if lit.atom.pred == EQ and lit.atom.args[0] == lit.atom.args[1]:
-                t = lit.atom.args[0]
-                terms.setdefault(str(t), t)
+    atoms = [lit.atom for clause in inputs + [c for _, c in axioms] for lit in clause]
+    terms = {a.args[0]: None for a in atoms if a.pred == EQ and a.args[0] is a.args[1]}
     if any(kind == "reflexivity" for kind, _ in axioms):
-        for clause in leaf_clauses_all:
-            for lit in clause:
-                for t in lit.atom.args:
-                    terms.setdefault(str(t), t)
-    return [terms[k] for k in sorted(terms)]
+        terms.update((t, None) for a in atoms for t in a.args)
+    return sorted(terms, key=str)
 
 
 def _schema_tree(schema: AxiomSchema, instances) -> ExpansionTree:
     tree = expand_formula(schema.formula, instances, Polarity.NEG)
-    if not same_formula(shallow(tree, Polarity.NEG), schema.formula):
+    if shallow(tree, Polarity.NEG) is not schema.formula:
         raise InvariantError(f"the {schema.kind.value} tree does not read back as its schema")
     return tree
 

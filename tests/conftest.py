@@ -11,3 +11,29 @@ settings.register_profile(
 settings.load_profile("default")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def nested_term_trace(fmt: str, depth: int) -> str:
+    """A proof over the term t = f(f(...f(a)...)), nested `depth` deep, in
+    either trace format.  The resolution trace refutes p(t) and ~p(t) and
+    has a reflexivity leaf t = t; the connection trace proves ?[Z]: r(t, Z)
+    from ![X]: ?[Y]: r(X, Y), binding X to t."""
+    if fmt == "verit":
+        t = "a"
+        for _ in range(depth):
+            t = f"(f {t})"
+        return (
+            f"(set .c1 (input :conclusion ((p {t}))))\n"
+            f"(set .c2 (input :conclusion ((not (p {t})))))\n"
+            f"(set .c3 (eq_reflexive :conclusion ((= {t} {t}))))\n"
+            "(set .c4 (resolution :clauses (.c1 .c2) :conclusion ()))\n"
+        )
+    t = "f(" * depth + "a" + ")" * depth
+    return (
+        "fof(ax, axiom, ![X]: ?[Y]: r(X, Y)).\n"
+        f"fof(goal, conjecture, ?[Z]: r({t}, Z)).\n"
+        "cnf(1, plain, [~r(X1, sk1(X1))], clausify(ax)).\n"
+        f"cnf(2, plain, [r({t}, Z1)], clausify(goal)).\n"
+        f"cnf('s1', plain, [r({t}, sk1(X1))], start(2, bind([Z1], [sk1(X1)]))).\n"
+        f"cnf('e1', plain, [~r({t}, sk1({t}))], extension(1, bind([X1], [{t}]))).\n"
+    )

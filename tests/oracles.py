@@ -361,6 +361,134 @@ def _ref_subst_term(t, m):
     return App(t.head, tuple(_ref_subst_term(a, m) for a in t.args))
 
 
+def ref_term_text(t):
+    """The text of a term or atom, as `__str__` wrote it by recursion."""
+    if isinstance(t, Var):
+        return t.name
+    head = t.head if isinstance(t, App) else t.pred
+    if isinstance(t, Atom) and head == "=" and len(t.args) == 2:
+        return f"{ref_term_text(t.args[0])} = {ref_term_text(t.args[1])}"
+    if not t.args:
+        return head
+    return f"{head}({', '.join(ref_term_text(a) for a in t.args)})"
+
+
+def ref_parse_term(text, extra_vars=()):
+    """The term of `text` by recursive descent, as `FormulaParser.parse_term`
+    read it before it kept nested applications on a stack."""
+    from exproof.notation import tokenize
+
+    tokens = tokenize(text)
+
+    def term(i):
+        kind, name = tokens[i][:2]
+        if kind == "num":
+            return App(name, ()), i + 1
+        is_var = kind == "name" and (name[0].isupper() or name[0] == "_" or name in extra_vars)
+        if i + 1 == len(tokens) or tokens[i + 1][0] != "(":
+            return (Var(name) if is_var else App(name, ())), i + 1
+        args, i = [], i + 1
+        while tokens[i][0] in ("(", ","):
+            arg, i = term(i + 1)
+            args.append(arg)
+        assert tokens[i][0] == ")"
+        return App(name, tuple(args)), i + 1
+
+    out, end = term(0)
+    assert end == len(tokens)
+    return out
+
+
+def ref_parse_formula(text):
+    """The formula of `text` by recursive descent, as `FormulaParser` read
+    it before it kept open parentheses on a stack: the same errors at the
+    same places.  Atoms are read by the library's atom reader."""
+    from functools import partial
+
+    from exproof.core import Exists
+    from exproof.notation import FormulaParser, ParseError, tokenize
+
+    class Parser(FormulaParser):
+        def parse_formula(self):
+            parts = [self.disj()]
+            while self.tokens[self.pos][0] == "=>":
+                self.pos += 1
+                parts.append(self.disj())
+            out = parts.pop()
+            while parts:
+                out = Imp(parts.pop(), out)
+            return out
+
+        def disj(self):
+            out = self.conj()
+            while self.tokens[self.pos][0] == "|":
+                self.pos += 1
+                out = Or(out, self.conj())
+            return out
+
+        def conj(self):
+            out = self.unary()
+            while self.tokens[self.pos][0] == "&":
+                self.pos += 1
+                out = And(out, self.unary())
+            return out
+
+        def unary(self):
+            prefixes, scope = [], len(self.bound)
+            while True:
+                kind, _text, line, col = self.tokens[self.pos]
+                if kind == "~":
+                    self.pos += 1
+                    prefixes.append(Neg)
+                elif kind in ("!", "?"):
+                    self.pos += 1
+                    self.expect("[")
+                    names = [self._var_name()]
+                    while self.tokens[self.pos][0] == ",":
+                        self.pos += 1
+                        names.append(self._var_name())
+                    self.expect("]")
+                    self.expect(":")
+                    self.bound.extend(names)
+                    prefixes += [partial(Forall if kind == "!" else Exists, n) for n in names]
+                elif kind == "(":
+                    self.pos += 1
+                    out = self.parse_formula()
+                    self.expect(")")
+                    break
+                elif kind:
+                    out = self._parse_atom()
+                    break
+                else:
+                    raise ParseError("expected a formula", line, col)
+            del self.bound[scope:]
+            for wrap in reversed(prefixes):
+                out = wrap(out)
+            return out
+
+    parser = Parser(tokenize(text))
+    out = parser.parse_formula()
+    parser.expect_end()
+    return out
+
+
+def ref_sterm_to_term(sexp):
+    """An s-expression read as a term, every symbol a function symbol."""
+    if isinstance(sexp, str):
+        return App(sexp, ())
+    return App(sexp[0], tuple(ref_sterm_to_term(a) for a in sexp[1:]))
+
+
+def ref_collapse_term(t, heads):
+    """`t` with each outermost term whose head is in `heads` replaced by
+    the eigenvariable `v_<head>`."""
+    if isinstance(t, Var):
+        return t
+    if t.head in heads:
+        return Var(f"v_{t.head}")
+    return App(t.head, tuple(ref_collapse_term(a, heads) for a in t.args))
+
+
 def _ref_fresh_name(base, used):
     for n in count(1):
         cand = f"{base}_{n}"

@@ -38,6 +38,15 @@ def random_term(rng: random.Random, scope):
     return App("f", (random_term(rng, scope),))
 
 
+def random_wide_term(rng: random.Random, depth: int, scope=(), heads=("f", "g", "h", "sk1", "sk2")):
+    """A term at most `depth` deep whose applications take one to three
+    arguments, over the variables in `scope` and the constants a, b, c."""
+    if depth <= 0 or rng.random() < 0.3:
+        return Var(rng.choice(scope)) if scope and rng.random() < 0.5 else rng.choice(GROUND_TERMS[:3])
+    arity = rng.randint(1, 3)
+    return App(rng.choice(heads), tuple(random_wide_term(rng, depth - 1, scope, heads) for _ in range(arity)))
+
+
 def random_formula(rng: random.Random, depth: int, scope=(), var_pool=("X", "Y", "Z", "W")):
     """Random formula of depth <= `depth` over at most len(var_pool) variables."""
     scope = list(scope)

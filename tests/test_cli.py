@@ -8,7 +8,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, nested_term_trace
 from exproof.cli import (
     EXIT_ERROR,
     EXIT_NOT_PROOF,
@@ -108,31 +108,52 @@ def test_crash_exits_two_with_its_type(capsys, monkeypatch, command):
     assert capsys.readouterr().err == f"{path}: RuntimeError: boom\n"
 
 
-def _nested_term_trace(depth: int) -> str:
-    t = "a"
-    for _ in range(depth):
-        t = f"(f {t})"
-    return (
-        f"(set .c1 (input :conclusion ((p {t}))))\n"
-        f"(set .c2 (input :conclusion ((not (p {t})))))\n"
-        "(set .c3 (resolution :clauses (.c1 .c2) :conclusion ()))\n"
-    )
-
-
 @pytest.mark.parametrize("command", COMMANDS)
 def test_nested_term_proof_never_exits_one(tmp_path, capsys, command):
-    """A valid refutation over a term nested 300 deep.  Terms still compare,
-    hash and print by recursion, so this can run out of stack; then the
-    command must say so and exit 2, not fail with a traceback as if the
-    trace were no proof."""
+    """A valid refutation over a term nested 300 deep, past the depth at
+    which recursive term equality, hashing and printing ran out of stack."""
     path = tmp_path / "nested.proof"
-    path.write_text(_nested_term_trace(300), encoding="utf-8")
-    code = main(command + [str(path)])
-    err = capsys.readouterr().err
-    if code == EXIT_ERROR:
-        assert err.startswith(f"{path}: RecursionError: ") and err.count("\n") == 1
+    path.write_text(nested_term_trace("verit", 300), encoding="utf-8")
+    assert main(command + [str(path)]) == EXIT_PROOF
+    assert capsys.readouterr().err == ""
+
+
+DEEP_TERM = 10_000
+
+
+@pytest.fixture(scope="module")
+def deep_term_traces(tmp_path_factory):
+    """A directory holding a proof over a term nested DEEP_TERM deep in
+    each trace format."""
+    directory = tmp_path_factory.mktemp("deep_terms")
+    for fmt in ("verit", "leancop"):
+        (directory / f"{fmt}.proof").write_text(nested_term_trace(fmt, DEEP_TERM), encoding="utf-8")
+    return directory
+
+
+@pytest.mark.parametrize("fmt", ["verit", "leancop"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_deep_term_passes_every_command(deep_term_traces, capsys, fmt, command):
+    assert main(command + [str(deep_term_traces / f"{fmt}.proof")]) == EXIT_PROOF
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    deep = "f(" * DEEP_TERM + "a" + ")" * DEEP_TERM
+    if command == ["check"]:
+        assert json.loads(captured.out)["is_proof"] is True
     else:
-        assert code == EXIT_PROOF and err == ""
+        # the instance term, written out by the term printer
+        assert deep in captured.out
+
+
+def test_deep_term_batch_entries_do_not_depend_on_jobs(deep_term_traces, capsys):
+    assert main(["batch", "--jobs", "1", str(deep_term_traces)]) == EXIT_PROOF
+    serial = _without_seconds(json.loads(capsys.readouterr().out))
+    assert main(["batch", "--jobs", "2", str(deep_term_traces)]) == EXIT_PROOF
+    assert _without_seconds(json.loads(capsys.readouterr().out)) == serial
+    assert {name: e["status"] for name, e in serial["files"].items()} == {
+        "verit.proof": "proof",
+        "leancop.proof": "proof",
+    }
 
 
 @pytest.mark.parametrize(

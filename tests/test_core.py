@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import hypothesis.strategies as st
 import pytest
@@ -13,6 +17,7 @@ from exproof.core import (
     Imp,
     Literal,
     Neg,
+    Node,
     Or,
     Polarity,
     Sequent,
@@ -27,11 +32,25 @@ from exproof.core import (
     match_under,
     quantifier_strengths,
     rectify,
-    same_formula,
     subformulas,
 )
-from oracles import all_polarities, alpha_equal, ref_rectify, ref_subst_formula
-from randgen import random_formula, random_term
+import exproof.core as core
+from exproof.expansion import ETStrong, ETWeak
+from exproof.leancop import SkolemRegistry
+from exproof.notation import parse_term
+from exproof.verit import _sterm_to_term
+from oracles import (
+    _ref_subst_term,
+    all_polarities,
+    alpha_equal,
+    ref_collapse_term,
+    ref_parse_term,
+    ref_rectify,
+    ref_sterm_to_term,
+    ref_subst_formula,
+    ref_term_text,
+)
+from randgen import random_formula, random_term, random_wide_term
 
 A = Atom("a", ())
 B = Atom("b", ())
@@ -190,10 +209,144 @@ def test_rectify_properties(ant, suc):
         assert alpha_equal(before, after)
 
 
+def _plain(x):
+    """A node as nested lists (kind first) and tuples, holding no node."""
+    if isinstance(x, Node):
+        return [type(x), *map(_plain, x.values())]
+    if isinstance(x, tuple):
+        return tuple(map(_plain, x))
+    return x
+
+
+def _built(p):
+    """The node of a `_plain` form, built afresh from the bottom up."""
+    if isinstance(p, list):
+        return p[0](*map(_built, p[1:]))
+    if isinstance(p, tuple):
+        return tuple(map(_built, p))
+    return p
+
+
 @given(formulas, formulas)
-def test_same_formula_is_structural_equality(f, g):
-    assert same_formula(f, g) is (f == g)
-    assert same_formula(f, f) is True
+def test_equal_formulas_are_the_same_node(f, g):
+    assert _built(_plain(f)) is f
+    assert (f == g) is (f is g) is (_plain(f) == _plain(g))
+
+
+def _one_of_each_kind():
+    x, a = Var("X"), const("a")
+    p = Atom("p", (x, App("f", (a,))))
+    return [
+        x, a, p, Neg(p), And(p, p), Or(p, p), Imp(p, p), Forall("X", p), Exists("X", p),
+        ETWeak("X", p, ((a, p), (x, p))), ETStrong("X", p, "e", p),
+    ]
+
+
+def test_every_kind_is_hash_consed():
+    first, second = _one_of_each_kind(), _one_of_each_kind()
+    assert len({type(node) for node in first}) == 11
+    assert all(m is n for m, n in zip(first, second))
+    assert all(_built(_plain(node)) is node for node in first)
+    assert And(P_x, A) is not Or(P_x, A) and And(P_x, A) is not And(A, P_x)
+
+
+def test_pickle_and_copy_return_the_same_node():
+    for node in _one_of_each_kind():
+        assert pickle.loads(pickle.dumps(node)) is node
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+    # a node whose last reference is gone is built again on loading
+    data = pickle.dumps(Atom("p_pickled", (Var("X_pickled"),)))
+    assert pickle.loads(data) is Atom("p_pickled", (Var("X_pickled"),))
+
+
+def test_nodes_are_immutable():
+    for node in _one_of_each_kind():
+        name = node._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(node, name, "changed")
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    with pytest.raises(TypeError):
+        Forall("X")
+    assert Atom("p") is Atom("p", ())
+
+
+def test_intern_table_lets_dead_nodes_go():
+    before = len(core._nodes)
+    t = Var("V_table")
+    for _ in range(10_000):
+        t = App("h_table", (t,))
+    atom = Atom("p_table", (t,))
+    assert len(core._nodes) == before + 10_002
+    del t
+    assert len(core._nodes) == before + 10_002  # the atom holds the term
+    del atom
+    assert len(core._nodes) == before
+
+
+def test_threads_building_equal_nodes_get_one_node():
+    # four threads on two CPUs build the same 3000 terms, switching as often
+    # as the interpreter allows; a lookup and an insertion that let two
+    # threads each make a node would leave two different nodes
+    def build(out):
+        out.extend(App(f"t_thread{i % 1000}", (Var(f"V{i % 7}"),)) for i in range(3000))
+
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=build, args=(r,)) for r in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(r) == 3000 for r in results)
+    assert all(a is b for r in results[1:] for a, b in zip(results[0], r))
+
+
+# --- stack walks against the recursive versions they replaced ---
+
+
+def _sexp(t):
+    return t.head if isinstance(t, App) and not t.args else [t.head, *map(_sexp, t.args)]
+
+
+def test_term_walks_match_recursive_references_seeded():
+    rng = random.Random(4242)
+    heads = {"sk1"}
+    for _ in range(500):
+        t = random_wide_term(rng, rng.randint(0, 6), ("X", "Y", "Z"))
+        m = {v: random_wide_term(rng, 2, ("X", "Y")) for v in ("X", "Y", "Z") if rng.random() < 0.5}
+        assert core._subst_term(t, m) is _ref_subst_term(t, m)
+        atom = Atom(rng.choice(("p", "=")), (t, m.get("X", t)))
+        assert str(t) == ref_term_text(t) and str(atom) == ref_term_text(atom)
+        assert parse_term(str(t)) is ref_parse_term(str(t)) is t
+        assert SkolemRegistry(heads).collapse_term(t) is ref_collapse_term(t, heads)
+        ground = apply_subst(t, Subst({v: const("c") for v in ("X", "Y", "Z")}))
+        assert _sterm_to_term(_sexp(ground)) is ref_sterm_to_term(_sexp(ground)) is ground
+
+
+def test_term_walks_take_a_term_deeper_than_the_recursion_limit():
+    t = Var("X")
+    opening, closing = [], []
+    for i in range(10_000):
+        t = App("g", (t, const("a"))) if i % 2 else App("sk1", (t,))
+        opening.append("g(" if i % 2 else "sk1(")
+        closing.append(", a)" if i % 2 else ")")
+    text = str(t)
+    assert text == "".join(reversed(opening)) + "X" + "".join(closing)
+    assert not hasattr(t.args[0], "_text")  # the text is kept on `t` alone
+    assert parse_term(text) is t
+    assert core._subst_term(t, {"X": const("b")}) is parse_term(text.replace("X", "b"))
+    assert SkolemRegistry({"sk1"}).collapse_term(t) is App("g", (Var("v_sk1"), const("a")))
+    ground = core._subst_term(t, {"X": const("b")})
+    sexp = const("b").head
+    for i in range(10_000):
+        sexp = ["g", sexp, "a"] if i % 2 else ["sk1", sexp]
+    assert _sterm_to_term(sexp) is ground
 
 
 # --- substitution ---

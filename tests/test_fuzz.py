@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIXTURES
+from conftest import FIXTURES, nested_term_trace
 from exproof.check import verdict
 from exproof.cli import RunConfig, load_sequent
 from exproof.core import ExproofError
@@ -33,7 +33,8 @@ def _load_gen():
 
 
 # small generated traces: transitivity leaves with reordered and flipped
-# literals, and connection proofs with Skolem terms and bindings
+# literals, and connection proofs with Skolem terms and bindings; and proofs
+# over a term nested past the depth of the interpreter's recursion limit
 _gen = _load_gen()
 GENERATED_TEXTS = [
     trace.text
@@ -42,7 +43,7 @@ GENERATED_TEXTS = [
         _gen.verit_chain(random.Random(seed), 5, "chain.proof"),
         _gen.leancop_chain(random.Random(seed), 5, "eigenchain.proof"),
     )
-]
+] + [nested_term_trace(fmt, 1500) for fmt in ("verit", "leancop")]
 
 # a source token of either format, a quoted name, or a run of space
 _PIECE = re.compile(r"'[^']*'|\w+|\s+|[^\w\s]")

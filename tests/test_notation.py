@@ -29,7 +29,7 @@ from exproof.notation import (
     tokenize,
 )
 from exproof.verit import _SEXP
-from oracles import ref_sexp_tokenize, ref_tokenize
+from oracles import ref_parse_formula, ref_sexp_tokenize, ref_tokenize
 from test_core import formulas  # reuse the strategy
 
 
@@ -173,3 +173,38 @@ def test_sexp_scan_matches_reference(text):
     tokens = list(scan(_SEXP, text))
     assert [(t, line, col) for _kind, t, line, col in tokens] == ref_sexp_tokenize(text)
     assert all(kind == (t if t in "()" else "atom") for kind, t, _l, _c in tokens)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e)
+
+
+@given(formulas, st.sampled_from(["keep", "delete", "duplicate", "swap"]), st.integers(0, 99), st.integers(0, 99))
+def test_formula_parser_matches_recursive_reference(f, op, i, j):
+    # the text of a formula, perhaps with a token deleted, duplicated or
+    # swapped with another: the same formula or the same error
+    words = [tok[1] for tok in tokenize(formula_text(f))]
+    i, j = i % len(words), j % len(words)
+    if op == "delete":
+        del words[i]
+    elif op == "duplicate":
+        words.insert(i, words[i])
+    elif op == "swap":
+        words[i], words[j] = words[j], words[i]
+    text = " ".join(words)
+    assert _outcome(parse_formula, text) == _outcome(ref_parse_formula, text)
+
+
+def test_parentheses_deeper_than_the_recursion_limit():
+    depth = 10_000
+    p_x = Atom("p", (Var("X"),))
+    assert parse_formula("(" * depth + "p(X)" + ")" * depth) is p_x
+    nested = p_x
+    for _ in range(depth):
+        nested = Forall("X", Neg(And(p_x, nested)))
+    assert parse_formula(formula_text(nested)) is nested
+    with pytest.raises(ParseError, match="expected '\\)', found ']'"):
+        parse_formula("(" * depth + "p(X)" + ")" * (depth - 1) + "]")

@@ -208,6 +208,11 @@ def _unoriented(lit: Literal) -> tuple:
     return lit.positive, lit.atom.pred, args
 
 
+def _instance_literals(inst) -> tuple:
+    """The schema matrix under the instance's substitution."""
+    return tuple(apply_subst(lit, inst.subst) for lit in inst.schema.matrix)
+
+
 def _chain(n: int, prefix: str = "t"):
     """The terms t0..tn and the transitivity leaf from t0 to tn, in order."""
     names = [const(f"{prefix}{i}") for i in range(n + 1)]
@@ -223,7 +228,7 @@ def test_shuffled_ten_literal_leaf_matches():
     rng = random.Random(10)
     for leaf in (clause, shuffled, tuple(rng.sample(clause, len(clause)))):
         inst = match_axiom_instance("transitivity", leaf)
-        assert Counter(map(_unoriented, inst.literals)) == Counter(map(_unoriented, leaf))
+        assert Counter(map(_unoriented, _instance_literals(inst))) == Counter(map(_unoriented, leaf))
         # the walk starts at the end whose first equality comes first
         ends = (names[0], names[9])
         start = min(ends, key=lambda e: next(j for j, l in enumerate(leaf) if not l.positive and e in l.atom.args))
@@ -241,7 +246,7 @@ def test_shuffled_ten_literal_leaf_matches():
 ])
 def test_match_through_repeated_terms(kind, clause):
     inst = match_axiom_instance(kind, clause)
-    assert Counter(map(_unoriented, inst.literals)) == Counter(map(_unoriented, clause))
+    assert Counter(map(_unoriented, _instance_literals(inst))) == Counter(map(_unoriented, clause))
 
 
 @pytest.mark.parametrize("kind, clause", [
@@ -273,7 +278,7 @@ def test_ten_thousand_link_leaf_is_read_in_one_pass():
     leaf = tuple(random.Random(4).sample(clause, len(clause)))
     inst = match_axiom_instance("transitivity", leaf)
     assert {inst.subst["x0"], inst.subst["x10000"]} == {names[0], names[-1]}
-    assert Counter(map(_unoriented, inst.literals)) == Counter(map(_unoriented, leaf))
+    assert Counter(map(_unoriented, _instance_literals(inst))) == Counter(map(_unoriented, leaf))
 
 
 # --- instances read off disguised leaves ---
