@@ -10,7 +10,6 @@ from .core import (
     Forall,
     Formula,
     Imp,
-    Literal,
     Neg,
     Or,
     Polarity,

@@ -7,11 +7,10 @@ eigenvariables they dominate must be acyclic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import count
 from operator import neg
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import And, Atom, Formula, Imp, Neg, Or, Polarity, Sequent, Term, discard, fold, free_vars, subformulas
 from .expansion import ETStrong, ETWeak, children, deep
@@ -189,8 +188,7 @@ def is_tautology(ds: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
 # dependency relation
 
 
-@dataclass(frozen=True)
-class TermOccurrence:
+class TermOccurrence(NamedTuple):
     """A weak instance term occurrence, identified by its tree path: the
     sequent side, the tree index, then child indices down to the instance."""
 
@@ -203,8 +201,7 @@ class TermOccurrence:
         return f"{side}[{idx}]" + "".join(f".{c}" for c in rest)
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     nodes: tuple[TermOccurrence, ...]
     edges: frozenset[tuple[int, int]]  # indices into `nodes`
 
@@ -378,8 +375,7 @@ def is_acyclic(g: DependencyGraph) -> tuple[bool, Optional[tuple[str, ...]]]:
 # verdict
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     is_proof: bool
     tautology: bool
     acyclic: bool

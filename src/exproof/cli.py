@@ -12,11 +12,10 @@ import re
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .check import deep_sequent, verdict
 from .core import And, Atom, ExproofError, Imp, Neg, Or, Polarity, Sequent, discard, fold, polar_parts
@@ -30,8 +29,7 @@ EXIT_NOT_PROOF = 1
 EXIT_ERROR = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     inputs: tuple[str, ...]
     out: Optional[str] = None

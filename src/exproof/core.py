@@ -5,7 +5,8 @@ a node looks it up by its kind and fields in one intern table, so two
 structurally equal nodes are the same object.  Equality is identity, the
 hash is the identity hash, and no comparison descends into a term.  The
 table holds its nodes weakly, so a node lives only as long as something
-else refers to it.
+else refers to it.  A literal is an `Atom` or the `Neg` of one, and a trace
+clause is a tuple of literals, so a literal's sign is its node type.
 
 All values are immutable and every operation is a pure function.  Looking
 a node up and inserting it cannot make two equal nodes, even from several
@@ -14,11 +15,10 @@ threads, so anything in this module can be shared between threads.
 from __future__ import annotations
 
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import partial
 from itertools import count
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 from weakref import KeyedRef, ref
 
 EQ = "="  # reserved equality predicate, always arity 2
@@ -212,34 +212,6 @@ def eq(left: Term, right: Term) -> Atom:
     return Atom(EQ, (left, right))
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A signed atom, the building block of trace clauses."""
-
-    atom: Atom
-    positive: bool = True
-
-    def negated(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
-    def to_formula(self) -> Formula:
-        return self.atom if self.positive else Neg(self.atom)
-
-    def __str__(self) -> str:
-        return str(self.atom) if self.positive else f"~{self.atom}"
-
-
-def clause_to_formula(literals: Iterable[Literal]) -> Formula:
-    """Fold a clause into a left-associated disjunction."""
-    lits = list(literals)
-    if not lits:
-        raise ValueError("cannot fold an empty clause into a formula")
-    out: Formula = lits[0].to_formula()
-    for lit in lits[1:]:
-        out = Or(out, lit.to_formula())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # polarity
 
@@ -260,8 +232,7 @@ class Strength(Enum):
     STRONG = "strong"
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(NamedTuple):
     """Formulas on the two sides of a sequent; in an expansion sequent they
     are expansion trees."""
 
@@ -386,9 +357,9 @@ def _free_vars_step(f: Formula):
     return (f.body,), frozenset((f.var,)).__rsub__  # the body's minus the binder
 
 
-def free_vars(obj: Union[Term, Formula, Literal]) -> frozenset[str]:
-    if isinstance(obj, Literal):
-        obj = obj.atom
+def free_vars(obj: Union[Term, Formula]) -> frozenset[str]:
+    while type(obj) is Neg:
+        obj = obj.sub
     if isinstance(obj, Atom):
         return _term_vars(obj.args)
     if isinstance(obj, (Var, App)):
@@ -528,13 +499,11 @@ def _subst_formula(f: Formula, m: Mapping[str, Term]) -> Formula:
     return fold((f, (m,)), _subst_step)
 
 
-def apply_subst(obj: Union[Term, Formula, Literal], subst: Subst) -> Union[Term, Formula, Literal]:
-    """Capture-avoiding substitution on a term, literal or formula."""
+def apply_subst(obj: Union[Term, Formula], subst: Subst) -> Union[Term, Formula]:
+    """Capture-avoiding substitution on a term or formula."""
     m = subst._map  # noqa: SLF001 - same module family
     if isinstance(obj, (Var, App)):
         return _subst_term(obj, m)
-    if isinstance(obj, Literal):
-        return Literal(_subst_formula(obj.atom, m), obj.positive)
     return _subst_formula(obj, m)
 
 
@@ -592,11 +561,15 @@ def rectify(sequent: Sequent) -> tuple[Sequent, dict[str, tuple[int, str]]]:
 
 
 def match_under(
-    pattern: Union[Term, Atom], target: Union[Term, Atom], bindings: Mapping[str, Term]
+    pattern: Union[Term, Formula], target: Union[Term, Formula], bindings: Mapping[str, Term]
 ) -> Optional[dict[str, Term]]:
-    """Extend `bindings` so that substituting them into the term or atom
+    """Extend `bindings` so that substituting them into the term or literal
     `pattern` gives `target`; returns the extended map (a fresh dict), or
     None if there is no such extension."""
+    if type(pattern) is Neg:  # a negative literal matches only a negative one
+        if type(target) is not Neg:
+            return None
+        pattern, target = pattern.sub, target.sub
     out = dict(bindings)
     stack = [(pattern, target)]
     while stack:

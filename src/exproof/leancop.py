@@ -10,11 +10,10 @@ recover the instance terms of the original problem.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import partial
 from itertools import count
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     BINARY,
@@ -24,7 +23,6 @@ from .core import (
     ExproofError,
     Formula,
     InvariantError,
-    Literal,
     Neg,
     Polarity,
     Sequent,
@@ -55,34 +53,13 @@ class LeanCoPImportError(ExproofError):
 ROLES = ("axiom", "conjecture")
 
 
-@dataclass(frozen=True)
-class InputFormula:
-    name: str
-    role: str
-    formula: Formula
-
-
-@dataclass(frozen=True)
-class TraceClause:
-    number: int
-    literals: Clause
-    origin_kind: str  # "clausify" | "theory"
-    origin_name: str  # formula name, or "equality"
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    id: str
-    kind: str  # "start" | "extension" | "reduction"
-    clause: Optional[int]
-    binding: Subst
-
-
-@dataclass(frozen=True)
-class LeanCoPTrace:
-    inputs: tuple[InputFormula, ...]
-    clauses: tuple[TraceClause, ...]
-    steps: tuple[TraceStep, ...]
+class LeanCoPTrace(NamedTuple):
+    inputs: tuple[tuple[str, str, Formula], ...]  # (name, role, formula)
+    # (number, literals, origin kind "clausify" or "theory", formula name or "equality")
+    clauses: tuple[tuple[int, Clause, str, str], ...]
+    # (id, clause number, binding) of each start and extension step;
+    # reductions add no instances and are not kept
+    steps: tuple[tuple[str, int, Subst], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +74,14 @@ class _TraceParser(FormulaParser):
         self.pos += 1
         return tok[1]
 
-    def parse_literal(self) -> Literal:
+    def parse_literal(self) -> Formula:
         start = self.tokens[self.pos]
         f = self.parse_formula(unary=True)  # covers ~, parentheses and disequations
-        positive = True
-        while isinstance(f, Neg):
-            positive = not positive
-            f = f.sub
-        if not isinstance(f, Atom):
+        while type(f) is Neg and type(f.sub) is Neg:
+            f = f.sub.sub
+        if type(f.sub if type(f) is Neg else f) is not Atom:
             raise ParseError("expected a literal", start[2], start[3])
-        return Literal(f, positive)
+        return f
 
     def parse_list(self, item) -> list:
         """`[item, ...]`, possibly empty."""
@@ -161,9 +136,7 @@ def parse_leancop(text: str) -> LeanCoPTrace:
     `cnf(N, plain, [...], origin).` clause lines and proof-step lines."""
     parser = _TraceParser(tokenize(text))
     tokens = parser.tokens
-    inputs: list[InputFormula] = []
-    clauses: list[TraceClause] = []
-    steps: list[TraceStep] = []
+    inputs, clauses, steps = [], [], []
     clause_numbers: set[int] = set()
     input_names: set[str] = set()
     while (head := tokens[parser.pos])[0]:
@@ -182,7 +155,7 @@ def parse_leancop(text: str) -> LeanCoPTrace:
             formula = parser.parse_formula()
             parser.expect(")")
             parser.expect(".")
-            inputs.append(InputFormula(name, role, formula))
+            inputs.append((name, role, formula))
         elif head[1] == "cnf":
             parser.expect("(")
             id_tok = parser.next()
@@ -202,7 +175,7 @@ def parse_leancop(text: str) -> LeanCoPTrace:
                 parser.expect("(")
                 origin_name = parser.parse_name()
                 parser.expect(")")
-                clauses.append(TraceClause(number, lits, tail, origin_name))
+                clauses.append((number, lits, tail, origin_name))
             elif tail in ("start", "extension"):
                 parser.expect("(")
                 num_tok = parser.expect("num")
@@ -216,11 +189,10 @@ def parse_leancop(text: str) -> LeanCoPTrace:
                     parser.pos += 1
                     binding = parser.parse_bind()
                 parser.expect(")")
-                steps.append(TraceStep(id_tok[1], tail, clause_num, binding))
+                steps.append((id_tok[1], clause_num, binding))
             elif tail == "reduction":
                 if tokens[parser.pos][0] == "(":
                     parser.skip_balanced()
-                steps.append(TraceStep(id_tok[1], "reduction", None, Subst()))
             else:
                 raise ParseError(f"unknown clause origin or step {tail!r}", line, col)
             parser.expect(")")
@@ -277,9 +249,12 @@ class SkolemRegistry:
         scanned again."""
         return fold(term, self._collapse_step)
 
-    def collapse_literal(self, lit: Literal) -> Literal:
-        args = tuple(self.collapse_term(a) for a in lit.atom.args)
-        return lit if args == lit.atom.args else Literal(Atom(lit.atom.pred, args), lit.positive)
+    def collapse_literal(self, lit: Formula) -> Formula:
+        atom = lit.sub if type(lit) is Neg else lit
+        args = tuple(self.collapse_term(a) for a in atom.args)
+        if args == atom.args:
+            return lit
+        return Atom(atom.pred, args) if atom is lit else Neg(Atom(atom.pred, args))
 
 
 def _function_symbols(atoms: Iterable[Atom]) -> set[str]:
@@ -290,22 +265,10 @@ def _function_symbols(atoms: Iterable[Atom]) -> set[str]:
 # definitional DNF without variable renaming
 
 
-@dataclass(frozen=True)
-class GenClause:
-    literals: Clause
-    source: str  # name of the input formula
-
-    @property
-    def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for lit in self.literals:
-            out |= free_vars(lit)
-        return out
-
-
-def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int = 4) -> list[GenClause]:
+def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int = 4) -> list[tuple[Clause, str]]:
     """Generate the prover-style DNF clauses of (negated axioms, positive
-    conjectures), keeping the original bound-variable names.
+    conjectures), keeping the original bound-variable names, each with the
+    name of its input formula.
 
     Quantifiers are dropped: weak variables stay as clause variables and
     strong variables act as placeholders that matching later sends to
@@ -313,10 +276,10 @@ def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int 
     counts beyond `threshold`, a definition predicate over the subformula's
     free variables is introduced instead.
     """
-    out: list[GenClause] = []
+    out: list[tuple[Clause, str]] = []
     def_ids = count(1)
 
-    def product(lf: Formula, rf: Formula, left, right) -> list[tuple[Literal, ...]]:
+    def product(lf: Formula, rf: Formula, left, right) -> list[Clause]:
         if len(left) * len(right) > threshold:
             if len(left) >= len(right) and len(left) > 1:
                 left = _define(lf, left)
@@ -324,11 +287,11 @@ def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int 
                 right = _define(rf, right)
         return [a + b for a in left for b in right]
 
-    def _define(subf: Formula, sub_clauses) -> list[tuple[Literal, ...]]:
+    def _define(subf: Formula, sub_clauses) -> list[Clause]:
         datom = Atom(f"d{next(def_ids)}", tuple(Var(v) for v in sorted(free_vars(subf))))
         for c in sub_clauses:
-            defs.append(c + (Literal(datom, False),))
-        return [(Literal(datom, True),)]
+            defs.append(c + (Neg(datom),))
+        return [(datom,)]
 
     # items are (subformula, polarity), and a clause list is built from the
     # children's lists after both are done, so the definitions are numbered
@@ -340,7 +303,7 @@ def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int 
             ((f, pol),) = polar_parts(f, pol)
             kind = type(f)
         if kind is Atom:
-            return None, [(Literal(f, pol is Polarity.POS),)]
+            return None, [(f if pol is Polarity.POS else Neg(f),)]
         # a positive conjunction, a negative disjunction and a negative
         # implication distribute, the others join their children's clause
         # lists
@@ -349,10 +312,10 @@ def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int 
         return polar_parts(f, pol), add
 
     for name, role, formula in inputs:
-        defs: list[tuple[Literal, ...]] = []  # `_define` appends to the current input's list
+        defs: list[Clause] = []  # `_define` appends to the current input's list
         pol = Polarity.POS if role == "conjecture" else Polarity.NEG  # axioms enter negated
         main = fold((formula, pol), step)
-        out.extend(GenClause(c, name) for c in main + defs)
+        out.extend((c, name) for c in main + defs)
     return out
 
 
@@ -360,20 +323,17 @@ def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int 
 # clause matching
 
 
-@dataclass(frozen=True)
-class ClauseMatch:
-    generated: Optional[GenClause]  # None for equality-theory clauses
-    schema: Optional[AxiomSchema]
-    matcher: Subst
-
-
-def _signature(lits: Clause) -> tuple:
-    return tuple(sorted(Counter((l.positive, l.atom.pred, len(l.atom.args)) for l in lits).items()))
+def _signature(clause: Clause) -> Counter:
+    """How many literals of each sign, predicate and arity `clause` has."""
+    out: Counter = Counter()
+    for lit in clause:
+        atom = lit.sub if type(lit) is Neg else lit
+        out[atom is lit, atom.pred, len(atom.args)] += 1
+    return out
 
 
 def _signature_distance(a: Clause, b: Clause) -> int:
-    ca = Counter((l.positive, l.atom.pred, len(l.atom.args)) for l in a)
-    cb = Counter((l.positive, l.atom.pred, len(l.atom.args)) for l in b)
+    ca, cb = _signature(a), _signature(b)
     return sum(((ca - cb) + (cb - ca)).values())
 
 
@@ -394,8 +354,8 @@ def match_literals(pattern: Clause, clause: Clause) -> Optional[Subst]:
         tries, bindings, _ = stack[-1]
         pat = pattern[len(stack) - 1]
         for j in tries:
-            if not used[j] and clause[j].positive == pat.positive:
-                extended = match_under(pat.atom, clause[j].atom, bindings)
+            if not used[j] and type(clause[j]) is type(pat):  # the same sign
+                extended = match_under(pat, clause[j], bindings)
                 if extended is not None:
                     used[j] = True
                     stack.append((iter(range(n)), extended, j))
@@ -408,47 +368,46 @@ def match_literals(pattern: Clause, clause: Clause) -> Optional[Subst]:
     return Subst(stack[-1][1])
 
 
-def match_clauses(generated: Sequence[GenClause], trace_clauses: Sequence[TraceClause]) -> dict[int, ClauseMatch]:
+def match_clauses(
+    generated: Sequence[tuple[Clause, str]], trace_clauses: Sequence[tuple[int, Clause, str, str]]
+) -> dict[int, tuple]:
     """Find, for every trace clause, a generated clause from the same input
     formula equal to it up to literal reordering, or an equality axiom schema
-    for theory clauses.  Unmatched clauses raise with nearest-miss hints."""
-    by_source: dict[str, list[GenClause]] = defaultdict(list)
+    for theory clauses, as (that clause or schema, matcher) by clause
+    number.  Unmatched clauses raise with nearest-miss hints."""
+    by_source: dict[str, list[tuple[Clause, str]]] = defaultdict(list)
     for g in generated:
-        by_source[g.source].append(g)
-    matches: dict[int, ClauseMatch] = {}
-    for tc in trace_clauses:
-        if tc.origin_kind == "clausify":
-            pool = by_source.get(tc.origin_name)
+        by_source[g[1]].append(g)
+    matches: dict[int, tuple] = {}
+    for number, literals, origin_kind, origin_name in trace_clauses:
+        if origin_kind == "clausify":
+            pool = by_source.get(origin_name)
             if pool is None:
                 raise LeanCoPImportError(
-                    f"clause {tc.number} refers to unknown input formula {tc.origin_name!r}"
+                    f"clause {number} refers to unknown input formula {origin_name!r}"
                 )
-            sig = _signature(tc.literals)
-            found = None
+            sig = _signature(literals)
             for g in pool:
-                if _signature(g.literals) != sig:
-                    continue
-                matcher = match_literals(g.literals, tc.literals)
-                if matcher is not None:
-                    found = ClauseMatch(g, None, matcher)
+                if _signature(g[0]) == sig and (matcher := match_literals(g[0], literals)) is not None:
+                    matches[number] = (g, matcher)
                     break
-            if found is None:
-                ranked = sorted(pool, key=lambda g: _signature_distance(g.literals, tc.literals))
-                hints = "; ".join(_show(g.literals) for g in ranked[:3])
+            else:
+                ranked = sorted(pool, key=lambda g: _signature_distance(g[0], literals))
+                hints = "; ".join(_show(g[0]) for g in ranked[:3])
                 raise LeanCoPImportError(
-                    f"trace clause {tc.number} {_show(tc.literals)} does not match any "
-                    f"generated clause of {tc.origin_name!r}; nearest candidates: {hints}"
+                    f"trace clause {number} {_show(literals)} does not match any "
+                    f"generated clause of {origin_name!r}; nearest candidates: {hints}"
                 )
-            matches[tc.number] = found
         else:  # theory(equality): the negation of an equality axiom instance
-            leaf = tuple(l.negated() for l in tc.literals)
+            leaf = tuple(l.sub if type(l) is Neg else Neg(l) for l in literals)
             inst = next(filter(None, (axiom_instance(kind, leaf) for kind in SchemaKind)), None)
             if inst is None:
                 raise LeanCoPImportError(
-                    f"equality-theory clause {tc.number} {_show(tc.literals)} matches no "
+                    f"equality-theory clause {number} {_show(literals)} matches no "
                     f"known axiom schema"
                 )
-            matches[tc.number] = ClauseMatch(None, inst.schema, inst.subst)
+            schema, matcher, _flips = inst
+            matches[number] = (schema, matcher)
     return matches
 
 
@@ -482,6 +441,10 @@ def _fallback_subst(formula: Formula, polarity: Polarity, covered: set[str]) -> 
     return Subst(bindings)
 
 
+def _clause_vars(clause: Clause) -> frozenset[str]:
+    return frozenset().union(*map(free_vars, clause))
+
+
 def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     """Build the expansion sequent of the original (unskolemized) problem:
     axioms on the left, conjectures on the right, plus one antecedent tree per
@@ -489,90 +452,85 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     if not trace.inputs:
         raise LeanCoPImportError("trace has no input formulas")
 
-    axioms = [f for f in trace.inputs if f.role == "axiom"]
-    conjectures = [f for f in trace.inputs if f.role == "conjecture"]
-    sequent0 = Sequent(
-        tuple(f.formula for f in axioms), tuple(f.formula for f in conjectures)
-    )
+    axioms = [f for f in trace.inputs if f[1] == "axiom"]
+    conjectures = [f for f in trace.inputs if f[1] == "conjecture"]
+    sequent0 = Sequent(tuple(f for _, _, f in axioms), tuple(f for _, _, f in conjectures))
     sequent, _renaming = rectify(sequent0)
     positions: dict[str, tuple[str, int, Formula, Polarity]] = {}
-    for i, f in enumerate(axioms):
-        positions[f.name] = ("ant", i, sequent.antecedent[i], Polarity.NEG)
-    for i, f in enumerate(conjectures):
-        positions[f.name] = ("suc", i, sequent.succedent[i], Polarity.POS)
+    for i, (name, _, _) in enumerate(axioms):
+        positions[name] = ("ant", i, sequent.antecedent[i], Polarity.NEG)
+    for i, (name, _, _) in enumerate(conjectures):
+        positions[name] = ("suc", i, sequent.succedent[i], Polarity.POS)
+    names = [name for name, _, _ in trace.inputs]
 
     # the Skolem heads are the function symbols the prover's clauses add to
     # the input; a constant that only bindings carry stays a constant
-    input_atoms = (g for f in trace.inputs for g, _ in subformulas(f.formula, Polarity.POS) if type(g) is Atom)
-    clause_atoms = (l.atom for tc in trace.clauses for l in tc.literals)
+    input_atoms = (g for _, _, f in trace.inputs for g, _ in subformulas(f, Polarity.POS) if type(g) is Atom)
+    clause_atoms = [l.sub if type(l) is Neg else l for _, lits, _, _ in trace.clauses for l in lits]
     registry = SkolemRegistry(_function_symbols(clause_atoms) - _function_symbols(input_atoms))
-    for tc in trace.clauses:
-        for lit in tc.literals:
-            for a in lit.atom.args:
-                registry.scan_term(a)
-    for step in trace.steps:
-        for _v, t in step.binding.items():
+    for atom in clause_atoms:
+        for a in atom.args:
+            registry.scan_term(a)
+    for _id, _clause, binding in trace.steps:
+        for _v, t in binding.items():
             registry.scan_term(t)
 
     collapsed = [
-        TraceClause(tc.number, tuple(registry.collapse_literal(l) for l in tc.literals),
-                    tc.origin_kind, tc.origin_name)
-        for tc in trace.clauses
+        (number, tuple(registry.collapse_literal(l) for l in lits), kind, origin)
+        for number, lits, kind, origin in trace.clauses
     ]
-    raw_by_number = {tc.number: tc for tc in trace.clauses}
-    clause_vars: dict[int, frozenset[str]] = {}  # a clause's variables, from its first step on
+    raw_by_number = {number: lits for number, lits, _, _ in trace.clauses}
 
-    generated = definitional_dnf(
-        [(f.name, f.role, positions[f.name][2]) for f in trace.inputs]
-    )
+    generated = definitional_dnf([(name, role, positions[name][2]) for name, role, _ in trace.inputs])
     matches = match_clauses(generated, collapsed)
 
     # dicts as insertion-ordered sets of instances, in first-use order
-    per_formula: dict[str, dict[Subst, None]] = {f.name: {} for f in trace.inputs}
+    per_formula: dict[str, dict[Subst, None]] = {name: {} for name in names}
     eq_groups: dict[tuple, tuple[AxiomSchema, dict[Subst, None]]] = {}
-    for step in trace.steps:
-        if step.clause is None:
-            continue  # reductions close branches without new instances
-        if step.clause not in clause_vars:
-            literals = raw_by_number[step.clause].literals
-            clause_vars[step.clause] = frozenset().union(*map(free_vars, literals))
-        extra = step.binding.domain - clause_vars[step.clause]
+    # per trace clause, from the first step that uses it on: its variables,
+    # those of the clause or schema it matched, the matcher, and the
+    # instances the steps add to
+    used: dict[int, tuple] = {}
+    for step_id, number, binding in trace.steps:
+        if number not in used:
+            pattern, matcher = matches[number]
+            if type(pattern) is AxiomSchema:
+                variables = frozenset(pattern.variables)
+                _schema, subs = eq_groups.setdefault((pattern.kind, pattern.param), (pattern, {}))
+            else:
+                variables = _clause_vars(pattern[0])
+                subs = per_formula[pattern[1]]
+            used[number] = (_clause_vars(raw_by_number[number]), variables, matcher, subs)
+        clause_vars, variables, matcher, subs = used[number]
+        extra = binding.domain - clause_vars
         if extra:
-            names = ", ".join(sorted(extra))
             raise LeanCoPImportError(
-                f"step {step.id!r}: binding domain not covered by clause "
-                f"{step.clause} variables: {names}"
+                f"step {step_id!r}: binding domain not covered by clause "
+                f"{number} variables: {', '.join(sorted(extra))}"
             )
-        cm = matches[step.clause]
-        if cm.generated is not None:
-            sigma = _compose_instance(cm.generated.variables, cm.matcher, step.binding, registry)
-            subs = per_formula[cm.generated.source]
-        else:
-            sigma = _compose_instance(frozenset(cm.schema.variables), cm.matcher, step.binding, registry)
-            key = (cm.schema.kind, cm.schema.param)
-            _schema, subs = eq_groups.setdefault(key, (cm.schema, {}))
+        sigma = _compose_instance(variables, matcher, binding, registry)
         if sigma:
             subs[sigma] = None
 
     # variables never bound by any step still need instances for the trees
-    for f in trace.inputs:
-        _side, _i, rect_formula, pol = positions[f.name]
+    for name in names:
+        _side, _i, rect_formula, pol = positions[name]
         covered: set[str] = set()
-        for s in per_formula[f.name]:
+        for s in per_formula[name]:
             covered |= s.domain
         fallback = _fallback_subst(rect_formula, pol, covered)
         if fallback is not None:
-            per_formula[f.name][fallback] = None
+            per_formula[name][fallback] = None
 
     ant_trees: list[ExpansionTree] = []
     suc_trees: list[ExpansionTree] = []
-    for f in trace.inputs:
-        side, _i, rect_formula, pol = positions[f.name]
-        tree = expand_formula(rect_formula, per_formula[f.name], pol)
+    for name in names:
+        side, _i, rect_formula, pol = positions[name]
+        tree = expand_formula(rect_formula, per_formula[name], pol)
         if shallow(tree, pol) is not rect_formula:
-            raise InvariantError(f"the tree of {f.name!r} does not read back as the rectified input")
+            raise InvariantError(f"the tree of {name!r} does not read back as the rectified input")
         (ant_trees if side == "ant" else suc_trees).append(tree)
-    for (_kind, _param), (schema, subs) in eq_groups.items():
+    for schema, subs in eq_groups.values():
         ant_trees.append(_schema_tree(schema, subs))
     ant_trees += symmetry_trees(ant_trees + suc_trees)
 
@@ -583,7 +541,7 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     report = {
         "matched_clauses": len(matches),
         "unmatched": [],
-        "instances_per_formula": {f.name: len(per_formula[f.name]) for f in trace.inputs},
+        "instances_per_formula": {name: len(per_formula[name]) for name in names},
         "skolem_map": registry.eigens,
     }
     return es, report

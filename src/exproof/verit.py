@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
-from typing import Iterable, Optional, Sequence
+from functools import cache, partial, reduce
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     EQ,
@@ -24,7 +23,8 @@ from .core import (
     Formula,
     Imp,
     InvariantError,
-    Literal,
+    Neg,
+    Or,
     Polarity,
     Sequent,
     Subst,
@@ -32,14 +32,13 @@ from .core import (
     Var,
     app,
     apply_subst,
-    clause_to_formula,
     discard,
     fold,
 )
 from .expansion import ExpansionTree, children, expand_formula, shallow
 from .notation import ParseError, Token, scan
 
-Clause = tuple[Literal, ...]
+Clause = tuple[Formula, ...]  # literals: atoms and negated atoms
 
 
 class TraceSyntaxError(ParseError):
@@ -54,17 +53,8 @@ class VeritImportError(ExproofError):
 # trace structure
 
 
-@dataclass(frozen=True)
-class VeritStep:
-    id: str
-    rule: str
-    premises: tuple[str, ...]
-    conclusion: Clause
-
-
-@dataclass(frozen=True)
-class VeritTrace:
-    steps: tuple[VeritStep, ...]
+class VeritTrace(NamedTuple):
+    steps: tuple[tuple[str, str, tuple[str, ...], Clause], ...]  # (id, rule, premises, conclusion)
 
 
 AXIOM_RULES = {
@@ -135,13 +125,12 @@ def _sterm_to_term(sexp) -> Term:
     return fold(sexp, _sterm_step)
 
 
-def _sterm_to_literal(sexp) -> Literal:
+def _sterm_to_literal(sexp) -> Formula:
     if isinstance(sexp, list) and sexp and sexp[0] == "not":
         if len(sexp) != 2:
             raise VeritImportError("'not' takes exactly one argument")
-        inner = _sterm_to_atom(sexp[1])
-        return Literal(inner, False)
-    return Literal(_sterm_to_atom(sexp), True)
+        return Neg(_sterm_to_atom(sexp[1]))
+    return _sterm_to_atom(sexp)
 
 
 def _sterm_to_atom(sexp) -> Atom:
@@ -161,7 +150,7 @@ def _sterm_to_atom(sexp) -> Atom:
 def parse_verit(text: str) -> VeritTrace:
     """Parse a trace of `(set .id (rule [:clauses (...)] :conclusion (...)))`
     steps; premise references must point at earlier steps."""
-    steps: list[VeritStep] = []
+    steps = []
     seen: set[str] = set()
     for (_kind, _text, line, col), sexp in _sexps(text):
         if not isinstance(sexp, list) or len(sexp) != 3 or sexp[0] != "set":
@@ -206,7 +195,7 @@ def parse_verit(text: str) -> VeritTrace:
         if conclusion is None:
             raise TraceSyntaxError(f"step {step_id!r} has no :conclusion", line, col)
         seen.add(step_id)
-        steps.append(VeritStep(step_id, rule, premises, conclusion))
+        steps.append((step_id, rule, premises, conclusion))
     return VeritTrace(tuple(steps))
 
 
@@ -219,15 +208,15 @@ def leaf_clauses(trace: VeritTrace) -> tuple[list[Clause], list[tuple[str, Claus
     inner steps are discarded, unknown leaf rules are errors."""
     inputs: list[Clause] = []
     axioms: list[tuple[str, Clause]] = []
-    for step in trace.steps:
-        if step.premises:
+    for step_id, rule, premises, conclusion in trace.steps:
+        if premises:
             continue  # inner inference, irrelevant for the expansion sequent
-        if step.rule == "input":
-            inputs.append(step.conclusion)
-        elif step.rule in AXIOM_RULES:
-            axioms.append((AXIOM_RULES[step.rule], step.conclusion))
+        if rule == "input":
+            inputs.append(conclusion)
+        elif rule in AXIOM_RULES:
+            axioms.append((AXIOM_RULES[rule], conclusion))
         else:
-            raise VeritImportError(f"unknown leaf rule {step.rule!r} in step {step.id!r}")
+            raise VeritImportError(f"unknown leaf rule {rule!r} in step {step_id!r}")
     return inputs, axioms
 
 
@@ -243,20 +232,12 @@ class SchemaKind(Enum):
     REFLEXIVITY = "reflexivity"
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(NamedTuple):
     kind: SchemaKind
     param: tuple
     formula: Formula
     matrix: Clause  # quantifier-free clause form of the axiom
     variables: tuple[str, ...]
-
-
-def _conj(parts: Sequence[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
 
 
 def _close(variables: Sequence[str], matrix: Formula) -> Formula:
@@ -301,8 +282,8 @@ def make_schema(kind: SchemaKind, *param) -> AxiomSchema:
     else:
         raise VeritImportError(f"unknown schema kind {kind!r}")
     names = tuple(v.name for v in variables)
-    body = Imp(_conj(premises), conclusion) if premises else conclusion
-    matrix = tuple(Literal(a, False) for a in premises) + (Literal(conclusion, True),)
+    body = Imp(reduce(And, premises), conclusion) if premises else conclusion
+    matrix = (*map(Neg, premises), conclusion)
     return AxiomSchema(kind, tuple(param), _close(names, body), matrix, names)
 
 
@@ -310,19 +291,19 @@ def make_schema(kind: SchemaKind, *param) -> AxiomSchema:
 # reading axiom instances off leaf clauses
 
 
-@dataclass(frozen=True)
-class AxiomInstance:
-    schema: AxiomSchema
-    subst: Subst
-    flips: int  # leaf literals written opposite to their instance literal
+# An axiom instance is (schema, subst, flips): the schema, the terms of its
+# variables, and how many leaf literals are written opposite to their
+# instance literal.
+AxiomInstance = tuple[AxiomSchema, Subst, int]
 
 
-def _flip(lit: Literal) -> Literal:
+def _flip(lit: Formula) -> Formula:
     """An equality literal with its sides swapped; any other literal as it is."""
-    if lit.atom.pred != EQ:
+    atom = lit.sub if type(lit) is Neg else lit
+    if atom.pred != EQ:
         return lit
-    left, right = lit.atom.args
-    return Literal(Atom(EQ, (right, left)), lit.positive)
+    flipped = Atom(EQ, atom.args[::-1])
+    return flipped if atom is lit else Neg(flipped)
 
 
 def _walk(edges: Sequence[tuple[Term, ...]], s: Term, t: Term) -> Optional[list[tuple[Term, int]]]:
@@ -366,20 +347,20 @@ def _read_instance(kind: SchemaKind, clause: Clause) -> Optional[tuple[tuple, li
     and equality orientation, with no search: the schema parameter, the
     terms for the schema's variables in their order, and the position in
     the clause of each matrix literal; None if the clause is no instance."""
-    heads = [j for j, l in enumerate(clause) if l.positive]
-    premises = [j for j, l in enumerate(clause) if not l.positive]
-    eqs = [j for j in premises if clause[j].atom.pred == EQ]
-    sides = [clause[j].atom.args for j in eqs]
+    heads = [j for j, l in enumerate(clause) if type(l) is Atom]
+    premises = [j for j, l in enumerate(clause) if type(l) is Neg]
+    eqs = [j for j in premises if clause[j].sub.pred == EQ]
+    sides = [clause[j].sub.args for j in eqs]
     if len(heads) != 1:
         return None
     last = heads  # positions of the matrix literals after the equalities
-    head = clause[heads[0]].atom
+    head = clause[heads[0]]
     if kind is SchemaKind.PRED_CONGRUENCE:
-        others = [j for j in premises if clause[j].atom.pred != EQ]
-        if len(others) != 1 or clause[others[0]].atom.pred != head.pred or head.pred == EQ:
+        others = [j for j in premises if clause[j].sub.pred != EQ]
+        if len(others) != 1 or clause[others[0]].sub.pred != head.pred or head.pred == EQ:
             return None
         last = others + heads
-        symbol, xs, ys = head.pred, clause[others[0]].atom.args, head.args
+        symbol, xs, ys = head.pred, clause[others[0]].sub.args, head.args
     else:
         if head.pred != EQ or len(eqs) != len(premises):
             return None
@@ -414,7 +395,7 @@ def _read_instance(kind: SchemaKind, clause: Clause) -> Optional[tuple[tuple, li
         # a function equality reads either way: orient the instance like the
         # first equality of the first argument that changes
         i = next((i for i, (x, y) in enumerate(zip(xs, ys)) if x != y), None)
-        if i is not None and clause[order[i]].atom.args[0] == ys[i]:
+        if i is not None and clause[order[i]].sub.args[0] == ys[i]:
             xs, ys = ys, xs
     return (symbol, len(xs)), [*xs, *ys], order + last
 
@@ -431,18 +412,19 @@ def axiom_instance(kind: SchemaKind, clause: Clause) -> Optional[AxiomInstance]:
     subst = Subst(dict(zip(schema.variables, terms)))
     literals = tuple(apply_subst(l, subst) for l in schema.matrix)
     # the instance must be the leaf up to literal order and orientation
-    flips = [lit != clause[j] for lit, j in zip(literals, order)]
+    flips = [lit is not clause[j] for lit, j in zip(literals, order)]
     if (
         len(literals) != len(clause)
         or sorted(order) != list(range(len(clause)))
-        or any(lit != _flip(clause[j]) for lit, j, flip in zip(literals, order, flips) if flip)
+        or any(lit is not _flip(clause[j]) for lit, j, flip in zip(literals, order, flips) if flip)
     ):
         raise InvariantError(f"the {kind.value} instance {_show(literals)} is not the leaf {_show(clause)}")
-    return AxiomInstance(schema, subst, sum(flips))
+    return schema, subst, sum(flips)
 
 
 def _show(clause: Clause) -> str:
-    return "[" + ", ".join(str(l) for l in clause) + "]"
+    """A clause for a message, a negated equality as `~a = b`."""
+    return "[" + ", ".join(f"~{l.sub}" if type(l) is Neg else str(l) for l in clause) + "]"
 
 
 def match_axiom_instance(kind: str, clause: Clause) -> AxiomInstance:
@@ -462,7 +444,7 @@ def _reflexivity_instances(inputs: list[Clause], axioms: list[tuple[str, Clause]
     """Terms to instantiate reflexivity with: every t with a t=t literal in a
     leaf clause, plus all top-level argument terms of leaf atoms whenever an
     eq_reflexive leaf exists.  Extra instances only add true conjuncts."""
-    atoms = [lit.atom for clause in inputs + [c for _, c in axioms] for lit in clause]
+    atoms = [l.sub if type(l) is Neg else l for clause in inputs + [c for _, c in axioms] for l in clause]
     terms = {a.args[0]: None for a in atoms if a.pred == EQ and a.args[0] is a.args[1]}
     if any(kind == "reflexivity" for kind, _ in axioms):
         terms.update((t, None) for a in atoms for t in a.args)
@@ -511,18 +493,18 @@ def import_verit(trace: VeritTrace) -> tuple[Sequent, dict]:
     for clause in inputs:
         if not clause:
             raise VeritImportError("input step with an empty clause")
-        antecedent.append(expand_formula(clause_to_formula(clause), (), Polarity.NEG))
+        antecedent.append(expand_formula(reduce(Or, clause), (), Polarity.NEG))
 
     # one tree per schema, its instances in first-use order; reflexivity
     # goes into the separately computed reflexivity tree
     groups: dict[tuple, tuple[AxiomSchema, dict[Subst, None]]] = {}
     flips = 0
     for kind, clause in axioms:
-        inst = match_axiom_instance(kind, clause)
-        flips += inst.flips
-        if inst.schema.kind is not SchemaKind.REFLEXIVITY:
-            _schema, subs = groups.setdefault((inst.schema.kind, inst.schema.param), (inst.schema, {}))
-            subs[inst.subst] = None  # a dict keeps first-use order
+        schema, subst, leaf_flips = match_axiom_instance(kind, clause)
+        flips += leaf_flips
+        if schema.kind is not SchemaKind.REFLEXIVITY:
+            _schema, subs = groups.setdefault((schema.kind, schema.param), (schema, {}))
+            subs[subst] = None  # a dict keeps first-use order
     antecedent += [_schema_tree(schema, subs) for schema, subs in groups.values()]
     antecedent += symmetry_trees(antecedent)
 

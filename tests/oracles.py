@@ -688,19 +688,22 @@ def ref_match_literals(pattern, clause, allow_flips):
     perm = [0] * n
     flips = set()
 
+    def signed(lit):  # (positive, atom) of an atom or a negated atom
+        return (False, lit.sub) if isinstance(lit, Neg) else (True, lit)
+
     def solve(i, bindings):
         if i == n:
             return bindings
-        pat = pattern[i]
+        pat_positive, pat_atom = signed(pattern[i])
         for j in (i,) if n > REF_PERMUTATION_LIMIT else range(n):
-            lit = clause[j]
-            if used[j] or lit.positive != pat.positive:
+            positive, lit_atom = signed(clause[j])
+            if used[j] or positive != pat_positive:
                 continue
-            options = [(lit.atom, False)]
-            if allow_flips and pat.atom.pred == "=" and lit.atom.pred == "=":
-                options.append((Atom("=", lit.atom.args[::-1]), True))
+            options = [(lit_atom, False)]
+            if allow_flips and pat_atom.pred == "=" and lit_atom.pred == "=":
+                options.append((Atom("=", lit_atom.args[::-1]), True))
             for atom, flipped in options:
-                extended = _ref_match(pat.atom, atom, bindings)
+                extended = _ref_match(pat_atom, atom, bindings)
                 if extended is None:
                     continue
                 used[j] = True

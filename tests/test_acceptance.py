@@ -151,45 +151,37 @@ def test_criterion_5_leancop_pipeline():
         proofs[name] = verdict(es).is_proof
 
         # every clause match verifies by reapplication
-        from exproof.leancop import SkolemRegistry, TraceClause
+        from exproof.core import Neg
+        from exproof.leancop import SkolemRegistry
+        from exproof.verit import AxiomSchema
 
         registry = SkolemRegistry(report["skolem_map"])
-        for tc in trace.clauses:
-            for lit in tc.literals:
-                for arg in lit.atom.args:
+        for _number, literals, _kind, _origin in trace.clauses:
+            for lit in literals:
+                for arg in (lit.sub if isinstance(lit, Neg) else lit).args:
                     registry.scan_term(arg)
-        for step in trace.steps:
-            for _v, t in step.binding.items():
+        for _id, _clause, binding in trace.steps:
+            for _v, t in binding.items():
                 registry.scan_term(t)
         collapsed = [
-            TraceClause(
-                tc.number,
-                tuple(registry.collapse_literal(l) for l in tc.literals),
-                tc.origin_kind,
-                tc.origin_name,
-            )
-            for tc in trace.clauses
+            (number, tuple(registry.collapse_literal(l) for l in literals), kind, origin)
+            for number, literals, kind, origin in trace.clauses
         ]
-        rect, _ = rectify(
-            Sequent(
-                tuple(f.formula for f in trace.inputs if f.role == "axiom"),
-                tuple(f.formula for f in trace.inputs if f.role == "conjecture"),
-            )
-        )
-        names = [f.name for f in trace.inputs if f.role == "axiom"] + [
-            f.name for f in trace.inputs if f.role == "conjecture"
-        ]
+        axioms = [(name, f) for name, role, f in trace.inputs if role == "axiom"]
+        conjectures = [(name, f) for name, role, f in trace.inputs if role == "conjecture"]
+        rect, _ = rectify(Sequent(tuple(f for _, f in axioms), tuple(f for _, f in conjectures)))
+        names = [name for name, _ in axioms + conjectures]
         rect_formulas = list(rect.antecedent) + list(rect.succedent)
         roles = ["axiom"] * len(rect.antecedent) + ["conjecture"] * len(rect.succedent)
         generated = definitional_dnf(list(zip(names, roles, rect_formulas)))
         matches = match_clauses(generated, collapsed)
-        by_number = {tc.number: tc for tc in collapsed}
-        for number, m in matches.items():
-            if m.generated is None:
+        by_number = {number: literals for number, literals, _, _ in collapsed}
+        for number, (pattern, matcher) in matches.items():
+            if isinstance(pattern, AxiomSchema):
                 continue
             # the matcher reproduces the trace clause as a multiset
-            got = Counter(apply_subst(lit, m.matcher) for lit in m.generated.literals)
-            assert got == Counter(by_number[number].literals)
+            got = Counter(apply_subst(lit, matcher) for lit in pattern[0])
+            assert got == Counter(by_number[number])
 
     # the skolem fixture: one eigenvariable per strong quantifier, acyclic edge
     es, report = import_leancop(parse_leancop((FIXTURES / "leancop_skolem.proof").read_text()))

@@ -409,6 +409,15 @@ def test_deep_negation_is_a_proof(tmp_path, capsys):
 # --- import invariants ---
 
 
+def test_starting_the_command_line_loads_no_dataclasses():
+    # the records are tuples, so no `dataclasses` (and its `inspect`) to import;
+    # `-S` keeps site hooks from loading modules of their own
+    code = "import sys, exproof.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "module, name",
     [("exproof.leancop", "leancop_skolem.proof"), ("exproof.verit", "verit_transitivity.proof")],

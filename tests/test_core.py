@@ -15,7 +15,6 @@ from exproof.core import (
     Exists,
     Forall,
     Imp,
-    Literal,
     Neg,
     Node,
     Or,
@@ -25,7 +24,6 @@ from exproof.core import (
     Subst,
     Var,
     apply_subst,
-    clause_to_formula,
     const,
     eq,
     free_vars,
@@ -471,17 +469,13 @@ def test_match_seeded_sweep():
             assert Subst(got) == sigma
 
 
-# --- literals and clauses ---
+# --- literals ---
 
 
-def test_clause_to_formula():
-    lits = (Literal(A), Literal(B, False))
-    assert clause_to_formula(lits) == Or(A, Neg(B))
-    assert clause_to_formula((Literal(A),)) == A
-    with pytest.raises(ValueError):
-        clause_to_formula(())
-
-
-def test_literal_str():
-    assert str(Literal(eq(const("a"), const("b")), False)) == "~a = b"
-    assert str(Literal(Atom("p", (const("a"),)))) == "p(a)"
+def test_negative_literal_matches_only_a_negative_one():
+    p, pa = Atom("p", (Var("X"),)), Atom("p", (const("a"),))
+    assert match_under(Neg(p), Neg(pa), {}) == {"X": const("a")}
+    assert match_under(Neg(p), pa, {}) is None
+    assert match_under(p, Neg(pa), {}) is None
+    assert free_vars(Neg(p)) == {"X"}
+    assert apply_subst(Neg(p), Subst({"X": const("a")})) is Neg(pa)

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 
 from conftest import FIXTURES
 from exproof.check import dependency_relation, verdict
-from exproof.core import App, Atom, Literal, Subst, Var, apply_subst, const, eq
+from exproof.core import App, Atom, Neg, Subst, Var, apply_subst, const, eq
 from exproof.expansion import ETStrong, ETWeak, shallow_sequent
 from exproof.leancop import (
-    GenClause,
     LeanCoPImportError,
     SkolemRegistry,
-    TraceClause,
     definitional_dnf,
     import_leancop,
     match_clauses,
@@ -35,21 +33,14 @@ def load(name: str):
 
 def test_parse_input_line():
     trace = parse_leancop("fof(ax1, axiom, ![X]: p(X)).")
-    entry = trace.inputs[0]
-    assert entry.name == "ax1"
-    assert entry.role == "axiom"
-    assert entry.formula == parse_formula("![X]: p(X)")
+    assert trace.inputs == (("ax1", "axiom", parse_formula("![X]: p(X)")),)
 
 
 def test_parse_clause_line():
     trace = parse_leancop(
         "fof(ax1, axiom, ![X]: p(X)).\ncnf(1, plain, [p(X1)], clausify(ax1))."
     )
-    clause = trace.clauses[0]
-    assert clause.number == 1
-    assert clause.origin_kind == "clausify"
-    assert clause.origin_name == "ax1"
-    assert clause.literals == (Literal(Atom("p", (Var("X1"),))),)
+    assert trace.clauses == ((1, (Atom("p", (Var("X1"),)),), "clausify", "ax1"),)
 
 
 def test_parse_step_with_binding():
@@ -57,25 +48,20 @@ def test_parse_step_with_binding():
         "cnf(1, plain, [p(X1)], theory(equality)).\n"
         "cnf('s1', plain, [p(a)], start(1, bind([X1], [a])))."
     )
-    step = trace.steps[0]
-    assert step.id == "s1"
-    assert step.kind == "start"
-    assert step.clause == 1
-    assert step.binding == Subst({"X1": a})
+    assert trace.steps == (("s1", 1, Subst({"X1": a})),)
 
 
 def test_parse_reduction_step():
+    # a reduction closes a branch with no new instance: it parses and adds no step
     trace = parse_leancop("cnf('r1', plain, [~p(a)], reduction('1')).")
-    step = trace.steps[0]
-    assert step.kind == "reduction" and step.clause is None and not step.binding
+    assert trace.steps == ()
+    with pytest.raises(ParseError, match="expected '\\)'"):
+        parse_leancop("cnf('r1', plain, [~p(a)], reduction('1').")
 
 
 def test_parse_negated_and_disequation_literals():
     trace = parse_leancop("cnf(1, plain, [~p(X1), a != b], theory(equality)).")
-    assert trace.clauses[0].literals == (
-        Literal(Atom("p", (Var("X1"),)), False),
-        Literal(eq(a, b), False),
-    )
+    assert trace.clauses[0][1] == (Neg(Atom("p", (Var("X1"),))), Neg(eq(a, b)))
 
 
 def test_parse_errors():
@@ -163,29 +149,26 @@ def test_dnf_negates_axioms_keeps_conjecture():
     out = definitional_dnf(
         [("ax", "axiom", parse_formula("![X]: p(X)")), ("conj", "conjecture", Atom("p", (a,)))]
     )
-    assert [(g.source, g.literals) for g in out] == [
-        ("ax", (Literal(Atom("p", (Var("X"),)), False),)),
-        ("conj", (Literal(Atom("p", (a,))),)),
+    assert out == [
+        ((Neg(Atom("p", (Var("X"),))),), "ax"),
+        ((Atom("p", (a,)),), "conj"),
     ]
 
 
 def test_dnf_conjunction_in_conjecture_is_one_clause():
     out = definitional_dnf([("conj", "conjecture", parse_formula("?[Y]: (q(Y) & r(Y))"))])
-    assert out[0].literals == (
-        Literal(Atom("q", (Var("Y"),))),
-        Literal(Atom("r", (Var("Y"),))),
-    )
+    assert out[0][0] == (Atom("q", (Var("Y"),)), Atom("r", (Var("Y"),)))
 
 
 def test_dnf_distribution_naive():
     out = definitional_dnf(
         [("ax", "axiom", parse_formula("![X]: (p(X) | (q(X) & r(X)))"))], threshold=100
     )
-    lits = [g.literals for g in out]
+    lits = [literals for literals, _source in out]
     X = Var("X")
     assert lits == [
-        (Literal(Atom("p", (X,)), False), Literal(Atom("q", (X,)), False)),
-        (Literal(Atom("p", (X,)), False), Literal(Atom("r", (X,)), False)),
+        (Neg(Atom("p", (X,))), Neg(Atom("q", (X,)))),
+        (Neg(Atom("p", (X,))), Neg(Atom("r", (X,)))),
     ]
 
 
@@ -196,18 +179,17 @@ def test_dnf_definitional_mode_introduces_predicate():
     assert len(naive) == 9
     defd = definitional_dnf([("ax", "axiom", f)], threshold=4)
     assert len(defd) < 9
-    def_preds = {
-        l.atom.pred for g in defd for l in g.literals if l.atom.pred.startswith("d")
-    }
+    def_preds = {l.pred for literals, _ in defd for l in literals if isinstance(l, Atom) and l.pred.startswith("d")}
     assert def_preds  # fresh definition predicates were used
     # a definition clause carries its predicate negated
-    assert any(not l.positive and l.atom.pred in def_preds for g in defd for l in g.literals)
+    assert any(isinstance(l, Neg) and l.sub.pred in def_preds for literals, _ in defd for l in literals)
 
 
 def test_dnf_definition_predicates_carry_free_variables():
     f = parse_formula("![X]: ((p1(X) & p2(X) & p3(X)) | (q1(X) & q2(X) & q3(X)))")
     out = definitional_dnf([("ax", "axiom", f)], threshold=4)
-    datoms = [l.atom for g in out for l in g.literals if l.atom.pred.startswith("d")]
+    atoms = [l.sub if isinstance(l, Neg) else l for literals, _ in out for l in literals]
+    datoms = [atom for atom in atoms if atom.pred.startswith("d")]
     assert datoms and all(atom.args == (Var("X"),) for atom in datoms)
 
 
@@ -215,23 +197,19 @@ def test_dnf_definition_predicates_carry_free_variables():
 
 
 def test_match_forced():
-    gen = [GenClause((Literal(Atom("p", (Var("X"),)), False),), "ax")]
+    gen = [((Neg(Atom("p", (Var("X"),))),), "ax")]
     trace = parse_leancop("cnf(1, plain, [~p(X1)], clausify(ax)).")
     matches = match_clauses(gen, trace.clauses)
-    assert matches[1].matcher == Subst({"X": Var("X1")})
+    assert matches[1] == (gen[0], Subst({"X": Var("X1")}))
 
 
 def test_match_reordering_tolerance():
-    gen = [
-        GenClause(
-            (Literal(Atom("q", (Var("Y"),))), Literal(Atom("r", (Var("Y"),)))), "conj"
-        )
-    ]
+    gen = [((Atom("q", (Var("Y"),)), Atom("r", (Var("Y"),))), "conj")]
     trace = parse_leancop("cnf(1, plain, [r(Y2), q(Y2)], clausify(conj)).")
-    m = match_clauses(gen, trace.clauses)[1]
-    assert m.matcher == Subst({"Y": Var("Y2")})
+    _generated, matcher = match_clauses(gen, trace.clauses)[1]
+    assert matcher == Subst({"Y": Var("Y2")})
     # reapplying the matcher reproduces the trace clause as a multiset
-    assert Counter(apply_subst(l, m.matcher) for l in gen[0].literals) == Counter(trace.clauses[0].literals)
+    assert Counter(apply_subst(l, matcher) for l in gen[0][0]) == Counter(trace.clauses[0][1])
 
 
 PATTERN_TERMS = [Var("X"), Var("Y"), Var("Z"), a, b, App("f", (Var("X"),))]
@@ -246,7 +224,8 @@ def clause_pairs(draw):
     def literal():
         pred, arity = draw(st.sampled_from([("p", 1), ("q", 2), ("r", 1)]))
         args = tuple(draw(st.sampled_from(PATTERN_TERMS)) for _ in range(arity))
-        return Literal(Atom(pred, args), draw(st.booleans()))
+        atom = Atom(pred, args)
+        return atom if draw(st.booleans()) else Neg(atom)
 
     pattern = tuple(literal() for _ in range(draw(st.integers(0, 8))))
     sigma = Subst({v: draw(st.sampled_from(TRACE_TERMS)) for v in "XYZ"})
@@ -262,17 +241,27 @@ def test_clause_matching_agrees_with_the_reference_search(pair):
     pattern, clause = pair
     expected = ref_match_literals(pattern, clause, allow_flips=False)
     try:
-        got = match_clauses([GenClause(pattern, "ax")], [TraceClause(1, clause, "clausify", "ax")])[1].matcher
+        _generated, got = match_clauses([(pattern, "ax")], [(1, clause, "clausify", "ax")])[1]
     except LeanCoPImportError:
         got = None
     assert got == (None if expected is None else Subst(expected[0]))
 
 
 def test_match_signature_mismatch_reports_candidates():
-    gen = [GenClause((Literal(Atom("p", (Var("X"),))),), "ax")]
+    gen = [((Atom("p", (Var("X"),)),), "ax")]
     trace = parse_leancop("cnf(1, plain, [q(X1)], clausify(ax)).")
     with pytest.raises(LeanCoPImportError, match="nearest candidates"):
         match_clauses(gen, trace.clauses)
+
+
+def test_nearest_candidates_write_a_negated_equality_without_parentheses():
+    trace = parse_leancop("fof(ax, axiom, a = b).\ncnf(1, plain, [~(b = a)], clausify(ax)).")
+    generated = definitional_dnf([("ax", "axiom", eq(a, b))])
+    with pytest.raises(LeanCoPImportError) as error:
+        match_clauses(generated, trace.clauses)
+    assert str(error.value) == (
+        "trace clause 1 [~b = a] does not match any generated clause of 'ax'; nearest candidates: [~a = b]"
+    )
 
 
 def test_match_equality_theory_clause():
@@ -280,19 +269,19 @@ def test_match_equality_theory_clause():
     trace = parse_leancop(
         "cnf(1, plain, [X1 = X2, X2 = X3, ~(X1 = X3)], theory(equality))."
     )
-    m = match_clauses([], trace.clauses)[1]
-    assert m.schema.kind is SchemaKind.TRANSITIVITY
+    schema, _matcher = match_clauses([], trace.clauses)[1]
+    assert schema.kind is SchemaKind.TRANSITIVITY
     trace2 = parse_leancop("cnf(2, plain, [X1 = X2, ~(X2 = X1)], theory(equality)).")
-    m2 = match_clauses([], trace2.clauses)[2]
-    assert m2.schema.kind is SchemaKind.SYMMETRY
-    assert m2.matcher == Subst({"x0": Var("X1"), "y0": Var("X2")})
+    schema2, matcher2 = match_clauses([], trace2.clauses)[2]
+    assert schema2.kind is SchemaKind.SYMMETRY
+    assert matcher2 == Subst({"x0": Var("X1"), "y0": Var("X2")})
     # ten literals, shuffled and flipped: past the old search's reach
     lits = [f"X{i + 1} = X{i}" if i % 2 else f"X{i} = X{i + 1}" for i in range(1, 10)] + ["~(X10 = X1)"]
     random.Random(9).shuffle(lits)
     trace3 = parse_leancop(f"cnf(3, plain, [{', '.join(lits)}], theory(equality)).")
-    m3 = match_clauses([], trace3.clauses)[3]
-    assert (m3.schema.kind, m3.schema.param) == (SchemaKind.TRANSITIVITY, (9,))
-    assert {m3.matcher["x0"], m3.matcher["x9"]} == {Var("X1"), Var("X10")}
+    schema3, matcher3 = match_clauses([], trace3.clauses)[3]
+    assert (schema3.kind, schema3.param) == (SchemaKind.TRANSITIVITY, (9,))
+    assert {matcher3["x0"], matcher3["x9"]} == {Var("X1"), Var("X10")}
 
 
 def test_match_unknown_equality_shape():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import FIXTURES
 from exproof.check import verdict
-from exproof.core import App, Atom, InvariantError, Literal, Sequent, Subst, apply_subst, const, eq
+from exproof.core import App, Atom, InvariantError, Neg, Sequent, Subst, apply_subst, const, eq
 from exproof.expansion import shallow_sequent
 from exproof.notation import parse_formula
 from exproof.verit import (
@@ -36,21 +36,17 @@ def load(name: str):
 
 def test_parse_input_step():
     trace = parse_verit("(set .c1 (input :conclusion ((= a b))))")
-    step = trace.steps[0]
-    assert step.id == "c1"
-    assert step.rule == "input"
-    assert step.premises == ()
-    assert step.conclusion == (Literal(eq(a, b)),)
+    assert trace.steps == (("c1", "input", (), (eq(a, b),)),)
 
 
 def test_parse_transitivity_leaf():
     trace = parse_verit(
         "(set .c3 (eq_transitive :conclusion ((not (= a b)) (not (= b c)) (= a c))))"
     )
-    assert trace.steps[0].conclusion == (
-        Literal(eq(a, b), False),
-        Literal(eq(b, c), False),
-        Literal(eq(a, c)),
+    assert trace.steps[0][3] == (
+        Neg(eq(a, b)),
+        Neg(eq(b, c)),
+        eq(a, c),
     )
 
 
@@ -61,14 +57,13 @@ def test_parse_resolution_step():
     (set .c9 (resolution :clauses (.c1 .c3) :conclusion ()))
     """
     trace = parse_verit(text)
-    assert trace.steps[2].premises == ("c1", "c3")
-    assert trace.steps[2].conclusion == ()
+    assert trace.steps[2][2:] == (("c1", "c3"), ())
 
 
 def test_parse_nested_terms():
     trace = parse_verit("(set .c1 (input :conclusion ((p a (f b)))))")
-    assert trace.steps[0].conclusion == (
-        Literal(Atom("p", (a, App("f", (b,))))),
+    assert trace.steps[0][3] == (
+        Atom("p", (a, App("f", (b,)))),
     )
 
 
@@ -170,54 +165,74 @@ def test_schema_size_validation():
 
 
 def test_match_transitivity_positional():
-    clause = (Literal(eq(a, b), False), Literal(eq(b, c), False), Literal(eq(a, c)))
-    inst = match_axiom_instance("transitivity", clause)
-    assert dict(inst.subst.items()) == {"x0": a, "x1": b, "x2": c}
-    assert inst.flips == 0
+    clause = (Neg(eq(a, b)), Neg(eq(b, c)), eq(a, c))
+    _schema, subst, flips = match_axiom_instance("transitivity", clause)
+    assert dict(subst.items()) == {"x0": a, "x1": b, "x2": c}
+    assert flips == 0
 
 
 def test_match_congruence():
-    clause = (Literal(eq(a, b), False), Literal(eq(App("f", (a,)), App("f", (b,)))),)
-    inst = match_axiom_instance("fn_congruence", clause)
-    assert dict(inst.subst.items()) == {"x0": a, "y0": b}
+    clause = (Neg(eq(a, b)), eq(App("f", (a,)), App("f", (b,))),)
+    _schema, subst, _flips = match_axiom_instance("fn_congruence", clause)
+    assert dict(subst.items()) == {"x0": a, "y0": b}
 
 
 def test_match_with_orientation_flip():
-    clause = (Literal(eq(b, a), False), Literal(eq(b, c), False), Literal(eq(a, c)))
-    inst = match_axiom_instance("transitivity", clause)
-    assert dict(inst.subst.items()) == {"x0": a, "x1": b, "x2": c}
-    assert inst.flips == 1
+    clause = (Neg(eq(b, a)), Neg(eq(b, c)), eq(a, c))
+    _schema, subst, flips = match_axiom_instance("transitivity", clause)
+    assert dict(subst.items()) == {"x0": a, "x1": b, "x2": c}
+    assert flips == 1
 
 
 def test_match_with_literal_permutation():
-    clause = (Literal(eq(a, c)), Literal(eq(a, b), False), Literal(eq(b, c), False))
-    inst = match_axiom_instance("transitivity", clause)
-    assert dict(inst.subst.items()) == {"x0": a, "x1": b, "x2": c}
+    clause = (eq(a, c), Neg(eq(a, b)), Neg(eq(b, c)))
+    schema, subst, _flips = match_axiom_instance("transitivity", clause)
+    assert dict(subst.items()) == {"x0": a, "x1": b, "x2": c}
     # the matcher reproduces the leaf clause as a multiset
-    assert Counter(apply_subst(l, inst.subst) for l in inst.schema.matrix) == Counter(clause)
+    assert Counter(apply_subst(l, subst) for l in schema.matrix) == Counter(clause)
 
 
 def test_match_failure_is_import_error():
-    clause = (Literal(eq(a, b), False), Literal(eq(c, c), False), Literal(eq(a, c)))
+    clause = (Neg(eq(a, b)), Neg(eq(c, c)), eq(a, c))
     with pytest.raises(VeritImportError, match="cannot match"):
         match_axiom_instance("transitivity", clause)
 
 
-def _unoriented(lit: Literal) -> tuple:
-    args = frozenset(lit.atom.args) if lit.atom.pred == "=" else lit.atom.args
-    return lit.positive, lit.atom.pred, args
+def test_messages_write_a_negated_equality_without_parentheses(monkeypatch):
+    # a clause in a message reads `~a = b`, where a formula reads `~(a = b)`
+    with pytest.raises(VeritImportError) as error:
+        match_axiom_instance("transitivity", (Neg(eq(a, b)), Neg(eq(c, c)), eq(a, c)))
+    assert str(error.value) == "cannot match transitivity axiom against clause [~a = b, ~c = c, a = c]"
+    monkeypatch.setattr("exproof.verit._walk", lambda edges, s, t: [(t, -1), (s, 0), (s, 1)])
+    with pytest.raises(InvariantError) as error:
+        match_axiom_instance("transitivity", (Neg(eq(a, b)), Neg(eq(b, c)), eq(a, c)))
+    assert str(error.value) == (
+        "the transitivity instance [~c = a, ~a = a, c = a] is not the leaf [~a = b, ~b = c, a = c]"
+    )
+
+
+def _signed(lit) -> tuple:
+    """(whether it is positive, its atom) of a literal."""
+    return (False, lit.sub) if isinstance(lit, Neg) else (True, lit)
+
+
+def _unoriented(lit) -> tuple:
+    positive, atom = _signed(lit)
+    args = frozenset(atom.args) if atom.pred == "=" else atom.args
+    return positive, atom.pred, args
 
 
 def _instance_literals(inst) -> tuple:
     """The schema matrix under the instance's substitution."""
-    return tuple(apply_subst(lit, inst.subst) for lit in inst.schema.matrix)
+    schema, subst, _flips = inst
+    return tuple(apply_subst(lit, subst) for lit in schema.matrix)
 
 
 def _chain(n: int, prefix: str = "t"):
     """The terms t0..tn and the transitivity leaf from t0 to tn, in order."""
     names = [const(f"{prefix}{i}") for i in range(n + 1)]
-    clause = tuple(Literal(eq(names[i], names[i + 1]), False) for i in range(n)) + (
-        Literal(eq(names[0], names[n])),
+    clause = tuple(Neg(eq(names[i], names[i + 1])) for i in range(n)) + (
+        eq(names[0], names[n]),
     )
     return names, clause
 
@@ -231,18 +246,19 @@ def test_shuffled_ten_literal_leaf_matches():
         assert Counter(map(_unoriented, _instance_literals(inst))) == Counter(map(_unoriented, leaf))
         # the walk starts at the end whose first equality comes first
         ends = (names[0], names[9])
-        start = min(ends, key=lambda e: next(j for j, l in enumerate(leaf) if not l.positive and e in l.atom.args))
-        assert inst.subst["x0"] == start
-        assert inst.flips == (0 if start == names[0] else 10)
+        start = min(ends, key=lambda e: next(j for j, l in enumerate(leaf) if isinstance(l, Neg) and e in l.sub.args))
+        _schema, subst, flips = inst
+        assert subst["x0"] == start
+        assert flips == (0 if start == names[0] else 10)
 
 
 @pytest.mark.parametrize("kind, clause", [
-    ("transitivity", (Literal(eq(a, b), False), Literal(eq(b, a), False), Literal(eq(a, a)))),
-    ("transitivity", (Literal(eq(a, b), False), Literal(eq(c, c), False), Literal(eq(b, c), False), Literal(eq(a, c)))),
-    ("fn_congruence", (Literal(eq(b, a), False), Literal(eq(a, b), False),
-                       Literal(eq(App("f", (a, b)), App("f", (b, a)))))),
-    ("pred_congruence", (Literal(eq(a, b), False), Literal(eq(a, b), False), Literal(Atom("p", (a, b))),
-                         Literal(Atom("p", (b, a)), False))),
+    ("transitivity", (Neg(eq(a, b)), Neg(eq(b, a)), eq(a, a))),
+    ("transitivity", (Neg(eq(a, b)), Neg(eq(c, c)), Neg(eq(b, c)), eq(a, c))),
+    ("fn_congruence", (Neg(eq(b, a)), Neg(eq(a, b)),
+                       eq(App("f", (a, b)), App("f", (b, a))))),
+    ("pred_congruence", (Neg(eq(a, b)), Neg(eq(a, b)), Atom("p", (a, b)),
+                         Neg(Atom("p", (b, a))))),
 ])
 def test_match_through_repeated_terms(kind, clause):
     inst = match_axiom_instance(kind, clause)
@@ -250,16 +266,16 @@ def test_match_through_repeated_terms(kind, clause):
 
 
 @pytest.mark.parametrize("kind, clause", [
-    ("transitivity", (Literal(eq(a, b), False), Literal(eq(c, c), False), Literal(eq(a, b)))),
-    ("transitivity", (Literal(eq(a, b), False), Literal(eq(b, c), False), Literal(eq(a, c), False),
-                      Literal(eq(a, c)))),
-    ("transitivity", (Literal(eq(a, b), False), Literal(eq(b, c), False))),
-    ("transitivity", (Literal(eq(a, b), False), Literal(eq(b, a), False), Literal(eq(a, c)))),
-    ("transitivity", (Literal(eq(a, b), False), Literal(eq(b, a), False), Literal(eq(c, a)))),
-    ("fn_congruence", (Literal(eq(a, b), False), Literal(eq(App("f", (a, a)), App("f", (b, b)))))),
-    ("fn_congruence", (Literal(eq(a, b), False), Literal(eq(App("f", (a,)), App("g", (b,)))))),
-    ("pred_congruence", (Literal(eq(a, c), False), Literal(Atom("p", (a,)), False), Literal(Atom("p", (b,))))),
-    ("reflexivity", (Literal(eq(a, b)),)),
+    ("transitivity", (Neg(eq(a, b)), Neg(eq(c, c)), eq(a, b))),
+    ("transitivity", (Neg(eq(a, b)), Neg(eq(b, c)), Neg(eq(a, c)),
+                      eq(a, c))),
+    ("transitivity", (Neg(eq(a, b)), Neg(eq(b, c)))),
+    ("transitivity", (Neg(eq(a, b)), Neg(eq(b, a)), eq(a, c))),
+    ("transitivity", (Neg(eq(a, b)), Neg(eq(b, a)), eq(c, a))),
+    ("fn_congruence", (Neg(eq(a, b)), eq(App("f", (a, a)), App("f", (b, b))))),
+    ("fn_congruence", (Neg(eq(a, b)), eq(App("f", (a,)), App("g", (b,))))),
+    ("pred_congruence", (Neg(eq(a, c)), Neg(Atom("p", (a,))), Atom("p", (b,)))),
+    ("reflexivity", (eq(a, b),)),
 ])
 def test_non_instances_are_import_errors(kind, clause):
     with pytest.raises(VeritImportError, match="cannot match"):
@@ -268,7 +284,7 @@ def test_non_instances_are_import_errors(kind, clause):
 
 def test_instance_that_is_not_the_leaf_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr("exproof.verit._walk", lambda edges, s, t: [(t, -1), (s, 0), (s, 1)])
-    clause = (Literal(eq(a, b), False), Literal(eq(b, c), False), Literal(eq(a, c)))
+    clause = (Neg(eq(a, b)), Neg(eq(b, c)), eq(a, c))
     with pytest.raises(InvariantError, match="is not the leaf"):
         match_axiom_instance("transitivity", clause)
 
@@ -277,7 +293,7 @@ def test_ten_thousand_link_leaf_is_read_in_one_pass():
     names, clause = _chain(10_000)
     leaf = tuple(random.Random(4).sample(clause, len(clause)))
     inst = match_axiom_instance("transitivity", leaf)
-    assert {inst.subst["x0"], inst.subst["x10000"]} == {names[0], names[-1]}
+    assert {inst[1]["x0"], inst[1]["x10000"]} == {names[0], names[-1]}
     assert Counter(map(_unoriented, _instance_literals(inst))) == Counter(map(_unoriented, leaf))
 
 
@@ -295,25 +311,26 @@ def instances(draw, max_literals: int = 30, simple_chains: bool = False):
     term = st.sampled_from(POOL)
     if kind == "reflexivity":
         t = draw(term)
-        return kind, (Literal(eq(t, t)),)
+        return kind, (eq(t, t),)
     if kind == "transitivity":
         chain = st.permutations(POOL + [const(f"d{i}") for i in range(3)]) if simple_chains else st.lists(term, min_size=30)
         xs = draw(chain)[: draw(st.integers(3, max_literals))]
-        return kind, tuple(Literal(eq(x, y), False) for x, y in zip(xs, xs[1:])) + (Literal(eq(xs[0], xs[-1])),)
+        return kind, tuple(Neg(eq(x, y)) for x, y in zip(xs, xs[1:])) + (eq(xs[0], xs[-1]),)
     k = draw(st.integers(1, max_literals - (1 if kind == "fn_congruence" else 2)))
     xs, ys = (tuple(draw(st.lists(term, min_size=k, max_size=k))) for _ in range(2))
-    premises = tuple(Literal(eq(x, y), False) for x, y in zip(xs, ys))
+    premises = tuple(Neg(eq(x, y)) for x, y in zip(xs, ys))
     if kind == "fn_congruence":
-        return kind, premises + (Literal(eq(App("f", xs), App("f", ys))),)
-    return kind, premises + (Literal(Atom("p", xs), False), Literal(Atom("p", ys)))
+        return kind, premises + (eq(App("f", xs), App("f", ys)),)
+    return kind, premises + (Neg(Atom("p", xs)), Atom("p", ys))
 
 
 def _disguise(draw, literals):
     """The literals shuffled, each equality written either way round."""
     out = []
     for lit in draw(st.permutations(literals)):
-        if lit.atom.pred == "=" and draw(st.booleans()):
-            lit = Literal(eq(*lit.atom.args[::-1]), lit.positive)
+        positive, atom = _signed(lit)
+        if atom.pred == "=" and draw(st.booleans()):
+            lit = eq(*atom.args[::-1]) if positive else Neg(eq(*atom.args[::-1]))
         out.append(lit)
     return tuple(out)
 
@@ -322,9 +339,10 @@ def _sexp(t) -> str:
     return f"({t.head} {' '.join(map(_sexp, t.args))})" if t.args else t.head
 
 
-def _literal_sexp(lit: Literal) -> str:
-    atom = _sexp(App(lit.atom.pred, lit.atom.args))
-    return atom if lit.positive else f"(not {atom})"
+def _literal_sexp(lit) -> str:
+    positive, atom = _signed(lit)
+    text = _sexp(App(atom.pred, atom.args))
+    return text if positive else f"(not {text})"
 
 
 @settings(max_examples=150)
@@ -332,7 +350,7 @@ def _literal_sexp(lit: Literal) -> str:
 def test_disguised_instances_import_as_proofs(instance, data):
     # the inputs refute the instance, and are themselves written either way
     kind, literals = instance
-    inputs = _disguise(data.draw, tuple(l.negated() for l in literals))
+    inputs = _disguise(data.draw, tuple(l.sub if isinstance(l, Neg) else Neg(l) for l in literals))
     lines = [f"(set .i{k} (input :conclusion ({_literal_sexp(l)})))" for k, l in enumerate(inputs)]
     leaf = " ".join(map(_literal_sexp, _disguise(data.draw, literals)))
     lines.append(f"(set .t ({RULES[kind]} :conclusion ({leaf})))")
@@ -350,16 +368,16 @@ def test_instances_agree_with_the_search_they_replace(instance, data):
     # so k stays small
     kind, literals = instance
     leaf = _disguise(data.draw, literals)
-    inst = match_axiom_instance(kind, leaf)
-    found = ref_match_literals(inst.schema.matrix, leaf, allow_flips=True)
+    schema, subst, flips = match_axiom_instance(kind, leaf)
+    found = ref_match_literals(schema.matrix, leaf, allow_flips=True)
     assert found is not None
-    assert inst.subst == Subst(found[0])
-    assert inst.flips == len(found[2])
+    assert subst == Subst(found[0])
+    assert flips == len(found[2])
 
 
 def _candidate_schema(kind: SchemaKind, clause):
     """The one schema of `kind` that the clause could instantiate, if any."""
-    heads = [l.atom for l in clause if l.positive]
+    heads = [l for l in clause if not isinstance(l, Neg)]
     if len(heads) != 1 or not heads[0].args:
         return None
     if kind is SchemaKind.TRANSITIVITY:
@@ -379,11 +397,12 @@ def equality_clauses(draw):
     if draw(st.booleans()):
         clause = list(_disguise(draw, draw(instances(max_literals=6))[1]))
         i = draw(st.integers(0, len(clause) - 1))
-        atom, positive = clause[i].atom, clause[i].positive
+        positive, atom = _signed(clause[i])
         if atom.args and draw(st.booleans()):
             args = list(atom.args)
             args[draw(st.integers(0, len(args) - 1))] = draw(st.sampled_from(POOL))
-            clause[i] = Literal(Atom(atom.pred, tuple(args)), positive)
+            atom = Atom(atom.pred, tuple(args))
+            clause[i] = atom if positive else Neg(atom)
         return tuple(clause)
     terms = st.sampled_from([a, b, c, App("f", (a,)), App("f", (b,)), App("f", (a, b)), App("f", (b, a))])
     def literal():
@@ -391,7 +410,7 @@ def equality_clauses(draw):
             atom = eq(draw(terms), draw(terms))
         else:
             atom = Atom("p", tuple(draw(terms) for _ in range(draw(st.integers(1, 2)))))
-        return Literal(atom, draw(st.booleans()))
+        return atom if draw(st.booleans()) else Neg(atom)
     return tuple(literal() for _ in range(draw(st.integers(1, 6))))
 
 
