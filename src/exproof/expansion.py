@@ -22,6 +22,7 @@ from .core import (
     Forall,
     Formula,
     Imp,
+    InvariantError,
     Neg,
     Node,
     Or,
@@ -34,14 +35,12 @@ from .core import (
     apply_subst,
     discard,
     fold,
-    free_vars,
     polar_parts,
     quantifier_strengths,
 )
 from .notation import formula_text, parse_formula, parse_term
 
-# instance term used for a weak quantifier whose variable does not occur in
-# its body and for which no instance was supplied
+# instance term of a weak quantifier for which a branch has no instance
 VACUOUS_TERM = App("vac", ())
 
 
@@ -51,10 +50,6 @@ class ExpansionError(ExproofError):
 
 class MultiplicityError(ExpansionError):
     """A strong quantifier variable was bound to more than one term."""
-
-
-class MissingInstanceError(ExpansionError):
-    """A quantifier variable that occurs in its body received no instance."""
 
 
 class EigenvariableFormError(ExpansionError):
@@ -159,13 +154,19 @@ def expand_formula(formula: Formula, instances: Iterable[Subst], polarity: Polar
     assigned to the bound variable, one child per distinct term; substitutions
     that do not mention the variable flow through to every child.  A strong
     quantifier must be bound to exactly one term across the whole instance
-    set, a plain variable (its eigenvariable).
+    set, a plain variable (its eigenvariable).  Any term will do where a
+    branch has no instance: a weak quantifier gets the single instance
+    `VACUOUS_TERM` and a strong one the eigenvariable `v_vac_<var>`.  The
+    tree must read back as `formula`, or `InvariantError` is raised.
     """
     sigmas = tuple(instances)
     for var, strength in quantifier_strengths(formula, polarity).items():
         if strength is Strength.STRONG:
             _eigenvariable(var, sigmas)
-    return fold((formula, sigmas, polarity), _expand_step)
+    tree = fold((formula, sigmas, polarity), _expand_step)
+    if shallow(tree, polarity) is not formula:
+        raise InvariantError(f"the expansion tree of {formula_text(formula)} does not read back as it")
+    return tree
 
 
 def _eigenvariable(var: str, sigmas: tuple[Subst, ...]) -> Optional[Var]:
@@ -192,25 +193,19 @@ def _expand_step(item):
         return tuple((part, sigmas, q) for part, q in polar_parts(f, p)), kind
     var, body = f.var, f.body
     if (kind is Forall) == (p is Polarity.NEG):  # weak
-        relevant = [s for s in sigmas if var in s]
-        passthrough = tuple(s for s in sigmas if var not in s)
-        if not relevant:
-            if var in free_vars(body):
-                raise MissingInstanceError(f"weak variable {var!r} has no instances")
-            return ((body, passthrough, p),), partial(_weak_node, var, body, (VACUOUS_TERM,))
         by_term: dict[Term, list[Subst]] = {}
-        for s in relevant:
-            by_term.setdefault(s[var], []).append(s)
-        terms = tuple(sorted(by_term, key=str))
+        passthrough: list[Subst] = []
+        for s in sigmas:
+            if var in s:
+                by_term.setdefault(s[var], []).append(s)
+            else:
+                passthrough.append(s)
+        terms = tuple(sorted(by_term, key=str)) or (VACUOUS_TERM,)
         kids = tuple(
-            (apply_subst(body, Subst({var: t})), tuple(by_term[t]) + passthrough, p) for t in terms
+            (apply_subst(body, Subst({var: t})), (*by_term.get(t, ()), *passthrough), p) for t in terms
         )
         return kids, partial(_weak_node, var, body, terms)
-    term = _eigenvariable(var, sigmas)
-    if term is None:
-        if var in free_vars(body):
-            raise MissingInstanceError(f"strong variable {var!r} has no instance")
-        return ((body, sigmas, p),), partial(ETStrong, var, body, f"v_vac_{var}")
+    term = _eigenvariable(var, sigmas) or Var(f"v_vac_{var}")
     child = (apply_subst(body, Subst({var: term})), sigmas, p)
     return (child,), partial(ETStrong, var, body, term.name)
 

@@ -26,7 +26,6 @@ from .core import (
     Neg,
     Polarity,
     Sequent,
-    Strength,
     Subst,
     Term,
     Var,
@@ -35,15 +34,14 @@ from .core import (
     free_vars,
     match_under,
     polar_parts,
-    quantifier_strengths,
     rebuilt,
     rectify,
     subformulas,
     subterms,
 )
-from .expansion import VACUOUS_TERM, ExpansionTree, expand_formula, shallow, shallow_sequent
+from .expansion import ExpansionTree, expand_formula, shallow_sequent
 from .notation import FormulaParser, ParseError, Token, tokenize, unexpected
-from .verit import AxiomSchema, Clause, SchemaKind, _schema_tree, _show, axiom_instance, symmetry_trees
+from .verit import AxiomSchema, Clause, SchemaKind, _show, axiom_instance, symmetry_trees
 
 
 class LeanCoPImportError(ExproofError):
@@ -375,9 +373,10 @@ def match_clauses(
     formula equal to it up to literal reordering, or an equality axiom schema
     for theory clauses, as (that clause or schema, matcher) by clause
     number.  Unmatched clauses raise with nearest-miss hints."""
-    by_source: dict[str, list[tuple[Clause, str]]] = defaultdict(list)
+    # each generated clause with its signature, by input formula
+    by_source: dict[str, list[tuple[Counter, tuple[Clause, str]]]] = defaultdict(list)
     for g in generated:
-        by_source[g[1]].append(g)
+        by_source[g[1]].append((_signature(g[0]), g))
     matches: dict[int, tuple] = {}
     for number, literals, origin_kind, origin_name in trace_clauses:
         if origin_kind == "clausify":
@@ -387,12 +386,12 @@ def match_clauses(
                     f"clause {number} refers to unknown input formula {origin_name!r}"
                 )
             sig = _signature(literals)
-            for g in pool:
-                if _signature(g[0]) == sig and (matcher := match_literals(g[0], literals)) is not None:
+            for g_sig, g in pool:
+                if g_sig == sig and (matcher := match_literals(g[0], literals)) is not None:
                     matches[number] = (g, matcher)
                     break
             else:
-                ranked = sorted(pool, key=lambda g: _signature_distance(g[0], literals))
+                ranked = sorted((g for _, g in pool), key=lambda g: _signature_distance(g[0], literals))
                 hints = "; ".join(_show(g[0]) for g in ranked[:3])
                 raise LeanCoPImportError(
                     f"trace clause {number} {_show(literals)} does not match any "
@@ -426,19 +425,6 @@ def _compose_instance(
     for v in variables:
         out[v] = registry.collapse_term(apply_subst(matcher.get(v, Var(v)), binding))
     return Subst(out)
-
-
-def _fallback_subst(formula: Formula, polarity: Polarity, covered: set[str]) -> Optional[Subst]:
-    """Instances for quantified variables no proof step ever bound: weak ones
-    get the vacuous dummy constant, strong ones a fresh eigenvariable."""
-    strengths = quantifier_strengths(formula, polarity)
-    missing = {v: s for v, s in strengths.items() if v not in covered}
-    if not missing:
-        return None
-    bindings: dict[str, Term] = {}
-    for v, s in missing.items():
-        bindings[v] = VACUOUS_TERM if s is Strength.WEAK else Var(f"v_vac_{v}")
-    return Subst(bindings)
 
 
 def _clause_vars(clause: Clause) -> frozenset[str]:
@@ -512,26 +498,14 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
         if sigma:
             subs[sigma] = None
 
-    # variables never bound by any step still need instances for the trees
-    for name in names:
-        _side, _i, rect_formula, pol = positions[name]
-        covered: set[str] = set()
-        for s in per_formula[name]:
-            covered |= s.domain
-        fallback = _fallback_subst(rect_formula, pol, covered)
-        if fallback is not None:
-            per_formula[name][fallback] = None
-
     ant_trees: list[ExpansionTree] = []
     suc_trees: list[ExpansionTree] = []
     for name in names:
         side, _i, rect_formula, pol = positions[name]
         tree = expand_formula(rect_formula, per_formula[name], pol)
-        if shallow(tree, pol) is not rect_formula:
-            raise InvariantError(f"the tree of {name!r} does not read back as the rectified input")
         (ant_trees if side == "ant" else suc_trees).append(tree)
     for schema, subs in eq_groups.values():
-        ant_trees.append(_schema_tree(schema, subs))
+        ant_trees.append(expand_formula(schema.formula, subs, Polarity.NEG))
     ant_trees += symmetry_trees(ant_trees + suc_trees)
 
     es = Sequent(tuple(ant_trees), tuple(suc_trees))

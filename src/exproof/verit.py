@@ -35,7 +35,7 @@ from .core import (
     discard,
     fold,
 )
-from .expansion import ExpansionTree, children, expand_formula, shallow
+from .expansion import ExpansionTree, children, expand_formula
 from .notation import ParseError, Token, scan
 
 Clause = tuple[Formula, ...]  # literals: atoms and negated atoms
@@ -451,13 +451,6 @@ def _reflexivity_instances(inputs: list[Clause], axioms: list[tuple[str, Clause]
     return sorted(terms, key=str)
 
 
-def _schema_tree(schema: AxiomSchema, instances) -> ExpansionTree:
-    tree = expand_formula(schema.formula, instances, Polarity.NEG)
-    if shallow(tree, Polarity.NEG) is not schema.formula:
-        raise InvariantError(f"the {schema.kind.value} tree does not read back as its schema")
-    return tree
-
-
 def symmetry_trees(trees: Iterable[ExpansionTree]) -> list[ExpansionTree]:
     """The symmetry axiom's tree, tying s = t to t = s for every equality
     the trees' atoms hold in both orientations, as a list of that one tree,
@@ -473,7 +466,9 @@ def symmetry_trees(trees: Iterable[ExpansionTree]) -> list[ExpansionTree]:
     for tree in trees:
         fold(tree, step)
     symmetric = [Subst({"x0": s, "y0": t}) for s, t in sides if s != t and (t, s) in sides]
-    return [_schema_tree(make_schema(SchemaKind.SYMMETRY), symmetric)] if symmetric else []
+    if not symmetric:
+        return []
+    return [expand_formula(make_schema(SchemaKind.SYMMETRY).formula, symmetric, Polarity.NEG)]
 
 
 def import_verit(trace: VeritTrace) -> tuple[Sequent, dict]:
@@ -493,7 +488,7 @@ def import_verit(trace: VeritTrace) -> tuple[Sequent, dict]:
     for clause in inputs:
         if not clause:
             raise VeritImportError("input step with an empty clause")
-        antecedent.append(expand_formula(reduce(Or, clause), (), Polarity.NEG))
+        antecedent.append(reduce(Or, clause))  # a quantifier-free tree
 
     # one tree per schema, its instances in first-use order; reflexivity
     # goes into the separately computed reflexivity tree
@@ -505,13 +500,13 @@ def import_verit(trace: VeritTrace) -> tuple[Sequent, dict]:
         if schema.kind is not SchemaKind.REFLEXIVITY:
             _schema, subs = groups.setdefault((schema.kind, schema.param), (schema, {}))
             subs[subst] = None  # a dict keeps first-use order
-    antecedent += [_schema_tree(schema, subs) for schema, subs in groups.values()]
+    antecedent += [expand_formula(schema.formula, subs, Polarity.NEG) for schema, subs in groups.values()]
     antecedent += symmetry_trees(antecedent)
 
     refl_terms = _reflexivity_instances(inputs, axioms)
     if refl_terms:
         subs = [Subst({"x0": t}) for t in refl_terms]
-        antecedent.append(_schema_tree(make_schema(SchemaKind.REFLEXIVITY), subs))
+        antecedent.append(expand_formula(make_schema(SchemaKind.REFLEXIVITY).formula, subs, Polarity.NEG))
 
     report = {
         "schema_instances": dict(Counter(kind for kind, _ in axioms)),

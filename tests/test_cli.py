@@ -23,6 +23,7 @@ from exproof.cli import (
 )
 from exproof.core import Atom, ExproofError, InvariantError
 from exproof.expansion import sequent_from_json, sequent_to_json
+from test_leancop import BRANCH_WITHOUT_STRONG_INSTANCE, BRANCH_WITHOUT_WEAK_INSTANCE
 
 
 def fixture(name: str) -> str:
@@ -62,6 +63,16 @@ def test_check_reads_skolem_heads_and_format_off_the_trace(tmp_path, capsys, tex
     path.write_text(text, encoding="utf-8")
     assert main(["check", str(path)]) == EXIT_PROOF
     assert json.loads(capsys.readouterr().out)["is_proof"] is True
+
+
+@pytest.mark.parametrize(
+    "text", [BRANCH_WITHOUT_WEAK_INSTANCE, BRANCH_WITHOUT_STRONG_INSTANCE], ids=["weak", "strong"]
+)
+def test_check_completes_a_branch_without_instances(tmp_path, capsys, text):
+    path = tmp_path / "trace.proof"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_PROOF
+    assert capsys.readouterr().out == '{"acyclic": true, "is_proof": true, "tautology": true}\n'
 
 
 @pytest.mark.parametrize("option", [["--format", "leancop"], ["--skolem-prefix", "sk"], ["--def-threshold", "4"]])
@@ -418,12 +429,10 @@ def test_starting_the_command_line_loads_no_dataclasses():
     assert out.stdout == "[]\n"
 
 
-@pytest.mark.parametrize(
-    "module, name",
-    [("exproof.leancop", "leancop_skolem.proof"), ("exproof.verit", "verit_transitivity.proof")],
-)
-def test_import_invariant_raises_exproof_error(monkeypatch, module, name):
-    monkeypatch.setattr(f"{module}.shallow", lambda tree, polarity: Atom("drifted"))
+@pytest.mark.parametrize("name", ["leancop_skolem.proof", "verit_transitivity.proof"])
+def test_import_invariant_raises_exproof_error(monkeypatch, name):
+    # both importers build their trees with `expand_formula`, which reads each back
+    monkeypatch.setattr("exproof.expansion.shallow", lambda tree, polarity: Atom("drifted"))
     with pytest.raises(InvariantError):
         load_sequent(fixture(name), RunConfig("check", ()))
 
@@ -445,7 +454,7 @@ def _raises_invariant_error_under_optimisation(patch: str, name: str) -> bool:
 
 
 def test_import_invariant_holds_under_optimisation():
-    patch = "import exproof.leancop as m; m.shallow = lambda tree, polarity: Atom('drifted')"
+    patch = "import exproof.expansion as m; m.shallow = lambda tree, polarity: Atom('drifted')"
     assert _raises_invariant_error_under_optimisation(patch, "leancop_simple.proof")
 
 

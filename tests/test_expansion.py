@@ -27,7 +27,6 @@ from exproof.expansion import (
     ETWeak,
     EigenvariableFormError,
     ExpansionError,
-    MissingInstanceError,
     MultiplicityError,
     VACUOUS_TERM,
     deep,
@@ -126,9 +125,11 @@ def test_expand_strong_multiplicity_error():
         expand_formula(f, sig, Polarity.POS)
 
 
-def test_expand_missing_instance_error():
-    with pytest.raises(MissingInstanceError):
-        expand_formula(Forall("X", P(Var("X"))), [], Polarity.NEG)
+def test_expand_quantifier_without_instances_gets_vacuous_instance():
+    # any term will do where a branch has no instance
+    f = Forall("X", P(Var("X")))
+    assert expand_formula(f, [], Polarity.NEG) == ETWeak("X", P(Var("X")), ((VACUOUS_TERM, P(VACUOUS_TERM)),))
+    assert expand_formula(f, [], Polarity.POS) == ETStrong("X", P(Var("X")), "v_vac_X", P(Var("v_vac_X")))
 
 
 def test_expand_eigenvariable_form_error():
@@ -142,6 +143,17 @@ def test_expand_vacuous_weak_quantifier_gets_dummy_instance():
     tree = expand_formula(f, [], Polarity.NEG)
     assert tree == ETWeak("X", P(a), ((VACUOUS_TERM, P(a)),))
     assert shallow(tree, Polarity.NEG) == f
+
+
+def test_expand_completes_each_branch_on_its_own():
+    # the instance X = a binds no Y, so the branch under it gets the vacuous
+    # instance (weak) or eigenvariable (strong) while X = b keeps its own
+    weak = parse_formula("![X]: (p(X) & ![Y]: q(X,Y))")
+    tree = expand_formula(weak, [Subst({"X": a}), Subst({"X": b, "Y": b})], Polarity.NEG)
+    assert [[t for t, _ in kid.right.instances] for _, kid in tree.instances] == [[VACUOUS_TERM], [b]]
+    strong = parse_formula("![X]: (p(X) & ?[Y]: q(X,Y))")
+    tree = expand_formula(strong, [Subst({"X": a}), Subst({"X": b, "Y": Var("E")})], Polarity.NEG)
+    assert [kid.right.eigenvariable for _, kid in tree.instances] == ["v_vac_Y", "E"]
 
 
 def test_expand_passthrough_reaches_inner_quantifier():
@@ -166,8 +178,8 @@ def test_expand_sequent_positions_and_errors():
     assert es.antecedent[0] == ETWeak("X", P(Var("X")), ((c, P(c)),))
     assert es.succedent[0] == P(c)
     assert shallow_sequent(es) == seq
-    with pytest.raises(MissingInstanceError):
-        expand_formula(seq.antecedent[0], [], Polarity.NEG)
+    completed = ETWeak("X", P(Var("X")), ((VACUOUS_TERM, P(VACUOUS_TERM)),))
+    assert expand_formula(seq.antecedent[0], [], Polarity.NEG) == completed
 
 
 # --- properties ---
@@ -251,6 +263,29 @@ def test_shallow_inverse_hypothesis(seed, pol):
     f = rectify(Sequent((raw,), ()))[0].antecedent[0]
     tree = expand_formula(f, random_instances(rng, f, pol), pol)
     assert shallow(tree, pol) == f
+
+
+def _global_fallback(f, pol, sigmas):
+    """One substitution that binds every quantifier variable no member of
+    `sigmas` binds: a weak one to VACUOUS_TERM, a strong one to v_vac_<var>."""
+    bound = set().union(*(s.domain for s in sigmas))
+    strengths = quantifier_strengths(f, pol).items()
+    return Subst(
+        {v: VACUOUS_TERM if s is Strength.WEAK else Var(f"v_vac_{v}") for v, s in strengths if v not in bound}
+    )
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(Polarity))
+def test_completion_per_branch_agrees_with_a_global_fallback(seed, pol):
+    # instance sets with variables left out, so that some branches and some
+    # whole quantifiers have no instance
+    rng = random.Random(seed)
+    raw = random_formula(rng, rng.randint(1, 5))
+    f = rectify(Sequent((raw,), ()))[0].antecedent[0]
+    sigmas = [Subst({v: t for v, t in s.items() if rng.random() < 0.6}) for s in random_instances(rng, f, pol)]
+    tree = expand_formula(f, sigmas, pol)
+    assert tree is expand_formula(f, [*sigmas, _global_fallback(f, pol, sigmas)], pol)
+    assert shallow(tree, pol) is f
 
 
 def test_weak_children_count_matches_distinct_terms():

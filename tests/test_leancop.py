@@ -416,7 +416,42 @@ cnf('e1', plain, [~p(a)], extension(1, bind([X1], [a]))).
 """
     es, report = import_leancop(parse_leancop(text))
     assert verdict(es).is_proof
-    assert report["instances_per_formula"]["ax2"] == 1  # synthesized
+    assert report["instances_per_formula"]["ax2"] == 0  # counts the steps' instances
+
+
+# an axiom instance used only for its part outside the inner quantifier: the
+# branch X = a has no instance for Y, weak in the first trace, strong (the
+# Skolem term sk1(X)) in the second
+BRANCH_WITHOUT_WEAK_INSTANCE = """
+fof(ax, axiom, ![X]: (p(X) & ![Y]: q(X,Y))).
+fof(c, conjecture, (p(a) & q(b,b))).
+cnf(1, plain, [~p(X)], clausify(ax)).
+cnf(2, plain, [~q(X,Y)], clausify(ax)).
+cnf(3, plain, [p(a), q(b,b)], clausify(c)).
+cnf('s1', plain, [p(a), q(b,b)], start(3)).
+cnf('e1', plain, [~p(a)], extension(1, bind([X], [a]))).
+cnf('e2', plain, [~q(b,b)], extension(2, bind([X, Y], [b, b]))).
+"""
+
+BRANCH_WITHOUT_STRONG_INSTANCE = """
+fof(ax, axiom, ![X]: (p(X) & ?[Y]: q(X,Y))).
+fof(c, conjecture, (p(a) & ?[Z]: q(b,Z))).
+cnf(1, plain, [~p(X)], clausify(ax)).
+cnf(2, plain, [~q(X,sk1(X))], clausify(ax)).
+cnf(3, plain, [p(a), q(b,Z)], clausify(c)).
+cnf('s1', plain, [p(a), q(b,sk1(X))], start(3, bind([Z], [sk1(X)]))).
+cnf('e1', plain, [~p(a)], extension(1, bind([X], [a]))).
+cnf('e2', plain, [~q(b,sk1(b))], extension(2, bind([X], [b]))).
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [BRANCH_WITHOUT_WEAK_INSTANCE, BRANCH_WITHOUT_STRONG_INSTANCE], ids=["weak", "strong"]
+)
+def test_import_completes_a_branch_without_instances(text):
+    es, report = import_leancop(parse_leancop(text))
+    assert verdict(es).is_proof
+    assert report["instances_per_formula"]["ax"] == 2
 
 
 def test_import_matches_definitional_clauses():
