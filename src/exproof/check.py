@@ -190,10 +190,29 @@ def is_tautology(ds: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
 
 class TermOccurrence(NamedTuple):
     """A weak instance term occurrence, identified by its tree path: the
-    sequent side, the tree index, then child indices down to the instance."""
+    sequent side, the tree index, then child indices down to the instance.
+    `link` is that path, or a link to it as `_walk_sequent` makes them, so
+    that the path is built only when it is read.  Occurrences compare,
+    hash and print by their path, whatever their link."""
 
-    path: tuple
+    link: tuple
     term: Term
+
+    @property
+    def path(self) -> tuple:
+        return _path(self.link)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TermOccurrence) and self.term == other.term and self.path == other.path
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.term))
+
+    def __repr__(self) -> str:
+        return f"TermOccurrence(path={self.path!r}, term={self.term!r})"
 
     @property
     def node_id(self) -> str:
@@ -207,6 +226,8 @@ class DependencyGraph(NamedTuple):
 
 
 def _path(link: tuple) -> tuple:
+    """The path a link stands for: a path is its own link, and a
+    (parent link, child index) pair is the parent's path and the index."""
     indices = []
     while type(link[0]) is not str:
         link, index = link
@@ -241,7 +262,7 @@ def _walk_sequent(
             build = discard
         else:
             spans.append(len(eigens))
-            occurrences.append(TermOccurrence(_path(link), term))
+            occurrences.append(TermOccurrence(link, term))
             build = partial(close, len(spans) - 1)
         if kind is ETWeak:
             return [(child, (link, i), t) for i, (t, child) in enumerate(tree.instances)], build

@@ -450,16 +450,22 @@ def _image_vars(free: Iterable[str], m: Mapping[str, Term]) -> set[str]:
     return out
 
 
+def subst_atom(atom: Atom, m: Mapping[str, Term]) -> Atom:
+    """`atom` with each variable `m` binds replaced by its term; `atom`
+    itself if it mentions none of them."""
+    args = tuple(_subst_term(a, m) for a in atom.args)
+    return atom if args == atom.args else Atom(atom.pred, args)
+
+
 def _subst_step(item):
     """Substitution step; `maps` are applied one after another, as nested
     calls of a one-map substitution would, fresh names included."""
     f, maps = item
     kind = type(f)
     if kind is Atom:
-        args = f.args
         for m in maps:
-            args = tuple(_subst_term(a, m) for a in args)
-        return None, f if args == f.args else Atom(f.pred, args)
+            f = subst_atom(f, m)
+        return None, f
     if kind is Neg:
         return ((f.sub, maps),), Neg
     if kind in BINARY:
@@ -536,8 +542,7 @@ def rectify(sequent: Sequent) -> tuple[Sequent, dict[str, tuple[int, str]]]:
         f, env, idx = item
         kind = type(f)
         if kind is Atom:
-            args = tuple(_subst_term(a, env) for a in f.args)
-            return None, f if args == f.args else Atom(f.pred, args)
+            return None, subst_atom(f, env)
         if kind is Neg:
             return ((f.sub, env, idx),), Neg
         if kind in BINARY:

@@ -5,13 +5,16 @@ An expansion tree is a formula whose quantifier occurrences are expanded:
 its connectives are the `Atom`, `Neg`, `And`, `Or` and `Imp` nodes of
 `core`, and each quantifier becomes an `ETWeak` node with one child per
 distinct instance term or an `ETStrong` node with a single eigenvariable.
-An expansion sequent is a `core.Sequent` of trees; antecedent trees are read
-at negative polarity, succedent trees at positive polarity.
+A quantifier node keeps its body as written in the formula the tree was
+built from; the instances of the quantifiers above it are put in only at
+the atoms below it.  An expansion sequent is a `core.Sequent` of trees;
+antecedent trees are read at negative polarity, succedent trees at
+positive polarity.
 """
 from __future__ import annotations
 
 from functools import partial, reduce
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .core import (
     And,
@@ -35,8 +38,11 @@ from .core import (
     apply_subst,
     discard,
     fold,
+    free_vars,
     polar_parts,
     quantifier_strengths,
+    subformulas,
+    subst_atom,
 )
 from .notation import formula_text, parse_formula, parse_term
 
@@ -61,7 +67,8 @@ class EigenvariableFormError(ExpansionError):
 
 
 class ETWeak(Node):
-    # the shallow body has `var` free; each instance is (term, child)
+    # `body` is the body as written in the formula the tree was built from,
+    # with `var` free; each instance is (term, child)
     __slots__ = ("var", "body", "instances")
 
 
@@ -105,7 +112,9 @@ def _shallow_step(item):
 
 
 def shallow(tree: ExpansionTree, polarity: Polarity) -> Formula:
-    """The original formula an expansion tree stands for."""
+    """The original formula an expansion tree stands for.  Below a
+    quantifier node that is the part of the formula as written there, with
+    no instance of the quantifiers above it put in."""
     return fold((tree, polarity), _shallow_step)
 
 
@@ -146,6 +155,82 @@ def shallow_sequent(es: Sequent) -> Sequent:
 # construction (the Et / EtS translation)
 
 
+class _Scope(NamedTuple):
+    """What a walk below a quantifier knows: `env` binds the variables of
+    the quantifiers on the path to their instance terms, and `bound` holds
+    every name bound in the formula the path started in.
+
+    One dict serves a whole walk.  An item sets its binding when it is
+    stepped, and the build of its quantifier puts back what that binding
+    hid (see `_leave`); `fold` finishes a subtree before it steps the next
+    sibling, so `env` holds exactly the bindings of the path being walked,
+    also where a binder shadows another of its name, as it may in a body
+    substituted with fresh names.
+    """
+
+    env: dict
+    bound: frozenset
+
+
+def _binders(f: Formula) -> frozenset[str]:
+    return frozenset(g.var for g, _ in subformulas(f, Polarity.POS) if type(g) is Forall or type(g) is Exists)
+
+
+def _top_scope(var: str, body: Formula) -> _Scope:
+    """The scope of a quantifier with no quantifier above it."""
+    return _Scope({}, _binders(body) | {var})
+
+
+def _instance(scope: _Scope, var: str, body: Formula, term: Term) -> tuple:
+    """The formula, scope and binding of the child of the instance `term`
+    of a quantifier `var` with body `body`.
+
+    The child expands the body itself, with `var` bound to `term` in the
+    environment.  Where `term` mentions a name bound in the scope's formula,
+    substituting it could capture that name: the child's formula is then
+    the body substituted as `apply_subst` does it, fresh names included,
+    and starts a scope of its own."""
+    if scope.bound.isdisjoint(free_vars(term)):
+        return body, scope, (var, term)
+    child = apply_subst(_instantiated(var, body, scope.env), Subst({var: term}))
+    return child, _Scope({}, _binders(child)), None
+
+
+def _leave(env: dict, var: str, hidden: Optional[Term], build, *children):
+    """Put back the binding of `var` that a quantifier's children replaced
+    with their instances, then build the quantifier's value."""
+    if hidden is None:
+        env.pop(var, None)
+    else:
+        env[var] = hidden
+    return build(*children)
+
+
+def _hiding(env: dict, var: str) -> dict:
+    """The environment below a binder of `var`, which hides its binding."""
+    return {v: t for v, t in env.items() if v != var} if var in env else env
+
+
+def _instantiated_step(item):
+    f, env = item
+    kind = type(f)
+    if kind is Atom:
+        return None, subst_atom(f, env)
+    if kind is Forall or kind is Exists:
+        return ((f.body, _hiding(env, f.var)),), partial(kind, f.var)
+    return tuple((part, env) for part, _ in polar_parts(f, Polarity.POS)), kind
+
+
+def _instantiated(var: str, body: Formula, env: dict) -> Formula:
+    """The body of a quantifier `var` with the environment's terms put in
+    at its atoms.  No term of a scope's environment mentions a name bound
+    in its formula, so nothing is captured and no binder is renamed; unlike
+    `apply_subst`, this tests no term for capture at each binder, which
+    would make the JSON of a long leaf cubic in its length."""
+    env = _hiding(env, var)
+    return fold((body, env), _instantiated_step) if env else body
+
+
 def expand_formula(formula: Formula, instances: Iterable[Subst], polarity: Polarity) -> ExpansionTree:
     """Build the expansion tree of a rectified formula from a set of
     substitutions for its bound variables.
@@ -156,14 +241,20 @@ def expand_formula(formula: Formula, instances: Iterable[Subst], polarity: Polar
     quantifier must be bound to exactly one term across the whole instance
     set, a plain variable (its eigenvariable).  Any term will do where a
     branch has no instance: a weak quantifier gets the single instance
-    `VACUOUS_TERM` and a strong one the eigenvariable `v_vac_<var>`.  The
-    tree must read back as `formula`, or `InvariantError` is raised.
+    `VACUOUS_TERM` and a strong one the eigenvariable `v_vac_<var>`.
+
+    The tree is built in one walk.  The instances of the path are kept in
+    its environment and put in only at atoms, so a quantifier node keeps
+    its body as written in `formula`; where an instance term mentions a
+    name bound in the formula, the node's child starts from the body
+    substituted with fresh names, as `apply_subst` gives it.  The tree must
+    read back as `formula`, or `InvariantError` is raised.
     """
     sigmas = tuple(instances)
     for var, strength in quantifier_strengths(formula, polarity).items():
         if strength is Strength.STRONG:
             _eigenvariable(var, sigmas)
-    tree = fold((formula, sigmas, polarity), _expand_step)
+    tree = fold((formula, None, None, sigmas, polarity), _expand_step)
     if shallow(tree, polarity) is not formula:
         raise InvariantError(f"the expansion tree of {formula_text(formula)} does not read back as it")
     return tree
@@ -184,14 +275,21 @@ def _weak_node(var: str, body: Formula, terms: tuple[Term, ...], *children: Expa
     return ETWeak(var, body, tuple(zip(terms, children)))
 
 
+# items are (formula, scope, binding, substitutions, polarity); the scope is
+# None above the first quantifier
 def _expand_step(item):
-    f, sigmas, p = item
+    f, scope, binding, sigmas, p = item
+    if binding is not None:
+        scope.env[binding[0]] = binding[1]
     kind = type(f)
     if kind is Atom:
-        return None, f
+        return None, f if scope is None else subst_atom(f, scope.env)
     if kind is not Forall and kind is not Exists:
-        return tuple((part, sigmas, q) for part, q in polar_parts(f, p)), kind
+        return tuple((part, scope, None, sigmas, q) for part, q in polar_parts(f, p)), kind
     var, body = f.var, f.body
+    if scope is None:
+        scope = _top_scope(var, body)
+    env = scope.env
     if (kind is Forall) == (p is Polarity.NEG):  # weak
         by_term: dict[Term, list[Subst]] = {}
         passthrough: list[Subst] = []
@@ -202,12 +300,12 @@ def _expand_step(item):
                 passthrough.append(s)
         terms = tuple(sorted(by_term, key=str)) or (VACUOUS_TERM,)
         kids = tuple(
-            (apply_subst(body, Subst({var: t})), (*by_term.get(t, ()), *passthrough), p) for t in terms
+            (*_instance(scope, var, body, t), (*by_term.get(t, ()), *passthrough), p) for t in terms
         )
-        return kids, partial(_weak_node, var, body, terms)
+        return kids, partial(_leave, env, var, env.get(var), partial(_weak_node, var, body, terms))
     term = _eigenvariable(var, sigmas) or Var(f"v_vac_{var}")
-    child = (apply_subst(body, Subst({var: term})), sigmas, p)
-    return (child,), partial(ETStrong, var, body, term.name)
+    child = (*_instance(scope, var, body, term), sigmas, p)
+    return (child,), partial(_leave, env, var, env.get(var), partial(ETStrong, var, body, term.name))
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +333,36 @@ def _weak_json(node: dict, terms: list[str], *children: dict) -> dict:
     return node
 
 
-def _to_json_step(tree):
+# items are (tree, scope, binding), as in `_expand_step`; a quantifier's
+# `body` is written with the instances of its path put in
+def _to_json_step(item):
+    tree, scope, binding = item
+    if binding is not None:
+        scope.env[binding[0]] = binding[1]
     kind = type(tree)
     node = {"kind": _KIND[kind]}
     if kind is Atom:
         node["formula"] = formula_text(tree)
         return None, node
+    if kind is not ETWeak and kind is not ETStrong:
+        return tuple((child, scope, None) for child in children(tree)), partial(_json_node, node, _CHILD_FIELDS[kind])
+    var, body = tree.var, tree.body
+    if scope is None:
+        scope = _top_scope(var, body)
+    env = scope.env
+    node.update(var=var, body=formula_text(_instantiated(var, body, env)))
     if kind is ETWeak:
-        node.update(var=tree.var, body=formula_text(tree.body))
-        return children(tree), partial(_weak_json, node, [str(t) for t, _ in tree.instances])
-    if kind is ETStrong:
-        node.update(var=tree.var, body=formula_text(tree.body), eigenvariable=tree.eigenvariable)
-    return children(tree), partial(_json_node, node, _CHILD_FIELDS[kind])
+        kids = tuple((child, *_instance(scope, var, body, t)[1:]) for t, child in tree.instances)
+        build = partial(_weak_json, node, [str(t) for t, _ in tree.instances])
+    else:
+        node["eigenvariable"] = tree.eigenvariable
+        kids = ((tree.child, *_instance(scope, var, body, Var(tree.eigenvariable))[1:]),)
+        build = partial(_json_node, node, _CHILD_FIELDS[kind])
+    return kids, partial(_leave, env, var, env.get(var), build)
 
 
 def tree_to_json(tree: ExpansionTree) -> dict:
-    return fold(tree, _to_json_step)
+    return fold((tree, None, None), _to_json_step)
 
 
 def sequent_to_json(es: Sequent) -> dict:
@@ -285,36 +397,65 @@ def _collect_eigens(node: dict, out: set[str]) -> None:
     fold(node, step)
 
 
-def _from_json_step(scope: frozenset[str], node: dict):
+# the node classes that may stand for a quantifier; any other formula is
+# stood for by a node of its own class
+_QUANTIFIER_NODES = {Forall: (ETWeak, ETStrong), Exists: (ETWeak, ETStrong)}
+
+
+# items are (JSON node, formula, scope, binding): below a quantifier the
+# node must stand for `formula`, part of a body derived from the body of
+# the topmost quantifier above it, which alone is read from its text
+def _from_json_step(names: frozenset[str], item):
+    node, f, scope, binding = item
+    if binding is not None:
+        scope.env[binding[0]] = binding[1]
     cls = _node_class(node)
-    if cls is Atom:
-        atom = parse_formula(node["formula"], extra_vars=scope)
-        if not isinstance(atom, Atom):
-            raise ExpansionError(f"atom node does not hold an atom: {node['formula']!r}")
-        return None, atom
     if cls is None:
         raise ExpansionError(f"unknown node kind {node['kind']!r}")
+    if f is not None and cls not in _QUANTIFIER_NODES.get(type(f), (type(f),)):
+        raise ExpansionError(f"a {node['kind']} node stands for {formula_text(f)}")
+    if cls is Atom:
+        atom = parse_formula(node["formula"], extra_vars=names)
+        if not isinstance(atom, Atom):
+            raise ExpansionError(f"atom node does not hold an atom: {node['formula']!r}")
+        if f is not None and atom is not subst_atom(f, scope.env):
+            raise ExpansionError(f"atom {node['formula']!r} disagrees with its quantifier's body")
+        return None, atom
     if cls is not ETWeak and cls is not ETStrong:
-        return _json_children(node), cls
+        parts = (None, None) if f is None else [part for part, _ in polar_parts(f, Polarity.POS)]
+        return tuple((child, part, scope, None) for child, part in zip(_json_children(node), parts)), cls
     var = node["var"]
-    inner = scope | {var}
-    body = parse_formula(node["body"], extra_vars=inner)
+    inner = names | {var}
+    written = parse_formula(node["body"], extra_vars=inner)
+    if f is None:
+        body = written
+        scope = _top_scope(var, body)
+    elif f.var != var or written is not _instantiated(var, f.body, scope.env):
+        raise ExpansionError(f"quantifier {var!r} with body {node['body']!r} disagrees with the body above it")
+    else:
+        body = f.body
+    env = scope.env
     if cls is ETWeak:
         terms = tuple(parse_term(inst["term"], extra_vars=inner) for inst in node["instances"])
-        return _json_children(node), partial(_weak_node, var, body, terms)
-    return _json_children(node), partial(ETStrong, var, body, node["eigenvariable"])
+        kids = tuple((child, *_instance(scope, var, body, t)) for child, t in zip(_json_children(node), terms))
+        build = partial(_weak_node, var, body, terms)
+    else:
+        eigen = node["eigenvariable"]
+        kids = ((node["child"], *_instance(scope, var, body, Var(eigen))),)
+        build = partial(ETStrong, var, body, eigen)
+    return kids, partial(_leave, env, var, env.get(var), build)
 
 
-def _tree_from_json(node: dict, scope: frozenset[str]) -> ExpansionTree:
-    return fold(node, partial(_from_json_step, scope))
+def _tree_from_json(node: dict, names: frozenset[str]) -> ExpansionTree:
+    return fold((node, None, None, None), partial(_from_json_step, names))
 
 
 def sequent_from_json(data: dict) -> Sequent:
     eigens: set[str] = set()
     for node in list(data.get("antecedent", ())) + list(data.get("succedent", ())):
         _collect_eigens(node, eigens)
-    scope = frozenset(eigens)
+    names = frozenset(eigens)
     return Sequent(
-        tuple(_tree_from_json(n, scope) for n in data.get("antecedent", ())),
-        tuple(_tree_from_json(n, scope) for n in data.get("succedent", ())),
+        tuple(_tree_from_json(n, names) for n in data.get("antecedent", ())),
+        tuple(_tree_from_json(n, names) for n in data.get("succedent", ())),
     )

@@ -22,7 +22,6 @@ from .core import (
     Atom,
     ExproofError,
     Formula,
-    InvariantError,
     Neg,
     Polarity,
     Sequent,
@@ -39,7 +38,7 @@ from .core import (
     subformulas,
     subterms,
 )
-from .expansion import ExpansionTree, expand_formula, shallow_sequent
+from .expansion import ExpansionTree, expand_formula
 from .notation import FormulaParser, ParseError, Token, tokenize, unexpected
 from .verit import AxiomSchema, Clause, SchemaKind, _show, axiom_instance, symmetry_trees
 
@@ -508,14 +507,10 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
         ant_trees.append(expand_formula(schema.formula, subs, Polarity.NEG))
     ant_trees += symmetry_trees(ant_trees + suc_trees)
 
-    es = Sequent(tuple(ant_trees), tuple(suc_trees))
-    if shallow_sequent(Sequent(tuple(ant_trees[: len(axioms)]), es.succedent)) != sequent:
-        raise InvariantError("shallow sequent drifted from the rectified input")
-
     report = {
         "matched_clauses": len(matches),
         "unmatched": [],
         "instances_per_formula": {name: len(per_formula[name]) for name in names},
         "skolem_map": registry.eigens,
     }
-    return es, report
+    return Sequent(tuple(ant_trees), tuple(suc_trees)), report

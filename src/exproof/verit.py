@@ -31,9 +31,9 @@ from .core import (
     Term,
     Var,
     app,
-    apply_subst,
     discard,
     fold,
+    subst_atom,
 )
 from .expansion import ExpansionTree, children, expand_formula
 from .notation import ParseError, Token, scan
@@ -409,8 +409,8 @@ def axiom_instance(kind: SchemaKind, clause: Clause) -> Optional[AxiomInstance]:
         return None
     param, terms, order = read
     schema = make_schema(kind, *param)
-    subst = Subst(dict(zip(schema.variables, terms)))
-    literals = tuple(apply_subst(l, subst) for l in schema.matrix)
+    m = dict(zip(schema.variables, terms))
+    literals = tuple(Neg(subst_atom(l.sub, m)) if type(l) is Neg else subst_atom(l, m) for l in schema.matrix)
     # the instance must be the leaf up to literal order and orientation
     flips = [lit is not clause[j] for lit, j in zip(literals, order)]
     if (
@@ -419,7 +419,7 @@ def axiom_instance(kind: SchemaKind, clause: Clause) -> Optional[AxiomInstance]:
         or any(lit is not _flip(clause[j]) for lit, j, flip in zip(literals, order, flips) if flip)
     ):
         raise InvariantError(f"the {kind.value} instance {_show(literals)} is not the leaf {_show(clause)}")
-    return schema, subst, sum(flips)
+    return schema, Subst(m), sum(flips)
 
 
 def _show(clause: Clause) -> str:

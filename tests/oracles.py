@@ -6,8 +6,25 @@ a checker stage, and shares no code with the checked implementations.
 from collections import deque
 from itertools import count, product
 
-from exproof.core import And, App, Atom, Forall, Imp, Neg, Or, Polarity, Sequent, Var, free_vars
-from exproof.expansion import ETStrong, ETWeak
+from exproof.core import (
+    And,
+    App,
+    Atom,
+    Forall,
+    Imp,
+    Neg,
+    Or,
+    Polarity,
+    Sequent,
+    Strength,
+    Subst,
+    Var,
+    apply_subst,
+    free_vars,
+    quantifier_strengths,
+)
+from exproof.expansion import VACUOUS_TERM, EigenvariableFormError, ETStrong, ETWeak, MultiplicityError
+from exproof.notation import formula_text
 
 
 # --- propositional evaluation and truth-table tautology check ---
@@ -87,6 +104,77 @@ def all_polarities(f, root: Polarity):
 
     walk(f, (), root)
     return out
+
+
+# --- expansion by substituting each instance into the rest of the body ---
+
+
+def _ref_eigenvariable(var, sigmas):
+    values = sorted({s[var] for s in sigmas if var in s}, key=str)
+    if len(values) > 1:
+        shown = ", ".join(str(t) for t in values)
+        raise MultiplicityError(f"strong variable {var!r} bound to several terms: {shown}")
+    if values and not isinstance(values[0], Var):
+        raise EigenvariableFormError(f"strong variable {var!r} bound to non-variable term {values[0]}")
+    return values[0] if values else None
+
+
+def ref_expand_formula(formula, instances, polarity):
+    """The expansion tree as `expand_formula` built it before instances were
+    kept in an environment: at each quantifier the instance term is
+    substituted into the whole remaining body (`apply_subst`, fresh names
+    included), the node keeps the substituted body it was given, and the
+    substitutions are looked up by the name the binder then has."""
+    sigmas = tuple(instances)
+    for var, strength in quantifier_strengths(formula, polarity).items():
+        if strength is Strength.STRONG:
+            _ref_eigenvariable(var, sigmas)
+
+    def walk(f, sigmas, p):
+        if isinstance(f, Atom):
+            return f
+        if isinstance(f, Neg):
+            return Neg(walk(f.sub, sigmas, p.flip()))
+        if isinstance(f, (And, Or, Imp)):
+            left = p.flip() if isinstance(f, Imp) else p
+            return type(f)(walk(f.left, sigmas, left), walk(f.right, sigmas, p))
+        var, body = f.var, f.body
+        if isinstance(f, Forall) == (p is Polarity.NEG):  # weak
+            by_term, passthrough = {}, []
+            for s in sigmas:
+                if var in s:
+                    by_term.setdefault(s[var], []).append(s)
+                else:
+                    passthrough.append(s)
+            terms = sorted(by_term, key=str) or [VACUOUS_TERM]
+            instances = tuple(
+                (t, walk(apply_subst(body, Subst({var: t})), (*by_term.get(t, ()), *passthrough), p))
+                for t in terms
+            )
+            return ETWeak(var, body, instances)
+        term = _ref_eigenvariable(var, sigmas) or Var(f"v_vac_{var}")
+        return ETStrong(var, body, term.name, walk(apply_subst(body, Subst({var: term})), sigmas, p))
+
+    return walk(formula, sigmas, polarity)
+
+
+def ref_tree_to_json(tree):
+    """The JSON of a tree whose quantifier nodes keep their substituted
+    bodies, as `ref_expand_formula` builds them."""
+    if isinstance(tree, Atom):
+        return {"kind": "atom", "formula": formula_text(tree)}
+    if isinstance(tree, Neg):
+        return {"kind": "neg", "child": ref_tree_to_json(tree.sub)}
+    if isinstance(tree, (And, Or, Imp)):
+        kind = {And: "and", Or: "or", Imp: "imp"}[type(tree)]
+        return {"kind": kind, "left": ref_tree_to_json(tree.left), "right": ref_tree_to_json(tree.right)}
+    node = {"kind": "weak" if isinstance(tree, ETWeak) else "strong", "var": tree.var, "body": formula_text(tree.body)}
+    if isinstance(tree, ETWeak):
+        node["instances"] = [{"term": str(t), "child": ref_tree_to_json(c)} for t, c in tree.instances]
+    else:
+        node["eigenvariable"] = tree.eigenvariable
+        node["child"] = ref_tree_to_json(tree.child)
+    return node
 
 
 # --- cycle detection by exhaustive simple-path enumeration ---

@@ -162,6 +162,17 @@ def test_drinker_dependency_single_edge():
     assert g.edges == frozenset({(0, 1)})  # c dominates A's node; A occurs in instance 2
 
 
+def test_occurrences_compare_and_print_by_path():
+    # the dependency walk keeps each occurrence's link, nested as deep as its tree
+    link = ("ant", 0)
+    for _ in range(3000):
+        link = (link, 1)
+    occ, flat = TermOccurrence(link, a), TermOccurrence(("ant", 0) + (1,) * 3000, a)
+    assert occ == flat and not occ != flat and hash(occ) == hash(flat)
+    assert repr(occ) == repr(flat)
+    assert occ.node_id == "ant[0]" + ".1" * 3000
+
+
 def test_crossed_dependency_two_cycle():
     g = dependency_relation(crossed_sequent())
     assert g.edges == frozenset({(0, 1), (1, 0)})

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from typing import Optional
 
 import pytest
@@ -369,6 +370,30 @@ def test_single_transitivity_leaf_is_a_proof(tmp_path, capsys, n, seed, positive
     path.write_text(_single_leaf_chain(n, rng, positive_first), encoding="utf-8")
     assert main(["check", str(path)]) == EXIT_PROOF
     assert json.loads(capsys.readouterr().out)["is_proof"] is True
+
+
+def test_ten_thousand_link_leaf_is_a_proof(tmp_path, capsys):
+    # instances are put in at atoms only, so no quantifier node copies the
+    # rest of the leaf's 10001-variable schema
+    path = tmp_path / "leaf.proof"
+    path.write_text(_single_leaf_chain(10_000), encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_PROOF
+    assert json.loads(capsys.readouterr().out)["is_proof"] is True
+
+
+def test_loading_a_long_leaf_takes_memory_linear_in_its_length(tmp_path):
+    # linear growth gives about 4x the peak for 4x the links, quadratic 16x
+    peaks = []
+    for n in (1000, 4000):
+        path = tmp_path / f"leaf{n}.proof"
+        path.write_text(_single_leaf_chain(n), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            load_sequent(str(path), RunConfig("check", ()))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 8 * peaks[0], peaks
 
 
 # formulas nested three times deeper than CPython's default recursion limit

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 
 from exproof.core import (
     And,
+    App,
     Atom,
     Exists,
     Forall,
@@ -38,7 +40,8 @@ from exproof.expansion import (
     tree_to_json,
 )
 from exproof.notation import parse_formula
-from randgen import random_formula, random_instances
+from oracles import ref_expand_formula, ref_tree_to_json
+from randgen import GROUND_TERMS, random_formula, random_instances
 
 P = lambda t: Atom("p", (t,))
 Q = lambda t: Atom("q", (t,))
@@ -335,3 +338,112 @@ def test_tree_from_json_rejects_unknown_kind():
         sequent_from_json({"antecedent": [{"kind": "mystery"}]})
     with pytest.raises(ExpansionError, match="unknown node kind"):
         sequent_from_json({"antecedent": [{"kind": ["neg"]}]})
+
+
+def test_tree_from_json_checks_each_node_against_its_root_body():
+    f = parse_formula("![X]: (p(X) & ![Y]: q(X,Y))")
+    tree = expand_formula(f, [Subst({"X": a, "Y": b})], Polarity.NEG)
+    good = sequent_to_json(Sequent((tree,), ()))
+    assert good["antecedent"][0]["instances"][0]["child"]["right"]["body"] == "q(a, Y)"
+    assert sequent_from_json(good).antecedent[0] is tree
+    # the body under the instance X = a is q(a, Y), its left part p(a)
+    for field, value in (("body", "q(b, Y)"), ("var", "Z")):
+        data = json.loads(json.dumps(good))
+        data["antecedent"][0]["instances"][0]["child"]["right"][field] = value
+        with pytest.raises(ExpansionError, match="disagrees with the body above it"):
+            sequent_from_json(data)
+    atom = {"kind": "atom", "formula": "p(b)"}
+    wrong_parts = ((atom, "disagrees with its quantifier's body"), ({"kind": "neg", "child": atom}, "stands for"))
+    for node, message in wrong_parts:
+        data = json.loads(json.dumps(good))
+        data["antecedent"][0]["instances"][0]["child"]["left"] = node
+        with pytest.raises(ExpansionError, match=message):
+            sequent_from_json(data)
+
+
+# --- expansion by environment against substitution into the whole body ---
+
+
+def _instances_naming_binders(rng, f, pol):
+    """Instance sets whose terms may mention the formula's own bound names,
+    so that substituting them into a body would capture a deeper binder:
+    weak terms are ground or built from those names, and each strong
+    variable is pinned to an eigenvariable that may carry one of them.
+    Some bindings are left out, so that some branches have no instance."""
+    strengths = quantifier_strengths(f, pol)
+    names = sorted(strengths)
+    pool = GROUND_TERMS[:4] + [Var(v) for v in names] + [App("f", (Var(v),)) for v in names]
+    eigens = {v: Var(rng.choice([*names, f"E{i}"])) for i, v in enumerate(names) if strengths[v] is Strength.STRONG}
+    return [
+        Subst({v: eigens.get(v) or rng.choice(pool) for v in names if rng.random() < 0.8})
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def _agrees_with_substitution(rng, pol):
+    """Expand a random rectified formula both ways and compare; True when
+    some binder of the substituted tree was renamed to avoid capture."""
+    f = rectify(Sequent((random_formula(rng, rng.randint(1, 6)),), ()))[0].antecedent[0]
+    sigmas = _instances_naming_binders(rng, f, pol)
+    try:
+        ref = ref_expand_formula(f, sigmas, pol)
+    except ExpansionError as error:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            expand_formula(f, sigmas, pol)
+        return False
+    tree = expand_formula(f, sigmas, pol)
+    assert shallow(tree, pol) is shallow(ref, pol) is f
+    assert deep(tree, pol) is deep(ref, pol)
+    assert json.dumps(tree_to_json(tree)) == json.dumps(ref_tree_to_json(ref))
+    es = Sequent((tree,), ()) if pol is Polarity.NEG else Sequent((), (tree,))
+    assert sequent_from_json(json.loads(json.dumps(sequent_to_json(es)))).formulas[0] is tree
+    renamed = set()
+    _binder_names(ref, renamed)
+    return not renamed <= set(quantifier_strengths(f, pol))
+
+
+def _binder_names(tree, out):
+    if isinstance(tree, ETWeak):
+        out.add(tree.var)
+        for _t, child in tree.instances:
+            _binder_names(child, out)
+    elif isinstance(tree, ETStrong):
+        out.add(tree.var)
+        _binder_names(tree.child, out)
+    elif isinstance(tree, Neg):
+        _binder_names(tree.sub, out)
+    elif isinstance(tree, (And, Or, Imp)):
+        _binder_names(tree.left, out)
+        _binder_names(tree.right, out)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(Polarity))
+def test_expansion_by_environment_agrees_with_substitution(seed, pol):
+    _agrees_with_substitution(random.Random(seed), pol)
+
+
+def test_expansion_by_environment_agrees_where_a_binder_is_renamed():
+    rng = random.Random(1414)
+    renamed = sum(_agrees_with_substitution(rng, rng.choice(list(Polarity))) for _ in range(1500))
+    assert renamed >= 20  # the capture corner case is exercised
+
+
+def test_capture_gives_the_fresh_name_and_body_of_substitution():
+    # the instance X = Y would be captured by the inner binder Y
+    f = parse_formula("![X]: ![Y]: q(X,Y)")
+    tree = expand_formula(f, [Subst({"X": Var("Y"), "Y": a})], Polarity.NEG)
+    inner = tree.instances[0][1]
+    assert (inner.var, inner.body) == ("Y_1", parse_formula("q(Y, Y_1)", extra_vars={"Y_1"}))
+    # the substitutions name Y, not Y_1, so the renamed quantifier is completed
+    assert inner.instances == ((VACUOUS_TERM, parse_formula("q(Y, vac)")),)
+    assert tree is ref_expand_formula(f, [Subst({"X": Var("Y"), "Y": a})], Polarity.NEG)
+    assert tree.body is f.body
+
+
+def test_quantifier_nodes_share_the_root_body():
+    f = parse_formula("![X]: ![Y]: ![Z]: r(X,Y,Z)")
+    tree = expand_formula(f, [Subst({"X": a, "Y": b, "Z": c})], Polarity.NEG)
+    middle = tree.instances[0][1]
+    assert middle.body is f.body.body
+    assert middle.instances[0][1].body is f.body.body.body
+    assert middle.instances[0][1].instances[0][1] is parse_formula("r(a, b, c)")
