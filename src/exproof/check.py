@@ -12,7 +12,22 @@ from itertools import count
 from operator import neg
 from typing import NamedTuple, Optional
 
-from .core import And, Atom, Formula, Imp, Neg, Or, Polarity, Sequent, Term, discard, fold, free_vars, subformulas
+from .core import (
+    And,
+    Atom,
+    Formula,
+    Imp,
+    Neg,
+    Or,
+    Polarity,
+    Sequent,
+    Term,
+    discard,
+    fold,
+    free_vars,
+    gc_paused,
+    subformulas,
+)
 from .expansion import ETStrong, ETWeak, children, deep
 
 
@@ -412,6 +427,7 @@ class Verdict(NamedTuple):
         return out
 
 
+@gc_paused
 def verdict(es: Sequent) -> Verdict:
     """The sanity check: an expansion sequent is a proof iff its deep sequent
     is a tautology and its dependency relation is acyclic.  This validates

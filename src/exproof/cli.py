@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
 from .check import deep_sequent, verdict
-from .core import And, Atom, ExproofError, Imp, Neg, Or, Polarity, Sequent, discard, fold, polar_parts
+from .core import And, Atom, ExproofError, Imp, Neg, Or, Polarity, Sequent, discard, fold, gc_paused, polar_parts
 from .expansion import ETStrong, ETWeak, children, sequent_to_json, shallow_sequent
 from .leancop import import_leancop, parse_leancop
 from .notation import ParseError, sequent_text
@@ -51,6 +51,7 @@ class InputReadError(ExproofError):
     """An input file could not be read or is not UTF-8 text."""
 
 
+@gc_paused
 def load_sequent(path: str, config: RunConfig) -> tuple[Sequent, dict, str]:
     """The expansion sequent of a trace file, its import report and its
     format.  A leading byte-order mark is dropped after decoding, so that

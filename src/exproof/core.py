@@ -11,12 +11,21 @@ clause is a tuple of literals, so a literal's sign is its node type.
 All values are immutable and every operation is a pure function.  Looking
 a node up and inserting it cannot make two equal nodes, even from several
 threads, so anything in this module can be shared between threads.
+
+`gc_paused` keeps CPython's cyclic garbage collector out of a call; the CLI
+pauses it while a trace is loaded and while its verdict is computed.  No
+node or record refers back to itself, so reference counting frees all of
+it at the same moment as with the collector on, and a test pins that a
+check leaves no cycle behind.  The switch is process-wide: a thread that
+leaves a paused call turns the collector back on for a thread still inside
+one, which costs speed, not correctness.
 """
 from __future__ import annotations
 
+import gc
 from _weakref import _remove_dead_weakref
 from enum import Enum, IntEnum
-from functools import partial
+from functools import partial, wraps
 from itertools import count
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 from weakref import KeyedRef, ref
@@ -30,6 +39,23 @@ class ExproofError(Exception):
 
 class InvariantError(ExproofError):
     """An importer's internal consistency check failed."""
+
+
+def gc_paused(func):
+    """`func` with the cyclic garbage collector off while it runs, if it was
+    on; a caller that turned it off keeps it off."""
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 # ---------------------------------------------------------------------------

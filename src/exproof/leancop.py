@@ -97,7 +97,7 @@ class _TraceParser(FormulaParser):
         if tok[1] != "bind":
             raise ParseError(f"expected 'bind', found {tok[1]!r}", tok[2], tok[3])
         self.expect("(")
-        names = self.parse_list(self._var_name)
+        names = self.parse_list(partial(self._bound_name, set()))
         self.expect(",")
         terms = self.parse_list(self.parse_term)
         self.expect(")")
@@ -106,6 +106,16 @@ class _TraceParser(FormulaParser):
                 f"bind lists differ in length ({len(names)} vs {len(terms)})", tok[2], tok[3]
             )
         return Subst(dict(zip(names, terms)))
+
+    def _bound_name(self, seen: set) -> str:
+        """A variable of a bind list, which names it once: were one named
+        twice, the last of its terms would win in silence."""
+        tok = self.tokens[self.pos]
+        name = self._var_name()
+        if name in seen:
+            raise ParseError(f"variable {name!r} bound twice", tok[2], tok[3])
+        seen.add(name)
+        return name
 
     def skip_balanced(self) -> None:
         """Consume a balanced parenthesised argument list."""

@@ -24,7 +24,7 @@ from exproof.cli import (
 )
 from exproof.core import Atom, ExproofError, InvariantError
 from exproof.expansion import sequent_from_json, sequent_to_json
-from test_leancop import BRANCH_WITHOUT_STRONG_INSTANCE, BRANCH_WITHOUT_WEAK_INSTANCE
+from test_leancop import BRANCH_WITHOUT_STRONG_INSTANCE, BRANCH_WITHOUT_WEAK_INSTANCE, DUPLICATE_BIND_TRACES
 
 
 def fixture(name: str) -> str:
@@ -104,6 +104,18 @@ def test_check_malformed_exit_two(capsys):
     assert main(["check", fixture("malformed.proof")]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "line" in err
+
+
+@pytest.mark.parametrize("text", DUPLICATE_BIND_TRACES, ids=["last-is-c", "last-is-d"])
+def test_variable_bound_twice_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "bind.proof"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: variable 'X' bound twice at line 6, column 49\n"
+    main(["batch", str(tmp_path)])
+    assert json.loads(capsys.readouterr().out)["files"]["bind.proof"]["status"] == "error:parse"
 
 
 COMMANDS = [["check"], ["show"], ["show", "--deep"], ["export"], ["export", "--dot"]]

@@ -83,6 +83,26 @@ def test_parse_errors():
     assert (excinfo.value.line, excinfo.value.col) == (1, 15)
 
 
+# ![X]: p(X) |- p(c), with X bound twice by one step: were the last term to
+# win, the first trace would be a proof and the second would not
+DUPLICATE_BIND = """\
+fof(ax, axiom, ![X]: p(X)).
+fof(goal, conjecture, p(c)).
+cnf(1, plain, [~p(X)], clausify(ax)).
+cnf(2, plain, [p(c)], clausify(goal)).
+cnf('s1', plain, [p(c)], start(2)).
+cnf('e1', plain, [~p(c)], extension(1, bind([X, X], [{terms}]))).
+"""
+DUPLICATE_BIND_TRACES = [DUPLICATE_BIND.format(terms=terms) for terms in ("d, c", "c, d")]
+
+
+@pytest.mark.parametrize("text", DUPLICATE_BIND_TRACES, ids=["last-is-c", "last-is-d"])
+def test_parse_rejects_a_variable_bound_twice(text):
+    with pytest.raises(ParseError, match="variable 'X' bound twice") as excinfo:
+        parse_leancop(text)
+    assert (excinfo.value.line, excinfo.value.col) == (6, 49)  # the second X
+
+
 # --- skolem handling ---
 
 
