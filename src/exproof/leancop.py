@@ -39,7 +39,7 @@ from .core import (
     subterms,
 )
 from .expansion import ExpansionTree, expand_formula
-from .notation import FormulaParser, ParseError, Token, tokenize, unexpected
+from .notation import PUNCTUATION, FormulaParser, tokenize, unquoted
 from .verit import AxiomSchema, Clause, SchemaKind, _show, axiom_instance, symmetry_trees
 
 
@@ -66,54 +66,53 @@ class LeanCoPTrace(NamedTuple):
 class _TraceParser(FormulaParser):
     def parse_name(self) -> str:
         tok = self.tokens[self.pos]
-        if tok[0] not in ("name", "quoted", "num"):
-            raise unexpected(tok, "a name")
+        if tok in PUNCTUATION:
+            raise self.unexpected("a name")
         self.pos += 1
-        return tok[1]
+        return unquoted(tok)
 
     def parse_literal(self) -> Formula:
-        start = self.tokens[self.pos]
+        start = self.pos
         f = self.parse_formula(unary=True)  # covers ~, parentheses and disequations
         while type(f) is Neg and type(f.sub) is Neg:
             f = f.sub.sub
         if type(f.sub if type(f) is Neg else f) is not Atom:
-            raise ParseError("expected a literal", start[2], start[3])
+            raise self.error("expected a literal", start)
         return f
 
     def parse_list(self, item) -> list:
         """`[item, ...]`, possibly empty."""
         self.expect("[")
         items = []
-        if self.tokens[self.pos][0] not in ("]", ""):  # at the end, expect("]") fails
+        if self.tokens[self.pos] not in ("]", ""):  # at the end, expect("]") fails
             items.append(item())
-            while self.tokens[self.pos][0] == ",":
+            while self.tokens[self.pos] == ",":
                 self.pos += 1
                 items.append(item())
         self.expect("]")
         return items
 
     def parse_bind(self) -> Subst:
-        tok = self.next()
-        if tok[1] != "bind":
-            raise ParseError(f"expected 'bind', found {tok[1]!r}", tok[2], tok[3])
+        start = self.pos
+        tok = unquoted(self.next())
+        if tok != "bind":
+            raise self.error(f"expected 'bind', found {tok!r}", start)
         self.expect("(")
         names = self.parse_list(partial(self._bound_name, set()))
         self.expect(",")
         terms = self.parse_list(self.parse_term)
         self.expect(")")
         if len(names) != len(terms):
-            raise ParseError(
-                f"bind lists differ in length ({len(names)} vs {len(terms)})", tok[2], tok[3]
-            )
+            raise self.error(f"bind lists differ in length ({len(names)} vs {len(terms)})", start)
         return Subst(dict(zip(names, terms)))
 
     def _bound_name(self, seen: set) -> str:
         """A variable of a bind list, which names it once: were one named
         twice, the last of its terms would win in silence."""
-        tok = self.tokens[self.pos]
+        start = self.pos
         name = self._var_name()
         if name in seen:
-            raise ParseError(f"variable {name!r} bound twice", tok[2], tok[3])
+            raise self.error(f"variable {name!r} bound twice", start)
         seen.add(name)
         return name
 
@@ -121,63 +120,64 @@ class _TraceParser(FormulaParser):
         """Consume a balanced parenthesised argument list."""
         depth = 0
         while True:
-            kind = self.next()[0]
-            if kind in ("(", "["):
+            tok = self.next()
+            if tok in ("(", "["):
                 depth += 1
-            elif kind in (")", "]"):
+            elif tok in (")", "]"):
                 depth -= 1
                 if depth == 0:
                     return
 
-
-def _clause_number(tok: Token) -> int:
-    """The value of a clause-number token.  A `num` token may hold digits,
-    like '²', that `int` does not read."""
-    if tok[0] != "num" or not tok[1].isdecimal():
-        raise ParseError(f"clause number must be numeric, found {tok[1]!r}", tok[2], tok[3])
-    return int(tok[1])
+    def clause_number(self, index: int) -> int:
+        """The value of the clause number at token `index`; `int` reads no digit like '²'."""
+        tok = self.tokens[index]
+        if not tok.isdecimal():
+            raise self.error(f"clause number must be numeric, found {unquoted(tok)!r}", index)
+        return int(tok)
 
 
 def parse_leancop(text: str) -> LeanCoPTrace:
     """Parse the three-part trace: `fof(name, role, formula).` input lines,
     `cnf(N, plain, [...], origin).` clause lines and proof-step lines."""
-    parser = _TraceParser(tokenize(text))
+    parser = _TraceParser(text, tokenize(text))
     tokens = parser.tokens
     inputs, clauses, steps = [], [], []
     clause_numbers: set[int] = set()
     input_names: set[str] = set()
-    while (head := tokens[parser.pos])[0]:
+    while head := tokens[parser.pos]:
+        start = parser.pos
         parser.pos += 1
-        if head[1] == "fof":
+        if unquoted(head) == "fof":
             parser.expect("(")
             name = parser.parse_name()
             if name in input_names:
-                raise ParseError(f"duplicate input formula name {name!r}", head[2], head[3])
+                raise parser.error(f"duplicate input formula name {name!r}", start)
             input_names.add(name)
             parser.expect(",")
-            _kind, role, line, col = parser.next()
+            role = unquoted(parser.next())
             if role not in ROLES:
-                raise ParseError(f"unknown role {role!r}", line, col)
+                raise parser.error(f"unknown role {role!r}", parser.pos - 1)
             parser.expect(",")
             formula = parser.parse_formula()
             parser.expect(")")
             parser.expect(".")
             inputs.append((name, role, formula))
-        elif head[1] == "cnf":
+        elif unquoted(head) == "cnf":
             parser.expect("(")
-            id_tok = parser.next()
-            if id_tok[0] not in ("num", "name", "quoted"):
-                raise ParseError(f"bad clause identifier {id_tok[1]!r}", id_tok[2], id_tok[3])
+            id_index = parser.pos
+            clause_id = parser.next()
+            if clause_id in PUNCTUATION:
+                raise parser.error(f"bad clause identifier {clause_id!r}", id_index)
             parser.expect(",")
             parser.parse_name()  # the "plain" marker
             parser.expect(",")
             lits = tuple(parser.parse_list(parser.parse_literal))
             parser.expect(",")
-            _kind, tail, line, col = parser.next()
+            tail = unquoted(parser.next())
             if tail in ("clausify", "theory"):
-                number = _clause_number(id_tok)
+                number = parser.clause_number(id_index)
                 if number in clause_numbers:
-                    raise ParseError(f"duplicate clause number {number}", id_tok[2], id_tok[3])
+                    raise parser.error(f"duplicate clause number {number}", id_index)
                 clause_numbers.add(number)
                 parser.expect("(")
                 origin_name = parser.parse_name()
@@ -185,27 +185,27 @@ def parse_leancop(text: str) -> LeanCoPTrace:
                 clauses.append((number, lits, tail, origin_name))
             elif tail in ("start", "extension"):
                 parser.expect("(")
-                num_tok = parser.expect("num")
-                clause_num = _clause_number(num_tok)
+                if not tokens[parser.pos][:1].isdigit():  # a number
+                    raise parser.unexpected("'num'")
+                clause_num = parser.clause_number(parser.pos)
                 if clause_num not in clause_numbers:
-                    raise ParseError(
-                        f"step references unknown clause {clause_num}", num_tok[2], num_tok[3]
-                    )
+                    raise parser.error(f"step references unknown clause {clause_num}", parser.pos)
+                parser.pos += 1
                 binding = Subst()
-                if tokens[parser.pos][0] == ",":
+                if tokens[parser.pos] == ",":
                     parser.pos += 1
                     binding = parser.parse_bind()
                 parser.expect(")")
-                steps.append((id_tok[1], clause_num, binding))
+                steps.append((unquoted(clause_id), clause_num, binding))
             elif tail == "reduction":
-                if tokens[parser.pos][0] == "(":
+                if tokens[parser.pos] == "(":
                     parser.skip_balanced()
             else:
-                raise ParseError(f"unknown clause origin or step {tail!r}", line, col)
+                raise parser.error(f"unknown clause origin or step {tail!r}", parser.pos - 1)
             parser.expect(")")
             parser.expect(".")
         else:
-            raise ParseError(f"expected 'fof' or 'cnf', found {head[1]!r}", head[2], head[3])
+            raise parser.error(f"expected 'fof' or 'cnf', found {unquoted(head)!r}", start)
     return LeanCoPTrace(tuple(inputs), tuple(clauses), tuple(steps))
 
 

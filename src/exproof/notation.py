@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import (
     EQ,
@@ -38,140 +38,131 @@ class ParseError(ExproofError):
         self.col = col
 
 
-# A token is a plain tuple (kind, text, line, col).  The kind is "name",
-# "num", "quoted" or, for punctuation, the text itself; a quoted name's text
-# is what stands between its quotes.
-Token = tuple[str, str, int, int]
+# A token is the string it matches.  Punctuation is its own kind; any other
+# token is a quoted name, which keeps its quotes, a number, which starts with
+# a digit, or a name.  Token lists end in "", which `PUNCTUATION` holds too.
+PUNCTUATION = frozenset(["=>", "!=", *"()[]:,.~&|!?=", ""])
 
-# One alternative per token kind, tried in order at each position; a group's
-# name is the kind of the token it matches.  `name` and `num` take words that
-# start with an ASCII letter or digit (`num` none that a non-ASCII character
-# may continue); `other` takes the words they leave, for `_split_word`, and
-# single characters that start no token.
+# Blanks and `%` comments, then a token, or the end of input so that no token
+# starts in a trailing comment.  Names and numbers start with an ASCII letter
+# or digit (numbers none that a non-ASCII character may continue); the words
+# they leave are for `_split_word`, and a character that starts no token
+# takes the rest of the text with it, which ends the scan.
 _TPTP = re.compile(
-    r"""(?P<punct>=>|!=|[()\[\]:,.~&|!?=])
-    |(?P<name>[A-Za-z_]\w*)
-    |(?P<nl>\n)
-    |(?P<num>[0-9]+(?![0-9]|[^\x00-\x7f]))
-    |'(?P<quoted>[^']*)'
-    |%[^\n]*
-    |(?P<unterminated>')
-    |(?P<other>\w+|\S)""",
+    r"""(?:\s|%[^\n]*)*
+    (=>|!=|[()\[\]:,.~&|!?=]
+    |[A-Za-z_]\w*
+    |[0-9]+(?![0-9]|[^\x00-\x7f])
+    |'[^']*'
+    |\w+
+    |\S(?s:.*)
+    |\Z)""",
     re.VERBOSE,
 )
 
 
-def scan(pattern: re.Pattern, text: str) -> Iterator[Token]:
-    """The tokens of `text`, one by one, under a master pattern whose named
-    groups are token kinds (`punct` for punctuation, whose kind is its
-    text).  The `nl` group counts lines; text that no named group matches is
-    skipped, as is text that matches no alternative at all, so a pattern
-    that must reject a character needs an alternative for it."""
-    line, line_start = 1, 0
-    for m in pattern.finditer(text):
-        kind = m.lastgroup
-        if kind == "punct":
-            word = m.group()
-            yield (word, word, line, m.start() - line_start + 1)
-        elif kind == "name" or kind == "num" or kind == "atom":
-            yield (kind, m.group(), line, m.start() - line_start + 1)
-        elif kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind == "quoted":
-            word = m.group(kind)
-            yield (kind, word, line, m.start() - line_start + 1)
-            if "\n" in word:
-                line += word.count("\n")
-                line_start = m.start(kind) + word.rfind("\n") + 1
-        elif kind is not None:
-            col = m.start() - line_start + 1
-            if kind == "unterminated":
-                raise ParseError("unterminated quoted name", line, col)
-            yield from _split_word(m.group(), line, col)
+def unquoted(tok: str) -> str:
+    """A token's text: a quoted name's without its quotes."""
+    return tok[1:-1] if tok[:1] == "'" else tok
 
 
-def _split_word(word: str, line: int, col: int) -> list[Token]:
-    """The tokens of a word, by the rules for any character: a name starts
-    with a letter or `_` and runs to the word's end, a number is a run of
-    digits, where letters and digits are what `str.isalpha` and
-    `str.isdigit` say (the regex classes differ); nothing else starts a
-    token."""
-    out: list[Token] = []
-    i = 0
-    while i < len(word):
-        c = word[i]
-        if c.isalpha() or c == "_":
-            out.append(("name", word[i:], line, col + i))
-            break
-        if not c.isdigit():
-            raise ParseError(f"unexpected character {c!r}", line, col + i)
-        j = i + 1
-        while j < len(word) and word[j].isdigit():
-            j += 1
-        out.append(("num", word[i:j], line, col + i))
-        i = j
+def words(pattern: re.Pattern, text: str) -> list[str]:
+    """Group 1 of each match of `pattern` in `text`, but the one or two of the end of input."""
+    out = pattern.findall(text)
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
-def tokenize(text: str) -> list[Token]:
-    return list(scan(_TPTP, text))
+def locate(pattern: re.Pattern, text: str, tokens: list[str], index: int) -> tuple[int, int]:
+    """The line and column where token `index` starts, or where the last token
+    ends if token `index` is "".  `tokens` are those of `text` under `pattern`,
+    whose group may hold a word that splits into several tokens."""
+    offset = end = 0
+    matches = pattern.finditer(text)
+    for tok in tokens[:index]:
+        if offset == end:
+            offset, end = next(matches).span(1)
+        offset += len(tok)
+    if offset == end and tokens[index]:
+        offset = next(matches).start(1)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def end_token(tokens: list[Token]) -> Token:
-    """The parsers' sentinel: kind "", placed where the last token's source
-    text ends (quotes and newlines of a quoted name included)."""
-    if not tokens:
-        return ("", "", 1, 1)
-    kind, text, line, col = tokens[-1]
-    if kind == "quoted":
-        text = f"'{text}'"
-    nl = text.rfind("\n")
-    if nl < 0:
-        return ("", "", line, col + len(text))
-    return ("", "", line + text.count("\n"), len(text) - nl)
+def _split_word(word: str) -> list[str]:
+    """The tokens of a word of `_TPTP`, up to a character that starts none.
+    Punctuation and a quoted name are one token.  Otherwise a number, a run
+    of digits, may come first, and a name starts with a letter or `_` and
+    runs to the word's end, where letters and digits are what `str.isalpha`
+    and `str.isdigit` say (the regex classes differ)."""
+    if word[0] in PUNCTUATION or len(word) > 1 and word[0] == word[-1] == "'":
+        return [word]
+    i = 0
+    while i < len(word) and word[i].isdigit():
+        i += 1
+    out = [word[:i]] if i else []
+    if i < len(word) and (word[i].isalpha() or word[i] == "_"):
+        out.append(word[i:])
+    return out
 
 
-def unexpected(tok: Token, wanted: str) -> ParseError:
-    """The error for finding `tok` where `wanted` should be."""
-    kind, text, line, col = tok
-    if not kind:
-        return ParseError("unexpected end of input", line, col)
-    return ParseError(f"expected {wanted}, found {text!r}", line, col)
+def tokenize(text: str) -> list[str]:
+    found = words(_TPTP, text)
+    # in ASCII text every word is one token, and only the last may start none
+    if not found or text.isascii() and _split_word(found[-1]) == found[-1:]:
+        return found
+    tokens = []
+    for i, word in enumerate(found):
+        pieces = _split_word(word)
+        n = sum(map(len, pieces))
+        if n < len(word):
+            line, col = locate(_TPTP, text, found, i)
+            message = "unterminated quoted name" if word[n] == "'" else f"unexpected character {word[n]!r}"
+            raise ParseError(message, line, col + n)
+        tokens += pieces
+    return tokens
 
 
 class FormulaParser:
-    """Recursive-descent parser over a token list; reusable mid-stream so the
-    trace parsers can embed formulas and terms in larger statements.  The
-    list ends in `end_token`, so reading the current token never fails."""
+    """Recursive-descent parser over the tokens of a text; reusable mid-stream
+    so the trace parsers can embed formulas and terms in larger statements.
+    The list ends in "", so reading the current token never fails."""
 
-    def __init__(self, tokens: list[Token], extra_vars: Iterable[str] = ()):
-        self.tokens = [*tokens, end_token(tokens)]
+    def __init__(self, text: str, tokens: list[str], extra_vars: Iterable[str] = ()):
+        self.text = text
+        self.tokens = [*tokens, ""]
         self.pos = 0
         self.extra_vars = frozenset(extra_vars)
         self.bound: list[str] = []
 
     # --- token plumbing ---
 
-    def next(self) -> Token:
+    def error(self, message: str, index: int) -> ParseError:
+        """The error `message` at token `index`."""
+        return ParseError(message, *locate(_TPTP, self.text, self.tokens, index))
+
+    def unexpected(self, wanted: str) -> ParseError:
+        """The error for finding the current token where `wanted` should be."""
         tok = self.tokens[self.pos]
-        if not tok[0]:
-            raise ParseError("unexpected end of input", tok[2], tok[3])
+        message = f"expected {wanted}, found {unquoted(tok)!r}" if tok else "unexpected end of input"
+        return self.error(message, self.pos)
+
+    def next(self) -> str:
+        tok = self.tokens[self.pos]
+        if not tok:
+            raise self.error("unexpected end of input", self.pos)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise unexpected(tok, repr(kind))
+    def expect(self, tok: str) -> None:
+        if self.tokens[self.pos] != tok:
+            raise self.unexpected(repr(tok))
         self.pos += 1
-        return tok
 
     def expect_end(self) -> None:
         """Fail unless every token has been read."""
-        kind, text, line, col = self.tokens[self.pos]
-        if kind:
-            raise ParseError(f"trailing input {text!r}", line, col)
+        if self.tokens[self.pos]:
+            raise self.error(f"trailing input {unquoted(self.tokens[self.pos])!r}", self.pos)
 
     # --- grammar ---
 
@@ -192,31 +183,31 @@ class FormulaParser:
             # the constructors that wrap the formula they prefix
             prefixes, scope = [], len(self.bound)
             while True:
-                kind, _text, line, col = tokens[self.pos]
-                if kind == "~":
+                tok = tokens[self.pos]
+                if tok == "~":
                     self.pos += 1
                     prefixes.append(Neg)
-                elif kind == "!" or kind == "?":
+                elif tok == "!" or tok == "?":
                     self.pos += 1
-                    cls = Forall if kind == "!" else Exists
+                    cls = Forall if tok == "!" else Exists
                     self.expect("[")
                     names = [self._var_name()]
-                    while tokens[self.pos][0] == ",":
+                    while tokens[self.pos] == ",":
                         self.pos += 1
                         names.append(self._var_name())
                     self.expect("]")
                     self.expect(":")
                     self.bound.extend(names)
                     prefixes += (partial(cls, name) for name in names)
-                elif kind == "(":
+                elif tok == "(":
                     self.pos += 1
                     enclosing.append((parts, disj, conj, prefixes, scope))
                     parts, disj, conj, prefixes, scope = [], None, None, [], len(self.bound)
-                elif kind:
+                elif tok:
                     out = self._parse_atom()
                     break
                 else:
-                    raise ParseError("expected a formula", line, col)
+                    raise self.error("expected a formula", self.pos)
             # `out` ends a unary formula, which may end the formula of a
             # parenthesis, which ends a unary formula around it
             while True:
@@ -226,16 +217,16 @@ class FormulaParser:
                 if unary and not enclosing:
                     return out
                 conj = out if conj is None else And(conj, out)
-                kind = tokens[self.pos][0]
-                if kind == "&":
+                tok = tokens[self.pos]
+                if tok == "&":
                     break
                 disj = conj if disj is None else Or(disj, conj)
                 conj = None
-                if kind == "|":
+                if tok == "|":
                     break
                 parts.append(disj)
                 disj = None
-                if kind == "=>":
+                if tok == "=>":
                     break
                 out = parts.pop()
                 while parts:
@@ -248,24 +239,24 @@ class FormulaParser:
 
     def _var_name(self) -> str:
         tok = self.tokens[self.pos]
-        if tok[0] != "name":
-            raise unexpected(tok, "a variable name")
+        if tok in PUNCTUATION or tok[0] == "'" or tok[0].isdigit():
+            raise self.unexpected("a variable name")
         self.pos += 1
-        return tok[1]
+        return tok
 
     def _parse_atom(self) -> Formula:
-        start = self.tokens[self.pos]
+        start = self.pos
         is_var, name, args = self._read_term()
-        kind = self.tokens[self.pos][0]
-        if kind == "=" or kind == "!=":
+        tok = self.tokens[self.pos]
+        if tok == "=" or tok == "!=":
             self.pos += 1
             left = Var(name) if is_var else App(name, args)
             atom = Atom(EQ, (left, self.parse_term()))
-            return atom if kind == "=" else Neg(atom)
+            return atom if tok == "=" else Neg(atom)
         if is_var:
-            raise ParseError(f"variable {name!r} used as a formula", start[2], start[3])
+            raise self.error(f"variable {name!r} used as a formula", start)
         if name == EQ and len(args) != 2:  # a quoted '='
-            raise ParseError("'=' takes exactly two arguments", start[2], start[3])
+            raise self.error("'=' takes exactly two arguments", start)
         return Atom(name, args)
 
     def parse_term(self) -> Term:
@@ -280,16 +271,19 @@ class FormulaParser:
         tokens = self.tokens
         opened: list[tuple[str, list[Term]]] = []  # applications being read, innermost last
         while True:
-            kind, name, line, col = tokens[self.pos]
-            if kind != "name" and kind != "quoted" and kind != "num":
-                raise unexpected(tokens[self.pos], "a term")
+            name = tokens[self.pos]
+            if name in PUNCTUATION:
+                raise self.unexpected("a term")
             self.pos += 1
-            is_var = kind == "name" and (
-                name[0].isupper() or name[0] == "_" or name in self.bound or name in self.extra_vars
+            first = name[0]
+            is_var = first.isupper() or first == "_" or (
+                (name in self.bound or name in self.extra_vars) and first != "'" and not first.isdigit()
             )
-            if kind != "num" and tokens[self.pos][0] == "(":
+            if first == "'":
+                name = name[1:-1]
+            if tokens[self.pos] == "(" and not first.isdigit():
                 if is_var:
-                    raise ParseError(f"variable {name!r} cannot take arguments", line, col)
+                    raise self.error(f"variable {name!r} cannot take arguments", self.pos - 1)
                 self.pos += 1
                 opened.append((name, []))
                 continue
@@ -300,7 +294,7 @@ class FormulaParser:
             while True:
                 head, args = opened[-1]
                 args.append(term)
-                if tokens[self.pos][0] == ",":
+                if tokens[self.pos] == ",":
                     self.pos += 1
                     break
                 self.expect(")")
@@ -311,14 +305,14 @@ class FormulaParser:
 
 
 def parse_formula(text: str, extra_vars: Iterable[str] = ()) -> Formula:
-    parser = FormulaParser(tokenize(text), extra_vars)
+    parser = FormulaParser(text, tokenize(text), extra_vars)
     out = parser.parse_formula()
     parser.expect_end()
     return out
 
 
 def parse_term(text: str, extra_vars: Iterable[str] = ()) -> Term:
-    parser = FormulaParser(tokenize(text), extra_vars)
+    parser = FormulaParser(text, tokenize(text), extra_vars)
     out = parser.parse_term()
     parser.expect_end()
     return out

@@ -36,7 +36,7 @@ from .core import (
     subst_atom,
 )
 from .expansion import ExpansionTree, children, expand_formula
-from .notation import ParseError, Token, scan
+from .notation import ParseError, locate, words
 
 Clause = tuple[Formula, ...]  # literals: atoms and negated atoms
 
@@ -70,31 +70,31 @@ LEAF_RULES = {"input"} | set(AXIOM_RULES)
 # parsing (s-expression trace grammar)
 
 
-_SEXP = re.compile(r"(?P<punct>[()])|(?P<atom>[^\s()]+)|(?P<nl>\n)")
+# Blanks and whole `%` comment lines, the lines format detection skips,
+# then a parenthesis, an atom, or the end of input after them.
+_SEXP = re.compile(r"(?:^[^\S\n]*%.*|\s)*([()]|[^\s()]+|\Z)", re.MULTILINE)
 
 
-def _sexps(text: str):
-    """Each top-level s-expression of `text` with its first token.  An
-    s-expression is an atom's text or a list of s-expressions."""
-    open_lists: list[tuple[Token, list]] = []  # innermost last, with its "("
-    for tok in scan(_SEXP, text):
-        kind = tok[0]
-        if kind == "(":
-            open_lists.append((tok, []))
+def _sexps(text: str, tokens: list[str]):
+    """Each top-level s-expression of `tokens`, the tokens of `text`, with the
+    index of its first token: an atom's text or a list of s-expressions."""
+    open_lists: list[tuple[int, list]] = []  # innermost last, with the index of its "("
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            open_lists.append((i, []))
             continue
-        if kind == "atom":
-            sexp = tok[1]
+        if tok != ")":
+            sexp = tok
         elif open_lists:
-            tok, sexp = open_lists.pop()
+            i, sexp = open_lists.pop()
         else:
-            raise TraceSyntaxError("unexpected ')'", tok[2], tok[3])
+            raise TraceSyntaxError("unexpected ')'", *locate(_SEXP, text, tokens, i))
         if open_lists:
             open_lists[-1][1].append(sexp)
         else:
-            yield tok, sexp
+            yield i, sexp
     if open_lists:
-        tok = open_lists[-1][0]
-        raise TraceSyntaxError("unbalanced parenthesis", tok[2], tok[3])
+        raise TraceSyntaxError("unbalanced parenthesis", *locate(_SEXP, text, tokens, open_lists[-1][0]))
 
 
 def _shown(sexp) -> str:
@@ -150,20 +150,25 @@ def _sterm_to_atom(sexp) -> Atom:
 def parse_verit(text: str) -> VeritTrace:
     """Parse a trace of `(set .id (rule [:clauses (...)] :conclusion (...)))`
     steps; premise references must point at earlier steps."""
+    tokens = words(_SEXP, text)
+
+    def error(message: str) -> TraceSyntaxError:  # at the step being read
+        return TraceSyntaxError(message, *locate(_SEXP, text, tokens, index))
+
     steps = []
     seen: set[str] = set()
-    for (_kind, _text, line, col), sexp in _sexps(text):
+    for index, sexp in _sexps(text, tokens):
         if not isinstance(sexp, list) or len(sexp) != 3 or sexp[0] != "set":
-            raise TraceSyntaxError("expected a (set .id (...)) step", line, col)
+            raise error("expected a (set .id (...)) step")
         raw_id = sexp[1]
         if not isinstance(raw_id, str) or not raw_id.startswith("."):
-            raise TraceSyntaxError(f"step id must start with '.', found {_shown(raw_id)}", line, col)
+            raise error(f"step id must start with '.', found {_shown(raw_id)}")
         step_id = raw_id[1:]
         if step_id in seen:
-            raise TraceSyntaxError(f"duplicate step id {step_id!r}", line, col)
+            raise error(f"duplicate step id {step_id!r}")
         body = sexp[2]
         if not isinstance(body, list) or not body or not isinstance(body[0], str):
-            raise TraceSyntaxError("step body must be (rule ...)", line, col)
+            raise error("step body must be (rule ...)")
         rule = body[0]
         premises: tuple[str, ...] = ()
         conclusion: Optional[Clause] = None
@@ -173,27 +178,27 @@ def parse_verit(text: str) -> VeritTrace:
             if key == ":clauses":
                 refs = body[i + 1] if i + 1 < len(body) else None
                 if not isinstance(refs, list):
-                    raise TraceSyntaxError(":clauses needs a parenthesised list", line, col)
+                    raise error(":clauses needs a parenthesised list")
                 ids = []
                 for r in refs:
                     if not isinstance(r, str) or not r.startswith("."):
-                        raise TraceSyntaxError(f"bad premise reference {_shown(r)}", line, col)
+                        raise error(f"bad premise reference {_shown(r)}")
                     rid = r[1:]
                     if rid not in seen:
-                        raise TraceSyntaxError(f"dangling premise reference .{rid}", line, col)
+                        raise error(f"dangling premise reference .{rid}")
                     ids.append(rid)
                 premises = tuple(ids)
                 i += 2
             elif key == ":conclusion":
                 lits = body[i + 1] if i + 1 < len(body) else None
                 if not isinstance(lits, list):
-                    raise TraceSyntaxError(":conclusion needs a parenthesised list", line, col)
+                    raise error(":conclusion needs a parenthesised list")
                 conclusion = tuple(_sterm_to_literal(l) for l in lits)
                 i += 2
             else:
-                raise TraceSyntaxError(f"unknown step attribute {_shown(key)}", line, col)
+                raise error(f"unknown step attribute {_shown(key)}")
         if conclusion is None:
-            raise TraceSyntaxError(f"step {step_id!r} has no :conclusion", line, col)
+            raise error(f"step {step_id!r} has no :conclusion")
         seen.add(step_id)
         steps.append((step_id, rule, premises, conclusion))
     return VeritTrace(tuple(steps))

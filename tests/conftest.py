@@ -8,6 +8,11 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles/randgen importabl
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# a larger budget for the differential tests, chosen on the command line
+# with `--hypothesis-profile=ci`
+settings.register_profile(
+    "ci", max_examples=5000, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 settings.load_profile("default")
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -469,17 +469,20 @@ def ref_parse_term(text, extra_vars=()):
     tokens = tokenize(text)
 
     def term(i):
-        kind, name = tokens[i][:2]
-        if kind == "num":
+        name = tokens[i]
+        if name[0].isdigit():
             return App(name, ()), i + 1
-        is_var = kind == "name" and (name[0].isupper() or name[0] == "_" or name in extra_vars)
-        if i + 1 == len(tokens) or tokens[i + 1][0] != "(":
+        if name[0] == "'":
+            name, is_var = name[1:-1], False
+        else:
+            is_var = name[0].isupper() or name[0] == "_" or name in extra_vars
+        if i + 1 == len(tokens) or tokens[i + 1] != "(":
             return (Var(name) if is_var else App(name, ())), i + 1
         args, i = [], i + 1
-        while tokens[i][0] in ("(", ","):
+        while tokens[i] in ("(", ","):
             arg, i = term(i + 1)
             args.append(arg)
-        assert tokens[i][0] == ")"
+        assert tokens[i] == ")"
         return App(name, tuple(args)), i + 1
 
     out, end = term(0)
@@ -494,12 +497,12 @@ def ref_parse_formula(text):
     from functools import partial
 
     from exproof.core import Exists
-    from exproof.notation import FormulaParser, ParseError, tokenize
+    from exproof.notation import FormulaParser, tokenize
 
     class Parser(FormulaParser):
         def parse_formula(self):
             parts = [self.disj()]
-            while self.tokens[self.pos][0] == "=>":
+            while self.tokens[self.pos] == "=>":
                 self.pos += 1
                 parts.append(self.disj())
             out = parts.pop()
@@ -509,14 +512,14 @@ def ref_parse_formula(text):
 
         def disj(self):
             out = self.conj()
-            while self.tokens[self.pos][0] == "|":
+            while self.tokens[self.pos] == "|":
                 self.pos += 1
                 out = Or(out, self.conj())
             return out
 
         def conj(self):
             out = self.unary()
-            while self.tokens[self.pos][0] == "&":
+            while self.tokens[self.pos] == "&":
                 self.pos += 1
                 out = And(out, self.unary())
             return out
@@ -524,37 +527,37 @@ def ref_parse_formula(text):
         def unary(self):
             prefixes, scope = [], len(self.bound)
             while True:
-                kind, _text, line, col = self.tokens[self.pos]
-                if kind == "~":
+                tok = self.tokens[self.pos]
+                if tok == "~":
                     self.pos += 1
                     prefixes.append(Neg)
-                elif kind in ("!", "?"):
+                elif tok in ("!", "?"):
                     self.pos += 1
                     self.expect("[")
                     names = [self._var_name()]
-                    while self.tokens[self.pos][0] == ",":
+                    while self.tokens[self.pos] == ",":
                         self.pos += 1
                         names.append(self._var_name())
                     self.expect("]")
                     self.expect(":")
                     self.bound.extend(names)
-                    prefixes += [partial(Forall if kind == "!" else Exists, n) for n in names]
-                elif kind == "(":
+                    prefixes += [partial(Forall if tok == "!" else Exists, n) for n in names]
+                elif tok == "(":
                     self.pos += 1
                     out = self.parse_formula()
                     self.expect(")")
                     break
-                elif kind:
+                elif tok:
                     out = self._parse_atom()
                     break
                 else:
-                    raise ParseError("expected a formula", line, col)
+                    raise self.error("expected a formula", self.pos)
             del self.bound[scope:]
             for wrap in reversed(prefixes):
                 out = wrap(out)
             return out
 
-    parser = Parser(tokenize(text))
+    parser = Parser(text, tokenize(text))
     out = parser.parse_formula()
     parser.expect_end()
     return out
@@ -648,11 +651,12 @@ def ref_rectify(sequent):
 
 # --- the character-loop tokenizers the regex scanner replaced ---
 #
-# `exproof.notation.scan` must produce what these produced, errors and their
-# locations included, except after a quoted name that spans lines: these do
-# not count its newlines.  The token values are those of the old `Token`
-# dataclass (kind, text, line, col), as a tuple; the s-expression tokens were
-# (text, line, col).
+# `exproof.notation.tokenize` and the s-expression pattern of `exproof.verit`
+# must produce what these produce, errors and their locations included.
+# The tokens are those of the old `Token` dataclass (kind, text, line, col),
+# as a tuple, where a quoted name's text is what stands between its quotes;
+# the s-expression tokens were (text, line, col).  Both lists end in a
+# sentinel of empty text placed where the last token ends.
 
 _PUNCT2 = ("=>", "!=")
 _PUNCT1 = "()[]:,.~&|!?="
@@ -663,6 +667,7 @@ def ref_tokenize(text):
 
     tokens = []
     i, line, col = 0, 1, 1
+    end = (1, 1)
     n = len(text)
     while i < n:
         c = text[i]
@@ -680,50 +685,63 @@ def ref_tokenize(text):
         if two in _PUNCT2:
             tokens.append((two, two, line, col))
             i, col = i + 2, col + 2
-            continue
-        if c in _PUNCT1:
+        elif c in _PUNCT1:
             tokens.append((c, c, line, col))
             i, col = i + 1, col + 1
-            continue
-        if c == "'":
+        elif c == "'":
             j = text.find("'", i + 1)
             if j < 0:
                 raise ParseError("unterminated quoted name", line, col)
             tokens.append(("quoted", text[i + 1 : j], line, col))
-            col += j + 1 - i
+            word = text[i : j + 1]
+            if "\n" in word:  # a quoted name may span lines
+                line += word.count("\n")
+                col = len(word) - word.rfind("\n")
+            else:
+                col += len(word)
             i = j + 1
-            continue
-        if c.isalpha() or c == "_":
+        elif c.isalpha() or c == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], line, col))
             col += j - i
             i = j
-            continue
-        if c.isdigit():
+        elif c.isdigit():
             j = i
             while j < n and text[j].isdigit():
                 j += 1
             tokens.append(("num", text[i:j], line, col))
             col += j - i
             i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    return tokens
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+        end = (line, col)
+    return tokens + [("", "", *end)]
 
 
 def ref_sexp_tokenize(text):
+    """Parentheses and atoms; a line whose first character other than a
+    blank is `%` is a comment."""
     tokens = []
     i, line, col = 0, 1, 1
+    end = (1, 1)
+    fresh = True  # only blanks so far on this line
     n = len(text)
     while i < n:
         c = text[i]
         if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-        elif c.isspace():
+            i, line, col, fresh = i + 1, line + 1, 1, True
+            continue
+        if c.isspace():
             i, col = i + 1, col + 1
-        elif c in "()":
+            continue
+        if c == "%" and fresh:
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        fresh = False
+        if c in "()":
             tokens.append((c, line, col))
             i, col = i + 1, col + 1
         else:
@@ -733,7 +751,8 @@ def ref_sexp_tokenize(text):
             tokens.append((text[i:j], line, col))
             col += j - i
             i = j
-    return tokens
+        end = (line, col)
+    return tokens + [("", *end)]
 
 
 # --- literal matching up to order and equality orientation ---

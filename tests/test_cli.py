@@ -56,8 +56,9 @@ def test_detect_format():
         "cnf(1, plain, [~p(sk1)], clausify(ax)).\ncnf(2, plain, [p(sk1)], clausify(conj)).\n"
         "cnf('s1', plain, [p(sk1)], start(2)).\ncnf('e1', plain, [~p(sk1)], extension(1)).\n",
         "% comment\n" + (FIXTURES / "leancop_simple.proof").read_text(),
+        "% a comment\n\n  % another\n" + (FIXTURES / "verit_propositional.proof").read_text(),
     ],
-    ids=["constant-sk1", "leading-comment"],
+    ids=["constant-sk1", "leading-comment", "leading-comment-verit"],
 )
 def test_check_reads_skolem_heads_and_format_off_the_trace(tmp_path, capsys, text):
     path = tmp_path / "trace.proof"

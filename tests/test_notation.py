@@ -1,9 +1,8 @@
-import re
 import string
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 
 from exproof.core import (
     And,
@@ -20,13 +19,16 @@ from exproof.core import (
     eq,
 )
 from exproof.notation import (
+    _TPTP,
+    PUNCTUATION,
     ParseError,
     formula_text,
+    locate,
     parse_formula,
     parse_term,
-    scan,
     sequent_text,
     tokenize,
+    words,
 )
 from exproof.verit import _SEXP
 from oracles import ref_parse_formula, ref_sexp_tokenize, ref_tokenize
@@ -125,18 +127,37 @@ def test_end_of_input_is_after_the_last_quoted_name():
     assert str(exc.value) == "expected a formula at line 1, column 1"
 
 
+def _kind(tok):
+    """The kind the parsers read off a token: punctuation and the end of
+    input are their own, any other token's first character tells it."""
+    if tok in PUNCTUATION:
+        return tok
+    return "quoted" if tok[0] == "'" else "num" if tok[0].isdigit() else "name"
+
+
+def _read(text):
+    """Each token of `text` and the end of input, with its kind and the line
+    and column `locate` gives it."""
+    tokens = [*tokenize(text), ""]
+    return [(tok, _kind(tok), *locate(_TPTP, text, tokens, i)) for i, tok in enumerate(tokens)]
+
+
 def test_newline_in_quoted_name_counts_as_a_line():
     with pytest.raises(ParseError) as exc:
         parse_formula("p('a\nb') &\n  )")
     assert str(exc.value) == "expected a term, found ')' at line 3, column 3"
-    assert tokenize("'a\nb' c") == [("quoted", "a\nb", 1, 1), ("name", "c", 2, 4)]
+    assert _read("'a\nb' c") == [("'a\nb'", "quoted", 1, 1), ("c", "name", 2, 4), ("", "", 2, 5)]
 
 
 def test_unicode_digits_and_letters():
     # `str.isdigit`, not the regex `\d`, decides what a number is
-    assert tokenize("p(²)") == [("name", "p", 1, 1), ("(", "(", 1, 2), ("num", "²", 1, 3), (")", ")", 1, 4)]
+    assert _read("p(²)") == [
+        ("p", "name", 1, 1), ("(", "(", 1, 2), ("²", "num", 1, 3), (")", ")", 1, 4), ("", "", 1, 5)
+    ]
     assert parse_term("f(²)") == App("f", (const("²"),))
-    assert tokenize("12²٣x ªb") == [("num", "12²٣", 1, 1), ("name", "x", 1, 5), ("name", "ªb", 1, 7)]
+    assert _read("12²٣x ªb") == [
+        ("12²٣", "num", 1, 1), ("x", "name", 1, 5), ("ªb", "name", 1, 7), ("", "", 1, 9)
+    ]
     with pytest.raises(ParseError) as exc:
         tokenize("a ½")
     assert str(exc.value) == "unexpected character '½' at line 1, column 3"
@@ -150,30 +171,6 @@ PIECES = ["fof", "cnf", "(", ")", "[", "]", ",", ".", ":", "=>", "!=", "~", "'a 
           "X", "f", "12", "²", "٣", "ª", " ", "\n", "\t", "set", ".c1", ":conclusion", "not", "="]
 texts = st.text(ALPHABET, max_size=40) | st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
 
-# quoted names and comments as the reference tokenizer reads them
-_QUOTED_OR_COMMENT = re.compile(r"%[^\n]*|'[^']*'")
-
-
-def _outcome(tokenizer, text):
-    try:
-        return tokenizer(text)
-    except ParseError as e:
-        return str(e), e.line, e.col
-
-
-@given(texts)
-def test_tokenize_matches_reference(text):
-    # the reference counts no line inside a quoted name
-    assume(not any(m[0][0] == "'" and "\n" in m[0] for m in _QUOTED_OR_COMMENT.finditer(text)))
-    assert _outcome(tokenize, text) == _outcome(ref_tokenize, text)
-
-
-@given(texts)
-def test_sexp_scan_matches_reference(text):
-    tokens = list(scan(_SEXP, text))
-    assert [(t, line, col) for _kind, t, line, col in tokens] == ref_sexp_tokenize(text)
-    assert all(kind == (t if t in "()" else "atom") for kind, t, _l, _c in tokens)
-
 
 def _outcome(parse, text):
     try:
@@ -182,19 +179,35 @@ def _outcome(parse, text):
         return str(e)
 
 
+def _ref_read(text):
+    """`ref_tokenize`'s tokens in the form of `_read`."""
+    return [(f"'{t}'" if k == "quoted" else t, k, line, col) for k, t, line, col in ref_tokenize(text)]
+
+
+@given(texts)
+def test_tokenize_matches_reference(text):
+    assert _outcome(_read, text) == _outcome(_ref_read, text)
+
+
+@given(texts)
+def test_sexp_scan_matches_reference(text):
+    tokens = [*words(_SEXP, text), ""]
+    assert [(t, *locate(_SEXP, text, tokens, i)) for i, t in enumerate(tokens)] == ref_sexp_tokenize(text)
+
+
 @given(formulas, st.sampled_from(["keep", "delete", "duplicate", "swap"]), st.integers(0, 99), st.integers(0, 99))
 def test_formula_parser_matches_recursive_reference(f, op, i, j):
     # the text of a formula, perhaps with a token deleted, duplicated or
     # swapped with another: the same formula or the same error
-    words = [tok[1] for tok in tokenize(formula_text(f))]
-    i, j = i % len(words), j % len(words)
+    tokens = tokenize(formula_text(f))
+    i, j = i % len(tokens), j % len(tokens)
     if op == "delete":
-        del words[i]
+        del tokens[i]
     elif op == "duplicate":
-        words.insert(i, words[i])
+        tokens.insert(i, tokens[i])
     elif op == "swap":
-        words[i], words[j] = words[j], words[i]
-    text = " ".join(words)
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    text = " ".join(tokens)
     assert _outcome(parse_formula, text) == _outcome(ref_parse_formula, text)
 
 

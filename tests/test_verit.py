@@ -86,6 +86,16 @@ def test_parse_error_location():
     assert exc.value.line == 2
 
 
+def test_comment_lines_are_skipped_and_counted():
+    # a line whose first character other than a blank is `%` is a comment;
+    # a `%` elsewhere starts an atom
+    text = "% a comment\n  %% another\n(set .c1 (input :conclusion (p)))\n%\n(set .c2 (input :conclusion (%q)))"
+    assert parse_verit(text).steps[1][3] == (Atom("%q"),)
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_verit(text + "\n% (set\n\t(boom))\n")
+    assert str(exc.value) == "expected a (set .id (...)) step at line 7, column 2"
+
+
 # --- leaf collection ---
 
 
