@@ -67,7 +67,7 @@ def unquoted(tok: str) -> str:
 
 
 def words(pattern: re.Pattern, text: str) -> list[str]:
-    """Group 1 of each match of `pattern` in `text`, but the one or two of the end of input."""
+    """Group 1 of each match of `pattern` in `text`, less the one or two empty ones at the end."""
     out = pattern.findall(text)
     while out and not out[-1]:
         out.pop()
