@@ -39,7 +39,7 @@ from .core import (
     subterms,
 )
 from .expansion import ExpansionTree, expand_formula
-from .notation import PUNCTUATION, FormulaParser, tokenize, unquoted
+from .notation import PUNCTUATION, FormulaParser, token_kind, tokenize, unquoted
 from .verit import AxiomSchema, Clause, SchemaKind, _show, axiom_instance, symmetry_trees
 
 
@@ -185,7 +185,7 @@ def parse_leancop(text: str) -> LeanCoPTrace:
                 clauses.append((number, lits, tail, origin_name))
             elif tail in ("start", "extension"):
                 parser.expect("(")
-                if not tokens[parser.pos][:1].isdigit():  # a number
+                if token_kind(tokens[parser.pos]) != "num":
                     raise parser.unexpected("'num'")
                 clause_num = parser.clause_number(parser.pos)
                 if clause_num not in clause_numbers:

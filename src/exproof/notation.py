@@ -38,10 +38,15 @@ class ParseError(ExproofError):
         self.col = col
 
 
-# A token is the string it matches.  Punctuation is its own kind; any other
-# token is a quoted name, which keeps its quotes, a number, which starts with
-# a digit, or a name.  Token lists end in "", which `PUNCTUATION` holds too.
-PUNCTUATION = frozenset(["=>", "!=", *"()[]:,.~&|!?=", ""])
+PUNCTUATION = frozenset(["=>", "!=", *"()[]:,.~&|!?=", ""])  # and "", which ends a token list
+
+
+def token_kind(tok: str) -> str:
+    """A token is the string it matches.  Punctuation is its own kind; any other
+    is "quoted" (a quoted name with its quotes), "num" (digit first) or "name"."""
+    if tok in PUNCTUATION:
+        return tok
+    return "quoted" if tok[0] == "'" else "num" if tok[0].isdigit() else "name"
 
 # Blanks and `%` comments, then a token, or the end of input so that no token
 # starts in a trailing comment.  Names and numbers start with an ASCII letter
@@ -239,7 +244,7 @@ class FormulaParser:
 
     def _var_name(self) -> str:
         tok = self.tokens[self.pos]
-        if tok in PUNCTUATION or tok[0] == "'" or tok[0].isdigit():
+        if token_kind(tok) != "name":
             raise self.unexpected("a variable name")
         self.pos += 1
         return tok

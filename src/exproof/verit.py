@@ -70,9 +70,9 @@ LEAF_RULES = {"input"} | set(AXIOM_RULES)
 # parsing (s-expression trace grammar)
 
 
-# Blanks and whole `%` comment lines, the lines format detection skips,
-# then a parenthesis, an atom, or the end of input after them.
-_SEXP = re.compile(r"(?:^[^\S\n]*%.*|\s)*([()]|[^\s()]+|\Z)", re.MULTILINE)
+# Blanks, and at the start of the text the `%` comment lines that format
+# detection skips, then a parenthesis, an atom, or the end of input.
+_SEXP = re.compile(r"(?:\A(?:\s|%.*)*)?\s*([()]|[^\s()]+|\Z)")
 
 
 def _sexps(text: str, tokens: list[str]):
@@ -175,12 +175,14 @@ def parse_verit(text: str) -> VeritTrace:
         i = 1
         while i < len(body):
             key = body[i]
+            if key != ":clauses" and key != ":conclusion":
+                raise error(f"unknown step attribute {_shown(key)}")
+            items = body[i + 1] if i + 1 < len(body) else None
+            if not isinstance(items, list):
+                raise error(f"{key} needs a parenthesised list")
             if key == ":clauses":
-                refs = body[i + 1] if i + 1 < len(body) else None
-                if not isinstance(refs, list):
-                    raise error(":clauses needs a parenthesised list")
                 ids = []
-                for r in refs:
+                for r in items:
                     if not isinstance(r, str) or not r.startswith("."):
                         raise error(f"bad premise reference {_shown(r)}")
                     rid = r[1:]
@@ -188,15 +190,9 @@ def parse_verit(text: str) -> VeritTrace:
                         raise error(f"dangling premise reference .{rid}")
                     ids.append(rid)
                 premises = tuple(ids)
-                i += 2
-            elif key == ":conclusion":
-                lits = body[i + 1] if i + 1 < len(body) else None
-                if not isinstance(lits, list):
-                    raise error(":conclusion needs a parenthesised list")
-                conclusion = tuple(_sterm_to_literal(l) for l in lits)
-                i += 2
             else:
-                raise error(f"unknown step attribute {_shown(key)}")
+                conclusion = tuple(_sterm_to_literal(l) for l in items)
+            i += 2
         if conclusion is None:
             raise error(f"step {step_id!r} has no :conclusion")
         seen.add(step_id)

@@ -721,26 +721,24 @@ def ref_tokenize(text):
 
 
 def ref_sexp_tokenize(text):
-    """Parentheses and atoms; a line whose first character other than a
-    blank is `%` is a comment."""
+    """Parentheses and atoms; before the first of them, a line whose first
+    character other than a blank is `%` is a comment."""
     tokens = []
     i, line, col = 0, 1, 1
     end = (1, 1)
-    fresh = True  # only blanks so far on this line
     n = len(text)
     while i < n:
         c = text[i]
         if c == "\n":
-            i, line, col, fresh = i + 1, line + 1, 1, True
+            i, line, col = i + 1, line + 1, 1
             continue
         if c.isspace():
             i, col = i + 1, col + 1
             continue
-        if c == "%" and fresh:
+        if c == "%" and not tokens:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        fresh = False
         if c in "()":
             tokens.append((c, line, col))
             i, col = i + 1, col + 1

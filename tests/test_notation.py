@@ -20,13 +20,13 @@ from exproof.core import (
 )
 from exproof.notation import (
     _TPTP,
-    PUNCTUATION,
     ParseError,
     formula_text,
     locate,
     parse_formula,
     parse_term,
     sequent_text,
+    token_kind,
     tokenize,
     words,
 )
@@ -127,19 +127,11 @@ def test_end_of_input_is_after_the_last_quoted_name():
     assert str(exc.value) == "expected a formula at line 1, column 1"
 
 
-def _kind(tok):
-    """The kind the parsers read off a token: punctuation and the end of
-    input are their own, any other token's first character tells it."""
-    if tok in PUNCTUATION:
-        return tok
-    return "quoted" if tok[0] == "'" else "num" if tok[0].isdigit() else "name"
-
-
 def _read(text):
     """Each token of `text` and the end of input, with its kind and the line
     and column `locate` gives it."""
     tokens = [*tokenize(text), ""]
-    return [(tok, _kind(tok), *locate(_TPTP, text, tokens, i)) for i, tok in enumerate(tokens)]
+    return [(tok, token_kind(tok), *locate(_TPTP, text, tokens, i)) for i, tok in enumerate(tokens)]
 
 
 def test_newline_in_quoted_name_counts_as_a_line():
