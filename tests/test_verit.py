@@ -88,22 +88,16 @@ def test_parse_error_location():
 
 def test_comment_lines_are_skipped_and_counted():
     # the `%` comment lines that format detection skips, before the first
-    # step, are skipped; a `%` anywhere else starts an atom
-    text = "% a comment\n  %% another\n(set .c1 (input :conclusion (p)))\n(set .c2 (input :conclusion (%q)))"
-    assert parse_verit(text).steps[1][3] == (Atom("%q"),)
+    # step, are skipped; a `%` anywhere else starts an atom, so a literal
+    # on a line of its own that starts with `%` is not dropped
+    text = "% a comment\n  %% another\n(set .c1 (input :conclusion (p)))\n(set .c2 (input :conclusion (p\n  %q\n)))"
+    assert parse_verit(text).steps[1][3] == (Atom("p"), Atom("%q"))
     with pytest.raises(TraceSyntaxError) as exc:
         parse_verit(text + "\n\n\t(boom)\n")
-    assert str(exc.value) == "expected a (set .id (...)) step at line 6, column 2"
+    assert str(exc.value) == "expected a (set .id (...)) step at line 8, column 2"
     with pytest.raises(TraceSyntaxError) as exc:
         parse_verit(text + "\n% (set\n")
-    assert str(exc.value) == "expected a (set .id (...)) step at line 5, column 1"
-
-
-def test_percent_symbol_on_its_own_line_is_a_literal():
-    # one literal per line: a line that starts with a `%` symbol inside a
-    # conclusion is a literal, not a comment that drops it
-    text = "(set .c1 (input :conclusion (p\n  %q\n)))"
-    assert parse_verit(text).steps[0][3] == (Atom("p"), Atom("%q"))
+    assert str(exc.value) == "expected a (set .id (...)) step at line 7, column 1"
 
 
 # --- leaf collection ---
