@@ -3,9 +3,9 @@
 A trace has three parts: named input formulas, the clauses produced by the
 prover's disjunctive normal form transformation, and the proof steps with
 their bindings.  We regenerate the DNF ourselves without renaming variables,
-match our clauses against the trace clauses, translate Skolem terms to
-eigenvariables, and compose each step binding with its clause matcher to
-recover the instance terms of the original problem.
+match our clauses against the trace clauses as written, and compose each
+step binding with its clause matcher to recover the instance terms of the
+original problem, in which Skolem terms are translated to eigenvariables.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     BINARY,
+    EQ,
     And,
     App,
     Atom,
@@ -36,7 +37,6 @@ from .core import (
     rebuilt,
     rectify,
     subformulas,
-    subterms,
 )
 from .expansion import ExpansionTree, expand_formula
 from .notation import PUNCTUATION, FormulaParser, token_kind, tokenize, unquoted
@@ -72,8 +72,14 @@ class _TraceParser(FormulaParser):
         return unquoted(tok)
 
     def parse_literal(self) -> Formula:
-        start = self.pos
-        f = self.parse_formula(unary=True)  # covers ~, parentheses and disequations
+        start = end = self.pos
+        while self.tokens[end] == "~":
+            end += 1
+        if self.tokens[end] not in ("(", "!", "?", ""):  # an atom or a disequation, read directly
+            self.pos = end
+            f = self._parse_atom()
+            return (f.sub if type(f) is Neg else Neg(f)) if (end - start) % 2 else f
+        f = self.parse_formula(unary=True)  # a parenthesised or quantified literal
         while type(f) is Neg and type(f.sub) is Neg:
             f = f.sub.sub
         if type(f.sub if type(f) is Neg else f) is not Atom:
@@ -84,12 +90,14 @@ class _TraceParser(FormulaParser):
         """`[item, ...]`, possibly empty."""
         self.expect("[")
         items = []
-        if self.tokens[self.pos] not in ("]", ""):  # at the end, expect("]") fails
+        if self.tokens[self.pos] not in ("]", ""):  # at the end, the check for "]" fails
             items.append(item())
             while self.tokens[self.pos] == ",":
                 self.pos += 1
                 items.append(item())
-        self.expect("]")
+        if self.tokens[self.pos] != "]":
+            raise self.unexpected("']'")
+        self.pos += 1
         return items
 
     def parse_bind(self) -> Subst:
@@ -181,6 +189,8 @@ def parse_leancop(text: str) -> LeanCoPTrace:
                 clause_numbers.add(number)
                 parser.expect("(")
                 origin_name = parser.parse_name()
+                if tail == "theory" and origin_name != "equality":
+                    raise parser.error(f"unknown theory {origin_name!r}", parser.pos - 1)
                 parser.expect(")")
                 clauses.append((number, lits, tail, origin_name))
             elif tail in ("start", "extension"):
@@ -232,10 +242,12 @@ class SkolemRegistry:
     def eigens(self) -> dict[str, str]:
         return {head: self.eigen_name(head) for head in sorted(self.args_seen)}
 
-    def scan_term(self, term: Term) -> None:
-        for t in subterms((term,)):
-            if type(t) is App and t.head in self.heads:
-                seen = self.args_seen.setdefault(t.head, t.args)
+    def scan(self, terms: Iterable[Term]) -> None:
+        """Check the argument list of each Skolem term among `terms`; their subterms are not walked."""
+        heads, args_seen = self.heads, self.args_seen
+        for t in terms:
+            if type(t) is App and t.head in heads:
+                seen = args_seen.setdefault(t.head, t.args)
                 if seen != t.args:
                     raise LeanCoPImportError(
                         f"skolem head {t.head!r} used with two different argument lists "
@@ -251,21 +263,25 @@ class SkolemRegistry:
 
     def collapse_term(self, term: Term) -> Term:
         """`term` with each outermost Skolem term replaced by its head's
-        eigenvariable.  The Skolem terms met here are subterms of the clause
-        and binding terms `import_leancop` scans first, so they are not
-        scanned again."""
+        eigenvariable.  `import_leancop` collapses only the instance terms
+        it composes; their Skolem terms come from the clause and binding
+        terms it scans first, so they are not scanned again."""
         return fold(term, self._collapse_step)
 
-    def collapse_literal(self, lit: Formula) -> Formula:
-        atom = lit.sub if type(lit) is Neg else lit
-        args = tuple(self.collapse_term(a) for a in atom.args)
-        if args == atom.args:
-            return lit
-        return Atom(atom.pred, args) if atom is lit else Neg(Atom(atom.pred, args))
 
-
-def _function_symbols(atoms: Iterable[Atom]) -> set[str]:
-    return {t.head for t in subterms(t for a in atoms for t in a.args) if type(t) is App}
+def _new_subterms(terms: Iterable[Term], seen: set) -> list[Term]:
+    """The subterms of `terms` not in `seen`, once each in preorder of first use,
+    added to `seen`; the walk does not go below a term already there."""
+    out = []
+    stack = list(dict.fromkeys(terms))[::-1]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            out.append(t)
+            if type(t) is App:
+                stack += reversed(t.args)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +346,17 @@ def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int 
 # clause matching
 
 
-def _signature(clause: Clause) -> Counter:
-    """How many literals of each sign, predicate and arity `clause` has."""
-    out: Counter = Counter()
+def _signature(clause: Clause) -> tuple:
+    """The sign, predicate and arity of each literal of `clause`, sorted."""
+    out = []
     for lit in clause:
         atom = lit.sub if type(lit) is Neg else lit
-        out[atom is lit, atom.pred, len(atom.args)] += 1
-    return out
+        out.append((atom is lit, atom.pred, len(atom.args)))
+    return tuple(sorted(out))
 
 
 def _signature_distance(a: Clause, b: Clause) -> int:
-    ca, cb = _signature(a), _signature(b)
+    ca, cb = Counter(_signature(a)), Counter(_signature(b))
     return sum(((ca - cb) + (cb - ca)).values())
 
 
@@ -376,16 +392,20 @@ def match_literals(pattern: Clause, clause: Clause) -> Optional[Subst]:
 
 
 def match_clauses(
-    generated: Sequence[tuple[Clause, str]], trace_clauses: Sequence[tuple[int, Clause, str, str]]
+    generated: Sequence[tuple[Clause, str]],
+    trace_clauses: Sequence[tuple[int, Clause, str, str]],
+    skolem_heads: frozenset[str] = frozenset(),
 ) -> dict[int, tuple]:
     """Find, for every trace clause, a generated clause from the same input
     formula equal to it up to literal reordering, or an equality axiom schema
     for theory clauses, as (that clause or schema, matcher) by clause
-    number.  Unmatched clauses raise with nearest-miss hints."""
-    # each generated clause with its signature, by input formula
-    by_source: dict[str, list[tuple[Counter, tuple[Clause, str]]]] = defaultdict(list)
+    number; a congruence of one of `skolem_heads` is no axiom of the problem.
+    Unmatched clauses raise with nearest-miss hints."""
+    by_source: dict[str, list[tuple[Clause, str]]] = defaultdict(list)
+    by_signature: dict[tuple[str, tuple], list[tuple[Clause, str]]] = defaultdict(list)
     for g in generated:
-        by_source[g[1]].append((_signature(g[0]), g))
+        by_source[g[1]].append(g)
+        by_signature[g[1], _signature(g[0])].append(g)
     matches: dict[int, tuple] = {}
     for number, literals, origin_kind, origin_name in trace_clauses:
         if origin_kind == "clausify":
@@ -394,13 +414,12 @@ def match_clauses(
                 raise LeanCoPImportError(
                     f"clause {number} refers to unknown input formula {origin_name!r}"
                 )
-            sig = _signature(literals)
-            for g_sig, g in pool:
-                if g_sig == sig and (matcher := match_literals(g[0], literals)) is not None:
+            for g in by_signature.get((origin_name, _signature(literals)), ()):
+                if (matcher := match_literals(g[0], literals)) is not None:
                     matches[number] = (g, matcher)
                     break
             else:
-                ranked = sorted((g for _, g in pool), key=lambda g: _signature_distance(g[0], literals))
+                ranked = sorted(pool, key=lambda g: _signature_distance(g[0], literals))
                 hints = "; ".join(_show(g[0]) for g in ranked[:3])
                 raise LeanCoPImportError(
                     f"trace clause {number} {_show(literals)} does not match any "
@@ -409,7 +428,7 @@ def match_clauses(
         else:  # theory(equality): the negation of an equality axiom instance
             leaf = tuple(l.sub if type(l) is Neg else Neg(l) for l in literals)
             inst = next(filter(None, (axiom_instance(kind, leaf) for kind in SchemaKind)), None)
-            if inst is None:
+            if inst is None or inst[0].kind is SchemaKind.FN_CONGRUENCE and inst[0].param[0] in skolem_heads:
                 raise LeanCoPImportError(
                     f"equality-theory clause {number} {_show(literals)} matches no "
                     f"known axiom schema"
@@ -432,7 +451,7 @@ def _compose_instance(
     in `matcher` (Subst drops identities) and is composed all the same."""
     out = {}
     for v in variables:
-        out[v] = registry.collapse_term(apply_subst(matcher.get(v, Var(v)), binding))
+        out[v] = registry.collapse_term(apply_subst(matcher.get(v) or Var(v), binding))
     return Subst(out)
 
 
@@ -459,25 +478,20 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     names = [name for name, _, _ in trace.inputs]
 
     # the Skolem heads are the function symbols the prover's clauses add to
-    # the input; a constant that only bindings carry stays a constant
-    input_atoms = (g for _, _, f in trace.inputs for g, _ in subformulas(f, Polarity.POS) if type(g) is Atom)
-    clause_atoms = [l.sub if type(l) is Neg else l for _, lits, _, _ in trace.clauses for l in lits]
-    registry = SkolemRegistry(_function_symbols(clause_atoms) - _function_symbols(input_atoms))
-    for atom in clause_atoms:
-        for a in atom.args:
-            registry.scan_term(a)
-    for _id, _clause, binding in trace.steps:
-        for _v, t in binding.items():
-            registry.scan_term(t)
-
-    collapsed = [
-        (number, tuple(registry.collapse_literal(l) for l in lits), kind, origin)
-        for number, lits, kind, origin in trace.clauses
-    ]
-    raw_by_number = {number: lits for number, lits, _, _ in trace.clauses}
+    # the input; a constant that only bindings carry stays a constant.  Each
+    # distinct subterm is walked once: an input's holds no Skolem term.
+    input_atoms = [g for _, _, f in trace.inputs for g, _ in subformulas(f, Polarity.POS) if type(g) is Atom]
+    walked: set[Term] = set()
+    symbols = {t.head for t in _new_subterms((t for a in input_atoms for t in a.args), walked) if type(t) is App}
+    atoms = (l.sub if type(l) is Neg else l for _, lits, _, _ in trace.clauses for l in lits)
+    clause_terms = _new_subterms((t for a in atoms for t in a.args), walked)
+    registry = SkolemRegistry({t.head for t in clause_terms if type(t) is App} - symbols)
+    registry.scan(clause_terms)
+    registry.scan(_new_subterms((t for _, _, binding in trace.steps for _, t in binding.items()), walked))
+    lits_by_number = {number: lits for number, lits, _, _ in trace.clauses}
 
     generated = definitional_dnf([(name, role, positions[name][2]) for name, role, _ in trace.inputs])
-    matches = match_clauses(generated, collapsed)
+    matches = match_clauses(generated, trace.clauses, registry.heads)
 
     # dicts as insertion-ordered sets of instances, in first-use order
     per_formula: dict[str, dict[Subst, None]] = {name: {} for name in names}
@@ -495,7 +509,7 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
             else:
                 variables = _clause_vars(pattern[0])
                 subs = per_formula[pattern[1]]
-            used[number] = (_clause_vars(raw_by_number[number]), variables, matcher, subs)
+            used[number] = (_clause_vars(lits_by_number[number]), variables, matcher, subs)
         clause_vars, variables, matcher, subs = used[number]
         extra = binding.domain - clause_vars
         if extra:
@@ -515,7 +529,9 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
         (ant_trees if side == "ant" else suc_trees).append(tree)
     for schema, subs in eq_groups.values():
         ant_trees.append(expand_formula(schema.formula, subs, Polarity.NEG))
-    ant_trees += symmetry_trees(ant_trees + suc_trees)
+    # an equality reaches the trees only from an input atom or a used schema
+    if eq_groups or any(a.pred == EQ for a in input_atoms):
+        ant_trees += symmetry_trees(ant_trees + suc_trees)
 
     report = {
         "matched_clauses": len(matches),

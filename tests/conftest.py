@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -16,6 +17,15 @@ settings.register_profile(
 settings.load_profile("default")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def load_bench_gen():
+    """The benchmark's trace generators, `bench/gen.py`."""
+    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parent.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def nested_term_trace(fmt: str, depth: int) -> str:

@@ -150,23 +150,9 @@ def test_criterion_5_leancop_pipeline():
         es, report = import_leancop(trace)
         proofs[name] = verdict(es).is_proof
 
-        # every clause match verifies by reapplication
-        from exproof.core import Neg
-        from exproof.leancop import SkolemRegistry
+        # every clause match, on the clauses as written, verifies by reapplication
         from exproof.verit import AxiomSchema
 
-        registry = SkolemRegistry(report["skolem_map"])
-        for _number, literals, _kind, _origin in trace.clauses:
-            for lit in literals:
-                for arg in (lit.sub if isinstance(lit, Neg) else lit).args:
-                    registry.scan_term(arg)
-        for _id, _clause, binding in trace.steps:
-            for _v, t in binding.items():
-                registry.scan_term(t)
-        collapsed = [
-            (number, tuple(registry.collapse_literal(l) for l in literals), kind, origin)
-            for number, literals, kind, origin in trace.clauses
-        ]
         axioms = [(name, f) for name, role, f in trace.inputs if role == "axiom"]
         conjectures = [(name, f) for name, role, f in trace.inputs if role == "conjecture"]
         rect, _ = rectify(Sequent(tuple(f for _, f in axioms), tuple(f for _, f in conjectures)))
@@ -174,8 +160,8 @@ def test_criterion_5_leancop_pipeline():
         rect_formulas = list(rect.antecedent) + list(rect.succedent)
         roles = ["axiom"] * len(rect.antecedent) + ["conjecture"] * len(rect.succedent)
         generated = definitional_dnf(list(zip(names, roles, rect_formulas)))
-        matches = match_clauses(generated, collapsed)
-        by_number = {number: literals for number, literals, _, _ in collapsed}
+        matches = match_clauses(generated, trace.clauses)
+        by_number = {number: literals for number, literals, _, _ in trace.clauses}
         for number, (pattern, matcher) in matches.items():
             if isinstance(pattern, AxiomSchema):
                 continue

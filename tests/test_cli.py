@@ -24,7 +24,12 @@ from exproof.cli import (
 )
 from exproof.core import Atom, ExproofError, InvariantError
 from exproof.expansion import sequent_from_json, sequent_to_json
-from test_leancop import BRANCH_WITHOUT_STRONG_INSTANCE, BRANCH_WITHOUT_WEAK_INSTANCE, DUPLICATE_BIND_TRACES
+from test_leancop import (
+    BRANCH_WITHOUT_STRONG_INSTANCE,
+    BRANCH_WITHOUT_WEAK_INSTANCE,
+    DUPLICATE_BIND_TRACES,
+    EQUALITY_THEORY_TRACE,
+)
 
 
 def fixture(name: str) -> str:
@@ -117,6 +122,18 @@ def test_variable_bound_twice_exits_two(tmp_path, capsys, text):
     assert captured.err == f"{path}: variable 'X' bound twice at line 6, column 49\n"
     main(["batch", str(tmp_path)])
     assert json.loads(capsys.readouterr().out)["files"]["bind.proof"]["status"] == "error:parse"
+
+
+def test_theory_other_than_equality_exits_two(tmp_path, capsys):
+    # the transitivity clause would read as an equality axiom whatever its theory
+    path = tmp_path / "theory.proof"
+    path.write_text(EQUALITY_THEORY_TRACE.replace("theory(equality)", "theory(arithmetic)"), encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: unknown theory 'arithmetic' at line 8, column 54\n"
+    main(["batch", str(tmp_path)])
+    assert json.loads(capsys.readouterr().out)["files"]["theory.proof"]["status"] == "error:parse"
 
 
 COMMANDS = [["check"], ["show"], ["show", "--deep"], ["export"], ["export", "--dot"]]

@@ -1,17 +1,14 @@
 """Fuzzing of the trace parsers and of the whole check: on any text, parsing,
 import and the verdict return or raise `ExproofError`, and nothing else."""
-import importlib.util
 import random
 import re
 import string
-import sys
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIXTURES, nested_term_trace
+from conftest import FIXTURES, load_bench_gen, nested_term_trace
 from exproof.check import verdict
 from exproof.cli import RunConfig, load_sequent
 from exproof.core import ExproofError
@@ -20,22 +17,15 @@ from exproof.verit import parse_verit
 
 FIXTURE_TEXTS = {p.name: p.read_text(encoding="utf-8") for p in sorted(FIXTURES.iterdir())}
 
-
-def _load_gen():
-    """The benchmark's trace generators, `bench/gen.py`."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    )
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # its dataclasses look their module up
-    spec.loader.exec_module(gen)
-    return gen
+# the example count of the Hypothesis profile (`--hypothesis-profile=ci`
+# gives 5000), and at least 150 under the default profile's 100
+FUZZ = settings(max_examples=max(150, settings.default.max_examples))
 
 
 # small generated traces: transitivity leaves with reordered and flipped
 # literals, and connection proofs with Skolem terms and bindings; and proofs
 # over a term nested past the depth of the interpreter's recursion limit
-_gen = _load_gen()
+_gen = load_bench_gen()
 GENERATED_TEXTS = [
     trace.text
     for seed in range(3)
@@ -92,7 +82,7 @@ def _returns_or_rejects(fn, *args) -> None:
         pass
 
 
-@settings(max_examples=150)
+@FUZZ
 @given(texts)
 def test_parsers_return_or_reject(text):
     _returns_or_rejects(parse_leancop, text)
@@ -104,7 +94,7 @@ def trace_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "trace.proof"
 
 
-@settings(max_examples=150)
+@FUZZ
 @given(text=texts)
 def test_check_returns_or_rejects(trace_path, text):
     trace_path.write_text(text, encoding="utf-8")
@@ -112,7 +102,7 @@ def test_check_returns_or_rejects(trace_path, text):
     _returns_or_rejects(lambda: verdict(load_sequent(str(trace_path), config)[0]))
 
 
-@settings(max_examples=150)
+@FUZZ
 @given(text=mutants_of(GENERATED_TEXTS))
 def test_mutated_generated_traces_return_or_reject(trace_path, text):
     trace_path.write_text(text, encoding="utf-8")

@@ -1,25 +1,42 @@
 import random
+import sys
 from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_bench_gen, nested_term_trace
 from exproof.check import dependency_relation, verdict
-from exproof.core import App, Atom, Neg, Subst, Var, apply_subst, const, eq
-from exproof.expansion import ETStrong, ETWeak, shallow_sequent
+from exproof.core import (
+    EQ,
+    App,
+    Atom,
+    Neg,
+    Polarity,
+    Sequent,
+    Subst,
+    Var,
+    apply_subst,
+    const,
+    eq,
+    free_vars,
+    subformulas,
+)
+from exproof.expansion import ETStrong, ETWeak, expand_formula, shallow_sequent
 from exproof.leancop import (
     LeanCoPImportError,
     SkolemRegistry,
+    _new_subterms,
+    _TraceParser,
     definitional_dnf,
     import_leancop,
     match_clauses,
     parse_leancop,
 )
-from exproof.notation import ParseError, parse_formula, sequent_text
-from exproof.verit import SchemaKind, make_schema
-from oracles import ref_match_literals
+from exproof.notation import ParseError, parse_formula, sequent_text, tokenize
+from exproof.verit import AxiomSchema, SchemaKind, make_schema, symmetry_trees
+from oracles import ref_collapse_term, ref_match_literals
 
 a, b, c = const("a"), const("b"), const("c")
 
@@ -117,9 +134,9 @@ def test_skolem_collapse():
 
 def test_skolem_single_binding_violation():
     reg = SkolemRegistry({"sk1"})
-    reg.scan_term(App("sk1", (Var("X1"),)))
+    reg.scan([App("sk1", (Var("X1"),))])
     with pytest.raises(LeanCoPImportError, match="different argument lists"):
-        reg.scan_term(App("sk1", (a,)))
+        reg.scan([App("sk1", (a,))])
 
 
 def test_skolem_scan_does_not_recurse_on_term_depth():
@@ -127,8 +144,17 @@ def test_skolem_scan_does_not_recurse_on_term_depth():
     t = App("sk1", (a,))
     for _ in range(5000):
         t = App("f", (t,))
-    reg.scan_term(t)
+    reg.scan(_new_subterms([t], set()))
     assert reg.args_seen == {"sk1": (a,)}
+
+
+def test_new_subterms_walks_each_distinct_subterm_once():
+    fa = App("f", (a,))
+    g = App("g", (fa, fa, b))
+    seen = set()
+    assert _new_subterms([g, fa, g], seen) == [g, fa, a, b]
+    # a term seen before is not walked again, nor are its subterms
+    assert _new_subterms([App("h", (g, c))], seen) == [App("h", (g, c)), c]
 
 
 def test_skolem_heads_are_the_symbols_only_clauses_have():
@@ -369,8 +395,7 @@ def test_import_skolem_fixture():
     assert g.edges == frozenset({(0, 1)})  # a -> v_sk1, acyclic
 
 
-def test_import_equality_theory_contributes_axiom_tree():
-    text = """
+EQUALITY_THEORY_TRACE = """
 fof(ax1, axiom, a = b).
 fof(ax2, axiom, b = c).
 fof(conj, conjecture, a = c).
@@ -383,15 +408,17 @@ cnf('e1', plain, [a = b, b = c], extension(4, bind([X1, X2, X3], [a, b, c]))).
 cnf('e2', plain, [~(a = b)], extension(1)).
 cnf('e3', plain, [~(b = c)], extension(2)).
 """
-    es, _report = import_leancop(parse_leancop(text))
+
+
+def test_import_equality_theory_contributes_axiom_tree():
+    es, _report = import_leancop(parse_leancop(EQUALITY_THEORY_TRACE))
     assert len(es.antecedent) == 3  # ax1, ax2, transitivity tree
     assert verdict(es).is_proof
 
 
-def test_theory_clause_in_another_orientation_is_a_proof():
-    # the clause reads as the instance a = b, b = c => a = c, while ax1 says
-    # b = a: a symmetry tree ties the two orientations
-    text = """
+# the clause reads as the instance a = b, b = c => a = c, while ax1 says
+# b = a: a symmetry tree ties the two orientations
+FLIPPED_THEORY_TRACE = """
 fof(ax1, axiom, b = a).
 fof(ax2, axiom, b = c).
 fof(goal, conjecture, a = c).
@@ -404,7 +431,10 @@ cnf('e1', plain, [b = a, b = c, ~(a = c)], extension(4, bind([X1, X2, X3], [a, b
 cnf('e2', plain, [~(b = a)], extension(1)).
 cnf('e3', plain, [~(b = c)], extension(2)).
 """
-    es, _report = import_leancop(parse_leancop(text))
+
+
+def test_theory_clause_in_another_orientation_is_a_proof():
+    es, _report = import_leancop(parse_leancop(FLIPPED_THEORY_TRACE))
     assert verdict(es).is_proof
     assert len(es.antecedent) == 4  # ax1, ax2, transitivity and symmetry trees
     assert shallow_sequent(es).antecedent[-1] == make_schema(SchemaKind.SYMMETRY).formula
@@ -517,3 +547,177 @@ cnf('e1', plain, [~r(a, esk1(a))], extension(1, bind([X1], [a]))).
     es, report = import_leancop(parse_leancop(text))
     assert verdict(es).is_proof
     assert report["skolem_map"] == {"esk1": "v_esk1"}
+
+
+# --- clauses matched as written, Skolem terms collapsed in the instances ---
+
+
+def test_theory_other_than_equality_is_a_parse_error_at_its_name():
+    text = "fof(ax, axiom, p).\ncnf(1, plain, [X1 = X2, ~(X2 = X1)], theory(arithmetic))."
+    with pytest.raises(ParseError, match="unknown theory 'arithmetic'") as excinfo:
+        parse_leancop(text)
+    assert (excinfo.value.line, excinfo.value.col) == (2, 45)  # at `arithmetic`
+
+
+def test_unmatched_clause_is_shown_as_the_trace_writes_it():
+    text = """
+fof(ax, axiom, ![X]: ?[Y]: r(X, Y)).
+cnf(1, plain, [r(X1, sk1(X1))], clausify(ax)).
+"""
+    with pytest.raises(LeanCoPImportError) as error:
+        import_leancop(parse_leancop(text))
+    assert str(error.value) == (
+        "trace clause 1 [r(X1, sk1(X1))] does not match any generated clause of 'ax'; "
+        "nearest candidates: [~r(X, Y)]"
+    )
+
+
+def test_skolem_conflict_is_reported_at_its_first_term_among_repeats():
+    text = """
+fof(ax, axiom, ![X]: ?[Y]: (p(g(Y)) & q(g(Y), X))).
+cnf(1, plain, [~p(g(sk1(X1))), ~p(g(sk1(X1)))], clausify(ax)).
+cnf(2, plain, [~q(g(sk1(X1)), sk1(c)), ~q(g(sk1(X1)), sk1(a))], clausify(ax)).
+cnf(3, plain, [~p(g(sk1(b)))], clausify(ax)).
+"""
+    with pytest.raises(LeanCoPImportError) as error:
+        import_leancop(parse_leancop(text))
+    assert str(error.value).startswith(
+        "skolem head 'sk1' used with two different argument lists (sk1(X1) vs sk1(c))"
+    )
+
+
+def test_congruence_of_a_skolem_function_is_no_equality_axiom():
+    # read as written, the clause states congruence of `sk1`, a function the
+    # problem does not have; collapsed, it states no axiom at all
+    text = """
+fof(ax, axiom, ![X]: ?[Y]: r(X, Y)).
+fof(goal, conjecture, ?[Z]: r(a, Z)).
+cnf(1, plain, [~r(a, sk1(a))], clausify(ax)).
+cnf(2, plain, [r(a, Z1)], clausify(goal)).
+cnf(3, plain, [a = a, ~(sk1(a) = sk1(a))], theory(equality)).
+"""
+    with pytest.raises(LeanCoPImportError) as error:
+        import_leancop(parse_leancop(text))
+    assert str(error.value) == (
+        "equality-theory clause 3 [a = a, ~sk1(a) = sk1(a)] matches no known axiom schema"
+    )
+
+
+LITERALS = [
+    "p", "p(X, f(a))", "~p(X)", "~~p", "~ ~ ~p(a)", "a = b", "a != b", "~a != b", "~~a != f(X)",
+    "(p)", "~(p(X))", "~(a = b)", "~~(a != b)", "'='(a, b)", "~'='(a, b)",
+    "![X]: p(X)", "(p & q)", "~X", "X = Y", "p(", "p(a b)", "~", "~)", "a =", "'='(a)", "X(a)", "",
+]
+
+
+def _outcome(read, text):
+    parser = _TraceParser(text, tokenize(text))
+    try:
+        return read(parser), parser.pos
+    except ParseError as e:
+        return str(e)
+
+
+def _read_via_the_formula_parser(parser):
+    f = parser.parse_formula(unary=True)
+    while type(f) is Neg and type(f.sub) is Neg:
+        f = f.sub.sub
+    if type(f.sub if type(f) is Neg else f) is not Atom:
+        raise parser.error("expected a literal", 0)
+    return f
+
+
+@pytest.mark.parametrize("text", LITERALS)
+def test_a_literal_reads_as_the_formula_parser_reads_it(text):
+    assert _outcome(_TraceParser.parse_literal, text) == _outcome(_read_via_the_formula_parser, text)
+
+
+SYMMETRIC_INPUTS_TRACE = """
+fof(ax, axiom, a = b).
+fof(goal, conjecture, b = a).
+cnf(1, plain, [~(a = b)], clausify(ax)).
+cnf(2, plain, [b = a], clausify(goal)).
+cnf('s1', plain, [b = a], start(2)).
+cnf('e1', plain, [~(a = b)], extension(1)).
+"""
+
+_gen = load_bench_gen()
+# the connection-trace fixtures, generated chains of every variant at sizes
+# 2 to 50, quantifier shifts, a term nested past the recursion limit, and
+# traces with equalities
+DIFFERENTIAL_TRACES = {
+    **{path.name: path.read_text() for path in sorted(FIXTURES.glob("leancop_*.proof"))},
+    **{
+        f"chain-{variant}-{seed}": _gen.leancop_chain(
+            random.Random(seed), 2 + 48 * seed // 9, "chain.proof", variant
+        ).text
+        for variant in ("proof", "broken", "loop")
+        for seed in range(10)
+    },
+    **{f"shift-{seed}": _gen.quantifier_shift(random.Random(seed), "shift.proof").text for seed in range(3)},
+    "nested-1500": nested_term_trace("leancop", 1500),
+    "equality-theory": EQUALITY_THEORY_TRACE,
+    "flipped-theory": FLIPPED_THEORY_TRACE,
+    "symmetric-inputs": SYMMETRIC_INPUTS_TRACE,
+}
+
+
+def _collapse_literal(lit, heads):
+    atom = lit.sub if type(lit) is Neg else lit
+    collapsed = Atom(atom.pred, tuple(ref_collapse_term(t, heads) for t in atom.args))
+    return collapsed if atom is lit else Neg(collapsed)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TRACES))
+def test_import_agrees_with_matching_collapsed_clauses(name):
+    """Each trace clause matches the same generated clause or schema as
+    written as after collapsing its Skolem terms, with the same matcher
+    after collapsing; and the import's sequent is the one built from the
+    collapsed matches, with a symmetry tree only where an equality occurs."""
+    trace = parse_leancop(DIFFERENTIAL_TRACES[name])
+    es, report = import_leancop(trace)
+    heads = frozenset(report["skolem_map"])
+    axioms = [n for n, role, _ in trace.inputs if role == "axiom"]
+    conjectures = [n for n, role, _ in trace.inputs if role == "conjecture"]
+    shallow = shallow_sequent(es)
+    formulas = dict(zip(axioms + conjectures, shallow.antecedent[: len(axioms)] + shallow.succedent))
+    generated = definitional_dnf([(n, role, formulas[n]) for n, role, _ in trace.inputs])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4000))  # the reference collapse recurses on term depth
+    try:
+        collapsed = [
+            (number, tuple(_collapse_literal(l, heads) for l in lits), kind, origin)
+            for number, lits, kind, origin in trace.clauses
+        ]
+        as_written = match_clauses(generated, trace.clauses)
+        after = match_clauses(generated, collapsed)
+        assert as_written.keys() == after.keys()
+        for number, (pattern, matcher) in as_written.items():
+            assert after[number][0] is pattern
+            assert Subst({v: ref_collapse_term(t, heads) for v, t in matcher.items()}) == after[number][1]
+        # compose each step's instance from the collapsed matcher
+        instances = {n: {} for n in formulas}
+        schemas = {}
+        for _id, number, binding in trace.steps:
+            pattern, matcher = after[number]
+            if type(pattern) is AxiomSchema:
+                variables = pattern.variables
+                subs = schemas.setdefault((pattern.kind, pattern.param), (pattern, {}))[1]
+            else:
+                variables = frozenset().union(*map(free_vars, pattern[0]))
+                subs = instances[pattern[1]]
+            sigma = Subst(
+                {v: ref_collapse_term(apply_subst(matcher.get(v, Var(v)), binding), heads) for v in variables}
+            )
+            if sigma:
+                subs[sigma] = None
+    finally:
+        sys.setrecursionlimit(limit)
+    ant = [expand_formula(formulas[n], instances[n], Polarity.NEG) for n in axioms]
+    ant += [expand_formula(schema.formula, subs, Polarity.NEG) for schema, subs in schemas.values()]
+    suc = [expand_formula(formulas[n], instances[n], Polarity.POS) for n in conjectures]
+    symmetry = symmetry_trees(ant + suc)
+    input_atoms = [g for f in formulas.values() for g, _ in subformulas(f, Polarity.POS) if type(g) is Atom]
+    if not schemas and all(g.pred != EQ for g in input_atoms):  # where the import skips the search
+        assert symmetry == []
+    assert es == Sequent(tuple(ant + symmetry), tuple(suc))
