@@ -23,12 +23,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-import gen  # noqa: E402  (the benchmark's trace generators)
+from conftest import COMMANDS, FIXTURES, load_bench_gen  # noqa: E402  (shared with the tests)
 from exproof import cli  # noqa: E402
 
-COMMANDS = [["check"], ["show"], ["show", "--deep"], ["export"], ["export", "--dot"]]
+gen = load_bench_gen()
 
 
 def write_files(work: Path) -> list[str]:
@@ -36,7 +36,7 @@ def write_files(work: Path) -> list[str]:
     as paths relative to it."""
     names = []
     (work / "fixtures").mkdir()
-    for source in sorted((ROOT / "tests" / "fixtures").iterdir()):
+    for source in sorted(FIXTURES.iterdir()):
         shutil.copyfile(source, work / "fixtures" / source.name)
         names.append(f"fixtures/{source.name}")
     for workload in gen.WORKLOADS:

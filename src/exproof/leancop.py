@@ -72,14 +72,8 @@ class _TraceParser(FormulaParser):
         return unquoted(tok)
 
     def parse_literal(self) -> Formula:
-        start = end = self.pos
-        while self.tokens[end] == "~":
-            end += 1
-        if self.tokens[end] not in ("(", "!", "?", ""):  # an atom or a disequation, read directly
-            self.pos = end
-            f = self._parse_atom()
-            return (f.sub if type(f) is Neg else Neg(f)) if (end - start) % 2 else f
-        f = self.parse_formula(unary=True)  # a parenthesised or quantified literal
+        start = self.pos
+        f = self.parse_formula(unary=True)  # covers ~, parentheses and disequations
         while type(f) is Neg and type(f.sub) is Neg:
             f = f.sub.sub
         if type(f.sub if type(f) is Neg else f) is not Atom:
@@ -90,14 +84,12 @@ class _TraceParser(FormulaParser):
         """`[item, ...]`, possibly empty."""
         self.expect("[")
         items = []
-        if self.tokens[self.pos] not in ("]", ""):  # at the end, the check for "]" fails
+        if self.tokens[self.pos] not in ("]", ""):  # at the end, expect("]") fails
             items.append(item())
             while self.tokens[self.pos] == ",":
                 self.pos += 1
                 items.append(item())
-        if self.tokens[self.pos] != "]":
-            raise self.unexpected("']'")
-        self.pos += 1
+        self.expect("]")
         return items
 
     def parse_bind(self) -> Subst:
@@ -394,23 +386,21 @@ def match_literals(pattern: Clause, clause: Clause) -> Optional[Subst]:
 def match_clauses(
     generated: Sequence[tuple[Clause, str]],
     trace_clauses: Sequence[tuple[int, Clause, str, str]],
-    skolem_heads: frozenset[str] = frozenset(),
+    skolem_heads: frozenset[str],
 ) -> dict[int, tuple]:
     """Find, for every trace clause, a generated clause from the same input
     formula equal to it up to literal reordering, or an equality axiom schema
     for theory clauses, as (that clause or schema, matcher) by clause
     number; a congruence of one of `skolem_heads` is no axiom of the problem.
     Unmatched clauses raise with nearest-miss hints."""
-    by_source: dict[str, list[tuple[Clause, str]]] = defaultdict(list)
+    sources = {g[1] for g in generated}
     by_signature: dict[tuple[str, tuple], list[tuple[Clause, str]]] = defaultdict(list)
     for g in generated:
-        by_source[g[1]].append(g)
         by_signature[g[1], _signature(g[0])].append(g)
     matches: dict[int, tuple] = {}
     for number, literals, origin_kind, origin_name in trace_clauses:
         if origin_kind == "clausify":
-            pool = by_source.get(origin_name)
-            if pool is None:
+            if origin_name not in sources:
                 raise LeanCoPImportError(
                     f"clause {number} refers to unknown input formula {origin_name!r}"
                 )
@@ -419,6 +409,7 @@ def match_clauses(
                     matches[number] = (g, matcher)
                     break
             else:
+                pool = [g for g in generated if g[1] == origin_name]
                 ranked = sorted(pool, key=lambda g: _signature_distance(g[0], literals))
                 hints = "; ".join(_show(g[0]) for g in ranked[:3])
                 raise LeanCoPImportError(
@@ -483,8 +474,9 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     input_atoms = [g for _, _, f in trace.inputs for g, _ in subformulas(f, Polarity.POS) if type(g) is Atom]
     walked: set[Term] = set()
     symbols = {t.head for t in _new_subterms((t for a in input_atoms for t in a.args), walked) if type(t) is App}
-    atoms = (l.sub if type(l) is Neg else l for _, lits, _, _ in trace.clauses for l in lits)
-    clause_terms = _new_subterms((t for a in atoms for t in a.args), walked)
+    clause_terms = _new_subterms(
+        (t for _, lits, _, _ in trace.clauses for l in lits for t in (l.sub if type(l) is Neg else l).args), walked
+    )
     registry = SkolemRegistry({t.head for t in clause_terms if type(t) is App} - symbols)
     registry.scan(clause_terms)
     registry.scan(_new_subterms((t for _, _, binding in trace.steps for _, t in binding.items()), walked))

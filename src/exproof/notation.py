@@ -274,45 +274,37 @@ class FormulaParser:
         an atom is read without building a term first.  Nested
         applications are kept on a stack, not in recursive calls."""
         tokens = self.tokens
-        pos = self.pos  # stored back before a return, and before an error that reads it
         opened: list[tuple[str, list[Term]]] = []  # applications being read, innermost last
         while True:
-            name = tokens[pos]
+            name = tokens[self.pos]
             if name in PUNCTUATION:
-                self.pos = pos
                 raise self.unexpected("a term")
-            pos += 1
+            self.pos += 1
             first = name[0]
             is_var = first.isupper() or first == "_" or (
                 (name in self.bound or name in self.extra_vars) and first != "'" and not first.isdigit()
             )
             if first == "'":
                 name = name[1:-1]
-            if tokens[pos] == "(" and not first.isdigit():
+            if tokens[self.pos] == "(" and not first.isdigit():
                 if is_var:
-                    raise self.error(f"variable {name!r} cannot take arguments", pos - 1)
-                pos += 1
+                    raise self.error(f"variable {name!r} cannot take arguments", self.pos - 1)
+                self.pos += 1
                 opened.append((name, []))
                 continue
             if not opened:
-                self.pos = pos
                 return is_var, name, ()
             term = Var(name) if is_var else App(name, ())
             # close every application whose last argument this is
             while True:
                 head, args = opened[-1]
                 args.append(term)
-                tok = tokens[pos]
-                if tok == ",":
-                    pos += 1
+                if tokens[self.pos] == ",":
+                    self.pos += 1
                     break
-                if tok != ")":
-                    self.pos = pos
-                    raise self.unexpected("')'")
-                pos += 1
+                self.expect(")")
                 opened.pop()
                 if not opened:
-                    self.pos = pos
                     return False, head, tuple(args)
                 term = App(head, tuple(args))
 

@@ -17,6 +17,8 @@ settings.register_profile(
 settings.load_profile("default")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# the commands that read a trace file, as `exproof` arguments before the file
+COMMANDS = [["check"], ["show"], ["show", "--deep"], ["export"], ["export", "--dot"]]
 
 
 def load_bench_gen():

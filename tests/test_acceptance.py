@@ -160,7 +160,7 @@ def test_criterion_5_leancop_pipeline():
         rect_formulas = list(rect.antecedent) + list(rect.succedent)
         roles = ["axiom"] * len(rect.antecedent) + ["conjecture"] * len(rect.succedent)
         generated = definitional_dnf(list(zip(names, roles, rect_formulas)))
-        matches = match_clauses(generated, trace.clauses)
+        matches = match_clauses(generated, trace.clauses, frozenset(report["skolem_map"]))
         by_number = {number: literals for number, literals, _, _ in trace.clauses}
         for number, (pattern, matcher) in matches.items():
             if isinstance(pattern, AxiomSchema):

@@ -9,7 +9,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import FIXTURES, nested_term_trace
+from conftest import COMMANDS, FIXTURES, nested_term_trace
 from exproof.cli import (
     EXIT_ERROR,
     EXIT_NOT_PROOF,
@@ -134,9 +134,6 @@ def test_theory_other_than_equality_exits_two(tmp_path, capsys):
     assert captured.err == f"{path}: unknown theory 'arithmetic' at line 8, column 54\n"
     main(["batch", str(tmp_path)])
     assert json.loads(capsys.readouterr().out)["files"]["theory.proof"]["status"] == "error:parse"
-
-
-COMMANDS = [["check"], ["show"], ["show", "--deep"], ["export"], ["export", "--dot"]]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -12,11 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import COMMANDS, FIXTURES
 from exproof.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
-COMMANDS = (("check",), ("show",), ("show", "--deep"), ("export",), ("export", "--dot"))
 CASES = [f"{' '.join(command)} {path.name}" for path in sorted(FIXTURES.iterdir()) for command in COMMANDS]
 
 

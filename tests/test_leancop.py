@@ -28,13 +28,12 @@ from exproof.leancop import (
     LeanCoPImportError,
     SkolemRegistry,
     _new_subterms,
-    _TraceParser,
     definitional_dnf,
     import_leancop,
     match_clauses,
     parse_leancop,
 )
-from exproof.notation import ParseError, parse_formula, sequent_text, tokenize
+from exproof.notation import ParseError, parse_formula, sequent_text
 from exproof.verit import AxiomSchema, SchemaKind, make_schema, symmetry_trees
 from oracles import ref_collapse_term, ref_match_literals
 
@@ -245,14 +244,14 @@ def test_dnf_definition_predicates_carry_free_variables():
 def test_match_forced():
     gen = [((Neg(Atom("p", (Var("X"),))),), "ax")]
     trace = parse_leancop("cnf(1, plain, [~p(X1)], clausify(ax)).")
-    matches = match_clauses(gen, trace.clauses)
+    matches = match_clauses(gen, trace.clauses, frozenset())
     assert matches[1] == (gen[0], Subst({"X": Var("X1")}))
 
 
 def test_match_reordering_tolerance():
     gen = [((Atom("q", (Var("Y"),)), Atom("r", (Var("Y"),))), "conj")]
     trace = parse_leancop("cnf(1, plain, [r(Y2), q(Y2)], clausify(conj)).")
-    _generated, matcher = match_clauses(gen, trace.clauses)[1]
+    _generated, matcher = match_clauses(gen, trace.clauses, frozenset())[1]
     assert matcher == Subst({"Y": Var("Y2")})
     # reapplying the matcher reproduces the trace clause as a multiset
     assert Counter(apply_subst(l, matcher) for l in gen[0][0]) == Counter(trace.clauses[0][1])
@@ -287,7 +286,7 @@ def test_clause_matching_agrees_with_the_reference_search(pair):
     pattern, clause = pair
     expected = ref_match_literals(pattern, clause, allow_flips=False)
     try:
-        _generated, got = match_clauses([(pattern, "ax")], [(1, clause, "clausify", "ax")])[1]
+        _generated, got = match_clauses([(pattern, "ax")], [(1, clause, "clausify", "ax")], frozenset())[1]
     except LeanCoPImportError:
         got = None
     assert got == (None if expected is None else Subst(expected[0]))
@@ -297,14 +296,14 @@ def test_match_signature_mismatch_reports_candidates():
     gen = [((Atom("p", (Var("X"),)),), "ax")]
     trace = parse_leancop("cnf(1, plain, [q(X1)], clausify(ax)).")
     with pytest.raises(LeanCoPImportError, match="nearest candidates"):
-        match_clauses(gen, trace.clauses)
+        match_clauses(gen, trace.clauses, frozenset())
 
 
 def test_nearest_candidates_write_a_negated_equality_without_parentheses():
     trace = parse_leancop("fof(ax, axiom, a = b).\ncnf(1, plain, [~(b = a)], clausify(ax)).")
     generated = definitional_dnf([("ax", "axiom", eq(a, b))])
     with pytest.raises(LeanCoPImportError) as error:
-        match_clauses(generated, trace.clauses)
+        match_clauses(generated, trace.clauses, frozenset())
     assert str(error.value) == (
         "trace clause 1 [~b = a] does not match any generated clause of 'ax'; nearest candidates: [~a = b]"
     )
@@ -315,17 +314,17 @@ def test_match_equality_theory_clause():
     trace = parse_leancop(
         "cnf(1, plain, [X1 = X2, X2 = X3, ~(X1 = X3)], theory(equality))."
     )
-    schema, _matcher = match_clauses([], trace.clauses)[1]
+    schema, _matcher = match_clauses([], trace.clauses, frozenset())[1]
     assert schema.kind is SchemaKind.TRANSITIVITY
     trace2 = parse_leancop("cnf(2, plain, [X1 = X2, ~(X2 = X1)], theory(equality)).")
-    schema2, matcher2 = match_clauses([], trace2.clauses)[2]
+    schema2, matcher2 = match_clauses([], trace2.clauses, frozenset())[2]
     assert schema2.kind is SchemaKind.SYMMETRY
     assert matcher2 == Subst({"x0": Var("X1"), "y0": Var("X2")})
     # ten literals, shuffled and flipped: past the old search's reach
     lits = [f"X{i + 1} = X{i}" if i % 2 else f"X{i} = X{i + 1}" for i in range(1, 10)] + ["~(X10 = X1)"]
     random.Random(9).shuffle(lits)
     trace3 = parse_leancop(f"cnf(3, plain, [{', '.join(lits)}], theory(equality)).")
-    schema3, matcher3 = match_clauses([], trace3.clauses)[3]
+    schema3, matcher3 = match_clauses([], trace3.clauses, frozenset())[3]
     assert (schema3.kind, schema3.param) == (SchemaKind.TRANSITIVITY, (9,))
     assert {matcher3["x0"], matcher3["x9"]} == {Var("X1"), Var("X10")}
 
@@ -333,7 +332,7 @@ def test_match_equality_theory_clause():
 def test_match_unknown_equality_shape():
     trace = parse_leancop("cnf(1, plain, [p(X1), q(X1)], theory(equality)).")
     with pytest.raises(LeanCoPImportError, match="no\\b.*schema|schema"):
-        match_clauses([], trace.clauses)
+        match_clauses([], trace.clauses, frozenset())
 
 
 # --- import ---
@@ -603,35 +602,6 @@ cnf(3, plain, [a = a, ~(sk1(a) = sk1(a))], theory(equality)).
     )
 
 
-LITERALS = [
-    "p", "p(X, f(a))", "~p(X)", "~~p", "~ ~ ~p(a)", "a = b", "a != b", "~a != b", "~~a != f(X)",
-    "(p)", "~(p(X))", "~(a = b)", "~~(a != b)", "'='(a, b)", "~'='(a, b)",
-    "![X]: p(X)", "(p & q)", "~X", "X = Y", "p(", "p(a b)", "~", "~)", "a =", "'='(a)", "X(a)", "",
-]
-
-
-def _outcome(read, text):
-    parser = _TraceParser(text, tokenize(text))
-    try:
-        return read(parser), parser.pos
-    except ParseError as e:
-        return str(e)
-
-
-def _read_via_the_formula_parser(parser):
-    f = parser.parse_formula(unary=True)
-    while type(f) is Neg and type(f.sub) is Neg:
-        f = f.sub.sub
-    if type(f.sub if type(f) is Neg else f) is not Atom:
-        raise parser.error("expected a literal", 0)
-    return f
-
-
-@pytest.mark.parametrize("text", LITERALS)
-def test_a_literal_reads_as_the_formula_parser_reads_it(text):
-    assert _outcome(_TraceParser.parse_literal, text) == _outcome(_read_via_the_formula_parser, text)
-
-
 SYMMETRIC_INPUTS_TRACE = """
 fof(ax, axiom, a = b).
 fof(goal, conjecture, b = a).
@@ -689,8 +659,8 @@ def test_import_agrees_with_matching_collapsed_clauses(name):
             (number, tuple(_collapse_literal(l, heads) for l in lits), kind, origin)
             for number, lits, kind, origin in trace.clauses
         ]
-        as_written = match_clauses(generated, trace.clauses)
-        after = match_clauses(generated, collapsed)
+        as_written = match_clauses(generated, trace.clauses, heads)
+        after = match_clauses(generated, collapsed, frozenset())
         assert as_written.keys() == after.keys()
         for number, (pattern, matcher) in as_written.items():
             assert after[number][0] is pattern
