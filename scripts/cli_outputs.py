@@ -13,9 +13,7 @@ the output:
     PYTHONPATH=../old/src python3 scripts/cli_outputs.py > before.txt
     diff before.txt after.txt
 """
-import contextlib
 import hashlib
-import io
 import os
 import shutil
 import sys
@@ -25,7 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from conftest import COMMANDS, FIXTURES, load_bench_gen  # noqa: E402  (shared with the tests)
+from conftest import COMMANDS, FIXTURES, load_bench_gen, run_cli  # noqa: E402  (shared with the tests)
 from exproof import cli  # noqa: E402
 
 gen = load_bench_gen()
@@ -51,21 +49,6 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8", "surrogateescape")).hexdigest()[:16]
 
 
-def run(argv: list[str]) -> tuple[str, str, str]:
-    """The exit code, stdout and stderr of `exproof ARGV`; an exception that
-    escapes `main` is shown as its type in place of the exit code."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = str(cli.main(argv))
-        except SystemExit as e:
-            code = str(e.code)
-        except Exception as e:
-            code = f"raised {type(e).__name__}"
-            err.write(str(e))
-    return code, out.getvalue(), err.getvalue()
-
-
 def main() -> int:
     print(f"exproof from {Path(cli.__file__).parent}", file=sys.stderr)
     start = os.getcwd()
@@ -75,8 +58,9 @@ def main() -> int:
         try:
             for name in names:
                 for command in COMMANDS:
-                    code, out, err = run([*command, name])
-                    print(f"{name}\t{' '.join(command)}\t{code}\t{digest(out)}\t{digest(err)}", flush=True)
+                    r = run_cli([*command, name])
+                    hashes = f"{digest(r['stdout'])}\t{digest(r['stderr'])}"
+                    print(f"{name}\t{' '.join(command)}\t{r['exit']}\t{hashes}", flush=True)
         finally:
             os.chdir(start)
     return 0

@@ -207,8 +207,7 @@ class TermOccurrence(NamedTuple):
     """A weak instance term occurrence, identified by its tree path: the
     sequent side, the tree index, then child indices down to the instance.
     `link` is that path, or a link to it as `_walk_sequent` makes them, so
-    that the path is built only when it is read.  Occurrences compare,
-    hash and print by their path, whatever their link."""
+    that the path is built only when it is read."""
 
     link: tuple
     term: Term
@@ -216,18 +215,6 @@ class TermOccurrence(NamedTuple):
     @property
     def path(self) -> tuple:
         return _path(self.link)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TermOccurrence) and self.term == other.term and self.path == other.path
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash((self.path, self.term))
-
-    def __repr__(self) -> str:
-        return f"TermOccurrence(path={self.path!r}, term={self.term!r})"
 
     @property
     def node_id(self) -> str:

@@ -78,7 +78,6 @@ class Node:
     alive, and makes it otherwise."""
 
     __slots__ = ("__weakref__",)
-    _defaults: tuple = ()  # values of the last fields, which may be left out together
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(s for s in cls.__slots__ if s[0] != "_")
@@ -91,9 +90,7 @@ class Node:
             return node
         set_fields = cls._setters
         if len(fields) != len(set_fields):
-            if len(fields) + len(cls._defaults) != len(set_fields):
-                raise TypeError(f"{cls.__name__} takes {len(set_fields)} fields, got {len(fields)}")
-            return cls(*fields, *cls._defaults)
+            raise TypeError(f"{cls.__name__} takes {len(set_fields)} fields, got {len(fields)}")
         node = object.__new__(cls)
         # the first two fields are set without a loop, which made the
         # benchmark's leanCoP checks about 3% slower on a 2-CPU host
@@ -175,7 +172,6 @@ class Var(Node):
 
 class App(Node):
     __slots__ = ("head", "args", "_text")
-    _defaults = ((),)
     __str__ = _text
 
 
@@ -201,7 +197,6 @@ def rebuilt(t: App, *args: Term) -> App:
 
 class Atom(Node):
     __slots__ = ("pred", "args", "_text")
-    _defaults = ((),)
     __str__ = _text
 
 
@@ -543,19 +538,13 @@ def apply_subst(obj: Union[Term, Formula], subst: Subst) -> Union[Term, Formula]
 # rectification
 
 
-def rectify(sequent: Sequent) -> tuple[Sequent, dict[str, tuple[int, str]]]:
+def rectify(sequent: Sequent) -> Sequent:
     """Rename binders so all bound names are pairwise distinct and disjoint
-    from every free variable of the sequent.
-
-    Returns the renamed sequent and a report mapping each fresh name to the
-    (formula index, original name) it replaced; indices count antecedent
-    formulas first, then succedent.
-    """
+    from every free variable of the sequent."""
     used: set[str] = set()
     for f in sequent.formulas:
         used |= free_vars(f)
     counter = count(1)
-    report: dict[str, tuple[int, str]] = {}
 
     def fresh(base: str) -> str:
         while True:
@@ -563,28 +552,23 @@ def rectify(sequent: Sequent) -> tuple[Sequent, dict[str, tuple[int, str]]]:
             if cand not in used:
                 return cand
 
-    # items are (formula, renaming of the enclosing binders, formula index)
+    # items are (formula, renaming of the enclosing binders)
     def step(item):
-        f, env, idx = item
+        f, env = item
         kind = type(f)
         if kind is Atom:
             return None, subst_atom(f, env)
         if kind is Neg:
-            return ((f.sub, env, idx),), Neg
+            return ((f.sub, env),), Neg
         if kind in BINARY:
-            return ((f.left, env, idx), (f.right, env, idx)), kind
-        if f.var in used:
-            new = fresh(f.var)
-            report[new] = (idx, f.var)
-        else:
-            new = f.var
+            return ((f.left, env), (f.right, env)), kind
+        new = fresh(f.var) if f.var in used else f.var
         used.add(new)
-        return ((f.body, {**env, f.var: Var(new)}, idx),), partial(kind, new)
+        return ((f.body, {**env, f.var: Var(new)}),), partial(kind, new)
 
-    ant = tuple(fold((f, {}, i), step) for i, f in enumerate(sequent.antecedent))
-    n = len(sequent.antecedent)
-    suc = tuple(fold((f, {}, n + i), step) for i, f in enumerate(sequent.succedent))
-    return Sequent(ant, suc), report
+    ant = tuple(fold((f, {}), step) for f in sequent.antecedent)
+    suc = tuple(fold((f, {}), step) for f in sequent.succedent)
+    return Sequent(ant, suc)
 
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import partial
-from itertools import count
+from itertools import chain, count
 from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -215,50 +215,35 @@ def parse_leancop(text: str) -> LeanCoPTrace:
 # Skolem terms -> eigenvariables
 
 
-class SkolemRegistry:
-    """One fresh eigenvariable per Skolem head symbol, applied consistently.
+def skolem_arguments(terms: Iterable[Term], heads: frozenset[str]) -> dict[str, tuple[Term, ...]]:
+    """The argument list of each Skolem head among `terms`, whose subterms
+    are not walked.  A head with two different argument lists means the
+    trace bound a strong quantifier more than once, which the
+    expansion-tree construction cannot represent."""
+    args_seen: dict[str, tuple[Term, ...]] = {}
+    for t in terms:
+        if type(t) is App and t.head in heads and (seen := args_seen.setdefault(t.head, t.args)) != t.args:
+            raise LeanCoPImportError(
+                f"skolem head {t.head!r} used with two different argument lists "
+                f"({App(t.head, seen)} vs {t}): strong quantifier bound more than once"
+            )
+    return args_seen
 
-    A head seen with two different argument lists means the trace bound a
-    strong quantifier more than once, which the expansion-tree construction
-    cannot represent.
-    """
 
-    def __init__(self, heads: Iterable[str]):
-        self.heads = frozenset(heads)
-        self.args_seen: dict[str, tuple[Term, ...]] = {}
+def _collapse_step(heads: frozenset[str], t: Term):
+    if type(t) is Var:
+        return None, t
+    if t.head in heads:
+        return None, Var(f"v_{t.head}")
+    return t.args, partial(rebuilt, t)
 
-    def eigen_name(self, head: str) -> str:
-        return f"v_{head}"
 
-    @property
-    def eigens(self) -> dict[str, str]:
-        return {head: self.eigen_name(head) for head in sorted(self.args_seen)}
-
-    def scan(self, terms: Iterable[Term]) -> None:
-        """Check the argument list of each Skolem term among `terms`; their subterms are not walked."""
-        heads, args_seen = self.heads, self.args_seen
-        for t in terms:
-            if type(t) is App and t.head in heads:
-                seen = args_seen.setdefault(t.head, t.args)
-                if seen != t.args:
-                    raise LeanCoPImportError(
-                        f"skolem head {t.head!r} used with two different argument lists "
-                        f"({App(t.head, seen)} vs {t}): strong quantifier bound more than once"
-                    )
-
-    def _collapse_step(self, t: Term):
-        if type(t) is Var:
-            return None, t
-        if t.head in self.heads:
-            return None, Var(self.eigen_name(t.head))
-        return t.args, partial(rebuilt, t)
-
-    def collapse_term(self, term: Term) -> Term:
-        """`term` with each outermost Skolem term replaced by its head's
-        eigenvariable.  `import_leancop` collapses only the instance terms
-        it composes; their Skolem terms come from the clause and binding
-        terms it scans first, so they are not scanned again."""
-        return fold(term, self._collapse_step)
+def collapse_term(term: Term, heads: frozenset[str]) -> Term:
+    """`term` with each outermost Skolem term replaced by the eigenvariable
+    `v_<head>` of its head.  `import_leancop` collapses only the instance
+    terms it composes; their Skolem terms come from the clause and binding
+    terms whose arguments it checks first, so they are not checked again."""
+    return fold(term, partial(_collapse_step, heads))
 
 
 def _new_subterms(terms: Iterable[Term], seen: set) -> list[Term]:
@@ -433,16 +418,14 @@ def match_clauses(
 # import
 
 
-def _compose_instance(
-    variables: frozenset[str], matcher: Subst, binding: Subst, registry: SkolemRegistry
-) -> Subst:
+def _compose_instance(variables: frozenset[str], matcher: Subst, binding: Subst, heads: frozenset[str]) -> Subst:
     """Instance of the pattern clause's `variables`: the matcher takes them
     to trace clause terms, the step binding instantiates those.  A variable
     the matcher sends to the trace variable of the same name has no binding
     in `matcher` (Subst drops identities) and is composed all the same."""
     out = {}
     for v in variables:
-        out[v] = registry.collapse_term(apply_subst(matcher.get(v) or Var(v), binding))
+        out[v] = collapse_term(apply_subst(matcher.get(v) or Var(v), binding), heads)
     return Subst(out)
 
 
@@ -459,13 +442,8 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
 
     axioms = [f for f in trace.inputs if f[1] == "axiom"]
     conjectures = [f for f in trace.inputs if f[1] == "conjecture"]
-    sequent0 = Sequent(tuple(f for _, _, f in axioms), tuple(f for _, _, f in conjectures))
-    sequent, _renaming = rectify(sequent0)
-    positions: dict[str, tuple[str, int, Formula, Polarity]] = {}
-    for i, (name, _, _) in enumerate(axioms):
-        positions[name] = ("ant", i, sequent.antecedent[i], Polarity.NEG)
-    for i, (name, _, _) in enumerate(conjectures):
-        positions[name] = ("suc", i, sequent.succedent[i], Polarity.POS)
+    sequent = rectify(Sequent(tuple(f for _, _, f in axioms), tuple(f for _, _, f in conjectures)))
+    rectified = {name: f for (name, _, _), f in zip(axioms + conjectures, sequent.formulas)}
     names = [name for name, _, _ in trace.inputs]
 
     # the Skolem heads are the function symbols the prover's clauses add to
@@ -477,17 +455,17 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     clause_terms = _new_subterms(
         (t for _, lits, _, _ in trace.clauses for l in lits for t in (l.sub if type(l) is Neg else l).args), walked
     )
-    registry = SkolemRegistry({t.head for t in clause_terms if type(t) is App} - symbols)
-    registry.scan(clause_terms)
-    registry.scan(_new_subterms((t for _, _, binding in trace.steps for _, t in binding.items()), walked))
+    heads = frozenset({t.head for t in clause_terms if type(t) is App} - symbols)
+    binding_terms = _new_subterms((t for _, _, binding in trace.steps for _, t in binding.items()), walked)
+    skolem_args = skolem_arguments(chain(clause_terms, binding_terms), heads)
     lits_by_number = {number: lits for number, lits, _, _ in trace.clauses}
 
-    generated = definitional_dnf([(name, role, positions[name][2]) for name, role, _ in trace.inputs])
-    matches = match_clauses(generated, trace.clauses, registry.heads)
+    generated = definitional_dnf([(name, role, rectified[name]) for name, role, _ in trace.inputs])
+    matches = match_clauses(generated, trace.clauses, heads)
 
     # dicts as insertion-ordered sets of instances, in first-use order
     per_formula: dict[str, dict[Subst, None]] = {name: {} for name in names}
-    eq_groups: dict[tuple, tuple[AxiomSchema, dict[Subst, None]]] = {}
+    eq_groups: dict[AxiomSchema, dict[Subst, None]] = {}
     # per trace clause, from the first step that uses it on: its variables,
     # those of the clause or schema it matched, the matcher, and the
     # instances the steps add to
@@ -497,7 +475,7 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
             pattern, matcher = matches[number]
             if type(pattern) is AxiomSchema:
                 variables = frozenset(pattern.variables)
-                _schema, subs = eq_groups.setdefault((pattern.kind, pattern.param), (pattern, {}))
+                subs = eq_groups.setdefault(pattern, {})
             else:
                 variables = _clause_vars(pattern[0])
                 subs = per_formula[pattern[1]]
@@ -509,17 +487,18 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
                 f"step {step_id!r}: binding domain not covered by clause "
                 f"{number} variables: {', '.join(sorted(extra))}"
             )
-        sigma = _compose_instance(variables, matcher, binding, registry)
+        sigma = _compose_instance(variables, matcher, binding, heads)
         if sigma:
             subs[sigma] = None
 
     ant_trees: list[ExpansionTree] = []
     suc_trees: list[ExpansionTree] = []
-    for name in names:
-        side, _i, rect_formula, pol = positions[name]
-        tree = expand_formula(rect_formula, per_formula[name], pol)
-        (ant_trees if side == "ant" else suc_trees).append(tree)
-    for schema, subs in eq_groups.values():
+    for name, role, _ in trace.inputs:
+        if role == "axiom":
+            ant_trees.append(expand_formula(rectified[name], per_formula[name], Polarity.NEG))
+        else:
+            suc_trees.append(expand_formula(rectified[name], per_formula[name], Polarity.POS))
+    for schema, subs in eq_groups.items():
         ant_trees.append(expand_formula(schema.formula, subs, Polarity.NEG))
     # an equality reaches the trees only from an input atom or a used schema
     if eq_groups or any(a.pred == EQ for a in input_atoms):
@@ -529,6 +508,6 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
         "matched_clauses": len(matches),
         "unmatched": [],
         "instances_per_formula": {name: len(per_formula[name]) for name in names},
-        "skolem_map": registry.eigens,
+        "skolem_map": {head: f"v_{head}" for head in sorted(skolem_args)},
     }
     return Sequent(tuple(ant_trees), tuple(suc_trees)), report

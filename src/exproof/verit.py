@@ -57,13 +57,20 @@ class VeritTrace(NamedTuple):
     steps: tuple[tuple[str, str, tuple[str, ...], Clause], ...]  # (id, rule, premises, conclusion)
 
 
+class SchemaKind(Enum):
+    TRANSITIVITY = "transitivity"
+    FN_CONGRUENCE = "fn_congruence"
+    PRED_CONGRUENCE = "pred_congruence"
+    SYMMETRY = "symmetry"
+    REFLEXIVITY = "reflexivity"
+
+
 AXIOM_RULES = {
-    "eq_transitive": "transitivity",
-    "eq_congruent": "fn_congruence",
-    "eq_congruent_pred": "pred_congruence",
-    "eq_reflexive": "reflexivity",
+    "eq_transitive": SchemaKind.TRANSITIVITY,
+    "eq_congruent": SchemaKind.FN_CONGRUENCE,
+    "eq_congruent_pred": SchemaKind.PRED_CONGRUENCE,
+    "eq_reflexive": SchemaKind.REFLEXIVITY,
 }
-LEAF_RULES = {"input"} | set(AXIOM_RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +179,15 @@ def parse_verit(text: str) -> VeritTrace:
         rule = body[0]
         premises: tuple[str, ...] = ()
         conclusion: Optional[Clause] = None
+        given: set[str] = set()  # were an attribute given twice, the last would win in silence
         i = 1
         while i < len(body):
             key = body[i]
             if key != ":clauses" and key != ":conclusion":
                 raise error(f"unknown step attribute {_shown(key)}")
+            if key in given:
+                raise error(f"{key} given twice in step {step_id!r}")
+            given.add(key)
             items = body[i + 1] if i + 1 < len(body) else None
             if not isinstance(items, list):
                 raise error(f"{key} needs a parenthesised list")
@@ -204,11 +215,11 @@ def parse_verit(text: str) -> VeritTrace:
 # leaf collection
 
 
-def leaf_clauses(trace: VeritTrace) -> tuple[list[Clause], list[tuple[str, Clause]]]:
+def leaf_clauses(trace: VeritTrace) -> tuple[list[Clause], list[tuple[SchemaKind, Clause]]]:
     """Split leaf steps into input clauses and (kind, clause) axiom instances;
     inner steps are discarded, unknown leaf rules are errors."""
     inputs: list[Clause] = []
-    axioms: list[tuple[str, Clause]] = []
+    axioms: list[tuple[SchemaKind, Clause]] = []
     for step_id, rule, premises, conclusion in trace.steps:
         if premises:
             continue  # inner inference, irrelevant for the expansion sequent
@@ -223,14 +234,6 @@ def leaf_clauses(trace: VeritTrace) -> tuple[list[Clause], list[tuple[str, Claus
 
 # ---------------------------------------------------------------------------
 # equality axiom schemas
-
-
-class SchemaKind(Enum):
-    TRANSITIVITY = "transitivity"
-    FN_CONGRUENCE = "fn_congruence"
-    PRED_CONGRUENCE = "pred_congruence"
-    SYMMETRY = "symmetry"
-    REFLEXIVITY = "reflexivity"
 
 
 class AxiomSchema(NamedTuple):
@@ -428,12 +431,12 @@ def _show(clause: Clause) -> str:
     return "[" + ", ".join(f"~{l.sub}" if type(l) is Neg else str(l) for l in clause) + "]"
 
 
-def match_axiom_instance(kind: str, clause: Clause) -> AxiomInstance:
+def match_axiom_instance(kind: SchemaKind, clause: Clause) -> AxiomInstance:
     """The instance of an equality axiom schema that a leaf clause of the
     given kind states."""
-    inst = axiom_instance(SchemaKind(kind), clause)
+    inst = axiom_instance(kind, clause)
     if inst is None:
-        raise VeritImportError(f"cannot match {kind} axiom against clause {_show(clause)}")
+        raise VeritImportError(f"cannot match {kind.value} axiom against clause {_show(clause)}")
     return inst
 
 
@@ -441,13 +444,13 @@ def match_axiom_instance(kind: str, clause: Clause) -> AxiomInstance:
 # import
 
 
-def _reflexivity_instances(inputs: list[Clause], axioms: list[tuple[str, Clause]]) -> list[Term]:
+def _reflexivity_instances(inputs: list[Clause], axioms: list[tuple[SchemaKind, Clause]]) -> list[Term]:
     """Terms to instantiate reflexivity with: every t with a t=t literal in a
     leaf clause, plus all top-level argument terms of leaf atoms whenever an
     eq_reflexive leaf exists.  Extra instances only add true conjuncts."""
     atoms = [l.sub if type(l) is Neg else l for clause in inputs + [c for _, c in axioms] for l in clause]
     terms = {a.args[0]: None for a in atoms if a.pred == EQ and a.args[0] is a.args[1]}
-    if any(kind == "reflexivity" for kind, _ in axioms):
+    if any(kind is SchemaKind.REFLEXIVITY for kind, _ in axioms):
         terms.update((t, None) for a in atoms for t in a.args)
     return sorted(terms, key=str)
 
@@ -493,15 +496,14 @@ def import_verit(trace: VeritTrace) -> tuple[Sequent, dict]:
 
     # one tree per schema, its instances in first-use order; reflexivity
     # goes into the separately computed reflexivity tree
-    groups: dict[tuple, tuple[AxiomSchema, dict[Subst, None]]] = {}
+    groups: dict[AxiomSchema, dict[Subst, None]] = {}
     flips = 0
     for kind, clause in axioms:
         schema, subst, leaf_flips = match_axiom_instance(kind, clause)
         flips += leaf_flips
         if schema.kind is not SchemaKind.REFLEXIVITY:
-            _schema, subs = groups.setdefault((schema.kind, schema.param), (schema, {}))
-            subs[subst] = None  # a dict keeps first-use order
-    antecedent += [expand_formula(schema.formula, subs, Polarity.NEG) for schema, subs in groups.values()]
+            groups.setdefault(schema, {})[subst] = None  # a dict keeps first-use order
+    antecedent += [expand_formula(schema.formula, subs, Polarity.NEG) for schema, subs in groups.items()]
     antecedent += symmetry_trees(antecedent)
 
     refl_terms = _reflexivity_instances(inputs, axioms)
@@ -510,7 +512,7 @@ def import_verit(trace: VeritTrace) -> tuple[Sequent, dict]:
         antecedent.append(expand_formula(make_schema(SchemaKind.REFLEXIVITY).formula, subs, Polarity.NEG))
 
     report = {
-        "schema_instances": dict(Counter(kind for kind, _ in axioms)),
+        "schema_instances": dict(Counter(kind.value for kind, _ in axioms)),
         "flips": flips,
         "reflexivity_terms": [str(t) for t in refl_terms],
     }

@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -19,6 +21,24 @@ settings.load_profile("default")
 FIXTURES = Path(__file__).parent / "fixtures"
 # the commands that read a trace file, as `exproof` arguments before the file
 COMMANDS = [["check"], ["show"], ["show", "--deep"], ["export"], ["export", "--dot"]]
+
+
+def run_cli(argv: list[str]) -> dict:
+    """The stdout, stderr and exit code of `exproof ARGV`, run in this process
+    through `exproof.cli.main`; an exception that escapes `main` is shown as
+    its type in place of the exit code, and its message on stderr."""
+    from exproof.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        except Exception as e:
+            code = f"raised {type(e).__name__}"
+            err.write(str(e))
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
 def load_bench_gen():

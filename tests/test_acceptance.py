@@ -56,7 +56,7 @@ def test_criterion_1_shallow_inverse_law():
     cases, failures = 500, 0
     for _ in range(cases):
         raw = random_formula(rng, rng.randint(1, 5))
-        f = rectify(Sequent((raw,), ()))[0].antecedent[0]
+        f = rectify(Sequent((raw,), ())).antecedent[0]
         pol = rng.choice((Polarity.NEG, Polarity.POS))
         tree = expand_formula(f, random_instances(rng, f, pol), pol)
         if shallow(tree, pol) != f:
@@ -155,7 +155,7 @@ def test_criterion_5_leancop_pipeline():
 
         axioms = [(name, f) for name, role, f in trace.inputs if role == "axiom"]
         conjectures = [(name, f) for name, role, f in trace.inputs if role == "conjecture"]
-        rect, _ = rectify(Sequent(tuple(f for _, f in axioms), tuple(f for _, f in conjectures)))
+        rect = rectify(Sequent(tuple(f for _, f in axioms), tuple(f for _, f in conjectures)))
         names = [name for name, _ in axioms + conjectures]
         rect_formulas = list(rect.antecedent) + list(rect.succedent)
         roles = ["axiom"] * len(rect.antecedent) + ["conjecture"] * len(rect.succedent)
@@ -282,7 +282,7 @@ def test_criterion_6_sanity_check_direction():
     assert len(pairs) == 20
     agree = 0
     for i, (seq, (ant_subs, suc_subs), designed_valid) in enumerate(pairs):
-        rect, _ = rectify(seq)
+        rect = rectify(seq)
         es = Sequent(
             _expand_side(rect.antecedent, ant_subs, Polarity.NEG),
             _expand_side(rect.succedent, suc_subs, Polarity.POS),

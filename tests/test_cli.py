@@ -30,6 +30,7 @@ from test_leancop import (
     DUPLICATE_BIND_TRACES,
     EQUALITY_THEORY_TRACE,
 )
+from test_verit import REPEATED_ATTRIBUTE_ERRORS, REPEATED_ATTRIBUTE_TRACES
 
 
 def fixture(name: str) -> str:
@@ -122,6 +123,20 @@ def test_variable_bound_twice_exits_two(tmp_path, capsys, text):
     assert captured.err == f"{path}: variable 'X' bound twice at line 6, column 49\n"
     main(["batch", str(tmp_path)])
     assert json.loads(capsys.readouterr().out)["files"]["bind.proof"]["status"] == "error:parse"
+
+
+@pytest.mark.parametrize(
+    "text, message", zip(REPEATED_ATTRIBUTE_TRACES, REPEATED_ATTRIBUTE_ERRORS), ids=["conclusion", "clauses"]
+)
+def test_step_attribute_given_twice_exits_two(tmp_path, capsys, text, message):
+    path = tmp_path / "twice.smt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {message}\n"
+    main(["batch", str(tmp_path)])
+    assert json.loads(capsys.readouterr().out)["files"]["twice.smt"]["status"] == "error:parse"
 
 
 def test_theory_other_than_equality_exits_two(tmp_path, capsys):
@@ -484,7 +499,7 @@ def test_starting_the_command_line_loads_no_dataclasses():
 @pytest.mark.parametrize("name", ["leancop_skolem.proof", "verit_transitivity.proof"])
 def test_import_invariant_raises_exproof_error(monkeypatch, name):
     # both importers build their trees with `expand_formula`, which reads each back
-    monkeypatch.setattr("exproof.expansion.shallow", lambda tree, polarity: Atom("drifted"))
+    monkeypatch.setattr("exproof.expansion.shallow", lambda tree, polarity: Atom("drifted", ()))
     with pytest.raises(InvariantError):
         load_sequent(fixture(name), RunConfig("check", ()))
 
@@ -506,7 +521,7 @@ def _raises_invariant_error_under_optimisation(patch: str, name: str) -> bool:
 
 
 def test_import_invariant_holds_under_optimisation():
-    patch = "import exproof.expansion as m; m.shallow = lambda tree, polarity: Atom('drifted')"
+    patch = "import exproof.expansion as m; m.shallow = lambda tree, polarity: Atom('drifted', ())"
     assert _raises_invariant_error_under_optimisation(patch, "leancop_simple.proof")
 
 

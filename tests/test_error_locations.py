@@ -50,6 +50,11 @@ CASES = [
     (parse_formula, "p(a) $ q", "unexpected character '$' at line 1, column 6"),
     (sequent_from_json, _atom_sequent("p(a"), "unexpected end of input at line 1, column 4"),
     (sequent_from_json, _atom_sequent("p('x\ny') )"), "trailing input ')' at line 2, column 5"),
+    (
+        parse_verit,
+        STEP + "\n  (set .c2 (input\n    :conclusion ((q b)) :conclusion ((q a))))\n",
+        ":conclusion given twice in step 'c2' at line 3, column 3",
+    ),
 ]
 
 

@@ -245,7 +245,7 @@ def test_shallow_inverse_and_friends_seeded():
     rng = random.Random(99173)
     for i in range(150):
         raw = random_formula(rng, rng.randint(1, 5))
-        f = rectify(Sequent((raw,), ()))[0].antecedent[0]
+        f = rectify(Sequent((raw,), ())).antecedent[0]
         pol = rng.choice((Polarity.NEG, Polarity.POS))
         sig = random_instances(rng, f, pol)
         tree = expand_formula(f, sig, pol)
@@ -263,7 +263,7 @@ def test_shallow_inverse_and_friends_seeded():
 def test_shallow_inverse_hypothesis(seed, pol):
     rng = random.Random(seed)
     raw = random_formula(rng, rng.randint(1, 5))
-    f = rectify(Sequent((raw,), ()))[0].antecedent[0]
+    f = rectify(Sequent((raw,), ())).antecedent[0]
     tree = expand_formula(f, random_instances(rng, f, pol), pol)
     assert shallow(tree, pol) == f
 
@@ -284,7 +284,7 @@ def test_completion_per_branch_agrees_with_a_global_fallback(seed, pol):
     # whole quantifiers have no instance
     rng = random.Random(seed)
     raw = random_formula(rng, rng.randint(1, 5))
-    f = rectify(Sequent((raw,), ()))[0].antecedent[0]
+    f = rectify(Sequent((raw,), ())).antecedent[0]
     sigmas = [Subst({v: t for v, t in s.items() if rng.random() < 0.6}) for s in random_instances(rng, f, pol)]
     tree = expand_formula(f, sigmas, pol)
     assert tree is expand_formula(f, [*sigmas, _global_fallback(f, pol, sigmas)], pol)
@@ -325,7 +325,7 @@ def test_json_roundtrip_seeded():
     rng = random.Random(5150)
     for _ in range(60):
         raw = random_formula(rng, rng.randint(1, 4))
-        f = rectify(Sequent((raw,), ()))[0].antecedent[0]
+        f = rectify(Sequent((raw,), ())).antecedent[0]
         pol = rng.choice((Polarity.NEG, Polarity.POS))
         tree = expand_formula(f, random_instances(rng, f, pol), pol)
         es = Sequent((tree,), ()) if pol is Polarity.NEG else Sequent((), (tree,))
@@ -383,7 +383,7 @@ def _instances_naming_binders(rng, f, pol):
 def _agrees_with_substitution(rng, pol):
     """Expand a random rectified formula both ways and compare; True when
     some binder of the substituted tree was renamed to avoid capture."""
-    f = rectify(Sequent((random_formula(rng, rng.randint(1, 6)),), ()))[0].antecedent[0]
+    f = rectify(Sequent((random_formula(rng, rng.randint(1, 6)),), ())).antecedent[0]
     sigmas = _instances_naming_binders(rng, f, pol)
     try:
         ref = ref_expand_formula(f, sigmas, pol)

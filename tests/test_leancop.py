@@ -26,12 +26,13 @@ from exproof.core import (
 from exproof.expansion import ETStrong, ETWeak, expand_formula, shallow_sequent
 from exproof.leancop import (
     LeanCoPImportError,
-    SkolemRegistry,
     _new_subterms,
+    collapse_term,
     definitional_dnf,
     import_leancop,
     match_clauses,
     parse_leancop,
+    skolem_arguments,
 )
 from exproof.notation import ParseError, parse_formula, sequent_text
 from exproof.verit import AxiomSchema, SchemaKind, make_schema, symmetry_trees
@@ -123,28 +124,26 @@ def test_parse_rejects_a_variable_bound_twice(text):
 
 
 def test_skolem_collapse():
-    reg = SkolemRegistry({"skC1"})
+    heads = frozenset({"skC1"})
     t = App("skC1", (Var("X"),))
-    assert reg.collapse_term(t) == Var("v_skC1")
-    assert reg.collapse_term(App("f", (a,))) == App("f", (a,))
+    assert collapse_term(t, heads) == Var("v_skC1")
+    assert collapse_term(App("f", (a,)), heads) == App("f", (a,))
     g = App("g", (App("skC1", (Var("X"),)), App("skC1", (Var("X"),))))
-    assert reg.collapse_term(g) == App("g", (Var("v_skC1"), Var("v_skC1")))
+    assert collapse_term(g, heads) == App("g", (Var("v_skC1"), Var("v_skC1")))
 
 
 def test_skolem_single_binding_violation():
-    reg = SkolemRegistry({"sk1"})
-    reg.scan([App("sk1", (Var("X1"),))])
+    heads = frozenset({"sk1"})
+    assert skolem_arguments([App("sk1", (Var("X1"),))], heads) == {"sk1": (Var("X1"),)}
     with pytest.raises(LeanCoPImportError, match="different argument lists"):
-        reg.scan([App("sk1", (a,))])
+        skolem_arguments([App("sk1", (Var("X1"),)), App("sk1", (a,))], heads)
 
 
 def test_skolem_scan_does_not_recurse_on_term_depth():
-    reg = SkolemRegistry({"sk1"})
     t = App("sk1", (a,))
     for _ in range(5000):
         t = App("f", (t,))
-    reg.scan(_new_subterms([t], set()))
-    assert reg.args_seen == {"sk1": (a,)}
+    assert skolem_arguments(_new_subterms([t], set()), frozenset({"sk1"})) == {"sk1": (a,)}
 
 
 def test_new_subterms_walks_each_distinct_subterm_once():

@@ -45,8 +45,8 @@ def test_parse_quantified_implication():
 
 def test_parse_connective_precedence():
     # & binds tighter than |, => is weakest and right-associative
-    assert parse_formula("a & b | c") == Or(And(Atom("a"), Atom("b")), Atom("c"))
-    assert parse_formula("a => b => c") == Imp(Atom("a"), Imp(Atom("b"), Atom("c")))
+    assert parse_formula("a & b | c") == Or(And(Atom("a", ()), Atom("b", ())), Atom("c", ()))
+    assert parse_formula("a => b => c") == Imp(Atom("a", ()), Imp(Atom("b", ()), Atom("c", ())))
 
 
 def test_parse_equality_and_disequality():
@@ -93,7 +93,7 @@ def test_parse_errors_have_location():
 
 def test_comments_are_skipped():
     assert parse_formula("p(a) % trailing comment\n & q") == And(
-        Atom("p", (const("a"),)), Atom("q")
+        Atom("p", (const("a"),)), Atom("q", ())
     )
 
 
@@ -106,7 +106,7 @@ def test_sequent_text_empty_succedent_ends_with_turnstile():
     s = Sequent((Atom("p", ()),), ())
     assert sequent_text(s) == "p ⊢"
     assert sequent_text(Sequent((), ())) == "⊢"
-    assert sequent_text(Sequent((), (Atom("p"),))) == "⊢ p"
+    assert sequent_text(Sequent((), (Atom("p", ()),))) == "⊢ p"
 
 
 @given(formulas)

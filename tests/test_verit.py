@@ -80,6 +80,32 @@ def test_parse_errors():
         parse_verit("(set .c1 (input))")
 
 
+# p and ~p refuted, where a step names an attribute twice: were the last to
+# win, the first trace would be a proof although with its first :conclusion
+# its inputs are satisfiable, and the second would read other premises
+REPEATED_ATTRIBUTE_TRACES = [
+    "(set .c1 (input :conclusion ((not p)) :conclusion (p)))\n"
+    "(set .c2 (input :conclusion ((not p))))\n"
+    "(set .c3 (resolution :clauses (.c1 .c2) :conclusion ()))\n",
+    "(set .c1 (input :conclusion (p)))\n"
+    "(set .c2 (input :conclusion ((not p))))\n"
+    "(set .c3 (resolution :clauses (.c1) :clauses (.c1 .c2) :conclusion ()))\n",
+]
+REPEATED_ATTRIBUTE_ERRORS = [
+    ":conclusion given twice in step 'c1' at line 1, column 1",
+    ":clauses given twice in step 'c3' at line 3, column 1",
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", zip(REPEATED_ATTRIBUTE_TRACES, REPEATED_ATTRIBUTE_ERRORS), ids=["conclusion", "clauses"]
+)
+def test_parse_rejects_a_step_attribute_given_twice(text, message):
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_verit(text)
+    assert str(exc.value) == message
+
+
 def test_parse_error_location():
     with pytest.raises(TraceSyntaxError) as exc:
         parse_verit("(set .c1 (input :conclusion (p)))\n(boom)")
@@ -91,7 +117,7 @@ def test_comment_lines_are_skipped_and_counted():
     # step, are skipped; a `%` anywhere else starts an atom, so a literal
     # on a line of its own that starts with `%` is not dropped
     text = "% a comment\n  %% another\n(set .c1 (input :conclusion (p)))\n(set .c2 (input :conclusion (p\n  %q\n)))"
-    assert parse_verit(text).steps[1][3] == (Atom("p"), Atom("%q"))
+    assert parse_verit(text).steps[1][3] == (Atom("p", ()), Atom("%q", ()))
     with pytest.raises(TraceSyntaxError) as exc:
         parse_verit(text + "\n\n\t(boom)\n")
     assert str(exc.value) == "expected a (set .id (...)) step at line 8, column 2"
@@ -107,7 +133,7 @@ def test_leaf_partition():
     trace = load("verit_transitivity.proof")
     inputs, axioms = leaf_clauses(trace)
     assert len(inputs) == 3
-    assert [kind for kind, _ in axioms] == ["transitivity"]
+    assert [kind for kind, _ in axioms] == [SchemaKind.TRANSITIVITY]
 
 
 def test_only_input_leaves():
@@ -119,7 +145,7 @@ def test_only_input_leaves():
 def test_congruence_kind():
     trace = load("verit_congruence.proof")
     _, axioms = leaf_clauses(trace)
-    assert axioms[0][0] == "fn_congruence"
+    assert axioms[0][0] is SchemaKind.FN_CONGRUENCE
 
 
 def test_unknown_leaf_rule_is_error():
@@ -180,27 +206,27 @@ def test_schema_size_validation():
 
 def test_match_transitivity_positional():
     clause = (Neg(eq(a, b)), Neg(eq(b, c)), eq(a, c))
-    _schema, subst, flips = match_axiom_instance("transitivity", clause)
+    _schema, subst, flips = match_axiom_instance(SchemaKind.TRANSITIVITY, clause)
     assert dict(subst.items()) == {"x0": a, "x1": b, "x2": c}
     assert flips == 0
 
 
 def test_match_congruence():
     clause = (Neg(eq(a, b)), eq(App("f", (a,)), App("f", (b,))),)
-    _schema, subst, _flips = match_axiom_instance("fn_congruence", clause)
+    _schema, subst, _flips = match_axiom_instance(SchemaKind.FN_CONGRUENCE, clause)
     assert dict(subst.items()) == {"x0": a, "y0": b}
 
 
 def test_match_with_orientation_flip():
     clause = (Neg(eq(b, a)), Neg(eq(b, c)), eq(a, c))
-    _schema, subst, flips = match_axiom_instance("transitivity", clause)
+    _schema, subst, flips = match_axiom_instance(SchemaKind.TRANSITIVITY, clause)
     assert dict(subst.items()) == {"x0": a, "x1": b, "x2": c}
     assert flips == 1
 
 
 def test_match_with_literal_permutation():
     clause = (eq(a, c), Neg(eq(a, b)), Neg(eq(b, c)))
-    schema, subst, _flips = match_axiom_instance("transitivity", clause)
+    schema, subst, _flips = match_axiom_instance(SchemaKind.TRANSITIVITY, clause)
     assert dict(subst.items()) == {"x0": a, "x1": b, "x2": c}
     # the matcher reproduces the leaf clause as a multiset
     assert Counter(apply_subst(l, subst) for l in schema.matrix) == Counter(clause)
@@ -209,17 +235,17 @@ def test_match_with_literal_permutation():
 def test_match_failure_is_import_error():
     clause = (Neg(eq(a, b)), Neg(eq(c, c)), eq(a, c))
     with pytest.raises(VeritImportError, match="cannot match"):
-        match_axiom_instance("transitivity", clause)
+        match_axiom_instance(SchemaKind.TRANSITIVITY, clause)
 
 
 def test_messages_write_a_negated_equality_without_parentheses(monkeypatch):
     # a clause in a message reads `~a = b`, where a formula reads `~(a = b)`
     with pytest.raises(VeritImportError) as error:
-        match_axiom_instance("transitivity", (Neg(eq(a, b)), Neg(eq(c, c)), eq(a, c)))
+        match_axiom_instance(SchemaKind.TRANSITIVITY, (Neg(eq(a, b)), Neg(eq(c, c)), eq(a, c)))
     assert str(error.value) == "cannot match transitivity axiom against clause [~a = b, ~c = c, a = c]"
     monkeypatch.setattr("exproof.verit._walk", lambda edges, s, t: [(t, -1), (s, 0), (s, 1)])
     with pytest.raises(InvariantError) as error:
-        match_axiom_instance("transitivity", (Neg(eq(a, b)), Neg(eq(b, c)), eq(a, c)))
+        match_axiom_instance(SchemaKind.TRANSITIVITY, (Neg(eq(a, b)), Neg(eq(b, c)), eq(a, c)))
     assert str(error.value) == (
         "the transitivity instance [~c = a, ~a = a, c = a] is not the leaf [~a = b, ~b = c, a = c]"
     )
@@ -256,7 +282,7 @@ def test_shuffled_ten_literal_leaf_matches():
     shuffled = clause[::-1]
     rng = random.Random(10)
     for leaf in (clause, shuffled, tuple(rng.sample(clause, len(clause)))):
-        inst = match_axiom_instance("transitivity", leaf)
+        inst = match_axiom_instance(SchemaKind.TRANSITIVITY, leaf)
         assert Counter(map(_unoriented, _instance_literals(inst))) == Counter(map(_unoriented, leaf))
         # the walk starts at the end whose first equality comes first
         ends = (names[0], names[9])
@@ -275,7 +301,7 @@ def test_shuffled_ten_literal_leaf_matches():
                          Neg(Atom("p", (b, a))))),
 ])
 def test_match_through_repeated_terms(kind, clause):
-    inst = match_axiom_instance(kind, clause)
+    inst = match_axiom_instance(SchemaKind(kind), clause)
     assert Counter(map(_unoriented, _instance_literals(inst))) == Counter(map(_unoriented, clause))
 
 
@@ -293,20 +319,20 @@ def test_match_through_repeated_terms(kind, clause):
 ])
 def test_non_instances_are_import_errors(kind, clause):
     with pytest.raises(VeritImportError, match="cannot match"):
-        match_axiom_instance(kind, clause)
+        match_axiom_instance(SchemaKind(kind), clause)
 
 
 def test_instance_that_is_not_the_leaf_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr("exproof.verit._walk", lambda edges, s, t: [(t, -1), (s, 0), (s, 1)])
     clause = (Neg(eq(a, b)), Neg(eq(b, c)), eq(a, c))
     with pytest.raises(InvariantError, match="is not the leaf"):
-        match_axiom_instance("transitivity", clause)
+        match_axiom_instance(SchemaKind.TRANSITIVITY, clause)
 
 
 def test_ten_thousand_link_leaf_is_read_in_one_pass():
     names, clause = _chain(10_000)
     leaf = tuple(random.Random(4).sample(clause, len(clause)))
-    inst = match_axiom_instance("transitivity", leaf)
+    inst = match_axiom_instance(SchemaKind.TRANSITIVITY, leaf)
     assert {inst[1]["x0"], inst[1]["x10000"]} == {names[0], names[-1]}
     assert Counter(map(_unoriented, _instance_literals(inst))) == Counter(map(_unoriented, leaf))
 
@@ -321,19 +347,19 @@ RULES = {kind: rule for rule, kind in AXIOM_RULES.items()}
 def instances(draw, max_literals: int = 30, simple_chains: bool = False):
     """A leaf kind and an instance of its axiom, premises first, over terms
     that repeat; with `simple_chains` a transitivity chain repeats none."""
-    kind = draw(st.sampled_from(sorted(RULES)))
+    kind = draw(st.sampled_from(list(RULES)))
     term = st.sampled_from(POOL)
-    if kind == "reflexivity":
+    if kind is SchemaKind.REFLEXIVITY:
         t = draw(term)
         return kind, (eq(t, t),)
-    if kind == "transitivity":
+    if kind is SchemaKind.TRANSITIVITY:
         chain = st.permutations(POOL + [const(f"d{i}") for i in range(3)]) if simple_chains else st.lists(term, min_size=30)
         xs = draw(chain)[: draw(st.integers(3, max_literals))]
         return kind, tuple(Neg(eq(x, y)) for x, y in zip(xs, xs[1:])) + (eq(xs[0], xs[-1]),)
-    k = draw(st.integers(1, max_literals - (1 if kind == "fn_congruence" else 2)))
+    k = draw(st.integers(1, max_literals - (1 if kind is SchemaKind.FN_CONGRUENCE else 2)))
     xs, ys = (tuple(draw(st.lists(term, min_size=k, max_size=k))) for _ in range(2))
     premises = tuple(Neg(eq(x, y)) for x, y in zip(xs, ys))
-    if kind == "fn_congruence":
+    if kind is SchemaKind.FN_CONGRUENCE:
         return kind, premises + (eq(App("f", xs), App("f", ys)),)
     return kind, premises + (Neg(Atom("p", xs)), Atom("p", ys))
 
@@ -369,7 +395,7 @@ def test_disguised_instances_import_as_proofs(instance, data):
     leaf = " ".join(map(_literal_sexp, _disguise(data.draw, literals)))
     lines.append(f"(set .t ({RULES[kind]} :conclusion ({leaf})))")
     es, report = import_verit(parse_verit("\n".join(lines)))
-    assert report["schema_instances"] == {kind: 1}
+    assert report["schema_instances"] == {kind.value: 1}
     assert verdict(es).is_proof
 
 
