@@ -71,43 +71,106 @@ def _forget(entry: KeyedRef) -> None:
     _remove_dead_weakref(_nodes, entry.key)
 
 
+def _intern(key: tuple, node: "Node") -> "Node":
+    """The node the table holds under `key`, which is `node` unless another
+    thread entered an equal one first."""
+    # `ref.__new__` skips the Python-level constructor of KeyedRef, which
+    # would double the cost of a new node
+    entry = _new_ref(KeyedRef, node, _forget)
+    entry.key = key
+    # setdefault is atomic, so a node another thread made first wins; an
+    # entry whose node is dead and not yet forgotten is replaced
+    while (found := _nodes.setdefault(key, entry)()) is None:
+        _remove_dead_weakref(_nodes, key)
+    return found
+
+
+_MISSING = object()  # a field the caller left out
+
+
+def _wrong_count(cls: type, *fields) -> TypeError:
+    got = sum(field is not _MISSING for field in fields)
+    return TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {got}")
+
+
+def _constructor(kind: type) -> staticmethod:
+    """The `__new__` of `kind`, whose `_fields` are set.  One-
+    and two-field kinds, which are all terms and formulas, take their fields
+    as named parameters.  The rest, `ETWeak` and `ETStrong`, pack them: they
+    are about one in seventeen of the nodes a leanCoP check makes.  A field
+    left out defaults to `_MISSING`, which no node in the table has, so a
+    short call misses and is caught where a node would be made; `*more` is
+    empty unless a call passes too many."""
+    set_fields = tuple(getattr(kind, name).__set__ for name in kind._fields)
+    if len(set_fields) == 1:
+        (set_a,) = set_fields
+
+        def new(cls, a=_MISSING, /, *more):
+            if more:
+                raise _wrong_count(cls, a, *more)
+            key = (cls, a)
+            entry = _nodes.get(key)
+            if entry is not None and (node := entry()) is not None:
+                return node
+            if a is _MISSING:
+                raise _wrong_count(cls)
+            node = object.__new__(cls)
+            set_a(node, a)
+            return _intern(key, node)
+
+    elif len(set_fields) == 2:
+        set_a, set_b = set_fields
+
+        def new(cls, a=_MISSING, b=_MISSING, /, *more):
+            if more:
+                raise _wrong_count(cls, a, b, *more)
+            key = (cls, a, b)
+            entry = _nodes.get(key)
+            if entry is not None and (node := entry()) is not None:
+                return node
+            if b is _MISSING:
+                raise _wrong_count(cls, a)
+            node = object.__new__(cls)
+            set_a(node, a)
+            set_b(node, b)
+            return _intern(key, node)
+
+    else:
+
+        def new(cls, *fields):
+            key = (cls, *fields)
+            entry = _nodes.get(key)
+            if entry is not None and (node := entry()) is not None:
+                return node
+            if len(fields) != len(set_fields):
+                raise _wrong_count(cls, *fields)
+            node = object.__new__(cls)
+            for set_field, field in zip(set_fields, fields):
+                set_field(node, field)
+            return _intern(key, node)
+
+    new.__qualname__ = f"{kind.__name__}.__new__"
+    return staticmethod(new)
+
+
 class Node:
     """A hash-consed immutable value.  Each kind is a subclass that declares
     its fields as `__slots__`, where a slot named with a leading `_` is a
-    cache; `Kind(*fields)` returns the node with those fields if one is
-    alive, and makes it otherwise."""
+    cache; `Kind(field, ...)` returns the node with those fields if one is
+    alive, and makes it otherwise.
+
+    Every node goes through its kind's constructor, so the cost of the call
+    itself is paid by every node: a varargs `__new__`, which packs the
+    fields, builds the key from them and sets them in a loop, makes a new
+    term or formula about a third slower on CPython 3.10-3.13.
+    `__init_subclass__` therefore installs a constructor fixed to the
+    kind's field count (`_constructor`)."""
 
     __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(s for s in cls.__slots__ if s[0] != "_")
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
-
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        entry = _nodes.get(key)
-        if entry is not None and (node := entry()) is not None:
-            return node
-        set_fields = cls._setters
-        if len(fields) != len(set_fields):
-            raise TypeError(f"{cls.__name__} takes {len(set_fields)} fields, got {len(fields)}")
-        node = object.__new__(cls)
-        # the first two fields are set without a loop, which made the
-        # benchmark's leanCoP checks about 3% slower on a 2-CPU host
-        set_fields[0](node, fields[0])
-        if len(fields) > 1:
-            set_fields[1](node, fields[1])
-            for i in range(2, len(fields)):
-                set_fields[i](node, fields[i])
-        # `ref.__new__` skips the Python-level constructor of KeyedRef,
-        # which would double the cost of a new node
-        entry = _new_ref(KeyedRef, node, _forget)
-        entry.key = key
-        # setdefault is atomic, so a node another thread made first wins;
-        # an entry whose node is dead and not yet forgotten is replaced
-        while (found := _nodes.setdefault(key, entry)()) is None:
-            _remove_dead_weakref(_nodes, key)
-        return found
+        cls.__new__ = _constructor(cls)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")

@@ -1,8 +1,10 @@
+import ast
 import copy
 import pickle
 import random
 import sys
 import threading
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -266,6 +268,24 @@ def test_nodes_are_immutable():
             short()
 
 
+def test_constructor_contract_of_every_kind():
+    # one of each field count: Var and Neg take 1, the other terms and
+    # formulas 2, ETWeak 3 and ETStrong 4
+    for node in _one_of_each_kind():
+        kind, fields = type(node), node.values()
+        assert kind(*fields) is node
+        n = len(fields)
+        for wrong in (fields[:-1], fields + ("extra",)):
+            with pytest.raises(TypeError, match=f"^{kind.__name__} takes {n} fields, got {len(wrong)}$"):
+                kind(*wrong)
+    assert {len(node.values()) for node in _one_of_each_kind()} == {1, 2, 3, 4}
+    # a call with too many fields does not return the node its first ones name
+    with pytest.raises(TypeError, match="^Var takes 1 fields, got 3$"):
+        Var("X", "Y", "Z")
+    with pytest.raises(TypeError, match="^App takes 2 fields, got 0$"):
+        App()
+
+
 def test_intern_table_lets_dead_nodes_go():
     before = len(core._nodes)
     t = Var("V_table")
@@ -277,29 +297,61 @@ def test_intern_table_lets_dead_nodes_go():
     assert len(core._nodes) == before + 10_002  # the atom holds the term
     del atom
     assert len(core._nodes) == before
+    # the kinds of the other field counts: Neg, ETWeak and ETStrong
+    p = Atom("p_table", ())
+    tree = ETStrong("X_table", p, "e_table", ETWeak("Y_table", Neg(p), ((const("c_table"), Neg(p)),)))
+    assert len(core._nodes) == before + 5
+    del p
+    assert len(core._nodes) == before + 5  # the tree holds the atom
+    del tree
+    assert len(core._nodes) == before
+
+
+def test_dead_entry_not_yet_removed_is_replaced(monkeypatch):
+    # a node whose callback is a no-op leaves a dead entry behind, the state
+    # between a node's death and its callback; building the node again must
+    # replace the entry, not return it or loop
+    before = len(core._nodes)
+    with monkeypatch.context() as patched:
+        patched.setattr(core, "_forget", lambda entry: None)
+        node = App("f_dead_entry", ())
+    del node
+    assert len(core._nodes) == before + 1  # the dead entry
+    again = App("f_dead_entry", ())
+    assert type(again) is App and again.head == "f_dead_entry" and again.args == ()
+    assert App("f_dead_entry", ()) is again
+    assert len(core._nodes) == before + 1
+    del again
+    assert len(core._nodes) == before
 
 
 def test_threads_building_equal_nodes_get_one_node():
-    # four threads on two CPUs build the same 3000 terms, switching as often
-    # as the interpreter allows; a lookup and an insertion that let two
-    # threads each make a node would leave two different nodes
-    def build(out):
-        out.extend(App(f"t_thread{i % 1000}", (Var(f"V{i % 7}"),)) for i in range(3000))
+    # four threads on two CPUs build the same 3000 nodes of one kind,
+    # switching as often as the interpreter allows; a lookup and an insertion
+    # that let two threads each make a node would leave two different nodes.
+    # The kinds have one, two and four fields.
+    def build(make, out):
+        out.extend(make(i) for i in range(3000))
 
-    results = [[] for _ in range(4)]
-    threads = [threading.Thread(target=build, args=(r,)) for r in results]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(len(r) == 3000 for r in results)
-    assert all(a is b for r in results[1:] for a, b in zip(results[0], r))
+    for make in (
+        lambda i: Var(f"V_thread{i % 1000}"),
+        lambda i: App(f"t_thread{i % 1000}", (Var(f"V{i % 7}"),)),
+        lambda i: ETStrong(f"X{i % 7}", A, f"e_thread{i % 1000}", B),
+    ):
+        results = [[] for _ in range(4)]
+        threads = [threading.Thread(target=build, args=(make, r)) for r in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(r) == 3000 for r in results)
+        assert all(a is b for r in results[1:] for a, b in zip(results[0], r))
 
 
 # --- stack walks against the recursive versions they replaced ---
@@ -476,3 +528,20 @@ def test_negative_literal_matches_only_a_negative_one():
     assert match_under(p, Neg(pa), {}) is None
     assert free_vars(Neg(p)) == {"X"}
     assert apply_subst(Neg(p), Subst({"X": const("a")})) is Neg(pa)
+
+
+# --- the package as source ---
+
+
+def test_package_has_no_assert_statement():
+    # `python -O` drops assert statements, and invariant checks must still
+    # run under it, so they raise instead
+    package = Path(core.__file__).parent
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(package.glob("*.py"))) >= 8
+    assert asserts == []
