@@ -15,7 +15,6 @@ from typing import NamedTuple, Optional
 from .core import (
     And,
     Atom,
-    Formula,
     Imp,
     Neg,
     Or,
@@ -26,7 +25,7 @@ from .core import (
     fold,
     free_vars,
     gc_paused,
-    subformulas,
+    polar_parts,
 )
 from .expansion import ETStrong, ETWeak, children, deep
 
@@ -45,14 +44,9 @@ def deep_sequent(es: Sequent) -> Sequent:
 
 
 # ---------------------------------------------------------------------------
-# propositional tautology check (iterative DPLL over a Tseitin CNF)
-
-
-def _collect_atoms(f: Formula, ids: dict[Atom, int]) -> None:
-    """Number the atoms of `f` from len(ids) + 1 in left-to-right order."""
-    for g, _ in subformulas(f, Polarity.POS):
-        if type(g) is Atom and g not in ids:
-            ids[g] = len(ids) + 1
+# propositional tautology check: clauses read straight from the trees of an
+# expansion sequent, one variable per connective and only the clauses of the
+# polarity it is read at, then an iterative DPLL
 
 
 def _dpll(clauses: list[list[int]], nvars: int) -> Optional[dict[int, bool]]:
@@ -152,51 +146,81 @@ def _dpll(clauses: list[list[int]], nvars: int) -> Optional[dict[int, bool]]:
             return None
 
 
-def is_tautology(ds: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
-    """Check whether and(antecedent) -> or(succedent) is propositionally
-    valid; on failure the second component is a falsifying assignment over
-    the sequent's atoms (rendered in textual notation)."""
+def is_tautology(es: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
+    """Check whether the deep sequent of `es`, and(antecedent) ->
+    or(succedent), is propositionally valid; on failure the second component
+    is a falsifying assignment over its atoms (rendered in textual notation).
+    A deep sequent, an expansion sequent without quantifier nodes, may be
+    passed too.
+
+    Each tree is encoded in one `fold`: a weak node reads as an n-ary
+    conjunction at negative polarity and a disjunction at positive polarity,
+    and a strong node, or a weak node of one instance, as its child.  Each subformula of a tree is read at one
+    polarity only, so a connective's variable gets the clauses of one
+    direction (Plaisted & Greenbaum 1986): at negative polarity the variable
+    implies the subformula, at positive polarity the subformula implies it.
+    The atoms are numbered 1..A left to right and the connectives after
+    them, and the atom parts of the models are exactly the falsifying
+    assignments, so the DPLL, lowest variable first, finds the
+    counterexample a full Tseitin encoding of the deep sequent gives.
+    """
     ids: dict[Atom, int] = {}
-    for f in ds.formulas:
-        _collect_atoms(f, ids)
-    # the sequent fails iff all antecedents and all negated succedents are
-    # jointly satisfiable
-    conjuncts = list(ds.antecedent) + [Neg(f) for f in ds.succedent]
-    # Tseitin encoding: each connective gets the next variable, numbered and
-    # defined in post-order, left subformula first
+
+    def number(tree):
+        if type(tree) is Atom:
+            return None, ids.setdefault(tree, len(ids) + 1)
+        return children(tree), discard
+
+    for tree in es.formulas:
+        fold(tree, number)
     fresh = count(len(ids) + 1)
     clauses: list[list[int]] = []
 
-    def conj(left: int, right: int) -> int:
+    def neg_and(*parts: int) -> int:
         a = next(fresh)
-        clauses.extend(([-a, left], [-a, right], [a, -left, -right]))
+        clauses.extend([-a, p] for p in parts)
         return a
 
-    def disj(left: int, right: int) -> int:
+    def neg_or(*parts: int) -> int:
         a = next(fresh)
-        clauses.extend(([-a, left, right], [a, -left], [a, -right]))
+        clauses.append([-a, *parts])
         return a
 
-    def imp(left: int, right: int) -> int:
-        return disj(-left, right)
+    def pos_and(*parts: int) -> int:
+        a = next(fresh)
+        clauses.append([a, *map(neg, parts)])
+        return a
 
-    define = {And: conj, Or: disj, Imp: imp}
+    def pos_or(*parts: int) -> int:
+        a = next(fresh)
+        clauses.extend([a, -p] for p in parts)
+        return a
 
-    def step(f: Formula):
-        kind = type(f)
+    define = {
+        Polarity.NEG: {Neg: neg, And: neg_and, Or: neg_or, Imp: lambda a, b: neg_or(-a, b), ETWeak: neg_and},
+        Polarity.POS: {Neg: neg, And: pos_and, Or: pos_or, Imp: lambda a, b: pos_or(-a, b), ETWeak: pos_or},
+    }
+
+    def step(item):
+        tree, polarity = item
+        kind = type(tree)
+        while kind is ETStrong or kind is ETWeak and len(tree.instances) == 1:
+            tree = tree.child if kind is ETStrong else tree.instances[0][1]
+            kind = type(tree)
         if kind is Atom:
-            return None, ids[f]
-        if kind is Neg:
-            return (f.sub,), neg
-        return (f.left, f.right), define[kind]
+            return None, ids[tree]
+        if kind is ETWeak:
+            return tuple((child, polarity) for _, child in tree.instances), define[polarity][kind]
+        return polar_parts(tree, polarity), define[polarity][kind]
 
-    for f in conjuncts:
-        clauses.append([fold(f, step)])
+    for tree in es.antecedent:
+        clauses.append([fold((tree, Polarity.NEG), step)])
+    for tree in es.succedent:
+        clauses.append([-fold((tree, Polarity.POS), step)])
     model = _dpll(clauses, next(fresh) - 1)
     if model is None:
         return True, None
-    assignment = {str(atom): model.get(i, False) for atom, i in ids.items()}
-    return False, assignment
+    return False, {str(atom): model[i] for atom, i in ids.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +306,8 @@ def dependency_relation(es: Sequent) -> DependencyGraph:
     """Base dependency relation: an edge t -> s whenever some eigenvariable
     of a strong node at or below t's instance edge occurs free in s."""
     occurrences, eigens, spans = _walk_sequent(es)
+    if not eigens:
+        return DependencyGraph(tuple(occurrences), frozenset())
     strong = set(eigens)
     mentioned_by: dict[str, list[int]] = {}
     for b, occ in enumerate(occurrences):
@@ -352,6 +378,8 @@ def is_acyclic(g: DependencyGraph) -> tuple[bool, Optional[tuple[str, ...]]]:
     node is searched.  The witness is the one a full BFS over the whole
     graph from every node finds.
     """
+    if not g.edges:
+        return True, None
     adj: list[list[int]] = [[] for _ in g.nodes]
     for a, b in sorted(g.edges):
         adj[a].append(b)
@@ -418,7 +446,9 @@ class Verdict(NamedTuple):
 def verdict(es: Sequent) -> Verdict:
     """The sanity check: an expansion sequent is a proof iff its deep sequent
     is a tautology and its dependency relation is acyclic.  This validates
-    the claimed instantiations, not individual inference steps."""
-    taut, counterexample = is_tautology(deep_sequent(es))
+    the claimed instantiations, not individual inference steps.  The
+    tautology check reads the trees themselves (`is_tautology`), so the deep
+    sequent is never built here."""
+    taut, counterexample = is_tautology(es)
     acyclic, cycle = is_acyclic(dependency_relation(es))
     return Verdict(taut and acyclic, taut, acyclic, counterexample, cycle)

@@ -436,6 +436,8 @@ def _from_json_step(names: frozenset[str], item):
         body = f.body
     env = scope.env
     if cls is ETWeak:
+        if not node["instances"]:
+            raise ExpansionError(f"weak node {var!r} has no instances")
         terms = tuple(parse_term(inst["term"], extra_vars=inner) for inst in node["instances"])
         kids = tuple((child, *_instance(scope, var, body, t)) for child, t in zip(_json_children(node), terms))
         build = partial(_weak_node, var, body, terms)

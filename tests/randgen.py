@@ -17,7 +17,9 @@ from exproof.core import (
     Var,
     const,
     quantifier_strengths,
+    rectify,
 )
+from exproof.expansion import expand_formula
 
 GROUND_TERMS = [
     const("a"),
@@ -86,6 +88,35 @@ def random_instances(rng: random.Random, formula, polarity: Polarity, weak_terms
         if sigma not in sigmas:
             sigmas.append(sigma)
     return sigmas
+
+
+# weak instance terms built from the eigenvariables `random_instances` pins
+# strong variables to, so that expansion sequents get dependency edges
+EIGEN_TERMS = [Var("E0"), Var("E1"), App("f", (Var("E2"),)), Var("E3")]
+
+
+def random_expansion_sequent(rng: random.Random) -> Sequent:
+    """An expansion sequent of one to four random formulas, each on a random
+    side of a rectified sequent and expanded from a valid instance set whose
+    weak terms may mention eigenvariables (`EIGEN_TERMS`)."""
+    sides = [rng.randrange(2) for _ in range(rng.randint(1, 4))]
+    raw = [random_formula(rng, rng.randint(1, 5)) for _ in sides]
+    sequent = rectify(
+        Sequent(
+            tuple(f for f, s in zip(raw, sides) if s == 0),
+            tuple(f for f, s in zip(raw, sides) if s == 1),
+        )
+    )
+    return Sequent(
+        tuple(
+            expand_formula(f, random_instances(rng, f, Polarity.NEG, EIGEN_TERMS), Polarity.NEG)
+            for f in sequent.antecedent
+        ),
+        tuple(
+            expand_formula(f, random_instances(rng, f, Polarity.POS, EIGEN_TERMS), Polarity.POS)
+            for f in sequent.succedent
+        ),
+    )
 
 
 def random_qf_formula(rng: random.Random, atoms, depth: int):

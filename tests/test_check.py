@@ -10,8 +10,10 @@ from exproof.check import (
     is_tautology,
     verdict,
 )
-from exproof.core import And, App, Atom, Imp, Neg, Or, Polarity, Sequent, Var, const, eq, rectify
-from exproof.expansion import ETStrong, ETWeak, expand_formula
+from conftest import FIXTURES, load_bench_gen
+from exproof.cli import RunConfig, load_sequent
+from exproof.core import And, Atom, ExproofError, Imp, Neg, Or, Sequent, Var, const, eq
+from exproof.expansion import ETStrong, ETWeak
 from exproof.notation import parse_formula, sequent_text
 from oracles import (
     eval_sequent,
@@ -23,7 +25,7 @@ from oracles import (
     sequent_atoms,
     taut_oracle,
 )
-from randgen import random_deep_sequent, random_formula, random_graph, random_instances
+from randgen import random_deep_sequent, random_expansion_sequent, random_graph
 
 P = lambda t: Atom("p", (t,))
 a, b, c = const("a"), const("b"), const("c")
@@ -146,6 +148,39 @@ def test_long_conjunction_does_not_recurse():
     assert not ok and all(counterexample.values()) and len(counterexample) == 5000
 
 
+def _trace_sequents(tmp_path) -> list[Sequent]:
+    """The expansion sequents of the fixtures that import and of the seed-1
+    traces of every benchmark workload."""
+    gen = load_bench_gen()
+    paths = sorted(FIXTURES.glob("*.proof"))
+    for workload in gen.WORKLOADS:
+        for trace in gen.workload(workload, 1):
+            path = tmp_path / f"{workload}-{trace.name}"
+            path.write_text(trace.text, encoding="utf-8")
+            paths.append(path)
+    sequents = []
+    for path in paths:
+        try:
+            sequents.append(load_sequent(str(path), RunConfig("check", (str(path),)))[0])
+        except ExproofError:
+            pass
+    return sequents
+
+
+def test_tautology_read_from_the_trees_matches_the_deep_sequent(tmp_path):
+    # the polarity-aware encoding of the trees must give the verdict and
+    # counterexample that the full Tseitin encoding of the deep sequent gives
+    rng = random.Random(1986)
+    sequents = [random_expansion_sequent(rng) for _ in range(1500)] + _trace_sequents(tmp_path)
+    falsifiable = 0
+    for i, es in enumerate(sequents):
+        ds = deep_sequent(es)
+        ours = is_tautology(es)
+        assert ours == ref_is_tautology(ds) == is_tautology(ds), f"case {i}: {sequent_text(ds)}"
+        falsifiable += not ours[0]
+    assert falsifiable >= 500  # counterexamples are compared, not only verdicts
+
+
 # --- dependency relation ---
 
 
@@ -192,28 +227,9 @@ def test_strong_node_at_instance_child_is_dominated():
 
 def test_dependency_relation_matches_pairwise_scan_seeded():
     rng = random.Random(6007)
-    # weak variables may take eigenvariable terms, so that edges appear
-    weak_terms = [Var("E0"), Var("E1"), App("f", (Var("E2"),)), Var("E3")]
     with_edges = 0
     for i in range(1500):
-        sides = [rng.randrange(2) for _ in range(rng.randint(1, 4))]
-        raw = [random_formula(rng, rng.randint(1, 5)) for _ in sides]
-        sequent = rectify(
-            Sequent(
-                tuple(f for f, s in zip(raw, sides) if s == 0),
-                tuple(f for f, s in zip(raw, sides) if s == 1),
-            )
-        )
-        es = Sequent(
-            tuple(
-                expand_formula(f, random_instances(rng, f, Polarity.NEG, weak_terms), Polarity.NEG)
-                for f in sequent.antecedent
-            ),
-            tuple(
-                expand_formula(f, random_instances(rng, f, Polarity.POS, weak_terms), Polarity.POS)
-                for f in sequent.succedent
-            ),
-        )
+        es = random_expansion_sequent(rng)
         g = dependency_relation(es)
         occurrences, edges = ref_dependency_relation(es)
         assert [(n.path, n.term) for n in g.nodes] == occurrences, f"case {i}"

@@ -340,6 +340,16 @@ def test_tree_from_json_rejects_unknown_kind():
         sequent_from_json({"antecedent": [{"kind": ["neg"]}]})
 
 
+def test_tree_from_json_rejects_a_weak_node_without_instances():
+    # the deep reading of a weak node joins its instances, so it needs one
+    weak = {"kind": "weak", "var": "X", "body": "p(X)", "instances": []}
+    with pytest.raises(ExpansionError, match="weak node 'X' has no instances"):
+        sequent_from_json({"succedent": [weak]})
+    outer = {"kind": "weak", "var": "Y", "body": "![X]: p(X)", "instances": [{"term": "a", "child": weak}]}
+    with pytest.raises(ExpansionError, match="weak node 'X' has no instances"):
+        sequent_from_json({"antecedent": [{"kind": "neg", "child": outer}]})
+
+
 def test_tree_from_json_checks_each_node_against_its_root_body():
     f = parse_formula("![X]: (p(X) & ![Y]: q(X,Y))")
     tree = expand_formula(f, [Subst({"X": a, "Y": b})], Polarity.NEG)

@@ -63,7 +63,7 @@ def _record_gc_state(monkeypatch) -> list:
         return record
 
     monkeypatch.setattr(cli, "import_leancop", recording(cli.import_leancop))
-    monkeypatch.setattr(check, "deep_sequent", recording(check.deep_sequent))
+    monkeypatch.setattr(check, "is_tautology", recording(check.is_tautology))
     return seen
 
 
