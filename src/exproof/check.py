@@ -25,9 +25,8 @@ from .core import (
     fold,
     free_vars,
     gc_paused,
-    polar_parts,
 )
-from .expansion import ETStrong, ETWeak, children, deep
+from .expansion import ETStrong, ETWeak, children, deep, deep_step, subtrees
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +152,10 @@ def is_tautology(es: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
     A deep sequent, an expansion sequent without quantifier nodes, may be
     passed too.
 
-    Each tree is encoded in one `fold`: a weak node reads as an n-ary
-    conjunction at negative polarity and a disjunction at positive polarity,
-    and a strong node, or a weak node of one instance, as its child.  Each subformula of a tree is read at one
+    Each tree is encoded in one `fold` of `deep`'s step, `deep_step`: a
+    weak node reads as an n-ary conjunction at negative polarity and a
+    disjunction at positive polarity, and a strong node, or a weak node of
+    one instance, as its child.  Each subformula of a tree is read at one
     polarity only, so a connective's variable gets the clauses of one
     direction (Plaisted & Greenbaum 1986): at negative polarity the variable
     implies the subformula, at positive polarity the subformula implies it.
@@ -165,14 +165,10 @@ def is_tautology(es: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
     counterexample a full Tseitin encoding of the deep sequent gives.
     """
     ids: dict[Atom, int] = {}
-
-    def number(tree):
-        if type(tree) is Atom:
-            return None, ids.setdefault(tree, len(ids) + 1)
-        return children(tree), discard
-
     for tree in es.formulas:
-        fold(tree, number)
+        for node in subtrees(tree):
+            if type(node) is Atom:
+                ids.setdefault(node, len(ids) + 1)
     fresh = count(len(ids) + 1)
     clauses: list[list[int]] = []
 
@@ -201,18 +197,7 @@ def is_tautology(es: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
         Polarity.POS: {Neg: neg, And: pos_and, Or: pos_or, Imp: lambda a, b: pos_or(-a, b), ETWeak: pos_or},
     }
 
-    def step(item):
-        tree, polarity = item
-        kind = type(tree)
-        while kind is ETStrong or kind is ETWeak and len(tree.instances) == 1:
-            tree = tree.child if kind is ETStrong else tree.instances[0][1]
-            kind = type(tree)
-        if kind is Atom:
-            return None, ids[tree]
-        if kind is ETWeak:
-            return tuple((child, polarity) for _, child in tree.instances), define[polarity][kind]
-        return polar_parts(tree, polarity), define[polarity][kind]
-
+    step = partial(deep_step, define, ids.__getitem__)
     for tree in es.antecedent:
         clauses.append([fold((tree, Polarity.NEG), step)])
     for tree in es.succedent:

@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
 from .check import deep_sequent, verdict
-from .core import And, Atom, ExproofError, Imp, Neg, Or, Polarity, Sequent, discard, fold, gc_paused, polar_parts
-from .expansion import ETStrong, ETWeak, children, sequent_to_json, shallow_sequent
+from .core import And, Atom, ExproofError, Imp, Neg, Or, Polarity, Sequent, fold, gc_paused, polar_parts
+from .expansion import ETStrong, ETWeak, sequent_to_json, shallow_sequent, subtrees
 from .leancop import import_leancop, parse_leancop
 from .notation import ParseError, sequent_text
 from .verit import import_verit, parse_verit
@@ -115,25 +115,15 @@ def _ansi(enabled: bool, code: str, text: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m" if enabled else text
 
 
-def _collect_weak_instances(tree, out: list[tuple[str, list[str]]]) -> None:
-    def step(tree):
-        if type(tree) is ETWeak:
-            out.append((tree.var, [str(t) for t, _ in tree.instances]))
-        return children(tree), discard
-
-    fold(tree, step)
-
-
 def render_show(es: Sequent, deep_mode: bool, color: bool) -> str:
     if deep_mode:
         return sequent_text(deep_sequent(es))
     lines = [sequent_text(shallow_sequent(es))]
-    weak: list[tuple[str, list[str]]] = []
-    for tree in es.antecedent + es.succedent:
-        _collect_weak_instances(tree, weak)
-    for var, terms in weak:
-        rendered = ", ".join(_ansi(color, "36", t) for t in terms)
-        lines.append(f"instances: {_ansi(color, '1', var)} ∈ {{{rendered}}}")
+    for tree in es.formulas:
+        for node in subtrees(tree):
+            if type(node) is ETWeak:
+                rendered = ", ".join(_ansi(color, "36", str(t)) for t, _ in node.instances)
+                lines.append(f"instances: {_ansi(color, '1', node.var)} ∈ {{{rendered}}}")
     return "\n".join(lines)
 
 

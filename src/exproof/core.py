@@ -25,7 +25,7 @@ from __future__ import annotations
 import gc
 from _weakref import _remove_dead_weakref
 from enum import Enum, IntEnum
-from functools import partial, wraps
+from functools import cache, partial, wraps
 from itertools import count
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 from weakref import KeyedRef, ref
@@ -198,6 +198,20 @@ def _repr_step(x):
     return None, repr(x)
 
 
+@cache
+def _symbol_text(name: str) -> str:
+    """A function or predicate symbol as `_text` writes it: bare if the
+    tokenizer reads it back as that one name and the name is no variable's,
+    quoted otherwise.  A symbol holding a quote cannot be written at all."""
+    from .notation import ParseError, token_kind, tokenize  # notation imports this module
+
+    try:
+        bare = tokenize(name) == [name] and token_kind(name) == "name"
+    except ParseError:
+        bare = False
+    return name if bare and not name[0].isupper() and name[0] != "_" else f"'{name}'"
+
+
 def _text(node: Union["App", "Atom"]) -> str:
     """The text of a term or atom, emitted in order by a fold and kept on
     `node` alone: the subterms of a deep term keep no text of their own."""
@@ -212,9 +226,9 @@ def _text(node: Union["App", "Atom"]) -> str:
             if type(x) is Atom and head == EQ and len(x.args) == 2:
                 return (x.args[0], " = ", x.args[1]), discard
             if not x.args:
-                pieces.append(head)
+                pieces.append(_symbol_text(head))
                 return None, None
-            pieces.append(f"{head}(")
+            pieces.append(f"{_symbol_text(head)}(")
             return [p for a in x.args for p in (", ", a)][1:] + [")"], discard
 
         fold(node, step)
@@ -239,10 +253,6 @@ class App(Node):
 
 
 Term = Union[Var, App]
-
-
-def const(name: str) -> App:
-    return App(name, ())
 
 
 def app(head: str, *args: Term) -> App:
@@ -292,10 +302,6 @@ Formula = Union[Atom, Neg, And, Or, Imp, Forall, Exists]
 BINARY = (And, Or, Imp)
 
 
-def eq(left: Term, right: Term) -> Atom:
-    return Atom(EQ, (left, right))
-
-
 # ---------------------------------------------------------------------------
 # polarity
 
@@ -342,8 +348,9 @@ def quantifier_strengths(formula: Formula, polarity: Polarity) -> dict[str, Stre
 
 # ---------------------------------------------------------------------------
 # traversal: every walk over terms, formulas, expansion trees and their
-# JSON form goes through `fold`, `subformulas` or `subterms`, so depth is
-# bounded by memory and not by the interpreter's recursion limit
+# JSON form goes through `fold`, `subformulas`, `subterms` or
+# `expansion.subtrees`, so depth is bounded by memory and not by the
+# interpreter's recursion limit
 
 
 def fold(root, step):

@@ -14,7 +14,7 @@ positive polarity.
 from __future__ import annotations
 
 from functools import partial, reduce
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .core import (
     And,
@@ -93,6 +93,16 @@ def children(tree: ExpansionTree) -> Optional[tuple]:
     return (tree.left, tree.right)
 
 
+def subtrees(tree: ExpansionTree) -> Iterator[ExpansionTree]:
+    """Every node of an expansion tree, in preorder, left to right."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if type(node) is not Atom:
+            stack += reversed(children(node))
+
+
 # ---------------------------------------------------------------------------
 # readings
 
@@ -118,30 +128,38 @@ def shallow(tree: ExpansionTree, polarity: Polarity) -> Formula:
     return fold((tree, polarity), _shallow_step)
 
 
-# weak nodes read as left-nested conjunctions at negative polarity and as
-# disjunctions at positive polarity
-_DEEP_WEAK = {
-    Polarity.NEG: lambda *parts: reduce(And, parts),
-    Polarity.POS: lambda *parts: reduce(Or, parts),
-}
-
-
-def _deep_step(item):
+def deep_step(builds: dict, leaf, item):
+    """The step of a `fold` that reads an expansion tree deep (Miller 1987)
+    from an item (tree, polarity).  A strong node, and a weak node of one
+    instance, stands for its child; any other weak node joins its instances,
+    and a connective is read through `polar_parts`.  An atom's value is
+    `leaf(atom)`, any other node's `builds[polarity][kind]` of its parts'
+    values."""
     tree, polarity = item
-    while type(tree) is ETStrong:
-        tree = tree.child
     kind = type(tree)
+    while kind is ETStrong or kind is ETWeak and len(tree.instances) == 1:
+        tree = tree.child if kind is ETStrong else tree.instances[0][1]
+        kind = type(tree)
     if kind is Atom:
-        return None, tree
+        return None, leaf(tree)
     if kind is ETWeak:
-        return tuple((child, polarity) for _, child in tree.instances), _DEEP_WEAK[polarity]
-    return polar_parts(tree, polarity), kind
+        return tuple((child, polarity) for _, child in tree.instances), builds[polarity][kind]
+    return polar_parts(tree, polarity), builds[polarity][kind]
+
+
+# the deep reading builds each connective as itself and joins a weak node's
+# instances left-nested, by conjunction at negative polarity and by
+# disjunction at positive polarity
+_DEEP_BUILDS = {
+    Polarity.NEG: {Neg: Neg, And: And, Or: Or, Imp: Imp, ETWeak: lambda *parts: reduce(And, parts)},
+    Polarity.POS: {Neg: Neg, And: And, Or: Or, Imp: Imp, ETWeak: lambda *parts: reduce(Or, parts)},
+}
 
 
 def deep(tree: ExpansionTree, polarity: Polarity) -> Formula:
     """The quantifier-free reading: weak nodes become conjunctions (negative
     polarity) or disjunctions (positive), strong nodes are transparent."""
-    return fold((tree, polarity), _deep_step)
+    return fold((tree, polarity), partial(deep_step, _DEEP_BUILDS, lambda atom: atom))
 
 
 def shallow_sequent(es: Sequent) -> Sequent:
@@ -372,27 +390,45 @@ def sequent_to_json(es: Sequent) -> dict:
     }
 
 
+# the JSON read back is input from outside the program, so each field is
+# read through `_field`, and a wrong shape is an `ExpansionError`
+_JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _field(obj, name: str, kind: type = str):
+    """Field `name` of a JSON object, which must be of type `kind`."""
+    if not isinstance(obj, dict):
+        raise ExpansionError(f"expected an object with the field {name!r}")
+    if name not in obj:
+        raise ExpansionError(f"missing field {name!r}")
+    value = obj[name]
+    if not isinstance(value, kind):
+        raise ExpansionError(f"field {name!r} is not {_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
 def _node_class(node: dict) -> Optional[type]:
     """The class of a JSON node's kind, or None for an unknown kind."""
-    kind = node["kind"]
+    kind = _field(node, "kind", object)
     return _CLASS.get(kind) if isinstance(kind, str) else None
 
 
 def _json_children(node: dict) -> Optional[tuple]:
     cls = _node_class(node)
     if cls is ETWeak:
-        return tuple(inst["child"] for inst in node["instances"])
+        return tuple(_field(inst, "child", dict) for inst in _field(node, "instances", list))
     fields = _CHILD_FIELDS.get(cls)
     if fields is None:
         return None  # an atom, or a kind `_tree_from_json` rejects
-    return tuple(node[f] for f in fields)
+    return tuple(_field(node, f, dict) for f in fields)
 
 
 def _collect_eigens(node: dict, out: set[str]) -> None:
     def step(node):
+        kids = _json_children(node)
         if node["kind"] == "strong":
-            out.add(node["eigenvariable"])
-        return _json_children(node), discard
+            out.add(_field(node, "eigenvariable"))
+        return kids, discard
 
     fold(node, step)
 
@@ -415,7 +451,7 @@ def _from_json_step(names: frozenset[str], item):
     if f is not None and cls not in _QUANTIFIER_NODES.get(type(f), (type(f),)):
         raise ExpansionError(f"a {node['kind']} node stands for {formula_text(f)}")
     if cls is Atom:
-        atom = parse_formula(node["formula"], extra_vars=names)
+        atom = parse_formula(_field(node, "formula"), extra_vars=names)
         if not isinstance(atom, Atom):
             raise ExpansionError(f"atom node does not hold an atom: {node['formula']!r}")
         if f is not None and atom is not subst_atom(f, scope.env):
@@ -424,9 +460,9 @@ def _from_json_step(names: frozenset[str], item):
     if cls is not ETWeak and cls is not ETStrong:
         parts = (None, None) if f is None else [part for part, _ in polar_parts(f, Polarity.POS)]
         return tuple((child, part, scope, None) for child, part in zip(_json_children(node), parts)), cls
-    var = node["var"]
+    var = _field(node, "var")
     inner = names | {var}
-    written = parse_formula(node["body"], extra_vars=inner)
+    written = parse_formula(_field(node, "body"), extra_vars=inner)
     if f is None:
         body = written
         scope = _top_scope(var, body)
@@ -436,14 +472,15 @@ def _from_json_step(names: frozenset[str], item):
         body = f.body
     env = scope.env
     if cls is ETWeak:
-        if not node["instances"]:
+        instances = _field(node, "instances", list)
+        if not instances:
             raise ExpansionError(f"weak node {var!r} has no instances")
-        terms = tuple(parse_term(inst["term"], extra_vars=inner) for inst in node["instances"])
+        terms = tuple(parse_term(_field(inst, "term"), extra_vars=inner) for inst in instances)
         kids = tuple((child, *_instance(scope, var, body, t)) for child, t in zip(_json_children(node), terms))
         build = partial(_weak_node, var, body, terms)
     else:
-        eigen = node["eigenvariable"]
-        kids = ((node["child"], *_instance(scope, var, body, Var(eigen))),)
+        eigen = _field(node, "eigenvariable")
+        kids = ((_field(node, "child", dict), *_instance(scope, var, body, Var(eigen))),)
         build = partial(ETStrong, var, body, eigen)
     return kids, partial(_leave, env, var, env.get(var), build)
 
@@ -452,12 +489,18 @@ def _tree_from_json(node: dict, names: frozenset[str]) -> ExpansionTree:
     return fold((node, None, None, None), partial(_from_json_step, names))
 
 
+def _json_side(data: dict, name: str) -> list:
+    """A side of a sequent's JSON, which may be left out."""
+    return [] if isinstance(data, dict) and name not in data else _field(data, name, list)
+
+
 def sequent_from_json(data: dict) -> Sequent:
+    antecedent, succedent = _json_side(data, "antecedent"), _json_side(data, "succedent")
     eigens: set[str] = set()
-    for node in list(data.get("antecedent", ())) + list(data.get("succedent", ())):
+    for node in antecedent + succedent:
         _collect_eigens(node, eigens)
     names = frozenset(eigens)
     return Sequent(
-        tuple(_tree_from_json(n, names) for n in data.get("antecedent", ())),
-        tuple(_tree_from_json(n, names) for n in data.get("succedent", ())),
+        tuple(_tree_from_json(n, names) for n in antecedent),
+        tuple(_tree_from_json(n, names) for n in succedent),
     )

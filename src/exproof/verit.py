@@ -31,11 +31,10 @@ from .core import (
     Term,
     Var,
     app,
-    discard,
     fold,
     subst_atom,
 )
-from .expansion import ExpansionTree, children, expand_formula
+from .expansion import ExpansionTree, expand_formula, subtrees
 from .notation import ParseError, locate, words
 
 Clause = tuple[Formula, ...]  # literals: atoms and negated atoms
@@ -460,15 +459,8 @@ def symmetry_trees(trees: Iterable[ExpansionTree]) -> list[ExpansionTree]:
     the trees' atoms hold in both orientations, as a list of that one tree,
     or an empty list.  Provers connect equalities modulo symmetry, so the
     deep sequent needs these instances."""
-    sides: dict[tuple[Term, ...], None] = {}  # a dict keeps first-use order
-
-    def step(tree):
-        if type(tree) is Atom and tree.pred == EQ:
-            sides[tree.args] = None
-        return children(tree), discard
-
-    for tree in trees:
-        fold(tree, step)
+    # a dict keeps first-use order
+    sides = {node.args: None for tree in trees for node in subtrees(tree) if type(node) is Atom and node.pred == EQ}
     symmetric = [Subst({"x0": s, "y0": t}) for s, t in sides if s != t and (t, s) in sides]
     if not symmetric:
         return []

@@ -177,6 +177,49 @@ def ref_tree_to_json(tree):
     return node
 
 
+# --- the deep reading and the preorder of an expansion tree, by recursion ---
+
+
+def ref_deep(tree, polarity):
+    """The deep reading as the README states it: a weak node is the
+    left-nested conjunction of its instances at negative polarity and their
+    disjunction at positive polarity, a strong node is its child, and a
+    connective reads its parts, negation and the left side of an
+    implication at the other polarity."""
+    other = Polarity.POS if polarity is Polarity.NEG else Polarity.NEG
+    if isinstance(tree, Atom):
+        return tree
+    if isinstance(tree, ETStrong):
+        return ref_deep(tree.child, polarity)
+    if isinstance(tree, ETWeak):
+        join = And if polarity is Polarity.NEG else Or
+        parts = [ref_deep(child, polarity) for _, child in tree.instances]
+        out = parts[0]
+        for part in parts[1:]:
+            out = join(out, part)
+        return out
+    if isinstance(tree, Neg):
+        return Neg(ref_deep(tree.sub, other))
+    if isinstance(tree, Imp):
+        return Imp(ref_deep(tree.left, other), ref_deep(tree.right, polarity))
+    return type(tree)(ref_deep(tree.left, polarity), ref_deep(tree.right, polarity))
+
+
+def ref_preorder(tree):
+    """Every node of an expansion tree, in preorder, left to right."""
+    if isinstance(tree, ETWeak):
+        kids = [child for _, child in tree.instances]
+    elif isinstance(tree, ETStrong):
+        kids = [tree.child]
+    elif isinstance(tree, Neg):
+        kids = [tree.sub]
+    elif isinstance(tree, Atom):
+        kids = []
+    else:
+        kids = [tree.left, tree.right]
+    return [tree] + [node for kid in kids for node in ref_preorder(kid)]
+
+
 # --- cycle detection by exhaustive simple-path enumeration ---
 
 

@@ -15,11 +15,19 @@ from exproof.core import (
     Strength,
     Subst,
     Var,
-    const,
     quantifier_strengths,
     rectify,
 )
 from exproof.expansion import expand_formula
+
+
+def const(name: str) -> App:
+    return App(name, ())
+
+
+def eq(left, right) -> Atom:
+    return Atom("=", (left, right))
+
 
 GROUND_TERMS = [
     const("a"),

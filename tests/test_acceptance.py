@@ -26,8 +26,6 @@ from exproof.core import (
     Subst,
     Var,
     apply_subst,
-    const,
-    eq,
     rectify,
 )
 from exproof.expansion import (
@@ -40,7 +38,7 @@ from exproof.leancop import definitional_dnf, import_leancop, match_clauses, par
 from exproof.notation import parse_formula
 from exproof.verit import import_verit, parse_verit
 from oracles import eval_sequent, has_cycle_bruteforce, sequent_atoms, taut_oracle
-from randgen import random_deep_sequent, random_formula, random_graph, random_instances
+from randgen import const, eq, random_deep_sequent, random_formula, random_graph, random_instances
 from test_check import crossed_sequent, drinker_sequent
 
 

@@ -12,7 +12,7 @@ from exproof.check import (
 )
 from conftest import FIXTURES, load_bench_gen
 from exproof.cli import RunConfig, load_sequent
-from exproof.core import And, Atom, ExproofError, Imp, Neg, Or, Sequent, Var, const, eq
+from exproof.core import And, Atom, ExproofError, Imp, Neg, Or, Sequent, Var
 from exproof.expansion import ETStrong, ETWeak
 from exproof.notation import parse_formula, sequent_text
 from oracles import (
@@ -25,7 +25,7 @@ from oracles import (
     sequent_atoms,
     taut_oracle,
 )
-from randgen import random_deep_sequent, random_expansion_sequent, random_graph
+from randgen import const, eq, random_deep_sequent, random_expansion_sequent, random_graph
 
 P = lambda t: Atom("p", (t,))
 a, b, c = const("a"), const("b"), const("c")

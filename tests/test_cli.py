@@ -287,6 +287,39 @@ def test_export_json_roundtrip(tmp_path, capsys):
     assert sequent_from_json(data) == es
 
 
+@pytest.mark.parametrize(
+    "name, trace, atom",
+    [
+        # a constant named with a capital, quoted in the trace
+        (
+            "upper.p",
+            "fof(ax1, axiom, ![X]: p(X)).\n"
+            "fof(conj, conjecture, p('Abc')).\n"
+            "cnf(1, plain, [~p(X1)], clausify(ax1)).\n"
+            "cnf(2, plain, [p('Abc')], clausify(conj)).\n"
+            "cnf('s1', plain, [p('Abc')], start(2)).\n"
+            "cnf('e1', plain, [~p('Abc')], extension(1, bind([X1], ['Abc']))).\n",
+            "p('Abc')",
+        ),
+        # an SMT symbol that is no name of the textual notation
+        (
+            "bang.smt",
+            "(set .c1 (input :conclusion ((p a!1))))\n"
+            "(set .c2 (input :conclusion ((not (p a!1)))))\n"
+            "(set .c3 (resolution :clauses (.c1 .c2) :conclusion ()))\n",
+            "p('a!1')",
+        ),
+    ],
+)
+def test_export_json_quotes_symbols_that_are_not_plain_names(tmp_path, name, trace, atom):
+    path, out_path = tmp_path / name, tmp_path / "es.json"
+    path.write_text(trace)
+    assert main(["export", "--json", "--out", str(out_path), str(path)]) == EXIT_PROOF
+    assert f'"formula": "{atom}"' in out_path.read_text()
+    es, _, _ = load_sequent(str(path), RunConfig("export", (str(path),)))
+    assert sequent_from_json(json.loads(out_path.read_text())) == es
+
+
 def _random_json(rng, depth=0):
     roll = rng.random()
     if depth > 4 or roll < 0.3:

@@ -26,8 +26,6 @@ from exproof.core import (
     Subst,
     Var,
     apply_subst,
-    const,
-    eq,
     free_vars,
     match_under,
     quantifier_strengths,
@@ -50,7 +48,7 @@ from oracles import (
     ref_subst_formula,
     ref_term_text,
 )
-from randgen import random_formula, random_term, random_wide_term
+from randgen import const, eq, random_formula, random_term, random_wide_term
 
 A = Atom("a", ())
 B = Atom("b", ())

@@ -20,7 +20,6 @@ from exproof.core import (
     Strength,
     Subst,
     Var,
-    const,
     quantifier_strengths,
     rectify,
 )
@@ -37,11 +36,12 @@ from exproof.expansion import (
     sequent_to_json,
     shallow,
     shallow_sequent,
+    subtrees,
     tree_to_json,
 )
 from exproof.notation import parse_formula
-from oracles import ref_expand_formula, ref_tree_to_json
-from randgen import GROUND_TERMS, random_formula, random_instances
+from oracles import ref_deep, ref_expand_formula, ref_preorder, ref_tree_to_json
+from randgen import GROUND_TERMS, const, random_expansion_sequent, random_formula, random_instances
 
 P = lambda t: Atom("p", (t,))
 Q = lambda t: Atom("q", (t,))
@@ -79,6 +79,35 @@ def test_deep_strong_node_is_transparent():
     node = ETStrong("Y", Q(Var("Y")), "A", Q(Var("A")))
     for p in Polarity:
         assert deep(node, p) == Q(Var("A"))
+
+
+def _agrees_with_the_recursive_readings(es):
+    for tree, pol in [*((t, Polarity.NEG) for t in es.antecedent), *((t, Polarity.POS) for t in es.succedent)]:
+        assert deep(tree, pol) is ref_deep(tree, pol)
+        assert list(subtrees(tree)) == ref_preorder(tree)
+
+
+def test_deep_and_subtrees_match_the_recursive_references_seeded():
+    rng = random.Random(1987)
+    for _ in range(1500):
+        _agrees_with_the_recursive_readings(random_expansion_sequent(rng))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_deep_and_subtrees_match_the_recursive_references(seed):
+    _agrees_with_the_recursive_readings(random_expansion_sequent(random.Random(seed)))
+
+
+def test_subtrees_and_deep_walk_a_tree_deeper_than_the_recursion_limit():
+    # alternating one-instance weak nodes and negations, 10,000 deep, whose
+    # deep reading is the atom under 5,000 negations
+    tree = negated = leaf = P(a)
+    for i in range(10_000):
+        tree = Neg(tree) if i % 2 else ETWeak("X", P(Var("X")), ((a, tree),))
+        negated = Neg(negated) if i % 2 else negated
+    nodes = list(subtrees(tree))
+    assert len(nodes) == 10_001 and nodes[0] is tree and nodes[-1] is leaf
+    assert deep(tree, Polarity.NEG) is deep(tree, Polarity.POS) is negated
 
 
 # --- expansion (Et) ---
@@ -338,6 +367,42 @@ def test_tree_from_json_rejects_unknown_kind():
         sequent_from_json({"antecedent": [{"kind": "mystery"}]})
     with pytest.raises(ExpansionError, match="unknown node kind"):
         sequent_from_json({"antecedent": [{"kind": ["neg"]}]})
+
+
+_ATOM_JSON = {"kind": "atom", "formula": "p(a)"}
+_WEAK_JSON = {"kind": "weak", "var": "X", "body": "p(X)"}
+_STRONG_JSON = {"kind": "strong", "var": "X", "body": "p(X)", "eigenvariable": "e", "child": _ATOM_JSON}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "expected an object with the field 'antecedent'"),
+        ({"antecedent": _ATOM_JSON}, "field 'antecedent' is not a list"),
+        ({"succedent": "p(a)"}, "field 'succedent' is not a list"),
+        ({"antecedent": [["p(a)"]]}, "expected an object with the field 'kind'"),
+        ({"antecedent": [{}]}, "missing field 'kind'"),
+        ({"antecedent": [{"kind": "atom"}]}, "missing field 'formula'"),
+        ({"antecedent": [{"kind": "atom", "formula": 3}]}, "field 'formula' is not a string"),
+        ({"antecedent": [{"kind": "neg"}]}, "missing field 'child'"),
+        ({"antecedent": [{"kind": "neg", "child": "p(a)"}]}, "field 'child' is not an object"),
+        ({"antecedent": [{"kind": "and", "left": _ATOM_JSON}]}, "missing field 'right'"),
+        ({"antecedent": [_WEAK_JSON]}, "missing field 'instances'"),
+        ({"antecedent": [{**_WEAK_JSON, "instances": {}}]}, "field 'instances' is not a list"),
+        ({"antecedent": [{**_WEAK_JSON, "instances": ["a"]}]}, "expected an object with the field 'child'"),
+        ({"antecedent": [{**_WEAK_JSON, "instances": [{"child": _ATOM_JSON}]}]}, "missing field 'term'"),
+        (
+            {"antecedent": [{**_WEAK_JSON, "instances": [{"term": None, "child": _ATOM_JSON}]}]},
+            "field 'term' is not a string",
+        ),
+        ({"antecedent": [{**_STRONG_JSON, "eigenvariable": ["e"]}]}, "field 'eigenvariable' is not a string"),
+        ({"antecedent": [{**_STRONG_JSON, "var": 0}]}, "field 'var' is not a string"),
+        ({"antecedent": [{k: v for k, v in _STRONG_JSON.items() if k != "body"}]}, "missing field 'body'"),
+    ],
+)
+def test_tree_from_json_names_the_field_of_a_malformed_node(data, message):
+    with pytest.raises(ExpansionError, match=re.escape(message)):
+        sequent_from_json(data)
 
 
 def test_tree_from_json_rejects_a_weak_node_without_instances():

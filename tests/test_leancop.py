@@ -18,8 +18,6 @@ from exproof.core import (
     Subst,
     Var,
     apply_subst,
-    const,
-    eq,
     free_vars,
     subformulas,
 )
@@ -37,6 +35,7 @@ from exproof.leancop import (
 from exproof.notation import ParseError, parse_formula, sequent_text
 from exproof.verit import AxiomSchema, SchemaKind, make_schema, symmetry_trees
 from oracles import ref_collapse_term, ref_match_literals
+from randgen import const, eq
 
 a, b, c = const("a"), const("b"), const("c")
 

@@ -15,8 +15,6 @@ from exproof.core import (
     Or,
     Sequent,
     Var,
-    const,
-    eq,
 )
 from exproof.notation import (
     _TPTP,
@@ -32,6 +30,7 @@ from exproof.notation import (
 )
 from exproof.verit import _SEXP
 from oracles import ref_parse_formula, ref_sexp_tokenize, ref_tokenize
+from randgen import const, eq
 from test_core import formulas  # reuse the strategy
 
 

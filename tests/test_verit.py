@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import FIXTURES
 from exproof.check import verdict
-from exproof.core import App, Atom, InvariantError, Neg, Sequent, Subst, apply_subst, const, eq
+from exproof.core import App, Atom, InvariantError, Neg, Sequent, Subst, apply_subst
 from exproof.expansion import shallow_sequent
 from exproof.notation import parse_formula
 from exproof.verit import (
@@ -23,6 +23,7 @@ from exproof.verit import (
     parse_verit,
 )
 from oracles import ref_match_literals
+from randgen import const, eq
 
 a, b, c = const("a"), const("b"), const("c")
 
