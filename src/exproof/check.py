@@ -34,12 +34,8 @@ from .expansion import ETStrong, ETWeak, children, deep, deep_step, subtrees
 
 
 def deep_sequent(es: Sequent) -> Sequent:
-    """Quantifier-free sequent of the deep readings (antecedent at negative
-    polarity, succedent at positive)."""
-    return Sequent(
-        tuple(deep(t, Polarity.NEG) for t in es.antecedent),
-        tuple(deep(t, Polarity.POS) for t in es.succedent),
-    )
+    """Quantifier-free sequent of the deep readings."""
+    return es.read(deep)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +194,8 @@ def is_tautology(es: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
     }
 
     step = partial(deep_step, define, ids.__getitem__)
-    for tree in es.antecedent:
-        clauses.append([fold((tree, Polarity.NEG), step)])
-    for tree in es.succedent:
-        clauses.append([-fold((tree, Polarity.POS), step)])
+    roots = es.read(lambda tree, polarity: fold((tree, polarity), step))
+    clauses += [[a] for a in roots.antecedent] + [[-a] for a in roots.succedent]
     model = _dpll(clauses, next(fresh) - 1)
     if model is None:
         return True, None

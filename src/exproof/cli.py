@@ -18,7 +18,9 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
 from .check import deep_sequent, verdict
-from .core import And, Atom, ExproofError, Imp, Neg, Or, Polarity, Sequent, fold, gc_paused, polar_parts
+from .core import (
+    And, Atom, Exists, ExproofError, Forall, Imp, Neg, Or, Polarity, Sequent, fold, gc_paused, polar_parts, quantifier
+)
 from .expansion import ETStrong, ETWeak, sequent_to_json, shallow_sequent, subtrees
 from .leancop import import_leancop, parse_leancop
 from .notation import ParseError, sequent_text
@@ -145,10 +147,13 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-_DOT_SYMBOL = {Neg: "~", And: "&", Or: "|", Imp: "=>"}
+_DOT_SYMBOL = {Neg: "~", And: "&", Or: "|", Imp: "=>", Forall: "!", Exists: "?"}
 
 
-def _dot_tree(tree, polarity: Polarity, ids, lines: list[str]) -> None:
+def _dot_tree(ids, tree, polarity: Polarity) -> list[str]:
+    """The DOT lines of the nodes and edges of one tree."""
+    lines: list[str] = []
+
     def edges(me: int, *children: int) -> int:
         lines.extend(f"    n{me} -> n{child};" for child in children)
         return me
@@ -172,34 +177,27 @@ def _dot_tree(tree, polarity: Polarity, ids, lines: list[str]) -> None:
         if kind is Atom:
             lines.append(f'    {name} [label="{_dot_escape(str(tree))}"];')
             return None, me
+        if kind is ETWeak or kind is ETStrong:
+            label = f"{_DOT_SYMBOL[quantifier(tree.strength, polarity)]}[{_dot_escape(tree.var)}]"
         if kind is ETWeak:
-            mark = "!" if polarity is Polarity.NEG else "?"
-            lines.append(f'    {name} [label="{mark}[{_dot_escape(tree.var)}]"];')
+            lines.append(f'    {name} [label="{label}"];')
             kids = tuple((c, polarity, me, _dot_escape(str(t))) for t, c in tree.instances)
             return kids, partial(weak_done, me)
         if kind is ETStrong:
-            mark = "?" if polarity is Polarity.NEG else "!"
-            label = f"{mark}[{_dot_escape(tree.var)}]\\neigen: {_dot_escape(tree.eigenvariable)}"
-            lines.append(f'    {name} [label="{label}"];')
+            lines.append(f'    {name} [label="{label}\\neigen: {_dot_escape(tree.eigenvariable)}"];')
             return ((tree.child, polarity),), partial(edges, me)
         lines.append(f'    {name} [label="{_DOT_SYMBOL[kind]}"];')
         return polar_parts(tree, polarity), partial(edges, me)
 
     fold((tree, polarity), step)
+    return lines
 
 
 def sequent_to_dot(es: Sequent) -> str:
-    ids = iter(count())
     lines = ["digraph expansion_sequent {", "  rankdir=TB;"]
-    for side, trees, pol in (
-        ("ant", es.antecedent, Polarity.NEG),
-        ("suc", es.succedent, Polarity.POS),
-    ):
-        for i, tree in enumerate(trees):
-            lines.append(f"  subgraph cluster_{side}{i} {{")
-            lines.append(f'    label="{side}[{i}]";')
-            _dot_tree(tree, pol, ids, lines)
-            lines.append("  }")
+    for side, trees in zip(("ant", "suc"), es.read(partial(_dot_tree, iter(count())))):
+        for i, tree_lines in enumerate(trees):
+            lines += (f"  subgraph cluster_{side}{i} {{", f'    label="{side}[{i}]";', *tree_lines, "  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -333,16 +333,23 @@ class Sequent(NamedTuple):
     def formulas(self) -> tuple[Formula, ...]:
         return self.antecedent + self.succedent
 
+    def read(self, fn) -> "Sequent":
+        """The sequent of `fn(formula, polarity)` for each formula, in order:
+        the antecedent is read at negative polarity, the succedent at
+        positive."""
+        return Sequent(
+            tuple(fn(f, Polarity.NEG) for f in self.antecedent),
+            tuple(fn(f, Polarity.POS) for f in self.succedent),
+        )
+
 
 def quantifier_strengths(formula: Formula, polarity: Polarity) -> dict[str, Strength]:
     """Map every bound variable of a rectified formula to its strength."""
     out: dict[str, Strength] = {}
     for f, pol in subformulas(formula, polarity):
         kind = type(f)
-        if kind is Forall:
-            out[f.var] = Strength.STRONG if pol is Polarity.POS else Strength.WEAK
-        elif kind is Exists:
-            out[f.var] = Strength.WEAK if pol is Polarity.POS else Strength.STRONG
+        if kind is Forall or kind is Exists:
+            out[f.var] = Strength.WEAK if kind is quantifier(Strength.WEAK, pol) else Strength.STRONG
     return out
 
 
@@ -361,7 +368,9 @@ def fold(root, step):
     `step` runs in preorder, children left to right, and `build` in
     post-order.  An item carries the context a walk needs (polarity,
     substitutions, a path), and walks run for their side effects pass
-    `discard` as the build.
+    `discard` as the build.  `child_items` is read one item at a time, the
+    next once the subtree of the one before is built, so a generator there
+    can set up each child's context as it yields the child.
     """
     kids, build = step(root)
     if kids is None:
@@ -406,6 +415,14 @@ def polar_parts(f: Formula, polarity: Polarity) -> tuple[tuple[Formula, Polarity
     if kind is Neg:
         return ((f.sub, polarity.flip()),)
     return ((f.body, polarity),)
+
+
+def quantifier(strength: Strength, polarity: Polarity) -> type:
+    """The quantifier that is of `strength` at `polarity` (Miller 1987): a
+    universal one is weak at negative polarity and strong at positive, an
+    existential one the other way round."""
+    # indexed by polarity, negative first
+    return (Forall, Exists)[polarity] if strength is Strength.WEAK else (Exists, Forall)[polarity]
 
 
 def subformulas(formula: Formula, polarity: Polarity) -> Iterator[tuple[Formula, Polarity]]:
@@ -604,6 +621,24 @@ def apply_subst(obj: Union[Term, Formula], subst: Subst) -> Union[Term, Formula]
     return _subst_formula(obj, m)
 
 
+def env_step(binder, item):
+    """The step of a `fold` that puts an environment, a dict from variable
+    names to terms, in at the atoms of a formula, from an item (formula,
+    environment).  `binder(var, env)` gives the name a quantifier of `var`
+    is rebuilt with and the environment of its body: `rectify` renames the
+    binder, `expansion` hides its binding."""
+    f, env = item
+    kind = type(f)
+    if kind is Atom:
+        return None, subst_atom(f, env)
+    if kind is Neg:
+        return ((f.sub, env),), Neg
+    if kind is Forall or kind is Exists:
+        var, env = binder(f.var, env)
+        return ((f.body, env),), partial(kind, var)
+    return ((f.left, env), (f.right, env)), kind
+
+
 # ---------------------------------------------------------------------------
 # rectification
 
@@ -616,32 +651,18 @@ def rectify(sequent: Sequent) -> Sequent:
         used |= free_vars(f)
     counter = count(1)
 
-    def fresh(base: str) -> str:
-        while True:
-            cand = f"{base}_{next(counter)}"
-            if cand not in used:
-                return cand
-
-    # items are (formula, renaming of the enclosing binders)
-    def step(item):
-        f, env = item
-        kind = type(f)
-        if kind is Atom:
-            return None, subst_atom(f, env)
-        if kind is Neg:
-            return ((f.sub, env),), Neg
-        if kind in BINARY:
-            return ((f.left, env), (f.right, env)), kind
-        new = fresh(f.var) if f.var in used else f.var
+    def rename(var: str, env: dict) -> tuple[str, dict]:
+        new = var
+        while new in used:
+            new = f"{var}_{next(counter)}"
         used.add(new)
-        return ((f.body, {**env, f.var: Var(new)}),), partial(kind, new)
+        return new, {**env, var: Var(new)}
 
-    ant = tuple(fold((f, {}), step) for f in sequent.antecedent)
-    suc = tuple(fold((f, {}), step) for f in sequent.succedent)
-    return Sequent(ant, suc)
-
+    step = partial(env_step, rename)
+    return sequent.read(lambda f, _: fold((f, {}), step))
 
 
+# ---------------------------------------------------------------------------
 # first-order matching (one-sided)
 
 

@@ -37,9 +37,11 @@ from .core import (
     Var,
     apply_subst,
     discard,
+    env_step,
     fold,
     free_vars,
     polar_parts,
+    quantifier,
     quantifier_strengths,
     subformulas,
     subst_atom,
@@ -70,10 +72,12 @@ class ETWeak(Node):
     # `body` is the body as written in the formula the tree was built from,
     # with `var` free; each instance is (term, child)
     __slots__ = ("var", "body", "instances")
+    strength = Strength.WEAK
 
 
 class ETStrong(Node):
     __slots__ = ("var", "body", "eigenvariable", "child")
+    strength = Strength.STRONG
 
 
 ExpansionTree = Union[Atom, Neg, And, Or, Imp, ETWeak, ETStrong]
@@ -112,13 +116,9 @@ def _shallow_step(item):
     kind = type(tree)
     if kind is Atom:
         return None, tree
-    if kind is ETWeak:
-        cls = Forall if polarity is Polarity.NEG else Exists
-    elif kind is ETStrong:
-        cls = Exists if polarity is Polarity.NEG else Forall
-    else:
-        return polar_parts(tree, polarity), kind
-    return None, cls(tree.var, tree.body)
+    if kind is ETWeak or kind is ETStrong:
+        return None, quantifier(tree.strength, polarity)(tree.var, tree.body)
+    return polar_parts(tree, polarity), kind
 
 
 def shallow(tree: ExpansionTree, polarity: Polarity) -> Formula:
@@ -163,10 +163,7 @@ def deep(tree: ExpansionTree, polarity: Polarity) -> Formula:
 
 
 def shallow_sequent(es: Sequent) -> Sequent:
-    return Sequent(
-        tuple(shallow(t, Polarity.NEG) for t in es.antecedent),
-        tuple(shallow(t, Polarity.POS) for t in es.succedent),
-    )
+    return es.read(shallow)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +175,9 @@ class _Scope(NamedTuple):
     the quantifiers on the path to their instance terms, and `bound` holds
     every name bound in the formula the path started in.
 
-    One dict serves a whole walk.  An item sets its binding when it is
-    stepped, and the build of its quantifier puts back what that binding
-    hid (see `_leave`); `fold` finishes a subtree before it steps the next
+    One dict serves a whole walk: `_instances` sets a child's binding as
+    `fold` takes the child, and puts back what the bindings hid after the
+    last child.  `fold` finishes a subtree before it takes the next
     sibling, so `env` holds exactly the bindings of the path being walked,
     also where a binder shadows another of its name, as it may in a body
     substituted with fresh names.
@@ -194,49 +191,39 @@ def _binders(f: Formula) -> frozenset[str]:
     return frozenset(g.var for g, _ in subformulas(f, Polarity.POS) if type(g) is Forall or type(g) is Exists)
 
 
-def _top_scope(var: str, body: Formula) -> _Scope:
-    """The scope of a quantifier with no quantifier above it."""
-    return _Scope({}, _binders(body) | {var})
-
-
-def _instance(scope: _Scope, var: str, body: Formula, term: Term) -> tuple:
-    """The formula, scope and binding of the child of the instance `term`
-    of a quantifier `var` with body `body`.
+def _instances(scope: Optional[_Scope], var: str, body: Formula, pairs: Iterable[tuple]) -> Iterator[tuple]:
+    """The items `(*prefix, formula, scope)` of the children of a quantifier
+    `var` with body `body`, one for each (prefix, term) of `pairs`, where
+    `term` is the child's instance.  A quantifier with no quantifier above
+    it, whose `scope` is None, opens a scope.
 
     The child expands the body itself, with `var` bound to `term` in the
     environment.  Where `term` mentions a name bound in the scope's formula,
     substituting it could capture that name: the child's formula is then
     the body substituted as `apply_subst` does it, fresh names included,
-    and starts a scope of its own."""
-    if scope.bound.isdisjoint(free_vars(term)):
-        return body, scope, (var, term)
-    child = apply_subst(_instantiated(var, body, scope.env), Subst({var: term}))
-    return child, _Scope({}, _binders(child)), None
-
-
-def _leave(env: dict, var: str, hidden: Optional[Term], build, *children):
-    """Put back the binding of `var` that a quantifier's children replaced
-    with their instances, then build the quantifier's value."""
+    and starts a scope of its own.  The binding of `var` is set as `fold`
+    takes each child, and the binding it hid is put back after the last
+    (see `_Scope`)."""
+    if scope is None:
+        scope = _Scope({}, _binders(body) | {var})
+    env = scope.env
+    hidden = env.get(var)
+    for prefix, term in pairs:
+        if scope.bound.isdisjoint(free_vars(term)):
+            env[var] = term
+            yield (*prefix, body, scope)
+        else:
+            child = apply_subst(_instantiated(var, body, env), Subst({var: term}))
+            yield (*prefix, child, _Scope({}, _binders(child)))
     if hidden is None:
         env.pop(var, None)
     else:
         env[var] = hidden
-    return build(*children)
 
 
-def _hiding(env: dict, var: str) -> dict:
-    """The environment below a binder of `var`, which hides its binding."""
-    return {v: t for v, t in env.items() if v != var} if var in env else env
-
-
-def _instantiated_step(item):
-    f, env = item
-    kind = type(f)
-    if kind is Atom:
-        return None, subst_atom(f, env)
-    if kind is Forall or kind is Exists:
-        return ((f.body, _hiding(env, f.var)),), partial(kind, f.var)
-    return tuple((part, env) for part, _ in polar_parts(f, Polarity.POS)), kind
+def _hiding(var: str, env: dict) -> tuple[str, dict]:
+    """The binder `var` and the environment below it, which hides its binding."""
+    return var, {v: t for v, t in env.items() if v != var} if var in env else env
 
 
 def _instantiated(var: str, body: Formula, env: dict) -> Formula:
@@ -245,8 +232,8 @@ def _instantiated(var: str, body: Formula, env: dict) -> Formula:
     in its formula, so nothing is captured and no binder is renamed; unlike
     `apply_subst`, this tests no term for capture at each binder, which
     would make the JSON of a long leaf cubic in its length."""
-    env = _hiding(env, var)
-    return fold((body, env), _instantiated_step) if env else body
+    _, env = _hiding(var, env)
+    return fold((body, env), partial(env_step, _hiding)) if env else body
 
 
 def expand_formula(formula: Formula, instances: Iterable[Subst], polarity: Polarity) -> ExpansionTree:
@@ -272,7 +259,7 @@ def expand_formula(formula: Formula, instances: Iterable[Subst], polarity: Polar
     for var, strength in quantifier_strengths(formula, polarity).items():
         if strength is Strength.STRONG:
             _eigenvariable(var, sigmas)
-    tree = fold((formula, None, None, sigmas, polarity), _expand_step)
+    tree = fold((sigmas, polarity, formula, None), _expand_step)
     if shallow(tree, polarity) is not formula:
         raise InvariantError(f"the expansion tree of {formula_text(formula)} does not read back as it")
     return tree
@@ -293,22 +280,17 @@ def _weak_node(var: str, body: Formula, terms: tuple[Term, ...], *children: Expa
     return ETWeak(var, body, tuple(zip(terms, children)))
 
 
-# items are (formula, scope, binding, substitutions, polarity); the scope is
-# None above the first quantifier
+# items are (substitutions, polarity, formula, scope); the scope is None
+# above the first quantifier
 def _expand_step(item):
-    f, scope, binding, sigmas, p = item
-    if binding is not None:
-        scope.env[binding[0]] = binding[1]
+    sigmas, p, f, scope = item
     kind = type(f)
     if kind is Atom:
         return None, f if scope is None else subst_atom(f, scope.env)
     if kind is not Forall and kind is not Exists:
-        return tuple((part, scope, None, sigmas, q) for part, q in polar_parts(f, p)), kind
+        return tuple((sigmas, q, part, scope) for part, q in polar_parts(f, p)), kind
     var, body = f.var, f.body
-    if scope is None:
-        scope = _top_scope(var, body)
-    env = scope.env
-    if (kind is Forall) == (p is Polarity.NEG):  # weak
+    if kind is quantifier(Strength.WEAK, p):
         by_term: dict[Term, list[Subst]] = {}
         passthrough: list[Subst] = []
         for s in sigmas:
@@ -317,13 +299,10 @@ def _expand_step(item):
             else:
                 passthrough.append(s)
         terms = tuple(sorted(by_term, key=str)) or (VACUOUS_TERM,)
-        kids = tuple(
-            (*_instance(scope, var, body, t), (*by_term.get(t, ()), *passthrough), p) for t in terms
-        )
-        return kids, partial(_leave, env, var, env.get(var), partial(_weak_node, var, body, terms))
+        pairs = [(((*by_term.get(t, ()), *passthrough), p), t) for t in terms]
+        return _instances(scope, var, body, pairs), partial(_weak_node, var, body, terms)
     term = _eigenvariable(var, sigmas) or Var(f"v_vac_{var}")
-    child = (*_instance(scope, var, body, term), sigmas, p)
-    return (child,), partial(_leave, env, var, env.get(var), partial(ETStrong, var, body, term.name))
+    return _instances(scope, var, body, [((sigmas, p), term)]), partial(ETStrong, var, body, term.name)
 
 
 # ---------------------------------------------------------------------------
@@ -351,32 +330,26 @@ def _weak_json(node: dict, terms: list[str], *children: dict) -> dict:
     return node
 
 
-# items are (tree, scope, binding), as in `_expand_step`; a quantifier's
-# `body` is written with the instances of its path put in
+# items are (tree, formula, scope), as `_instances` makes them, and the
+# formula is not read; a quantifier's `body` is written with the instances
+# of its path put in
 def _to_json_step(item):
-    tree, scope, binding = item
-    if binding is not None:
-        scope.env[binding[0]] = binding[1]
+    tree, _, scope = item
     kind = type(tree)
     node = {"kind": _KIND[kind]}
     if kind is Atom:
         node["formula"] = formula_text(tree)
         return None, node
     if kind is not ETWeak and kind is not ETStrong:
-        return tuple((child, scope, None) for child in children(tree)), partial(_json_node, node, _CHILD_FIELDS[kind])
+        return tuple((child, None, scope) for child in children(tree)), partial(_json_node, node, _CHILD_FIELDS[kind])
     var, body = tree.var, tree.body
-    if scope is None:
-        scope = _top_scope(var, body)
-    env = scope.env
-    node.update(var=var, body=formula_text(_instantiated(var, body, env)))
+    node.update(var=var, body=formula_text(body if scope is None else _instantiated(var, body, scope.env)))
     if kind is ETWeak:
-        kids = tuple((child, *_instance(scope, var, body, t)[1:]) for t, child in tree.instances)
-        build = partial(_weak_json, node, [str(t) for t, _ in tree.instances])
-    else:
-        node["eigenvariable"] = tree.eigenvariable
-        kids = ((tree.child, *_instance(scope, var, body, Var(tree.eigenvariable))[1:]),)
-        build = partial(_json_node, node, _CHILD_FIELDS[kind])
-    return kids, partial(_leave, env, var, env.get(var), build)
+        pairs = [((child,), t) for t, child in tree.instances]
+        return _instances(scope, var, body, pairs), partial(_weak_json, node, [str(t) for t, _ in tree.instances])
+    node["eigenvariable"] = tree.eigenvariable
+    pairs = [((tree.child,), Var(tree.eigenvariable))]
+    return _instances(scope, var, body, pairs), partial(_json_node, node, _CHILD_FIELDS[kind])
 
 
 def tree_to_json(tree: ExpansionTree) -> dict:
@@ -438,13 +411,11 @@ def _collect_eigens(node: dict, out: set[str]) -> None:
 _QUANTIFIER_NODES = {Forall: (ETWeak, ETStrong), Exists: (ETWeak, ETStrong)}
 
 
-# items are (JSON node, formula, scope, binding): below a quantifier the
-# node must stand for `formula`, part of a body derived from the body of
-# the topmost quantifier above it, which alone is read from its text
+# items are (JSON node, formula, scope): below a quantifier the node must
+# stand for `formula`, part of a body derived from the body of the topmost
+# quantifier above it, which alone is read from its text
 def _from_json_step(names: frozenset[str], item):
-    node, f, scope, binding = item
-    if binding is not None:
-        scope.env[binding[0]] = binding[1]
+    node, f, scope = item
     cls = _node_class(node)
     if cls is None:
         raise ExpansionError(f"unknown node kind {node['kind']!r}")
@@ -459,34 +430,30 @@ def _from_json_step(names: frozenset[str], item):
         return None, atom
     if cls is not ETWeak and cls is not ETStrong:
         parts = (None, None) if f is None else [part for part, _ in polar_parts(f, Polarity.POS)]
-        return tuple((child, part, scope, None) for child, part in zip(_json_children(node), parts)), cls
+        return tuple((child, part, scope) for child, part in zip(_json_children(node), parts)), cls
     var = _field(node, "var")
     inner = names | {var}
     written = parse_formula(_field(node, "body"), extra_vars=inner)
     if f is None:
         body = written
-        scope = _top_scope(var, body)
     elif f.var != var or written is not _instantiated(var, f.body, scope.env):
         raise ExpansionError(f"quantifier {var!r} with body {node['body']!r} disagrees with the body above it")
     else:
         body = f.body
-    env = scope.env
     if cls is ETWeak:
         instances = _field(node, "instances", list)
         if not instances:
             raise ExpansionError(f"weak node {var!r} has no instances")
         terms = tuple(parse_term(_field(inst, "term"), extra_vars=inner) for inst in instances)
-        kids = tuple((child, *_instance(scope, var, body, t)) for child, t in zip(_json_children(node), terms))
-        build = partial(_weak_node, var, body, terms)
-    else:
-        eigen = _field(node, "eigenvariable")
-        kids = ((_field(node, "child", dict), *_instance(scope, var, body, Var(eigen))),)
-        build = partial(ETStrong, var, body, eigen)
-    return kids, partial(_leave, env, var, env.get(var), build)
+        pairs = [((child,), t) for child, t in zip(_json_children(node), terms)]
+        return _instances(scope, var, body, pairs), partial(_weak_node, var, body, terms)
+    eigen = _field(node, "eigenvariable")
+    pairs = [((_field(node, "child", dict),), Var(eigen))]
+    return _instances(scope, var, body, pairs), partial(ETStrong, var, body, eigen)
 
 
 def _tree_from_json(node: dict, names: frozenset[str]) -> ExpansionTree:
-    return fold((node, None, None, None), partial(_from_json_step, names))
+    return fold((node, None, None), partial(_from_json_step, names))
 
 
 def _json_side(data: dict, name: str) -> list:

@@ -264,8 +264,12 @@ def _new_subterms(terms: Iterable[Term], seen: set) -> list[Term]:
 # ---------------------------------------------------------------------------
 # definitional DNF without variable renaming
 
+# the most clauses distributing one conjunction may make before a
+# definition predicate stands for a part instead
+DEF_THRESHOLD = 4
 
-def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int = 4) -> list[tuple[Clause, str]]:
+
+def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]]) -> list[tuple[Clause, str]]:
     """Generate the prover-style DNF clauses of (negated axioms, positive
     conjectures), keeping the original bound-variable names, each with the
     name of its input formula.
@@ -273,17 +277,17 @@ def definitional_dnf(inputs: Sequence[tuple[str, str, Formula]], threshold: int 
     Quantifiers are dropped: weak variables stay as clause variables and
     strong variables act as placeholders that matching later sends to
     eigenvariables.  When distributing a conjunction would multiply clause
-    counts beyond `threshold`, a definition predicate over the subformula's
+    counts beyond `DEF_THRESHOLD`, a definition predicate over the subformula's
     free variables is introduced instead.
     """
     out: list[tuple[Clause, str]] = []
     def_ids = count(1)
 
     def product(lf: Formula, rf: Formula, left, right) -> list[Clause]:
-        if len(left) * len(right) > threshold:
+        if len(left) * len(right) > DEF_THRESHOLD:
             if len(left) >= len(right) and len(left) > 1:
                 left = _define(lf, left)
-            if len(left) * len(right) > threshold and len(right) > 1:
+            if len(left) * len(right) > DEF_THRESHOLD and len(right) > 1:
                 right = _define(rf, right)
         return [a + b for a in left for b in right]
 

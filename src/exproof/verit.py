@@ -77,20 +77,35 @@ AXIOM_RULES = {
 
 
 # Blanks, and at the start of the text the `%` comment lines that format
-# detection skips, then a parenthesis, an atom, or the end of input.
-_SEXP = re.compile(r"(?:\A(?:\s|%.*)*)?\s*([()]|[^\s()]+|\Z)")
+# detection skips, then a parenthesis, an atom, a quoted symbol `|...|`, a
+# string literal `"..."` (in which `""` stands for a quote), or the end of
+# input.  A `|` or `"` left open takes the rest of the text with it.
+_SEXP = re.compile(r'(?:\A(?:\s|%.*)*)?\s*([()]|[^\s()|"]+|\|[^|]*\||"(?:[^"]|"")*"(?!")|[|"](?s:.*)|\Z)')
+
+
+def _sexp_tokens(text: str) -> list[str]:
+    """The tokens of `text` under `_SEXP`.  A quoted symbol or a string
+    literal holds an even number of its quote characters, and one left
+    open, which can only be the last token, an odd number."""
+    tokens = words(_SEXP, text)
+    if tokens and tokens[-1][0] in '|"' and tokens[-1].count(tokens[-1][0]) % 2:
+        what = "quoted symbol" if tokens[-1][0] == "|" else "string literal"
+        raise TraceSyntaxError(f"unterminated {what}", *locate(_SEXP, text, tokens, len(tokens) - 1))
+    return tokens
 
 
 def _sexps(text: str, tokens: list[str]):
     """Each top-level s-expression of `tokens`, the tokens of `text`, with the
-    index of its first token: an atom's text or a list of s-expressions."""
+    index of its first token: an atom's text or a list of s-expressions.  A
+    quoted symbol is read as the text between its bars, as SMT-LIB reads
+    `|abc|` and `abc` as one symbol; a string literal keeps its quotes."""
     open_lists: list[tuple[int, list]] = []  # innermost last, with the index of its "("
     for i, tok in enumerate(tokens):
         if tok == "(":
             open_lists.append((i, []))
             continue
         if tok != ")":
-            sexp = tok
+            sexp = tok[1:-1] if tok[0] == "|" else tok
         elif open_lists:
             i, sexp = open_lists.pop()
         else:
@@ -156,7 +171,7 @@ def _sterm_to_atom(sexp) -> Atom:
 def parse_verit(text: str) -> VeritTrace:
     """Parse a trace of `(set .id (rule [:clauses (...)] :conclusion (...)))`
     steps; premise references must point at earlier steps."""
-    tokens = words(_SEXP, text)
+    tokens = _sexp_tokens(text)
 
     def error(message: str) -> TraceSyntaxError:  # at the step being read
         return TraceSyntaxError(message, *locate(_SEXP, text, tokens, index))

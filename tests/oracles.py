@@ -765,7 +765,11 @@ def ref_tokenize(text):
 
 def ref_sexp_tokenize(text):
     """Parentheses and atoms; before the first of them, a line whose first
-    character other than a blank is `%` is a comment."""
+    character other than a blank is `%` is a comment.  An atom that starts
+    with `|` runs to the next `|`, and one that starts with `"` to the next
+    `"` not doubled; any other atom stops before a blank, a parenthesis, `|`
+    or `"`."""
+    from exproof.notation import ParseError
     tokens = []
     i, line, col = 0, 1, 1
     end = (1, 1)
@@ -785,9 +789,24 @@ def ref_sexp_tokenize(text):
         if c in "()":
             tokens.append((c, line, col))
             i, col = i + 1, col + 1
+        elif c in '|"':
+            j = i + 1
+            while j < n and (text[j] != c or c == '"' and text[j + 1 : j + 2] == '"'):
+                j += 2 if text[j] == c else 1
+            if j >= n:
+                what = "quoted symbol" if c == "|" else "string literal"
+                raise ParseError(f"unterminated {what}", line, col)
+            word = text[i : j + 1]
+            tokens.append((word, line, col))
+            if "\n" in word:
+                line += word.count("\n")
+                col = len(word) - word.rfind("\n")
+            else:
+                col += len(word)
+            i = j + 1
         else:
             j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
+            while j < n and not text[j].isspace() and text[j] not in '()|"':
                 j += 1
             tokens.append((text[i:j], line, col))
             col += j - i

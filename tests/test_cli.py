@@ -309,6 +309,14 @@ def test_export_json_roundtrip(tmp_path, capsys):
             "(set .c3 (resolution :clauses (.c1 .c2) :conclusion ()))\n",
             "p('a!1')",
         ),
+        # an SMT quoted symbol, named by the text between its bars
+        (
+            "bars.smt",
+            "(set .c1 (input :conclusion ((p |a b|))))\n"
+            "(set .c2 (input :conclusion ((not (p |a b|)))))\n"
+            "(set .c3 (resolution :clauses (.c1 .c2) :conclusion ()))\n",
+            "p('a b')",
+        ),
     ],
 )
 def test_export_json_quotes_symbols_that_are_not_plain_names(tmp_path, name, trace, atom):
@@ -318,6 +326,41 @@ def test_export_json_quotes_symbols_that_are_not_plain_names(tmp_path, name, tra
     assert f'"formula": "{atom}"' in out_path.read_text()
     es, _, _ = load_sequent(str(path), RunConfig("export", (str(path),)))
     assert sequent_from_json(json.loads(out_path.read_text())) == es
+
+
+def _smt_refutation(positive: str, negative: str) -> str:
+    return (
+        f"(set .c1 (input :conclusion (({positive}))))\n"
+        f"(set .c2 (input :conclusion ((not {negative}))))\n"
+        "(set .c3 (resolution :clauses (.c1 .c2) :conclusion ()))\n"
+    )
+
+
+def test_smt_quoted_symbols_are_read_whole(tmp_path, capsys):
+    path = tmp_path / "t.smt"
+    # two distinct quoted symbols: the inputs are satisfiable
+    path.write_text(_smt_refutation("p |a b|", "(p |a  b|)"))
+    assert main(["check", str(path)]) == EXIT_NOT_PROOF
+    assert json.loads(capsys.readouterr().out)["counterexample"] == {"p('a b')": True, "p('a  b')": False}
+    # `|a|` and `a` are one symbol
+    path.write_text(_smt_refutation("p |a|", "(p a)"))
+    assert main(["check", str(path)]) == EXIT_PROOF
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(set .c1 (input :conclusion ((p a))))\n(set .c2 (input :conclusion ((p |a))))",
+         "unterminated quoted symbol at line 2, column 33"),
+        ('(set .c1 (input :conclusion ((p "a""))))', "unterminated string literal at line 1, column 33"),
+    ],
+)
+def test_smt_open_quote_is_an_input_error_at_its_position(tmp_path, capsys, text, message):
+    path = tmp_path / "t.smt"
+    path.write_text(text)
+    assert main(["check", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"{path}: {message}\n"
 
 
 def _random_json(rng, depth=0):

@@ -28,6 +28,7 @@ from exproof.core import (
     apply_subst,
     free_vars,
     match_under,
+    quantifier,
     quantifier_strengths,
     rectify,
     subformulas,
@@ -133,6 +134,18 @@ def test_classify_quantifier():
     ex = Neg(Exists("X", P_x))
     assert quantifier_strengths(ex, Polarity.POS) == {"X": Strength.STRONG}
     assert quantifier_strengths(Exists("X", P_x), Polarity.POS) == {"X": Strength.WEAK}
+
+
+def test_quantifier_of_each_strength_at_each_polarity():
+    assert quantifier(Strength.WEAK, Polarity.NEG) is Forall
+    assert quantifier(Strength.WEAK, Polarity.POS) is Exists
+    assert quantifier(Strength.STRONG, Polarity.NEG) is Exists
+    assert quantifier(Strength.STRONG, Polarity.POS) is Forall
+
+
+def test_sequent_read_gives_each_side_its_polarity():
+    s = Sequent((A, B), (P_x,))
+    assert s.read(lambda f, pol: (f, pol)) == Sequent(((A, Polarity.NEG), (B, Polarity.NEG)), ((P_x, Polarity.POS),))
 
 
 def test_classify_rejects_non_quantifier():

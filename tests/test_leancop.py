@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import FIXTURES, load_bench_gen, nested_term_trace
+from exproof import leancop
 from exproof.check import dependency_relation, verdict
 from exproof.core import (
     EQ,
@@ -204,9 +205,7 @@ def test_dnf_conjunction_in_conjecture_is_one_clause():
 
 
 def test_dnf_distribution_naive():
-    out = definitional_dnf(
-        [("ax", "axiom", parse_formula("![X]: (p(X) | (q(X) & r(X)))"))], threshold=100
-    )
+    out = definitional_dnf([("ax", "axiom", parse_formula("![X]: (p(X) | (q(X) & r(X)))"))])
     lits = [literals for literals, _source in out]
     X = Var("X")
     assert lits == [
@@ -215,12 +214,13 @@ def test_dnf_distribution_naive():
     ]
 
 
-def test_dnf_definitional_mode_introduces_predicate():
+def test_dnf_definitional_mode_introduces_predicate(monkeypatch):
     # (a1 & a2 & a3) | (b1 & b2 & b3) negated gives 3x3 = 9 clauses naively
     f = parse_formula("(a1 & a2 & a3) | (b1 & b2 & b3)")
-    naive = definitional_dnf([("ax", "axiom", f)], threshold=100)
+    defd = definitional_dnf([("ax", "axiom", f)])
+    monkeypatch.setattr(leancop, "DEF_THRESHOLD", 100)
+    naive = definitional_dnf([("ax", "axiom", f)])
     assert len(naive) == 9
-    defd = definitional_dnf([("ax", "axiom", f)], threshold=4)
     assert len(defd) < 9
     def_preds = {l.pred for literals, _ in defd for l in literals if isinstance(l, Atom) and l.pred.startswith("d")}
     assert def_preds  # fresh definition predicates were used
@@ -230,7 +230,7 @@ def test_dnf_definitional_mode_introduces_predicate():
 
 def test_dnf_definition_predicates_carry_free_variables():
     f = parse_formula("![X]: ((p1(X) & p2(X) & p3(X)) | (q1(X) & q2(X) & q3(X)))")
-    out = definitional_dnf([("ax", "axiom", f)], threshold=4)
+    out = definitional_dnf([("ax", "axiom", f)])
     atoms = [l.sub if isinstance(l, Neg) else l for literals, _ in out for l in literals]
     datoms = [atom for atom in atoms if atom.pred.startswith("d")]
     assert datoms and all(atom.args == (Var("X"),) for atom in datoms)

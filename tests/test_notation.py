@@ -26,9 +26,8 @@ from exproof.notation import (
     sequent_text,
     token_kind,
     tokenize,
-    words,
 )
-from exproof.verit import _SEXP
+from exproof.verit import _SEXP, _sexp_tokens
 from oracles import ref_parse_formula, ref_sexp_tokenize, ref_tokenize
 from randgen import const, eq
 from test_core import formulas  # reuse the strategy
@@ -159,7 +158,8 @@ def test_unicode_digits_and_letters():
 # see differently, and a number that is no digit
 ALPHABET = string.punctuation + "\n\t\r \xa0²٣ª½é_" + string.ascii_letters + string.digits
 PIECES = ["fof", "cnf", "(", ")", "[", "]", ",", ".", ":", "=>", "!=", "~", "'a b'", "''", "%c\n",
-          "X", "f", "12", "²", "٣", "ª", " ", "\n", "\t", "set", ".c1", ":conclusion", "not", "="]
+          "X", "f", "12", "²", "٣", "ª", " ", "\n", "\t", "set", ".c1", ":conclusion", "not", "=",
+          "|a b|", '"s t"', "|", '"']
 texts = st.text(ALPHABET, max_size=40) | st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
 
 
@@ -180,10 +180,14 @@ def test_tokenize_matches_reference(text):
     assert _outcome(_read, text) == _outcome(_ref_read, text)
 
 
+def _sexp_read(text):
+    tokens = [*_sexp_tokens(text), ""]
+    return [(t, *locate(_SEXP, text, tokens, i)) for i, t in enumerate(tokens)]
+
+
 @given(texts)
 def test_sexp_scan_matches_reference(text):
-    tokens = [*words(_SEXP, text), ""]
-    assert [(t, *locate(_SEXP, text, tokens, i)) for i, t in enumerate(tokens)] == ref_sexp_tokenize(text)
+    assert _outcome(_sexp_read, text) == _outcome(ref_sexp_tokenize, text)
 
 
 @given(formulas, st.sampled_from(["keep", "delete", "duplicate", "swap"]), st.integers(0, 99), st.integers(0, 99))

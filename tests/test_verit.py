@@ -40,6 +40,11 @@ def test_parse_input_step():
     assert trace.steps == (("c1", "input", (), (eq(a, b),)),)
 
 
+def test_parse_string_literal_is_one_constant_with_its_quotes():
+    trace = parse_verit('(set .c1 (input :conclusion ((p "s t" """" "a""b"))))')
+    assert trace.steps[0][3] == (Atom("p", (const('"s t"'), const('""""'), const('"a""b"'))),)
+
+
 def test_parse_transitivity_leaf():
     trace = parse_verit(
         "(set .c3 (eq_transitive :conclusion ((not (= a b)) (not (= b c)) (= a c))))"
