@@ -7,6 +7,7 @@ eigenvariables they dominate must be acyclic.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import partial
 from itertools import count
 from operator import neg
@@ -26,7 +27,7 @@ from .core import (
     free_vars,
     gc_paused,
 )
-from .expansion import ETStrong, ETWeak, children, deep, deep_step, subtrees
+from .expansion import ETStrong, ETWeak, children, deep, deep_step
 
 
 # ---------------------------------------------------------------------------
@@ -44,19 +45,19 @@ def deep_sequent(es: Sequent) -> Sequent:
 # polarity it is read at, then an iterative DPLL
 
 
-def _dpll(clauses: list[list[int]], nvars: int) -> Optional[dict[int, bool]]:
+def _dpll(clauses: list[list[int]], order: list[int]) -> Optional[dict[int, bool]]:
     """Iterative DPLL with two watched literals per clause; returns a model or
     None when unsatisfiable.
 
-    Decisions take the lowest free variable, True first, and backtracking is
-    chronological, so the model found is the first one in that order
-    whatever the propagation order: the counterexample is a function of the
-    clause set alone.
+    Decisions take the first free variable in `order`, which lists the
+    variables 1..n, True first, and backtracking is chronological, so the
+    model found is the first one in that order whatever the propagation
+    order: the counterexample is a function of the clauses and the order.
     """
     # value[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
     # a negative literal indexes from the end, so value and watches need no
     # offset arithmetic
-    size = 2 * nvars + 1
+    size = 2 * len(order) + 1
     value = [0] * size
     watches: list[list[list[int]]] = [[] for _ in range(size)]
     trail: list[int] = []
@@ -114,39 +115,38 @@ def _dpll(clauses: list[list[int]], nvars: int) -> Optional[dict[int, bool]]:
             return None
         if value[lit] == 0:
             assign(lit)
-    # decisions: (variable, trail length before the decision, tried_false)
+    # decisions: (position in `order`, trail length before the decision, tried_false)
     decisions: list[tuple[int, int, bool]] = []
-    free = 1  # every variable below `free` is assigned
+    free = 0  # every variable before order[free] is assigned
     while True:
         if propagate():
-            while free <= nvars and value[free]:
+            while free < len(order) and value[order[free]]:
                 free += 1
-            if free > nvars:
-                return {v: value[v] == 1 for v in range(1, nvars + 1)}
+            if free == len(order):
+                return {v: value[v] == 1 for v in order}
             decisions.append((free, len(trail), False))
-            assign(free)
+            assign(order[free])
             continue
         while decisions:
-            var, mark, tried_false = decisions.pop()
+            free, mark, tried_false = decisions.pop()
             for lit in trail[mark:]:
                 value[lit] = value[-lit] = 0
             del trail[mark:]
             head = mark
             if not tried_false:
-                decisions.append((var, mark, True))
-                assign(-var)
-                free = var
+                decisions.append((free, mark, True))
+                assign(-order[free])
                 break
         else:
             return None
 
 
-def is_tautology(es: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
+def is_tautology(es: Sequent, strong: Optional[list] = None) -> tuple[bool, Optional[dict[str, bool]]]:
     """Check whether the deep sequent of `es`, and(antecedent) ->
     or(succedent), is propositionally valid; on failure the second component
     is a falsifying assignment over its atoms (rendered in textual notation).
     A deep sequent, an expansion sequent without quantifier nodes, may be
-    passed too.
+    passed too.  Each strong node met adds an entry to the list `strong`.
 
     Each tree is encoded in one `fold` of `deep`'s step, `deep_step`: a
     weak node reads as an n-ary conjunction at negative polarity and a
@@ -155,36 +155,35 @@ def is_tautology(es: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
     polarity only, so a connective's variable gets the clauses of one
     direction (Plaisted & Greenbaum 1986): at negative polarity the variable
     implies the subformula, at positive polarity the subformula implies it.
-    The atoms are numbered 1..A left to right and the connectives after
-    them, and the atom parts of the models are exactly the falsifying
-    assignments, so the DPLL, lowest variable first, finds the
-    counterexample a full Tseitin encoding of the deep sequent gives.
+    A variable is numbered as the `fold` meets its atom or makes its
+    connective; the DPLL decides the atoms first, left to right, then the
+    connectives, and the atom parts of its models are the falsifying
+    assignments, so it finds the counterexample a full Tseitin encoding of
+    the deep sequent gives.
     """
-    ids: dict[Atom, int] = {}
-    for tree in es.formulas:
-        for node in subtrees(tree):
-            if type(node) is Atom:
-                ids.setdefault(node, len(ids) + 1)
-    fresh = count(len(ids) + 1)
+    numbers = count(1)
+    ids: dict[Atom, int] = defaultdict(numbers.__next__)
+    connectives: list[int] = []
     clauses: list[list[int]] = []
+    strong = [] if strong is None else strong
 
     def neg_and(*parts: int) -> int:
-        a = next(fresh)
+        connectives.append(a := next(numbers))
         clauses.extend([-a, p] for p in parts)
         return a
 
     def neg_or(*parts: int) -> int:
-        a = next(fresh)
+        connectives.append(a := next(numbers))
         clauses.append([-a, *parts])
         return a
 
     def pos_and(*parts: int) -> int:
-        a = next(fresh)
+        connectives.append(a := next(numbers))
         clauses.append([a, *map(neg, parts)])
         return a
 
     def pos_or(*parts: int) -> int:
-        a = next(fresh)
+        connectives.append(a := next(numbers))
         clauses.extend([a, -p] for p in parts)
         return a
 
@@ -192,14 +191,15 @@ def is_tautology(es: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
         Polarity.NEG: {Neg: neg, And: neg_and, Or: neg_or, Imp: lambda a, b: neg_or(-a, b), ETWeak: neg_and},
         Polarity.POS: {Neg: neg, And: pos_and, Or: pos_or, Imp: lambda a, b: pos_or(-a, b), ETWeak: pos_or},
     }
+    for builds in define.values():
+        builds[ETStrong] = lambda a: strong.append(a) or a  # a strong node reads as its child
 
-    step = partial(deep_step, define, ids.__getitem__)
-    roots = es.read(lambda tree, polarity: fold((tree, polarity), step))
+    roots = es.read(lambda tree, polarity: fold((tree, polarity), partial(deep_step, define, ids.__getitem__)))
     clauses += [[a] for a in roots.antecedent] + [[-a] for a in roots.succedent]
-    model = _dpll(clauses, next(fresh) - 1)
+    model = _dpll(clauses, [*ids.values(), *connectives])
     if model is None:
         return True, None
-    return False, {str(atom): model[i] for atom, i in ids.items()}
+    return False, {str(node): model[i] for node, i in ids.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +285,6 @@ def dependency_relation(es: Sequent) -> DependencyGraph:
     """Base dependency relation: an edge t -> s whenever some eigenvariable
     of a strong node at or below t's instance edge occurs free in s."""
     occurrences, eigens, spans = _walk_sequent(es)
-    if not eigens:
-        return DependencyGraph(tuple(occurrences), frozenset())
     strong = set(eigens)
     mentioned_by: dict[str, list[int]] = {}
     for b, occ in enumerate(occurrences):
@@ -357,8 +355,6 @@ def is_acyclic(g: DependencyGraph) -> tuple[bool, Optional[tuple[str, ...]]]:
     node is searched.  The witness is the one a full BFS over the whole
     graph from every node finds.
     """
-    if not g.edges:
-        return True, None
     adj: list[list[int]] = [[] for _ in g.nodes]
     for a, b in sorted(g.edges):
         adj[a].append(b)
@@ -426,8 +422,8 @@ def verdict(es: Sequent) -> Verdict:
     """The sanity check: an expansion sequent is a proof iff its deep sequent
     is a tautology and its dependency relation is acyclic.  This validates
     the claimed instantiations, not individual inference steps.  The
-    tautology check reads the trees themselves (`is_tautology`), so the deep
-    sequent is never built here."""
-    taut, counterexample = is_tautology(es)
-    acyclic, cycle = is_acyclic(dependency_relation(es))
+    tautology check reads the trees (`is_tautology`) and notes their strong
+    nodes; with none, no edge can exist, and the dependency stage is skipped."""
+    taut, counterexample = is_tautology(es, strong := [])
+    acyclic, cycle = is_acyclic(dependency_relation(es)) if strong else (True, None)
     return Verdict(taut and acyclic, taut, acyclic, counterexample, cycle)

@@ -98,14 +98,16 @@ def _sexps(text: str, tokens: list[str]):
     """Each top-level s-expression of `tokens`, the tokens of `text`, with the
     index of its first token: an atom's text or a list of s-expressions.  A
     quoted symbol is read as the text between its bars, as SMT-LIB reads
-    `|abc|` and `abc` as one symbol; a string literal keeps its quotes."""
+    `|abc|` and `abc` as one symbol, unless that text starts with ':': it
+    is then a symbol, not the keyword it would read as, and keeps its bars.
+    A string literal keeps its quotes."""
     open_lists: list[tuple[int, list]] = []  # innermost last, with the index of its "("
     for i, tok in enumerate(tokens):
         if tok == "(":
             open_lists.append((i, []))
             continue
         if tok != ")":
-            sexp = tok[1:-1] if tok[0] == "|" else tok
+            sexp = tok[1:-1] if tok[0] == "|" and tok[1:2] != ":" else tok
         elif open_lists:
             i, sexp = open_lists.pop()
         else:

@@ -1,7 +1,9 @@
 import random
 
+from exproof import check
 from exproof.check import (
     DependencyGraph,
+    Verdict,
     TermOccurrence,
     _dpll,
     deep_sequent,
@@ -12,7 +14,7 @@ from exproof.check import (
 )
 from conftest import FIXTURES, load_bench_gen
 from exproof.cli import RunConfig, load_sequent
-from exproof.core import And, Atom, ExproofError, Imp, Neg, Or, Sequent, Var
+from exproof.core import And, App, Atom, ExproofError, Imp, Neg, Or, Sequent, Var
 from exproof.expansion import ETStrong, ETWeak
 from exproof.notation import parse_formula, sequent_text
 from oracles import (
@@ -130,11 +132,31 @@ def test_dpll_matches_rescan_dpll_on_raw_clauses():
             [rng.choice((-1, 1)) * rng.randint(1, nvars) for _ in range(rng.randint(1, 4))]
             for _ in range(rng.randint(0, 20))
         ]
-        ours = _dpll([list(c) for c in clauses], nvars)
+        ours = _dpll([list(c) for c in clauses], list(range(1, nvars + 1)))
         reference = rescan_dpll([list(c) for c in clauses], nvars)
         if reference is not None:
             reference = {v: reference[v] for v in range(1, nvars + 1)}
         assert ours == reference, f"case {i}: {clauses}"
+
+
+def test_dpll_decides_in_the_given_order():
+    # with a permuted decision order the model is the one the rescanning
+    # solver finds on the clauses renumbered so that the order reads 1..n
+    rng = random.Random(2718)
+    for i in range(2000):
+        nvars = rng.randint(1, 8)
+        clauses = [
+            [rng.choice((-1, 1)) * rng.randint(1, nvars) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(0, 20))
+        ]
+        order = rng.sample(range(1, nvars + 1), nvars)
+        rank = {v: k for k, v in enumerate(order, 1)}
+        renumbered = [[rank[abs(lit)] if lit > 0 else -rank[abs(lit)] for lit in c] for c in clauses]
+        ours = _dpll([list(c) for c in clauses], order)
+        reference = rescan_dpll(renumbered, nvars)
+        if reference is not None:
+            reference = {v: reference[rank[v]] for v in order}
+        assert ours == reference, f"case {i}: {clauses} in order {order}"
 
 
 def test_long_conjunction_does_not_recurse():
@@ -311,3 +333,46 @@ def test_crossed_verdict_fails_acyclicity():
     assert v.tautology and not v.acyclic and not v.is_proof
     assert v.cycle is not None and len(v.cycle) == 2
     assert "cycle" in v.to_json() and "counterexample" not in v.to_json()
+
+
+def test_skipping_the_dependency_stage_never_changes_a_verdict():
+    # `verdict` runs the dependency stage only when the encoding meets a
+    # strong node; the verdict must be the one both stages in full give
+    rng = random.Random(1912)
+    with_strong = cyclic = 0
+    for i in range(1200):
+        es = random_expansion_sequent(rng)
+        taut, counterexample = is_tautology(es)
+        acyclic, cycle = is_acyclic(dependency_relation(es))
+        assert verdict(es) == Verdict(taut and acyclic, taut, acyclic, counterexample, cycle), f"case {i}"
+        strong = []
+        is_tautology(es, strong)
+        with_strong += bool(strong)
+        cyclic += not acyclic
+    assert with_strong >= 500 and cyclic >= 25  # both branches are taken
+
+
+def test_strong_node_below_a_one_instance_weak_node_is_seen():
+    # antecedent ![X]: ?[U]: r(X, U) with the one instance X := f(A) and the
+    # eigenvariable A: the instance depends on itself.  The weak node of one
+    # instance reads as its child, so the strong node must be seen below it.
+    fa = App("f", (A,))
+    strong = ETStrong("U", Atom("r", (Var("X"), Var("U"))), "A", Atom("r", (fa, A)))
+    weak = ETWeak("X", parse_formula("?[U]: r(X, U)", extra_vars={"X"}), ((fa, strong),))
+    es = Sequent((weak,), (Atom("r", (fa, A)),))
+    seen = []
+    assert is_tautology(es, seen) == (True, None) and len(seen) == 1
+    v = verdict(es)
+    assert v.tautology and not v.acyclic and not v.is_proof
+    assert v.cycle == ("ant[0].0",)
+
+
+def test_verdict_without_strong_nodes_runs_no_dependency_stage(monkeypatch):
+    path = FIXTURES / "verit_transitivity.proof"
+    es = load_sequent(str(path), RunConfig("check", (str(path),)))[0]
+
+    def unreachable(_es):
+        raise AssertionError("dependency_relation called on a sequent with no strong node")
+
+    monkeypatch.setattr(check, "dependency_relation", unreachable)
+    assert verdict(es) == Verdict(True, True, True)

@@ -363,6 +363,15 @@ def test_smt_open_quote_is_an_input_error_at_its_position(tmp_path, capsys, text
     assert capsys.readouterr().err == f"{path}: {message}\n"
 
 
+@pytest.mark.parametrize("key", ["|:conclusion|", "|:clauses|"])
+def test_smt_quoted_symbol_is_no_step_attribute(tmp_path, capsys, key):
+    # in SMT-LIB `|:conclusion|` is a symbol, not the keyword `:conclusion`
+    path = tmp_path / "t.smt"
+    path.write_text(f"(set .c0 (input :conclusion ((q b))))\n  (set .c1 (input {key} ((p a))))\n")
+    assert main(["check", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"{path}: unknown step attribute '{key}' at line 2, column 3\n"
+
+
 def _random_json(rng, depth=0):
     roll = rng.random()
     if depth > 4 or roll < 0.3:
