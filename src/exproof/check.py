@@ -199,7 +199,7 @@ def is_tautology(es: Sequent, strong: Optional[list] = None) -> tuple[bool, Opti
     model = _dpll(clauses, [*ids.values(), *connectives])
     if model is None:
         return True, None
-    return False, {str(node): model[i] for node, i in ids.items()}
+    return False, {str(atom): model[i] for atom, i in ids.items()}
 
 
 # ---------------------------------------------------------------------------
