@@ -41,22 +41,28 @@ CATALOGUE = [
         ("tests/test_check.py::test_tautology_matches_rescan_dpll_seeded",),
     ),
     Mutant(
-        "strong-node-missed-below-one-instance-weak-node",
-        "expansion.py",
-        "        tree = tree.instances[0][1]\n        kind = type(tree)\n",
-        "        tree = tree.instances[0][1]\n        kind = type(tree)\n"
-        "        if kind is ETStrong:\n            tree = tree.child\n            kind = type(tree)\n",
+        "strong-node-missed-below-an-instance-edge",
+        "check.py",
+        "            if kind is ETStrong:\n",
+        "            if kind is ETStrong and term is None:\n",
         (
             "tests/test_check.py::test_crossed_verdict_fails_acyclicity",
             "tests/test_check.py::test_strong_node_below_a_one_instance_weak_node_is_seen",
         ),
     ),
     Mutant(
+        "instance-edge-onto-an-atom-dropped",
+        "check.py",
+        "[(child, (link, i), t) for i, (t, child) in enumerate(tree.instances)]",
+        "[(child, (link, i), t) for i, (t, child) in enumerate(tree.instances) if type(child) is not Atom]",
+        ("tests/test_check.py::test_dependency_relation_matches_pairwise_scan_seeded",),
+    ),
+    Mutant(
         "dependency-stage-always-skipped",
         "check.py",
-        "is_acyclic(dependency_relation(es)) if strong else (True, None)",
-        "(True, None)",
-        ("tests/test_check.py::test_skipping_the_dependency_stage_never_changes_a_verdict",),
+        "acyclic, cycle = is_acyclic(dependency_relation(es))",
+        "acyclic, cycle = True, None",
+        ("tests/test_check.py::test_crossed_verdict_fails_acyclicity",),
     ),
     Mutant(
         "neg-and-in-the-positive-direction",

@@ -22,7 +22,6 @@ from .core import (
     Polarity,
     Sequent,
     Term,
-    discard,
     fold,
     free_vars,
     gc_paused,
@@ -141,12 +140,12 @@ def _dpll(clauses: list[list[int]], order: list[int]) -> Optional[dict[int, bool
             return None
 
 
-def is_tautology(es: Sequent, strong: Optional[list] = None) -> tuple[bool, Optional[dict[str, bool]]]:
+def is_tautology(es: Sequent) -> tuple[bool, Optional[dict[str, bool]]]:
     """Check whether the deep sequent of `es`, and(antecedent) ->
     or(succedent), is propositionally valid; on failure the second component
     is a falsifying assignment over its atoms (rendered in textual notation).
     A deep sequent, an expansion sequent without quantifier nodes, may be
-    passed too.  Each strong node met adds an entry to the list `strong`.
+    passed too.
 
     Each tree is encoded in one `fold` of `deep`'s step, `deep_step`: a
     weak node reads as an n-ary conjunction at negative polarity and a
@@ -165,7 +164,6 @@ def is_tautology(es: Sequent, strong: Optional[list] = None) -> tuple[bool, Opti
     ids: dict[Atom, int] = defaultdict(numbers.__next__)
     connectives: list[int] = []
     clauses: list[list[int]] = []
-    strong = [] if strong is None else strong
 
     def neg_and(*parts: int) -> int:
         connectives.append(a := next(numbers))
@@ -191,10 +189,9 @@ def is_tautology(es: Sequent, strong: Optional[list] = None) -> tuple[bool, Opti
         Polarity.NEG: {Neg: neg, And: neg_and, Or: neg_or, Imp: lambda a, b: neg_or(-a, b), ETWeak: neg_and},
         Polarity.POS: {Neg: neg, And: pos_and, Or: pos_or, Imp: lambda a, b: pos_or(-a, b), ETWeak: pos_or},
     }
-    for builds in define.values():
-        builds[ETStrong] = lambda a: strong.append(a) or a  # a strong node reads as its child
 
-    roots = es.read(lambda tree, polarity: fold((tree, polarity), partial(deep_step, define, ids.__getitem__)))
+    step = partial(deep_step, define, ids.__getitem__)
+    roots = es.read(lambda tree, polarity: fold((tree, polarity), step))
     clauses += [[a] for a in roots.antecedent] + [[-a] for a in roots.succedent]
     model = _dpll(clauses, [*ids.values(), *connectives])
     if model is None:
@@ -249,35 +246,31 @@ def _walk_sequent(
     occurrences: list[TermOccurrence] = []
     eigens: list[str] = []
     spans: list = []  # (start, end) per occurrence; just the start until its subtree is done
-
-    def close(k: int, *_children) -> None:
-        spans[k] = (spans[k], len(eigens))
-
-    # items are (tree, path link, instance term or None); a path link is the
-    # root's (side, tree index) or a (parent link, child index) pair, so a
-    # step copies no path.  An instance's span opens before its subtree is
-    # walked and closes after; an instance edge onto an atom has an empty
-    # span.
-    def step(item):
-        tree, link, term = item
-        kind = type(tree)
-        if term is None:
-            if kind is Atom:
-                return None, None
-            build = discard
-        else:
+    # a preorder walk on an explicit stack of (tree, path link, instance term
+    # or None) items; a path link is the root's (side, tree index) or a
+    # (parent link, child index) pair, so a push copies no path.  An
+    # instance's span opens when it is popped, and the item (None, k, None)
+    # pushed below its subtree closes it.  An atom off an instance edge holds
+    # nothing and is not pushed.
+    stack = [(tree, (side, i), None) for side, trees in (("ant", es.antecedent), ("suc", es.succedent))
+             for i, tree in enumerate(trees)][::-1]
+    while stack:
+        tree, link, term = stack.pop()
+        if tree is None:
+            spans[link] = (spans[link], len(eigens))
+            continue
+        if term is not None:
+            stack.append((None, len(spans), None))
             spans.append(len(eigens))
             occurrences.append(TermOccurrence(link, term))
-            build = partial(close, len(spans) - 1)
+        kind = type(tree)
         if kind is ETWeak:
-            return [(child, (link, i), t) for i, (t, child) in enumerate(tree.instances)], build
-        if kind is ETStrong:
-            eigens.append(tree.eigenvariable)
-        return [(child, (link, i), None) for i, child in enumerate(children(tree) or ())], build
-
-    for side, trees in (("ant", es.antecedent), ("suc", es.succedent)):
-        for i, tree in enumerate(trees):
-            fold((tree, (side, i), None), step)
+            stack += [(child, (link, i), t) for i, (t, child) in enumerate(tree.instances)][::-1]
+        elif kind is not Atom:
+            if kind is ETStrong:
+                eigens.append(tree.eigenvariable)
+            kids = enumerate(children(tree))
+            stack += [(child, (link, i), None) for i, child in kids if type(child) is not Atom][::-1]
     return occurrences, eigens, spans
 
 
@@ -285,6 +278,8 @@ def dependency_relation(es: Sequent) -> DependencyGraph:
     """Base dependency relation: an edge t -> s whenever some eigenvariable
     of a strong node at or below t's instance edge occurs free in s."""
     occurrences, eigens, spans = _walk_sequent(es)
+    if not eigens:
+        return DependencyGraph(tuple(occurrences), frozenset())
     strong = set(eigens)
     mentioned_by: dict[str, list[int]] = {}
     for b, occ in enumerate(occurrences):
@@ -355,6 +350,8 @@ def is_acyclic(g: DependencyGraph) -> tuple[bool, Optional[tuple[str, ...]]]:
     node is searched.  The witness is the one a full BFS over the whole
     graph from every node finds.
     """
+    if not g.edges:
+        return True, None
     adj: list[list[int]] = [[] for _ in g.nodes]
     for a, b in sorted(g.edges):
         adj[a].append(b)
@@ -422,8 +419,8 @@ def verdict(es: Sequent) -> Verdict:
     """The sanity check: an expansion sequent is a proof iff its deep sequent
     is a tautology and its dependency relation is acyclic.  This validates
     the claimed instantiations, not individual inference steps.  The
-    tautology check reads the trees (`is_tautology`) and notes their strong
-    nodes; with none, no edge can exist, and the dependency stage is skipped."""
-    taut, counterexample = is_tautology(es, strong := [])
-    acyclic, cycle = is_acyclic(dependency_relation(es)) if strong else (True, None)
+    tautology check reads the trees themselves (`is_tautology`), so the deep
+    sequent is never built here."""
+    taut, counterexample = is_tautology(es)
+    acyclic, cycle = is_acyclic(dependency_relation(es))
     return Verdict(taut and acyclic, taut, acyclic, counterexample, cycle)

@@ -356,8 +356,9 @@ def quantifier_strengths(formula: Formula, polarity: Polarity) -> dict[str, Stre
 # ---------------------------------------------------------------------------
 # traversal: every walk over terms, formulas, expansion trees and their
 # JSON form goes through `fold`, `subformulas`, `subterms` or
-# `expansion.subtrees`, so depth is bounded by memory and not by the
-# interpreter's recursion limit
+# `expansion.subtrees`, or keeps its own stack as `check._walk_sequent`
+# does, so depth is bounded by memory and not by the interpreter's
+# recursion limit
 
 
 def fold(root, step):

@@ -130,33 +130,29 @@ def shallow(tree: ExpansionTree, polarity: Polarity) -> Formula:
 
 def deep_step(builds: dict, leaf, item):
     """The step of a `fold` that reads an expansion tree deep (Miller 1987)
-    from an item (tree, polarity).  A weak node of one instance stands for
-    its child; any other weak node joins its instances, a strong node has
-    its child as its one part, and a connective is read through
-    `polar_parts`.  An atom's value is `leaf(atom)`, any other node's
-    `builds[polarity][kind]` of its parts' values."""
+    from an item (tree, polarity).  A strong node, and a weak node of one
+    instance, stands for its child; any other weak node joins its instances,
+    and a connective is read through `polar_parts`.  An atom's value is
+    `leaf(atom)`, any other node's `builds[polarity][kind]` of its parts'
+    values."""
     tree, polarity = item
     kind = type(tree)
-    while kind is ETWeak and len(tree.instances) == 1:
-        tree = tree.instances[0][1]
+    while kind is ETStrong or kind is ETWeak and len(tree.instances) == 1:
+        tree = tree.child if kind is ETStrong else tree.instances[0][1]
         kind = type(tree)
     if kind is Atom:
         return None, leaf(tree)
-    if kind is ETWeak or kind is ETStrong:
-        return tuple((child, polarity) for child in children(tree)), builds[polarity][kind]
+    if kind is ETWeak:
+        return tuple((child, polarity) for _, child in tree.instances), builds[polarity][kind]
     return polar_parts(tree, polarity), builds[polarity][kind]
 
 
-def _child(value):
-    return value
-
-
-# the deep reading builds each connective as itself, reads a strong node as
-# its child, and joins a weak node's instances left-nested, by conjunction
-# at negative polarity and by disjunction at positive polarity
+# the deep reading builds each connective as itself and joins a weak node's
+# instances left-nested, by conjunction at negative polarity and by
+# disjunction at positive polarity
 _DEEP_BUILDS = {
-    Polarity.NEG: {Neg: Neg, And: And, Or: Or, Imp: Imp, ETStrong: _child, ETWeak: lambda *parts: reduce(And, parts)},
-    Polarity.POS: {Neg: Neg, And: And, Or: Or, Imp: Imp, ETStrong: _child, ETWeak: lambda *parts: reduce(Or, parts)},
+    Polarity.NEG: {Neg: Neg, And: And, Or: Or, Imp: Imp, ETWeak: lambda *parts: reduce(And, parts)},
+    Polarity.POS: {Neg: Neg, And: And, Or: Or, Imp: Imp, ETWeak: lambda *parts: reduce(Or, parts)},
 }
 
 

@@ -1,10 +1,8 @@
 import random
 
-from exproof import check
 from exproof.check import (
     DependencyGraph,
     TermOccurrence,
-    Verdict,
     _dpll,
     deep_sequent,
     dependency_relation,
@@ -335,43 +333,16 @@ def test_crossed_verdict_fails_acyclicity():
     assert "cycle" in v.to_json() and "counterexample" not in v.to_json()
 
 
-def test_skipping_the_dependency_stage_never_changes_a_verdict():
-    # `verdict` runs the dependency stage only when the encoding meets a
-    # strong node; the verdict must be the one both stages in full give
-    rng = random.Random(1912)
-    with_strong = cyclic = 0
-    for i in range(1200):
-        es = random_expansion_sequent(rng)
-        strong = []
-        taut, counterexample = is_tautology(es, strong)
-        acyclic, cycle = is_acyclic(dependency_relation(es))
-        assert verdict(es) == Verdict(taut and acyclic, taut, acyclic, counterexample, cycle), f"case {i}"
-        with_strong += bool(strong)
-        cyclic += not acyclic
-    assert with_strong >= 500 and cyclic >= 25  # both branches are taken
-
-
 def test_strong_node_below_a_one_instance_weak_node_is_seen():
     # antecedent ![X]: ?[U]: r(X, U) with the one instance X := f(A) and the
-    # eigenvariable A: the instance depends on itself.  The weak node of one
-    # instance reads as its child, so the strong node must be seen below it.
+    # eigenvariable A: the instance depends on itself, so the strong node
+    # below the instance edge of a weak node of one instance must be seen.
     fa = App("f", (A,))
     strong = ETStrong("U", Atom("r", (Var("X"), Var("U"))), "A", Atom("r", (fa, A)))
     weak = ETWeak("X", parse_formula("?[U]: r(X, U)", extra_vars={"X"}), ((fa, strong),))
     es = Sequent((weak,), (Atom("r", (fa, A)),))
-    seen = []
-    assert is_tautology(es, seen) == (True, None) and len(seen) == 1
+    assert is_tautology(es) == (True, None)
     v = verdict(es)
     assert v.tautology and not v.acyclic and not v.is_proof
     assert v.cycle == ("ant[0].0",)
 
-
-def test_verdict_without_strong_nodes_runs_no_dependency_stage(monkeypatch):
-    path = FIXTURES / "verit_transitivity.proof"
-    es = load_sequent(str(path), RunConfig("check", (str(path),)))[0]
-
-    def unreachable(_es):
-        raise AssertionError("dependency_relation called on a sequent with no strong node")
-
-    monkeypatch.setattr(check, "dependency_relation", unreachable)
-    assert verdict(es) == Verdict(True, True, True)
