@@ -253,7 +253,7 @@ def _walk_sequent(
     # pushed below its subtree closes it.  An atom off an instance edge holds
     # nothing and is not pushed.
     stack = [(tree, (side, i), None) for side, trees in (("ant", es.antecedent), ("suc", es.succedent))
-             for i, tree in enumerate(trees)][::-1]
+             for i, tree in enumerate(trees) if type(tree) is not Atom][::-1]
     while stack:
         tree, link, term = stack.pop()
         if tree is None:
