@@ -32,6 +32,22 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
+# `_dpll`'s decision on the first free variable and, after a conflict, its
+# other phase: True then False, or in a mutant False then True
+_PHASES = (
+    "            assign({first}order[free])\n"
+    "            continue\n"
+    "        while decisions:\n"
+    "            free, mark, tried_false = decisions.pop()\n"
+    "            for lit in trail[mark:]:\n"
+    "                value[lit] = value[-lit] = 0\n"
+    "            del trail[mark:]\n"
+    "            head = mark\n"
+    "            if not tried_false:\n"
+    "                decisions.append((free, mark, True))\n"
+    "                assign({second}order[free])\n"
+)
+
 CATALOGUE = [
     Mutant(
         "connectives-before-atoms",
@@ -106,6 +122,64 @@ CATALOGUE = [
         "    for b, occ in enumerate(occurrences):\n"
         "        if any(o is occ for o in occurrences[:b]):\n            continue\n",
         ("tests/test_scaling.py",),
+    ),
+    Mutant(
+        "intern-without-its-loop",
+        "core.py",
+        "    while (found := _nodes.setdefault(key, entry)()) is None:\n"
+        "        _remove_dead_weakref(_nodes, key)\n"
+        "    return found\n",
+        "    return _nodes.setdefault(key, entry)()\n",
+        ("tests/test_core.py::test_dead_entry_not_yet_removed_is_replaced",),
+    ),
+    Mutant(
+        "too-many-fields-accepted",
+        "core.py",
+        "            if more:\n                raise _wrong_count(cls, a, *more)\n",
+        "",
+        ("tests/test_core.py::test_constructor_contract_of_every_kind",),
+    ),
+    Mutant(
+        "instance-terms-not-collapsed",
+        "leancop.py",
+        "out[v] = collapse_term(apply_subst(matcher.get(v) or Var(v), binding), heads)",
+        "out[v] = apply_subst(matcher.get(v) or Var(v), binding)",
+        ("tests/test_leancop.py::test_import_skolem_fixture",),
+    ),
+    Mutant(
+        "skolem-congruence-accepted",
+        "leancop.py",
+        "if inst is None or inst[0].kind is SchemaKind.FN_CONGRUENCE and inst[0].param[0] in skolem_heads:",
+        "if inst is None:",
+        ("tests/test_leancop.py::test_congruence_of_a_skolem_function_is_no_equality_axiom",),
+    ),
+    Mutant(
+        "symmetry-only-with-a-used-schema",
+        "leancop.py",
+        "if eq_groups or any(a.pred == EQ for a in input_atoms):",
+        "if eq_groups:",
+        ("tests/test_leancop.py::test_import_agrees_with_matching_collapsed_clauses",),
+    ),
+    Mutant(
+        "false-first-decision-phase",
+        "check.py",
+        _PHASES.format(first="", second="-"),
+        _PHASES.format(first="-", second=""),
+        ("tests/test_check.py::test_dpll_matches_rescan_dpll_on_raw_clauses",),
+    ),
+    Mutant(
+        "keyword-read-as-a-symbol",
+        "verit.py",
+        'if sexp.startswith(":"):',
+        "if False:",
+        ("tests/test_cli.py::test_unusable_import_exits_two",),
+    ),
+    Mutant(
+        "right-operand-never-defined",
+        "leancop.py",
+        "right = _define(rf, right)",
+        "pass",
+        ("tests/test_leancop.py::test_dnf_defines_the_right_operand",),
     ),
 ]
 

@@ -38,7 +38,7 @@ from .core import (
     rectify,
     subformulas,
 )
-from .expansion import ExpansionTree, expand_formula
+from .expansion import expand_formula
 from .notation import PUNCTUATION, FormulaParser, token_kind, tokenize, unquoted
 from .verit import AxiomSchema, Clause, SchemaKind, _show, axiom_instance, symmetry_trees
 
@@ -444,11 +444,13 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     if not trace.inputs:
         raise LeanCoPImportError("trace has no input formulas")
 
-    axioms = [f for f in trace.inputs if f[1] == "axiom"]
-    conjectures = [f for f in trace.inputs if f[1] == "conjecture"]
-    sequent = rectify(Sequent(tuple(f for _, _, f in axioms), tuple(f for _, _, f in conjectures)))
-    rectified = {name: f for (name, _, _), f in zip(axioms + conjectures, sequent.formulas)}
-    names = [name for name, _, _ in trace.inputs]
+    # the inputs' names on their sides, each side in trace order
+    formulas = {name: f for name, _, f in trace.inputs}
+    sides = Sequent(
+        tuple(name for name, role, _ in trace.inputs if role == "axiom"),
+        tuple(name for name, role, _ in trace.inputs if role == "conjecture"),
+    )
+    rectified = dict(zip(sides.formulas, rectify(sides.read(lambda name, _: formulas[name])).formulas))
 
     # the Skolem heads are the function symbols the prover's clauses add to
     # the input; a constant that only bindings carry stays a constant.  Each
@@ -468,50 +470,36 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     matches = match_clauses(generated, trace.clauses, heads)
 
     # dicts as insertion-ordered sets of instances, in first-use order
-    per_formula: dict[str, dict[Subst, None]] = {name: {} for name in names}
+    per_formula: dict[str, dict[Subst, None]] = {name: {} for name in formulas}
     eq_groups: dict[AxiomSchema, dict[Subst, None]] = {}
-    # per trace clause, from the first step that uses it on: its variables,
-    # those of the clause or schema it matched, the matcher, and the
-    # instances the steps add to
-    used: dict[int, tuple] = {}
     for step_id, number, binding in trace.steps:
-        if number not in used:
-            pattern, matcher = matches[number]
-            if type(pattern) is AxiomSchema:
-                variables = frozenset(pattern.variables)
-                subs = eq_groups.setdefault(pattern, {})
-            else:
-                variables = _clause_vars(pattern[0])
-                subs = per_formula[pattern[1]]
-            used[number] = (_clause_vars(lits_by_number[number]), variables, matcher, subs)
-        clause_vars, variables, matcher, subs = used[number]
-        extra = binding.domain - clause_vars
+        pattern, matcher = matches[number]
+        extra = binding.domain - _clause_vars(lits_by_number[number])
         if extra:
             raise LeanCoPImportError(
                 f"step {step_id!r}: binding domain not covered by clause "
                 f"{number} variables: {', '.join(sorted(extra))}"
             )
+        if type(pattern) is AxiomSchema:
+            variables, subs = frozenset(pattern.variables), eq_groups.setdefault(pattern, {})
+        else:
+            variables, subs = _clause_vars(pattern[0]), per_formula[pattern[1]]
         sigma = _compose_instance(variables, matcher, binding, heads)
         if sigma:
             subs[sigma] = None
 
-    ant_trees: list[ExpansionTree] = []
-    suc_trees: list[ExpansionTree] = []
-    for name, role, _ in trace.inputs:
-        if role == "axiom":
-            ant_trees.append(expand_formula(rectified[name], per_formula[name], Polarity.NEG))
-        else:
-            suc_trees.append(expand_formula(rectified[name], per_formula[name], Polarity.POS))
+    trees = sides.read(lambda name, pol: expand_formula(rectified[name], per_formula[name], pol))
+    ant_trees = list(trees.antecedent)
     for schema, subs in eq_groups.items():
         ant_trees.append(expand_formula(schema.formula, subs, Polarity.NEG))
     # an equality reaches the trees only from an input atom or a used schema
     if eq_groups or any(a.pred == EQ for a in input_atoms):
-        ant_trees += symmetry_trees(ant_trees + suc_trees)
+        ant_trees += symmetry_trees([*ant_trees, *trees.succedent])
 
     report = {
         "matched_clauses": len(matches),
         "unmatched": [],
-        "instances_per_formula": {name: len(per_formula[name]) for name in names},
+        "instances_per_formula": {name: len(subs) for name, subs in per_formula.items()},
         "skolem_map": {head: f"v_{head}" for head in sorted(skolem_args)},
     }
-    return Sequent(tuple(ant_trees), tuple(suc_trees)), report
+    return Sequent(tuple(ant_trees), trees.succedent), report

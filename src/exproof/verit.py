@@ -136,12 +136,20 @@ def _shown(sexp) -> str:
     return "".join(pieces)
 
 
+def _symbol(sexp: str) -> str:
+    """`sexp` as the name of a term or an atom, which SMT-LIB does not let a
+    keyword be; a quoted `|:x|` keeps its bars and is a symbol."""
+    if sexp.startswith(":"):
+        raise VeritImportError(f"keyword {sexp!r} used as a term or an atom")
+    return sexp
+
+
 def _sterm_step(sexp):
     if isinstance(sexp, str):
-        return None, App(sexp, ())
+        return None, App(_symbol(sexp), ())
     if not sexp or not isinstance(sexp[0], str):
         raise VeritImportError(f"malformed term {_shown(sexp)}")
-    return sexp[1:], partial(app, sexp[0])
+    return sexp[1:], partial(app, _symbol(sexp[0]))
 
 
 def _sterm_to_term(sexp) -> Term:
@@ -160,14 +168,14 @@ def _sterm_to_atom(sexp) -> Atom:
     if sexp == EQ:
         raise VeritImportError("'=' takes exactly two arguments")
     if isinstance(sexp, str):
-        return Atom(sexp, ())
+        return Atom(_symbol(sexp), ())
     if not sexp or not isinstance(sexp[0], str) or sexp[0] == "not":
         raise VeritImportError(f"malformed atom {_shown(sexp)}")
     if sexp[0] == EQ:
         if len(sexp) != 3:
             raise VeritImportError("'=' takes exactly two arguments")
         return Atom(EQ, (_sterm_to_term(sexp[1]), _sterm_to_term(sexp[2])))
-    return Atom(sexp[0], tuple(_sterm_to_term(a) for a in sexp[1:]))
+    return Atom(_symbol(sexp[0]), tuple(_sterm_to_term(a) for a in sexp[1:]))
 
 
 def parse_verit(text: str) -> VeritTrace:

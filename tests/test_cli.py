@@ -126,7 +126,7 @@ def test_variable_bound_twice_exits_two(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
-    "text, message", zip(REPEATED_ATTRIBUTE_TRACES, REPEATED_ATTRIBUTE_ERRORS), ids=["conclusion", "clauses"]
+    "text, message", list(zip(REPEATED_ATTRIBUTE_TRACES, REPEATED_ATTRIBUTE_ERRORS)), ids=["conclusion", "clauses"]
 )
 def test_step_attribute_given_twice_exits_two(tmp_path, capsys, text, message):
     path = tmp_path / "twice.smt"
@@ -149,6 +149,55 @@ def test_theory_other_than_equality_exits_two(tmp_path, capsys):
     assert captured.err == f"{path}: unknown theory 'arithmetic' at line 8, column 54\n"
     main(["batch", str(tmp_path)])
     assert json.loads(capsys.readouterr().out)["files"]["theory.proof"]["status"] == "error:parse"
+
+
+def _smt_refutation(positive: str, negative: str) -> str:
+    return (
+        f"(set .c1 (input :conclusion (({positive}))))\n"
+        f"(set .c2 (input :conclusion ((not {negative}))))\n"
+        "(set .c3 (resolution :clauses (.c1 .c2) :conclusion ()))\n"
+    )
+
+
+# SMT-LIB admits no keyword as a term or an atom: such a refutation is
+# malformed, not a proof
+KEYWORD_ERROR = "keyword ':x' used as a term or an atom"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "clause.proof",
+            "fof(ax, axiom, ![X]: p(X)).\ncnf(1, plain, [~p(X1)], clausify(nope)).\n",
+            "clause 1 refers to unknown input formula 'nope'",
+        ),
+        (
+            "empty.smt",
+            "(set .c1 (input :conclusion ((p a))))\n(set .c2 (input :conclusion ()))\n",
+            "input step with an empty clause",
+        ),
+        ("term.smt", _smt_refutation("p :x", "(p :x)"), KEYWORD_ERROR),
+        (
+            "atom.smt",
+            "(set .c1 (input :conclusion (:x)))\n"
+            "(set .c2 (input :conclusion ((not :x))))\n"
+            "(set .c3 (resolution :clauses (.c1 .c2) :conclusion ()))\n",
+            KEYWORD_ERROR,
+        ),
+        ("predicate.smt", _smt_refutation(":x a", "(:x a)"), KEYWORD_ERROR),
+    ],
+    ids=["unknown-input", "empty-input-clause", "keyword-term", "keyword-atom", "keyword-predicate"],
+)
+def test_unusable_import_exits_two(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {message}\n"
+    main(["batch", str(tmp_path)])
+    assert json.loads(capsys.readouterr().out)["files"][name]["status"] == "error:import"
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -328,23 +377,17 @@ def test_export_json_quotes_symbols_that_are_not_plain_names(tmp_path, name, tra
     assert sequent_from_json(json.loads(out_path.read_text())) == es
 
 
-def _smt_refutation(positive: str, negative: str) -> str:
-    return (
-        f"(set .c1 (input :conclusion (({positive}))))\n"
-        f"(set .c2 (input :conclusion ((not {negative}))))\n"
-        "(set .c3 (resolution :clauses (.c1 .c2) :conclusion ()))\n"
-    )
-
-
 def test_smt_quoted_symbols_are_read_whole(tmp_path, capsys):
     path = tmp_path / "t.smt"
     # two distinct quoted symbols: the inputs are satisfiable
     path.write_text(_smt_refutation("p |a b|", "(p |a  b|)"))
     assert main(["check", str(path)]) == EXIT_NOT_PROOF
     assert json.loads(capsys.readouterr().out)["counterexample"] == {"p('a b')": True, "p('a  b')": False}
-    # `|a|` and `a` are one symbol
-    path.write_text(_smt_refutation("p |a|", "(p a)"))
-    assert main(["check", str(path)]) == EXIT_PROOF
+    # `|a|` and `a` are one symbol; `|:x|` is a symbol, not a keyword, and
+    # so is the empty `||`, as a term, a predicate and an atom
+    for positive, negative in (("p |a|", "(p a)"), ("p |:x|", "(p |:x|)"), ("p ||", "(p ||)"), ("||", "||")):
+        path.write_text(_smt_refutation(positive, negative))
+        assert main(["check", str(path)]) == EXIT_PROOF
     capsys.readouterr()
 
 

@@ -55,6 +55,47 @@ CASES = [
         STEP + "\n  (set .c2 (input\n    :conclusion ((q b)) :conclusion ((q a))))\n",
         ":conclusion given twice in step 'c2' at line 3, column 3",
     ),
+    (
+        parse_leancop,
+        AXIOM + "cnf(1, plain, [~p(X1),\n  (p(a) & q(a))], clausify(ax)).\n",
+        "expected a literal at line 3, column 3",
+    ),
+    (
+        parse_leancop,
+        AXIOM + CLAUSE + "cnf(s1, plain, [~p(a)], start(1, bnd([X1], [a]))).\n",
+        "expected 'bind', found 'bnd' at line 3, column 34",
+    ),
+    (
+        parse_leancop,
+        AXIOM + CLAUSE + "cnf(s1, plain, [~p(a)],\n  start(1, bind([X1], [a, b]))).\n",
+        "bind lists differ in length (1 vs 2) at line 4, column 12",
+    ),
+    (
+        parse_leancop,
+        AXIOM + "cnf(c1, plain, [~p(X1)], clausify(ax)).\n",
+        "clause number must be numeric, found 'c1' at line 2, column 5",
+    ),
+    (
+        parse_leancop,
+        AXIOM + CLAUSE + "cnf(s1, plain, [~p(a)], start(one)).\n",
+        "expected 'num', found 'one' at line 3, column 31",
+    ),
+    (
+        parse_leancop,
+        AXIOM + CLAUSE + "cnf(s1, plain, [~p(a)], restart(1)).\n",
+        "unknown clause origin or step 'restart' at line 3, column 25",
+    ),
+    (
+        parse_verit,
+        STEP + "(set c2 (input :conclusion ((q b))))\n",
+        "step id must start with '.', found 'c2' at line 2, column 1",
+    ),
+    (parse_verit, STEP + "  (set .c2 input)\n", "step body must be (rule ...) at line 2, column 3"),
+    (
+        parse_verit,
+        STEP + "(set .c2 (resolution :clauses .c1 :conclusion ()))\n",
+        ":clauses needs a parenthesised list at line 2, column 1",
+    ),
 ]
 
 

@@ -398,6 +398,10 @@ _STRONG_JSON = {"kind": "strong", "var": "X", "body": "p(X)", "eigenvariable": "
         ({"antecedent": [{**_STRONG_JSON, "eigenvariable": ["e"]}]}, "field 'eigenvariable' is not a string"),
         ({"antecedent": [{**_STRONG_JSON, "var": 0}]}, "field 'var' is not a string"),
         ({"antecedent": [{k: v for k, v in _STRONG_JSON.items() if k != "body"}]}, "missing field 'body'"),
+        (
+            {"antecedent": [{"kind": "atom", "formula": "p(a) & q(a)"}]},
+            "atom node does not hold an atom: 'p(a) & q(a)'",
+        ),
     ],
 )
 def test_tree_from_json_names_the_field_of_a_malformed_node(data, message):

@@ -186,6 +186,32 @@ cnf('e1', plain, [~p(c)], extension(1, bind([X1], [c]))).
     assert [t for t, _ in es.antecedent[0].instances] == [c]
 
 
+def test_inputs_go_to_their_sides_in_trace_order_with_each_instance_once():
+    # the roles alternate, and clause 2 is used by three steps, two of them
+    # with the same binding
+    text = """
+fof(c1, conjecture, ?[Y]: q(Y)).
+fof(a1, axiom, ![X]: p(X)).
+fof(c2, conjecture, ?[Z]: r(Z)).
+fof(a2, axiom, ![W]: (p(W) => q(W))).
+cnf(1, plain, [q(Y1)], clausify(c1)).
+cnf(2, plain, [~p(X1)], clausify(a1)).
+cnf(3, plain, [r(Z1)], clausify(c2)).
+cnf(4, plain, [p(W1), ~q(W1)], clausify(a2)).
+cnf('s1', plain, [q(a)], start(1, bind([Y1], [a]))).
+cnf('e1', plain, [p(a), ~q(a)], extension(4, bind([W1], [a]))).
+cnf('e2', plain, [~p(a)], extension(2, bind([X1], [a]))).
+cnf('e3', plain, [~p(a)], extension(2, bind([X1], [a]))).
+cnf('e4', plain, [~p(b)], extension(2, bind([X1], [b]))).
+cnf('e5', plain, [r(b)], extension(3, bind([Z1], [b]))).
+"""
+    es, report = import_leancop(parse_leancop(text))
+    assert sequent_text(shallow_sequent(es)) == "![X]: p(X), ![W]: (p(W) => q(W)) ⊢ ?[Y]: q(Y), ?[Z]: r(Z)"
+    assert [[t for t, _ in tree.instances] for tree in es.formulas] == [[a, b], [a], [a], [b]]
+    assert list(report["instances_per_formula"].items()) == [("c1", 1), ("a1", 2), ("c2", 1), ("a2", 1)]
+    assert verdict(es).is_proof
+
+
 # --- definitional DNF ---
 
 
@@ -234,6 +260,23 @@ def test_dnf_definition_predicates_carry_free_variables():
     atoms = [l.sub if isinstance(l, Neg) else l for literals, _ in out for l in literals]
     datoms = [atom for atom in atoms if atom.pred.startswith("d")]
     assert datoms and all(atom.args == (Var("X"),) for atom in datoms)
+
+
+@pytest.mark.parametrize(
+    "conjecture, clauses",
+    [
+        # 1 x 5 clauses: the left operand has one clause, so the right one is defined
+        ("p & (q | r | s | t | u)", ["p d1", "q ~d1", "r ~d1", "s ~d1", "t ~d1", "u ~d1"]),
+        # 2 x 3 clauses: the right operand has more clauses, so it is the one defined
+        ("(a | b) & (q | r | s)", ["a d1", "b d1", "q ~d1", "r ~d1", "s ~d1"]),
+    ],
+)
+def test_dnf_defines_the_right_operand(conjecture, clauses):
+    def literal(text):
+        return Neg(Atom(text[1:], ())) if text[0] == "~" else Atom(text, ())
+
+    out = definitional_dnf([("conj", "conjecture", parse_formula(conjecture))])
+    assert out == [(tuple(map(literal, c.split())), "conj") for c in clauses]
 
 
 # --- clause matching ---
