@@ -181,6 +181,27 @@ CATALOGUE = [
         "pass",
         ("tests/test_leancop.py::test_dnf_defines_the_right_operand",),
     ),
+    Mutant(
+        "batch-entries-in-share-order",
+        "cli.py",
+        "return [entries[i] for i in range(len(files))]",
+        "return list(entries.values())",
+        ("tests/test_cli.py::test_batch_parallel_matches_serial",),
+    ),
+    Mutant(
+        "worker-exit-status-ignored",
+        "cli.py",
+        "if code != 0 or len(lines)",
+        "if len(lines)",
+        ("tests/test_cli.py::test_batch_worker_that_exits_nonzero_after_its_share_exits_two",),
+    ),
+    Mutant(
+        "short-share-accepted",
+        "cli.py",
+        "len(lines) < len(share):",
+        "False:",
+        ("tests/test_cli.py::test_batch_worker_killed_or_cut_short_exits_two",),
+    ),
 ]
 
 

@@ -13,9 +13,9 @@ import sys
 import time
 from collections import Counter
 from functools import partial
-from itertools import chain, count, repeat
+from itertools import chain, count
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, NoReturn, Optional
 
 from .check import deep_sequent, verdict
 from .core import (
@@ -280,23 +280,84 @@ def _batch_one(path: Path, config: RunConfig) -> dict:
     return entry
 
 
-def _batch_worker(path: Path, config: RunConfig) -> dict:
-    """The pool's target, pickled by name.  It calls `_batch_one` through
-    the module, so a wrapper put in place of `_batch_one` (as the
-    benchmark's tracer does) cannot make the target unpicklable."""
-    return _batch_one(path, config)
-
-
 def _spread_worker() -> None:
-    """Pool initializer: start this worker on a CPU picked by its process
-    id, then allow every CPU again.  Linux tends to start forked workers on
-    the parent's CPU and can leave two CPU-bound workers sharing it while
-    another CPU idles; workers forked one after the other have consecutive
-    ids, so they start on different CPUs."""
+    """Start this worker on a CPU picked by its process id, then allow every
+    CPU again.  Linux tends to start forked workers on the parent's CPU and
+    can leave two CPU-bound workers sharing it while another CPU idles;
+    workers forked one after the other have consecutive ids, so they start
+    on different CPUs."""
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
         os.sched_setaffinity(0, {cpus[os.getpid() % len(cpus)]})
         os.sched_setaffinity(0, cpus)
+
+
+def _deal(files: list[Path], workers: int) -> list[list[int]]:
+    """The workers' shares of file indices.  The files go largest first, each
+    to the worker with the fewest bytes so far (then the fewest files), so a
+    long trace does not share a worker with other long ones.  A file that
+    cannot be stat'ed counts as empty; `_batch_one` reports it."""
+    sizes = []
+    for path in files:
+        try:
+            sizes.append(path.stat().st_size)
+        except OSError:
+            sizes.append(0)
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(files)), key=sizes.__getitem__, reverse=True):
+        w = min(range(workers), key=lambda w: (loads[w], len(shares[w])))
+        shares[w].append(i)
+        loads[w] += sizes[i]
+    return shares
+
+
+def _run_share(files: list[Path], share: list[int], config: RunConfig, pipe: int) -> NoReturn:
+    """The body of a forked worker: one JSON line per entry of its share, all
+    written once the share is done, so that a worker never waits on a full
+    pipe before then.  It ends with `os._exit`, 0 after its last line and 1
+    on any exception, and so never returns into the parent's stack or runs
+    its exit handlers or flushes its buffered output."""
+    status = 1
+    try:
+        _spread_worker()
+        lines = [json.dumps(_batch_one(files[i], config)) + "\n" for i in share]
+        with open(pipe, "w", encoding="utf-8") as out:
+            out.writelines(lines)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _batch_forked(files: list[Path], config: RunConfig, workers: int) -> list[dict]:
+    """The entries of `files`, in their order, from forked workers (safe, as
+    exproof starts no thread).  Every worker is reaped, even when one fails;
+    a worker that ends with a nonzero status or leaves part of its share
+    without an entry raises `BrokenProcessPool`, as a process pool would."""
+    children = []  # (process id, read end of its pipe, share)
+    try:
+        for share in _deal(files, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_share(files, share, config, write)
+            os.close(write)
+            children.append((pid, read, share))
+    finally:
+        done = []  # (lines, exit code, share)
+        for pid, read, share in children:
+            with open(read, encoding="utf-8") as pipe:
+                lines = pipe.read().splitlines()
+            done.append((lines, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), share))
+    entries: dict[int, dict] = {}
+    for lines, code, share in done:
+        if code != 0 or len(lines) < len(share):
+            from concurrent.futures.process import BrokenProcessPool
+
+            ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise BrokenProcessPool(f"a worker {ended} after {len(lines)} of its {len(share)} files")
+        entries.update(zip(share, map(json.loads, lines)))
+    return [entries[i] for i in range(len(files))]
 
 
 def cmd_batch(config: RunConfig) -> int:
@@ -314,19 +375,10 @@ def cmd_batch(config: RunConfig) -> int:
             paths = ", ".join(str(path) for path in files if path.name == name)
             return _failed(name, ExproofError(f"several inputs have this file name: {paths}"))
     workers = min(config.jobs, len(files), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here so that the other commands do not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunksize = max(1, len(files) // (4 * workers))
-        # the platform's default start method: on Linux the pool forks all
-        # its workers before it starts a thread; spawned workers would each
-        # start an interpreter and import exproof, which made a batch of
-        # two large files slower than the serial loop
+    if workers > 1 and hasattr(os, "fork"):
         try:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_spread_worker) as pool:
-                entries = list(pool.map(_batch_worker, files, repeat(config), chunksize=chunksize))
-        except Exception as e:  # a worker died: its files have no result
+            entries = _batch_forked(files, config, workers)
+        except Exception as e:  # a worker died, or none could be forked: the files have no result
             return _failed(" ".join(config.inputs), e)
     else:
         entries = [_batch_one(path, config) for path in files]

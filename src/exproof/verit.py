@@ -226,7 +226,11 @@ def parse_verit(text: str) -> VeritTrace:
                     ids.append(rid)
                 premises = tuple(ids)
             else:
-                conclusion = tuple(_sterm_to_literal(l) for l in items)
+                try:
+                    conclusion = tuple(_sterm_to_literal(l) for l in items)
+                except VeritImportError as e:  # located at the step, as a syntax error is
+                    line, col = locate(_SEXP, text, tokens, index)
+                    raise VeritImportError(f"{e} at line {line}, column {col}") from None
             i += 2
         if conclusion is None:
             raise error(f"step {step_id!r} has no :conclusion")

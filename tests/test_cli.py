@@ -1,7 +1,7 @@
 import json
-import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +15,7 @@ from exproof.cli import (
     EXIT_NOT_PROOF,
     EXIT_PROOF,
     RunConfig,
+    _deal,
     _spread_worker,
     detect_format,
     json_pieces,
@@ -160,8 +161,8 @@ def _smt_refutation(positive: str, negative: str) -> str:
 
 
 # SMT-LIB admits no keyword as a term or an atom: such a refutation is
-# malformed, not a proof
-KEYWORD_ERROR = "keyword ':x' used as a term or an atom"
+# malformed, not a proof, and the error is located at the step
+KEYWORD_ERROR = "keyword ':x' used as a term or an atom at line 1, column 1"
 
 
 @pytest.mark.parametrize(
@@ -766,10 +767,10 @@ def _without_seconds(summary: dict) -> dict:
     return summary
 
 
-# a pool's workers see the test's monkeypatching only if they are forked
+# batch workers see the test's monkeypatching only if they are forked
 FORKED_POOL = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
-    reason="needs two CPUs and forked pool workers",
+    not hasattr(os, "fork") or (os.cpu_count() or 1) < 2,
+    reason="needs two CPUs and os.fork",
 )
 
 
@@ -790,7 +791,6 @@ def test_batch_parallel_matches_serial(tmp_path, capsys):
         (bdir / name).write_text(text, encoding="utf-8")
     assert main(["batch", str(bdir)]) == EXIT_PROOF
     serial = _without_seconds(json.loads(capsys.readouterr().out))
-    # 50 files over two workers: chunks of six
     assert main(["batch", "--jobs", "2", str(bdir)]) == EXIT_PROOF
     parallel = _without_seconds(json.loads(capsys.readouterr().out))
     assert parallel == serial
@@ -829,16 +829,108 @@ def test_batch_reports_internal_error(tmp_path, capsys, monkeypatch, jobs):
     assert summary["imported"] == 0
 
 
-@FORKED_POOL
-def test_batch_worker_that_dies_exits_two(capsys, monkeypatch):
-    def die(es):
-        os._exit(3)
+def _recording_forks(monkeypatch) -> list[int]:
+    """The ids of the processes `os.fork` starts from now on."""
+    forked: list[int] = []
+    fork = os.fork
 
-    monkeypatch.setattr("exproof.cli.verdict", die)
+    def recording_fork() -> int:
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def _assert_reaped(forked: list[int]) -> None:
+    # a child that is reaped is no longer this process's child at all
+    assert forked
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _batch_with_dying_workers(capsys, monkeypatch, die) -> str:
+    """The message of a `batch --jobs 2` whose workers run `die` in place of
+    a verdict; checks that it exits 2, prints no summary and reaps every
+    worker."""
+    monkeypatch.setattr("exproof.cli.verdict", lambda es: die())
+    forked = _recording_forks(monkeypatch)
     assert main(["batch", "--jobs", "2", str(FIXTURES)]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"{FIXTURES}: BrokenProcessPool: ")
+    _assert_reaped(forked)
+    return captured.err
+
+
+@FORKED_POOL
+def test_batch_worker_that_dies_exits_two(capsys, monkeypatch):
+    err = _batch_with_dying_workers(capsys, monkeypatch, lambda: os._exit(3))
+    assert err.startswith(f"{FIXTURES}: BrokenProcessPool: a worker exited with status 3 after 0 of its ")
+
+
+@FORKED_POOL
+@pytest.mark.parametrize(
+    "die, ended",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+        (lambda: os._exit(0), "exited with status 0"),  # its share cut short
+    ],
+    ids=["killed", "short-share"],
+)
+def test_batch_worker_killed_or_cut_short_exits_two(capsys, monkeypatch, die, ended):
+    err = _batch_with_dying_workers(capsys, monkeypatch, die)
+    assert err.startswith(f"{FIXTURES}: BrokenProcessPool: a worker {ended} after 0 of its ")
+
+
+@FORKED_POOL
+def test_batch_worker_that_exits_nonzero_after_its_share_exits_two(capsys, monkeypatch):
+    exit_now = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: exit_now(status or 5))  # called in the workers only
+    forked = _recording_forks(monkeypatch)
+    assert main(["batch", "--jobs", "2", str(FIXTURES)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{FIXTURES}: BrokenProcessPool: a worker exited with status 5 after " in captured.err
+    _assert_reaped(forked)
+
+
+def test_parallel_batch_loads_no_process_pool(tmp_path):
+    # the workers are forked by the batch itself: neither `multiprocessing`
+    # nor `concurrent.futures` is imported unless a worker fails
+    code = (
+        "import sys\n"
+        "from exproof.cli import main\n"
+        f"main(['batch', '--jobs', '2', '--out', {str(tmp_path / 'summary.json')!r}, {str(FIXTURES)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "[]\n"
+    assert json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))["total"] == len(list(FIXTURES.iterdir()))
+
+
+def test_size_skewed_batch_matches_serial(tmp_path, capsys):
+    # one long chain first, then small and middling files by turns: dealt
+    # round robin, the long chain and every middling file would share a worker
+    bdir = tmp_path / "traces"
+    bdir.mkdir()
+    texts = [_leancop_chain(100)]
+    for k in range(1, 21):
+        texts.append(_transitivity_chain(2) if k % 2 else _leancop_chain(4, "broken" if k % 4 == 0 else "proof"))
+    files = []
+    for k, text in enumerate(texts):
+        files.append(bdir / f"f{k:02d}.proof")
+        files[-1].write_text(text, encoding="utf-8")
+    assert _deal(files, 2) == [[0], list(range(2, 21, 2)) + list(range(1, 21, 2))]
+    assert main(["batch", str(bdir)]) == EXIT_PROOF
+    serial = _without_seconds(json.loads(capsys.readouterr().out))
+    assert main(["batch", "--jobs", "2", str(bdir)]) == EXIT_PROOF
+    assert _without_seconds(json.loads(capsys.readouterr().out)) == serial
+    statuses = [serial["files"][path.name]["status"] for path in files]
+    assert statuses == ["proof"] + ["not-proof" if k % 4 == 0 else "proof" for k in range(1, 21)]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")

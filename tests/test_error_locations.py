@@ -5,7 +5,7 @@ import pytest
 from exproof.expansion import sequent_from_json
 from exproof.leancop import parse_leancop
 from exproof.notation import ParseError, parse_formula
-from exproof.verit import parse_verit
+from exproof.verit import VeritImportError, parse_verit
 
 STEP = "(set .c1 (input :conclusion ((p a))))\n"
 AXIOM = "fof(ax, axiom, ![X]: p(X)).\n"
@@ -105,4 +105,25 @@ CASES = [
 def test_error_message_and_location(parse, text, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
+    assert str(exc.value) == message
+
+
+# errors of a step's conclusion: import errors, located at their step
+CONCLUSION_CASES = [
+    (STEP + "  (set .c2 (input :conclusion ((p (f) ()))))\n", "malformed term () at line 2, column 3"),
+    (STEP + "(set .c2 (input\n  :conclusion (((p a)))))\n", "malformed atom ((p a)) at line 2, column 1"),
+    (
+        STEP + "\n(set .c2 (input :conclusion ((not (p a) (q a)))))\n",
+        "'not' takes exactly one argument at line 3, column 1",
+    ),
+    (STEP + "(set .c2 (input :conclusion ((= a))))\n", "'=' takes exactly two arguments at line 2, column 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", CONCLUSION_CASES, ids=["malformed-term", "malformed-atom", "not-arity", "equality-arity"]
+)
+def test_conclusion_error_message_and_location(text, message):
+    with pytest.raises(VeritImportError) as exc:
+        parse_verit(text)
     assert str(exc.value) == message
