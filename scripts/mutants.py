@@ -200,7 +200,7 @@ CATALOGUE = [
         "cli.py",
         "len(lines) < len(share):",
         "False:",
-        ("tests/test_cli.py::test_batch_worker_killed_or_cut_short_exits_two",),
+        ("tests/test_cli.py::test_batch_worker_that_dies_exits_two",),
     ),
 ]
 

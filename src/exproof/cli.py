@@ -292,27 +292,7 @@ def _spread_worker() -> None:
         os.sched_setaffinity(0, cpus)
 
 
-def _deal(files: list[Path], workers: int) -> list[list[int]]:
-    """The workers' shares of file indices.  The files go largest first, each
-    to the worker with the fewest bytes so far (then the fewest files), so a
-    long trace does not share a worker with other long ones.  A file that
-    cannot be stat'ed counts as empty; `_batch_one` reports it."""
-    sizes = []
-    for path in files:
-        try:
-            sizes.append(path.stat().st_size)
-        except OSError:
-            sizes.append(0)
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i in sorted(range(len(files)), key=sizes.__getitem__, reverse=True):
-        w = min(range(workers), key=lambda w: (loads[w], len(shares[w])))
-        shares[w].append(i)
-        loads[w] += sizes[i]
-    return shares
-
-
-def _run_share(files: list[Path], share: list[int], config: RunConfig, pipe: int) -> NoReturn:
+def _run_share(files: list[Path], share: range, config: RunConfig, pipe: int) -> NoReturn:
     """The body of a forked worker: one JSON line per entry of its share, all
     written once the share is done, so that a worker never waits on a full
     pipe before then.  It ends with `os._exit`, 0 after its last line and 1
@@ -336,9 +316,15 @@ def _batch_forked(files: list[Path], config: RunConfig, workers: int) -> list[di
     without an entry raises `BrokenProcessPool`, as a process pool would."""
     children = []  # (process id, read end of its pipe, share)
     try:
-        for share in _deal(files, workers):
+        for w in range(workers):
+            share = range(w, len(files), workers)
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 _run_share(files, share, config, write)
             os.close(write)
@@ -354,8 +340,11 @@ def _batch_forked(files: list[Path], config: RunConfig, workers: int) -> list[di
         if code != 0 or len(lines) < len(share):
             from concurrent.futures.process import BrokenProcessPool
 
-            ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise BrokenProcessPool(f"a worker {ended} after {len(lines)} of its {len(share)} files")
+            if code < 0:
+                raise BrokenProcessPool(f"a worker was killed by signal {-code}")
+            if code > 0:
+                raise BrokenProcessPool(f"a worker exited with status {code}")
+            raise BrokenProcessPool(f"a worker returned {len(lines)} of its {len(share)} entries")
         entries.update(zip(share, map(json.loads, lines)))
     return [entries[i] for i in range(len(files))]
 

@@ -15,7 +15,6 @@ from exproof.cli import (
     EXIT_NOT_PROOF,
     EXIT_PROOF,
     RunConfig,
-    _deal,
     _spread_worker,
     detect_format,
     json_pieces,
@@ -867,22 +866,14 @@ def _batch_with_dying_workers(capsys, monkeypatch, die) -> str:
 
 @FORKED_POOL
 def test_batch_worker_that_dies_exits_two(capsys, monkeypatch):
-    err = _batch_with_dying_workers(capsys, monkeypatch, lambda: os._exit(3))
-    assert err.startswith(f"{FIXTURES}: BrokenProcessPool: a worker exited with status 3 after 0 of its ")
-
-
-@FORKED_POOL
-@pytest.mark.parametrize(
-    "die, ended",
-    [
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
-        (lambda: os._exit(0), "exited with status 0"),  # its share cut short
-    ],
-    ids=["killed", "short-share"],
-)
-def test_batch_worker_killed_or_cut_short_exits_two(capsys, monkeypatch, die, ended):
-    err = _batch_with_dying_workers(capsys, monkeypatch, die)
-    assert err.startswith(f"{FIXTURES}: BrokenProcessPool: a worker {ended} after 0 of its ")
+    for die, message in [
+        (lambda: os._exit(3), "a worker exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "a worker was killed by signal 9"),
+        (lambda: os._exit(0), "a worker returned 0 of its "),  # its share cut short
+    ]:
+        with monkeypatch.context() as patch:
+            err = _batch_with_dying_workers(capsys, patch, die)
+        assert err.startswith(f"{FIXTURES}: BrokenProcessPool: {message}")
 
 
 @FORKED_POOL
@@ -893,7 +884,7 @@ def test_batch_worker_that_exits_nonzero_after_its_share_exits_two(capsys, monke
     assert main(["batch", "--jobs", "2", str(FIXTURES)]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{FIXTURES}: BrokenProcessPool: a worker exited with status 5 after " in captured.err
+    assert captured.err == f"{FIXTURES}: BrokenProcessPool: a worker exited with status 5\n"
     _assert_reaped(forked)
 
 
@@ -914,7 +905,7 @@ def test_parallel_batch_loads_no_process_pool(tmp_path):
 
 def test_size_skewed_batch_matches_serial(tmp_path, capsys):
     # one long chain first, then small and middling files by turns: dealt
-    # round robin, the long chain and every middling file would share a worker
+    # round robin, the long chain and every middling file share a worker
     bdir = tmp_path / "traces"
     bdir.mkdir()
     texts = [_leancop_chain(100)]
@@ -924,7 +915,6 @@ def test_size_skewed_batch_matches_serial(tmp_path, capsys):
     for k, text in enumerate(texts):
         files.append(bdir / f"f{k:02d}.proof")
         files[-1].write_text(text, encoding="utf-8")
-    assert _deal(files, 2) == [[0], list(range(2, 21, 2)) + list(range(1, 21, 2))]
     assert main(["batch", str(bdir)]) == EXIT_PROOF
     serial = _without_seconds(json.loads(capsys.readouterr().out))
     assert main(["batch", "--jobs", "2", str(bdir)]) == EXIT_PROOF
