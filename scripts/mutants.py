@@ -142,9 +142,19 @@ CATALOGUE = [
     Mutant(
         "instance-terms-not-collapsed",
         "leancop.py",
-        "out[v] = collapse_term(apply_subst(matcher.get(v) or Var(v), binding), heads)",
+        "out[v] = collapse_term(apply_subst(matcher.get(v) or Var(v), binding), names)",
         "out[v] = apply_subst(matcher.get(v) or Var(v), binding)",
         ("tests/test_leancop.py::test_import_skolem_fixture",),
+    ),
+    Mutant(
+        "eigenvariables-named-v-head",
+        "leancop.py",
+        "names = eigenvariable_names(heads, taken)",
+        'names = {head: f"v_{head}" for head in sorted(heads)}',
+        (
+            "tests/test_cli.py::test_eigenvariable_takes_no_name_of_the_trace",
+            "tests/test_cli.py::test_eigenvariable_of_a_head_that_is_no_plain_name_reads_back",
+        ),
     ),
     Mutant(
         "skolem-congruence-accepted",

@@ -9,11 +9,12 @@ original problem, in which Skolem terms are translated to eigenvariables.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from functools import partial
 from itertools import chain, count
 from operator import add
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     BINARY,
@@ -21,7 +22,9 @@ from .core import (
     And,
     App,
     Atom,
+    Exists,
     ExproofError,
+    Forall,
     Formula,
     Neg,
     Polarity,
@@ -215,10 +218,10 @@ def parse_leancop(text: str) -> LeanCoPTrace:
 # Skolem terms -> eigenvariables
 
 
-def skolem_arguments(terms: Iterable[Term], heads: frozenset[str]) -> dict[str, tuple[Term, ...]]:
-    """The argument list of each Skolem head among `terms`, whose subterms
-    are not walked.  A head with two different argument lists means the
-    trace bound a strong quantifier more than once, which the
+def check_skolem_arguments(terms: Iterable[Term], heads: frozenset[str]) -> None:
+    """Raise unless each Skolem head among `terms`, whose subterms are not
+    walked, has one argument list.  A head with two different argument lists
+    means the trace bound a strong quantifier more than once, which the
     expansion-tree construction cannot represent."""
     args_seen: dict[str, tuple[Term, ...]] = {}
     for t in terms:
@@ -227,23 +230,40 @@ def skolem_arguments(terms: Iterable[Term], heads: frozenset[str]) -> dict[str, 
                 f"skolem head {t.head!r} used with two different argument lists "
                 f"({App(t.head, seen)} vs {t}): strong quantifier bound more than once"
             )
-    return args_seen
 
 
-def _collapse_step(heads: frozenset[str], t: Term):
+def eigenvariable_names(heads: frozenset[str], taken: set[str]) -> dict[str, str]:
+    """The eigenvariable name of each Skolem head, by head.  A head of ASCII
+    letters, digits and `_` keeps `v_<head>` unless `taken` holds it.  Any
+    other head gets the first of `B`, `B_1`, `B_2`, ... that neither `taken`
+    nor another head's name holds, where `B` is `v_<head>` with each other
+    character written `_`; so every name is plain, `[A-Za-z_][A-Za-z0-9_]*`."""
+    bases = {head: "v_" + re.sub(r"\W", "_", head, flags=re.ASCII) for head in heads}
+    # the plain heads first, so that no other head takes their names
+    names = {head: base for head, base in bases.items() if re.fullmatch(r"\w+", head, re.ASCII) and base not in taken}
+    used = taken | set(names.values())
+    for head in sorted(bases.keys() - names.keys()):
+        base = bases[head]
+        names[head] = next(name for name in chain([base], (f"{base}_{i}" for i in count(1))) if name not in used)
+        used.add(names[head])
+    return dict(sorted(names.items()))
+
+
+def _collapse_step(names: Mapping[str, str], t: Term):
     if type(t) is Var:
         return None, t
-    if t.head in heads:
-        return None, Var(f"v_{t.head}")
+    if t.head in names:
+        return None, Var(names[t.head])
     return t.args, partial(rebuilt, t)
 
 
-def collapse_term(term: Term, heads: frozenset[str]) -> Term:
+def collapse_term(term: Term, names: Mapping[str, str]) -> Term:
     """`term` with each outermost Skolem term replaced by the eigenvariable
-    `v_<head>` of its head.  `import_leancop` collapses only the instance
-    terms it composes; their Skolem terms come from the clause and binding
-    terms whose arguments it checks first, so they are not checked again."""
-    return fold(term, partial(_collapse_step, heads))
+    of its head, whose name `names` gives.  `import_leancop` collapses only
+    the instance terms it composes; their Skolem terms come from the clause
+    and binding terms whose arguments it checks first, so they are not
+    checked again."""
+    return fold(term, partial(_collapse_step, names))
 
 
 def _new_subterms(terms: Iterable[Term], seen: set) -> list[Term]:
@@ -422,14 +442,15 @@ def match_clauses(
 # import
 
 
-def _compose_instance(variables: frozenset[str], matcher: Subst, binding: Subst, heads: frozenset[str]) -> Subst:
+def _compose_instance(variables: frozenset[str], matcher: Subst, binding: Subst, names: Mapping[str, str]) -> Subst:
     """Instance of the pattern clause's `variables`: the matcher takes them
-    to trace clause terms, the step binding instantiates those.  A variable
-    the matcher sends to the trace variable of the same name has no binding
-    in `matcher` (Subst drops identities) and is composed all the same."""
+    to trace clause terms, the step binding instantiates those, and the
+    Skolem terms become the eigenvariables `names` gives.  A variable the
+    matcher sends to the trace variable of the same name has no binding in
+    `matcher` (Subst drops identities) and is composed all the same."""
     out = {}
     for v in variables:
-        out[v] = collapse_term(apply_subst(matcher.get(v) or Var(v), binding), heads)
+        out[v] = collapse_term(apply_subst(matcher.get(v) or Var(v), binding), names)
     return Subst(out)
 
 
@@ -455,15 +476,21 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
     # the Skolem heads are the function symbols the prover's clauses add to
     # the input; a constant that only bindings carry stays a constant.  Each
     # distinct subterm is walked once: an input's holds no Skolem term.
-    input_atoms = [g for _, _, f in trace.inputs for g, _ in subformulas(f, Polarity.POS) if type(g) is Atom]
+    input_parts = [g for f in rectified.values() for g, _ in subformulas(f, Polarity.POS)]
+    input_atoms = [g for g in input_parts if type(g) is Atom]
+    clause_atoms = [l.sub if type(l) is Neg else l for _, lits, _, _ in trace.clauses for l in lits]
     walked: set[Term] = set()
     symbols = {t.head for t in _new_subterms((t for a in input_atoms for t in a.args), walked) if type(t) is App}
-    clause_terms = _new_subterms(
-        (t for _, lits, _, _ in trace.clauses for l in lits for t in (l.sub if type(l) is Neg else l).args), walked
-    )
+    clause_terms = _new_subterms((t for a in clause_atoms for t in a.args), walked)
     heads = frozenset({t.head for t in clause_terms if type(t) is App} - symbols)
     binding_terms = _new_subterms((t for _, _, binding in trace.steps for _, t in binding.items()), walked)
-    skolem_args = skolem_arguments(chain(clause_terms, binding_terms), heads)
+    check_skolem_arguments(chain(clause_terms, binding_terms), heads)
+    # an eigenvariable takes no name of a symbol, predicate or variable of
+    # the trace, bound ones included
+    taken = {t.head if type(t) is App else t.name for t in walked}
+    taken.update(g.var for g in input_parts if type(g) in (Forall, Exists))
+    taken.update(a.pred for a in chain(input_atoms, clause_atoms))
+    names = eigenvariable_names(heads, taken)
     lits_by_number = {number: lits for number, lits, _, _ in trace.clauses}
 
     generated = definitional_dnf([(name, role, rectified[name]) for name, role, _ in trace.inputs])
@@ -484,7 +511,7 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
             variables, subs = frozenset(pattern.variables), eq_groups.setdefault(pattern, {})
         else:
             variables, subs = _clause_vars(pattern[0]), per_formula[pattern[1]]
-        sigma = _compose_instance(variables, matcher, binding, heads)
+        sigma = _compose_instance(variables, matcher, binding, names)
         if sigma:
             subs[sigma] = None
 
@@ -500,6 +527,6 @@ def import_leancop(trace: LeanCoPTrace) -> tuple[Sequent, dict]:
         "matched_clauses": len(matches),
         "unmatched": [],
         "instances_per_formula": {name: len(subs) for name, subs in per_formula.items()},
-        "skolem_map": {head: f"v_{head}" for head in sorted(skolem_args)},
+        "skolem_map": names,
     }
     return Sequent(tuple(ant_trees), trees.succedent), report

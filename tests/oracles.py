@@ -613,14 +613,14 @@ def ref_sterm_to_term(sexp):
     return App(sexp[0], tuple(ref_sterm_to_term(a) for a in sexp[1:]))
 
 
-def ref_collapse_term(t, heads):
-    """`t` with each outermost term whose head is in `heads` replaced by
-    the eigenvariable `v_<head>`."""
+def ref_collapse_term(t, names):
+    """`t` with each outermost term whose head `names` maps replaced by the
+    variable it maps that head to."""
     if isinstance(t, Var):
         return t
-    if t.head in heads:
-        return Var(f"v_{t.head}")
-    return App(t.head, tuple(ref_collapse_term(a, heads) for a in t.args))
+    if t.head in names:
+        return Var(names[t.head])
+    return App(t.head, tuple(ref_collapse_term(a, names) for a in t.args))
 
 
 def _ref_fresh_name(base, used):

@@ -1,5 +1,8 @@
 import random
 
+import hypothesis.strategies as st
+from hypothesis import given
+
 from exproof.check import (
     DependencyGraph,
     TermOccurrence,
@@ -109,6 +112,29 @@ def test_tautology_agrees_with_truth_table_seeded():
             by_name = {str(atom): atom for atom in sequent_atoms(ds)}
             mapped = {by_name[k]: v for k, v in assignment.items()}
             assert eval_sequent(ds, mapped) is False, f"case {i}"
+
+
+def _agrees_with_truth_table(checked: Sequent, ds: Sequent) -> None:
+    """`is_tautology` of `checked`, whose deep sequent is `ds`, gives the
+    truth table's answer, and a counterexample that falsifies `ds`."""
+    ours, assignment = is_tautology(checked)
+    assert ours == taut_oracle(ds)[0], sequent_text(ds)
+    if not ours:
+        by_name = {str(atom): atom for atom in sequent_atoms(ds)}
+        assert eval_sequent(ds, {by_name[k]: v for k, v in assignment.items()}) is False, sequent_text(ds)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_tautology_agrees_with_truth_table(seed):
+    # a quantifier-free sequent, and an expansion sequent whose trees the
+    # check reads directly, when its deep sequent is small enough to tabulate
+    rng = random.Random(seed)
+    ds = random_deep_sequent(rng)
+    _agrees_with_truth_table(ds, ds)
+    es = random_expansion_sequent(rng)
+    deep = deep_sequent(es)
+    if len(sequent_atoms(deep)) <= 12:
+        _agrees_with_truth_table(es, deep)
 
 
 def test_tautology_matches_rescan_dpll_seeded():

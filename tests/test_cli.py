@@ -22,6 +22,7 @@ from exproof.cli import (
     main,
     sequent_to_dot,
 )
+from exproof.check import verdict
 from exproof.core import Atom, ExproofError, InvariantError
 from exproof.expansion import sequent_from_json, sequent_to_json
 from test_leancop import (
@@ -375,6 +376,44 @@ def test_export_json_quotes_symbols_that_are_not_plain_names(tmp_path, name, tra
     assert f'"formula": "{atom}"' in out_path.read_text()
     es, _, _ = load_sequent(str(path), RunConfig("export", (str(path),)))
     assert sequent_from_json(json.loads(out_path.read_text())) == es
+
+
+def _checked_and_read_back(tmp_path, capsys, text: str) -> tuple[int, dict, dict, dict]:
+    """The exit code and verdict of `check` on the connection trace `text`,
+    the verdict of its `export --json` read back, and that export."""
+    path, out_path = tmp_path / "trace.p", tmp_path / "es.json"
+    path.write_text(text)
+    code = main(["check", str(path)])
+    checked = json.loads(capsys.readouterr().out)
+    assert main(["export", "--json", "--out", str(out_path), str(path)]) == EXIT_PROOF
+    data = json.loads(out_path.read_text())
+    return code, checked, verdict(sequent_from_json(data)).to_json(), data
+
+
+def test_eigenvariable_takes_no_name_of_the_trace(tmp_path, capsys):
+    # the conjecture's constant `v_sk1` is no eigenvariable, so the two
+    # atoms differ and the counterexample names both
+    code, checked, read_back, _ = _checked_and_read_back(
+        tmp_path,
+        capsys,
+        "fof(ax, axiom, ?[X]: p(X)).\n"
+        "fof(conj, conjecture, p(v_sk1)).\n"
+        "cnf(1, plain, [~p(sk1)], clausify(ax)).\n"
+        "cnf(2, plain, [p(v_sk1)], clausify(conj)).\n"
+        "cnf('s1', plain, [p(v_sk1)], start(2)).\n"
+        "cnf('e1', plain, [~p(sk1)], extension(1)).\n",
+    )
+    assert code == EXIT_NOT_PROOF
+    assert checked["counterexample"] == {"p(v_sk1)": False, "p(v_sk1_1)": True}
+    assert read_back == checked
+
+
+def test_eigenvariable_of_a_head_that_is_no_plain_name_reads_back(tmp_path, capsys):
+    text = (FIXTURES / "leancop_skolem.proof").read_text().replace("sk1", "'s!k'")
+    code, checked, read_back, data = _checked_and_read_back(tmp_path, capsys, text)
+    assert code == EXIT_PROOF
+    assert read_back == checked
+    assert '"eigenvariable": "v_s_k"' in json.dumps(data)
 
 
 def test_smt_quoted_symbols_are_read_whole(tmp_path, capsys):

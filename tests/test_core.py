@@ -374,7 +374,7 @@ def _sexp(t):
 
 def test_term_walks_match_recursive_references_seeded():
     rng = random.Random(4242)
-    heads = {"sk1"}
+    names = {"sk1": "v_sk1"}
     for _ in range(500):
         t = random_wide_term(rng, rng.randint(0, 6), ("X", "Y", "Z"))
         m = {v: random_wide_term(rng, 2, ("X", "Y")) for v in ("X", "Y", "Z") if rng.random() < 0.5}
@@ -382,7 +382,7 @@ def test_term_walks_match_recursive_references_seeded():
         atom = Atom(rng.choice(("p", "=")), (t, m.get("X", t)))
         assert str(t) == ref_term_text(t) and str(atom) == ref_term_text(atom)
         assert parse_term(str(t)) is ref_parse_term(str(t)) is t
-        assert collapse_term(t, heads) is ref_collapse_term(t, heads)
+        assert collapse_term(t, names) is ref_collapse_term(t, names)
         ground = apply_subst(t, Subst({v: const("c") for v in ("X", "Y", "Z")}))
         assert _sterm_to_term(_sexp(ground)) is ref_sterm_to_term(_sexp(ground)) is ground
 
@@ -399,7 +399,7 @@ def test_term_walks_take_a_term_deeper_than_the_recursion_limit():
     assert not hasattr(t.args[0], "_text")  # the text is kept on `t` alone
     assert parse_term(text) is t
     assert core._subst_term(t, {"X": const("b")}) is parse_term(text.replace("X", "b"))
-    assert collapse_term(t, {"sk1"}) is App("g", (Var("v_sk1"), const("a")))
+    assert collapse_term(t, {"sk1": "v_sk1"}) is App("g", (Var("v_sk1"), const("a")))
     ground = core._subst_term(t, {"X": const("b")})
     sexp = const("b").head
     for i in range(10_000):

@@ -26,12 +26,13 @@ from exproof.expansion import ETStrong, ETWeak, expand_formula, shallow_sequent
 from exproof.leancop import (
     LeanCoPImportError,
     _new_subterms,
+    check_skolem_arguments,
     collapse_term,
     definitional_dnf,
+    eigenvariable_names,
     import_leancop,
     match_clauses,
     parse_leancop,
-    skolem_arguments,
 )
 from exproof.notation import ParseError, parse_formula, sequent_text
 from exproof.verit import AxiomSchema, SchemaKind, make_schema, symmetry_trees
@@ -124,26 +125,34 @@ def test_parse_rejects_a_variable_bound_twice(text):
 
 
 def test_skolem_collapse():
-    heads = frozenset({"skC1"})
+    names = {"skC1": "v_skC1"}
     t = App("skC1", (Var("X"),))
-    assert collapse_term(t, heads) == Var("v_skC1")
-    assert collapse_term(App("f", (a,)), heads) == App("f", (a,))
+    assert collapse_term(t, names) == Var("v_skC1")
+    assert collapse_term(App("f", (a,)), names) == App("f", (a,))
     g = App("g", (App("skC1", (Var("X"),)), App("skC1", (Var("X"),))))
-    assert collapse_term(g, heads) == App("g", (Var("v_skC1"), Var("v_skC1")))
+    assert collapse_term(g, names) == App("g", (Var("v_skC1"), Var("v_skC1")))
 
 
 def test_skolem_single_binding_violation():
     heads = frozenset({"sk1"})
-    assert skolem_arguments([App("sk1", (Var("X1"),))], heads) == {"sk1": (Var("X1"),)}
+    check_skolem_arguments([App("sk1", (Var("X1"),)), App("sk1", (Var("X1"),))], heads)
     with pytest.raises(LeanCoPImportError, match="different argument lists"):
-        skolem_arguments([App("sk1", (Var("X1"),)), App("sk1", (a,))], heads)
+        check_skolem_arguments([App("sk1", (Var("X1"),)), App("sk1", (a,))], heads)
 
 
 def test_skolem_scan_does_not_recurse_on_term_depth():
-    t = App("sk1", (a,))
+    t = App("g", (App("sk1", (a,)), App("sk1", (b,))))
     for _ in range(5000):
         t = App("f", (t,))
-    assert skolem_arguments(_new_subterms([t], set()), frozenset({"sk1"})) == {"sk1": (a,)}
+    with pytest.raises(LeanCoPImportError, match="different argument lists"):
+        check_skolem_arguments(_new_subterms([t], set()), frozenset({"sk1"}))
+
+
+def test_eigenvariable_names_are_plain_and_clash_with_nothing():
+    # `v_sk1` and `v_sk1_1` are taken; `s!k` would be `v_s_k`, which the
+    # plain head `s_k` keeps
+    names = eigenvariable_names(frozenset({"s!k", "s_k", "sk1", "sk2"}), {"v_sk1", "v_sk1_1"})
+    assert names == {"s!k": "v_s_k_1", "s_k": "v_s_k", "sk1": "v_sk1_2", "sk2": "v_sk2"}
 
 
 def test_new_subterms_walks_each_distinct_subterm_once():
@@ -673,9 +682,9 @@ DIFFERENTIAL_TRACES = {
 }
 
 
-def _collapse_literal(lit, heads):
+def _collapse_literal(lit, names):
     atom = lit.sub if type(lit) is Neg else lit
-    collapsed = Atom(atom.pred, tuple(ref_collapse_term(t, heads) for t in atom.args))
+    collapsed = Atom(atom.pred, tuple(ref_collapse_term(t, names) for t in atom.args))
     return collapsed if atom is lit else Neg(collapsed)
 
 
@@ -687,7 +696,8 @@ def test_import_agrees_with_matching_collapsed_clauses(name):
     collapsed matches, with a symmetry tree only where an equality occurs."""
     trace = parse_leancop(DIFFERENTIAL_TRACES[name])
     es, report = import_leancop(trace)
-    heads = frozenset(report["skolem_map"])
+    names = report["skolem_map"]
+    heads = frozenset(names)
     axioms = [n for n, role, _ in trace.inputs if role == "axiom"]
     conjectures = [n for n, role, _ in trace.inputs if role == "conjecture"]
     shallow = shallow_sequent(es)
@@ -697,7 +707,7 @@ def test_import_agrees_with_matching_collapsed_clauses(name):
     sys.setrecursionlimit(max(limit, 4000))  # the reference collapse recurses on term depth
     try:
         collapsed = [
-            (number, tuple(_collapse_literal(l, heads) for l in lits), kind, origin)
+            (number, tuple(_collapse_literal(l, names) for l in lits), kind, origin)
             for number, lits, kind, origin in trace.clauses
         ]
         as_written = match_clauses(generated, trace.clauses, heads)
@@ -705,7 +715,7 @@ def test_import_agrees_with_matching_collapsed_clauses(name):
         assert as_written.keys() == after.keys()
         for number, (pattern, matcher) in as_written.items():
             assert after[number][0] is pattern
-            assert Subst({v: ref_collapse_term(t, heads) for v, t in matcher.items()}) == after[number][1]
+            assert Subst({v: ref_collapse_term(t, names) for v, t in matcher.items()}) == after[number][1]
         # compose each step's instance from the collapsed matcher
         instances = {n: {} for n in formulas}
         schemas = {}
@@ -718,7 +728,7 @@ def test_import_agrees_with_matching_collapsed_clauses(name):
                 variables = frozenset().union(*map(free_vars, pattern[0]))
                 subs = instances[pattern[1]]
             sigma = Subst(
-                {v: ref_collapse_term(apply_subst(matcher.get(v, Var(v)), binding), heads) for v in variables}
+                {v: ref_collapse_term(apply_subst(matcher.get(v, Var(v)), binding), names) for v in variables}
             )
             if sigma:
                 subs[sigma] = None
